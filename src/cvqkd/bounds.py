@@ -244,13 +244,13 @@ def steering_parameter(cv: ConditionalVariances, direction: SteeringDirection) -
     return cv.v_x_a_given_b * cv.v_p_a_given_b
 
 
-def _effective_product(v_x: float, v_p: float, kind: VarianceKind) -> float:
+def _effective_pair(v_x: float, v_p: float, kind: VarianceKind) -> tuple[float, float]:
     # The p-side quantity is replaced by 2v - 1 whenever the conditioning
     # party heterodynes (its p-half is what was actually measured); the
     # x-side quantity always enters as measured.
     if kind.conditioner_is_half:
         v_p = infer_full_mode_variance(v_p)
-    return v_x * v_p
+    return v_x, v_p
 
 
 def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
@@ -267,10 +267,15 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
             f"protocol {protocol.id} expects tags ({exp_ab.value}, {exp_ba.value}), "
             f"got ({cv.kind_a_given_b.value}, {cv.kind_b_given_a.value})"
         )
-    steering_ab = _effective_product(cv.v_x_b_given_a, cv.v_p_b_given_a, cv.kind_b_given_a)
-    steering_ba = _effective_product(cv.v_x_a_given_b, cv.v_p_a_given_b, cv.kind_a_given_b)
-    product = steering_ba if protocol.reconciliation is Reconciliation.DR else steering_ab
-    rate = math.log2(2.0 / (math.e * math.sqrt(product)))
+    pair_ab = _effective_pair(cv.v_x_b_given_a, cv.v_p_b_given_a, cv.kind_b_given_a)
+    pair_ba = _effective_pair(cv.v_x_a_given_b, cv.v_p_a_given_b, cv.kind_a_given_b)
+    steering_ab, steering_ba = pair_ab[0] * pair_ab[1], pair_ba[0] * pair_ba[1]
+    v_x, v_p = pair_ba if protocol.reconciliation is Reconciliation.DR else pair_ab
+    product = v_x * v_p
+    if 0.0 < product < math.inf:
+        rate = math.log2(2.0 / (math.e * math.sqrt(product)))
+    else:  # the product under- or overflows (variances near 1e-160 or 1e160); its factors do not
+        rate = math.log2(2.0 / math.e) - (math.log2(v_x) + math.log2(v_p)) / 2.0
     return KeyRateResult(
         protocol=protocol,
         key_rate=rate,

@@ -90,13 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cvqkd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, protocol=True, channel=True, modulation=True):
-        if protocol:
-            p.add_argument("--protocol", type=_protocol_arg, required=True)
-        if channel:
+    def add_common(p, point=True):
+        p.add_argument("--protocol", type=_protocol_arg, required=True)
+        if point:  # one (T, xi, V) operating point; the solvers work in the V -> inf limit
             p.add_argument("--T", type=float, dest="transmission")
             p.add_argument("--xi", type=float, default=0.0)
-        if modulation:
             p.add_argument("--V", type=_modulation_arg, default=math.inf, dest="modulation")
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None)
@@ -105,13 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("region", help="xi_max over a transmission grid (CSV)")
-    add_common(p, channel=False)
+    add_common(p, point=False)
     p.add_argument("--t-min", type=float, default=0.01)
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=100)
 
     p = sub.add_parser("distance", help="maximum fibre distance at a given excess noise")
-    add_common(p, channel=False)
+    add_common(p, point=False)
     p.add_argument("--xi", type=float, default=0.0)
     p.add_argument("--attenuation-db-per-km", type=float, default=0.2)
 
@@ -250,11 +248,8 @@ def cmd_simulate(args) -> int:
     sim = simulate_protocol_run(args.protocol, ch, args.modulation, args.samples, args.seed)
     analytic = key_rate_at(args.protocol, ch, args.modulation)
     if args.out is not None:
-        from .montecarlo import sample_quadratures
-
-        record = sample_quadratures(args.protocol, ch, args.modulation, args.samples, args.seed)
         with open(args.out, "w", newline="") as fh:
-            record.write_csv(fh)
+            sim.record.write_csv(fh)
     if args.json:
         payload = {
             "protocol": args.protocol.id,

@@ -62,8 +62,8 @@ class ChannelParams:
     def __post_init__(self):
         if not 0.0 < self.transmission <= 1.0:
             raise DomainError(f"transmission must lie in (0, 1], got {self.transmission}")
-        if self.excess_noise < 0.0:
-            raise DomainError(f"excess noise must be >= 0, got {self.excess_noise}")
+        if not 0.0 <= self.excess_noise < math.inf:
+            raise DomainError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
 
     @property
     def is_identity(self) -> bool:
@@ -95,7 +95,7 @@ class CovarianceMatrix:
         object.__setattr__(self, "n_modes", m.shape[0] // 2)
         # raises UnphysicalStateError when some nu < 1 - tolerance; the
         # spectrum is cached since entropy calls need it again
-        object.__setattr__(self, "_nus", tuple(symplectic_eigenvalues(self)))
+        object.__setattr__(self, "_nus", _symplectic_spectrum(m))
 
     def variance(self, mq: ModeQuadrature) -> float:
         return float(self.matrix[mq.index(), mq.index()])
@@ -129,7 +129,7 @@ def tmsv(v: float) -> CovarianceMatrix:
     c = sqrt(v^2 - 1); pure for every v >= 1, reducing to two vacua
     at v = 1.
     """
-    if v < 1.0:
+    if not v >= 1.0:
         raise DomainError(f"EPR variance must be >= 1, got {v}")
     c = math.sqrt(v * v - 1.0)
     m = np.diag([float(v)] * 4)
@@ -231,6 +231,14 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
     """Symplectic spectrum: |eig(i Omega Sigma)|, one value per mode, ascending.
 
+    Computed once, when the covariance matrix is validated.
+    """
+    return list(cm._nus)
+
+
+def _symplectic_spectrum(m: np.ndarray) -> tuple[float, ...]:
+    """Symplectic spectrum of a symmetric 2n x 2n matrix, ascending.
+
     Computed through the antisymmetric congruence Sigma^(1/2) Omega
     Sigma^(1/2), whose singular values are the nu in pairs; unlike a raw
     eigendecomposition of i Omega Sigma this stays accurate for strongly
@@ -242,15 +250,15 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
     purity more finely than s * machine epsilon, so a fixed gate would
     spuriously reject pure states beyond V ~ 1e4.
     """
-    tol = NU_TOLERANCE * max(1.0, float(np.max(np.abs(cm.matrix))))
-    w, u = np.linalg.eigh(cm.matrix)
+    tol = NU_TOLERANCE * max(1.0, float(np.max(np.abs(m))))
+    w, u = np.linalg.eigh(m)
     if w[0] < -tol:
         raise UnphysicalStateError("covariance matrix is not positive definite")
     # floor tiny/rounded-negative eigenvalues at representation accuracy so
     # extremely squeezed near-pure states do not produce a spurious nu ~ 0
     floor = np.finfo(float).eps * max(1.0, float(w[-1]))
     root = (u * np.sqrt(np.maximum(w, floor))) @ u.T
-    k = root @ symplectic_form(cm.n_modes) @ root
+    k = root @ symplectic_form(m.shape[0] // 2) @ root
     sv = np.linalg.svd((k - k.T) / 2.0, compute_uv=False)  # pairs, descending
     out = []
     for nu in sv[::2][::-1]:
@@ -258,7 +266,7 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
         if nu < 1.0 - tol:
             raise UnphysicalStateError(f"symplectic eigenvalue {nu} < 1 (unphysical state)")
         out.append(1.0 if nu < 1.0 + tol else nu)  # snap float noise around purity
-    return out
+    return tuple(out)
 
 
 def entropy_g(nu: float) -> float:

@@ -2,17 +2,17 @@
 
 Gaussian states admit exact classical sampling: outcomes are drawn from
 the multivariate normal defined by the post-channel covariance matrix
-via its lower-triangular Cholesky factor. Records are generated in
-fixed-size blocks whose generators derive from (seed, block index), so
-a partitioned parallel run merges to the byte-identical single-worker
-output and any prefix of a record is independent of the total length.
+via its lower-triangular Cholesky factor. Records are drawn block by
+block, in order; each block of 65536 rows has its own generator derived
+from (seed, block index), so every whole block of a record is
+independent of the total length. A shorter last block draws its basis
+coins after its own rows, so its contents depend on its length.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .errors import DomainError, InsufficientDataError
 from .gaussian import ChannelParams
-from .security import build_protocol_state, worker_count
+from .security import build_protocol_state
 
 BLOCK_SIZE = 1 << 16
 RNG_STREAM = f"numpy.random.Philox(4x64-10), numpy {np.__version__}"
@@ -49,7 +49,7 @@ class MeasurementRecord:
 
     protocol: ProtocolSpec
     channel: ChannelParams
-    modulation_v: float
+    modulation: float
     n: int
     seed: int
     rng_stream: str
@@ -134,13 +134,7 @@ def sample_quadratures(
             out["p_b"][bb == 0] = np.nan
         return out, ba, bb
 
-    blocks = range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)
-    workers = worker_count()
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(one_block, blocks))
-    else:
-        pieces = [one_block(b) for b in blocks]
+    pieces = [one_block(b) for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)]
 
     def cat(arrays):
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
@@ -149,7 +143,7 @@ def sample_quadratures(
     return MeasurementRecord(
         protocol=protocol,
         channel=ch,
-        modulation_v=v,
+        modulation=v,
         n=n,
         seed=seed,
         rng_stream=RNG_STREAM,
@@ -207,6 +201,7 @@ class SimulatedKeyRate:
     result: KeyRateResult
     key_rate: EstimateWithError
     variances: dict[str, EstimateWithError]
+    record: MeasurementRecord
 
 
 def simulate_protocol_run(
@@ -252,4 +247,5 @@ def simulate_protocol_run(
         result=result,
         key_rate=EstimateWithError(result.key_rate, sigma, min(x_est.n, p_est.n)),
         variances=estimates,
+        record=record,
     )

@@ -11,8 +11,7 @@ live in that limit, which is also the most favorable one.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,10 @@ class FibreModel:
     attenuation_db_per_km: float = 0.2
 
     def __post_init__(self):
-        if self.attenuation_db_per_km <= 0.0:
-            raise DomainError("attenuation must be positive")
+        if not 0.0 < self.attenuation_db_per_km < math.inf:
+            raise DomainError(
+                f"attenuation must be finite and positive, got {self.attenuation_db_per_km}"
+            )
 
     def distance_km(self, transmission: float) -> float:
         return -10.0 * math.log10(transmission) / self.attenuation_db_per_km
@@ -63,27 +64,18 @@ class SweepConfig:
     t_min: float
     t_max: float
     steps: int
-    modulation_v: float = math.inf
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not self.t_min < self.t_max:
-            raise DomainError("t_min must be below t_max")
+        if not 0.0 < self.t_min < self.t_max <= 1.0:
+            raise DomainError(f"need 0 < t_min < t_max <= 1, got {self.t_min}, {self.t_max}")
         if self.steps < 2:
             raise DomainError("grid needs at least 2 steps")
-        if self.tolerance <= 0.0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
 
     def t_values(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.steps)
-
-
-def worker_count() -> int:
-    """Sweep/simulation parallelism; CVQKD_THREADS overrides, never results."""
-    env = os.environ.get("CVQKD_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ def build_protocol_state(protocol: ProtocolSpec, ch: ChannelParams, v: float) ->
     """EPR state of variance v through the channel, split where a party heterodynes."""
     if math.isinf(v):
         raise DomainError("state construction needs a finite modulation variance")
-    if v < 1.0:
+    if not v >= 1.0:
         raise DomainError(f"modulation variance must be >= 1, got {v}")
     cm = apply_channel(tmsv(v), ch, mode=1)
     a_x = a_p = 0
@@ -239,6 +231,28 @@ def optimize_modulation(
     return max(candidates, key=lambda pair: pair[1])
 
 
+def _last_secure(
+    k: Callable[[float], float], secure_end: float, far_end: float, tol: float
+) -> float | None:
+    """Bisect from secure_end towards far_end for the last point with k >= 0.
+
+    Returns None when secure_end itself is insecure and far_end when the
+    whole interval is secure; otherwise the secure bracket end once the
+    bracket is narrower than tol.
+    """
+    if k(secure_end) < 0.0:
+        return None
+    if k(far_end) >= 0.0:
+        return far_end
+    while abs(far_end - secure_end) > tol:
+        mid = (secure_end + far_end) / 2.0
+        if k(mid) >= 0.0:
+            secure_end = mid
+        else:
+            far_end = mid
+    return secure_end
+
+
 def threshold_transmission(
     protocol: ProtocolSpec, xi: float, tol: float = 1e-9
 ) -> float | None:
@@ -247,63 +261,23 @@ def threshold_transmission(
     Bisection on T in [1e-6, 1] to the given tolerance; returns None
     when no transmission in (0, 1] is secure (a result, not an error).
     """
-    if xi < 0.0:
-        raise DomainError("excess noise must be >= 0")
-
-    def k(t: float) -> float:
-        return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
-
-    if k(1.0) < 0.0:
-        return None
-    lo, hi = T_BISECT_FLOOR, 1.0
-    if k(lo) >= 0.0:
-        return lo
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if k(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    rate = lambda t: key_rate_at(protocol, ChannelParams(t, xi)).key_rate
+    return _last_secure(rate, 1.0, T_BISECT_FLOOR, tol)
 
 
 def max_excess_noise(protocol: ProtocolSpec, t: float, tol: float = 1e-9) -> float | None:
     """Largest xi with nonnegative key at transmission t (v -> inf), or None."""
-
-    def k(xi: float) -> float:
-        return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
-
-    if k(0.0) < 0.0:
-        return None
-    lo, hi = 0.0, XI_BISECT_CEILING
-    if k(hi) >= 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if k(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    rate = lambda xi: key_rate_at(protocol, ChannelParams(t, xi)).key_rate
+    return _last_secure(rate, 0.0, XI_BISECT_CEILING, tol)
 
 
 def security_region(
     protocol: ProtocolSpec, config: SweepConfig
 ) -> list[tuple[float, float | None]]:
-    """(T, xi_max) rows over the grid; xi_max is None where nothing is secure.
-
-    Grid points are independent; they are evaluated in parallel when
-    CVQKD_THREADS allows, with the output assembled in ascending-T order
-    regardless.
-    """
-    ts = [float(t) for t in config.t_values()]
-    workers = worker_count()
-    if workers > 1 and len(ts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            xis = list(pool.map(lambda t: max_excess_noise(protocol, t, config.tolerance), ts))
-    else:
-        xis = [max_excess_noise(protocol, t, config.tolerance) for t in ts]
-    return list(zip(ts, xis))
+    """(T, xi_max) rows over the grid in ascending T; xi_max is None where nothing is secure."""
+    return [
+        (t, max_excess_noise(protocol, t, config.tolerance)) for t in config.t_values().tolist()
+    ]
 
 
 def max_distance(

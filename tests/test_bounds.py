@@ -117,6 +117,12 @@ class TestKeyRate:
             res = key_rate(DR_COHERENT, cv)
             assert res.key_rate == pytest.approx(math.log2(4.0 / math.e), abs=1e-8)
 
+    @pytest.mark.parametrize("v", [1e-200, 1e200])
+    def test_product_out_of_double_range_gives_finite_rate(self, v):
+        # v * v under- or overflows a double; the rate itself is near +-660 bits
+        res = key_rate(RR_HOM_HOM, hom_hom_cv(v, v))
+        assert res.key_rate == pytest.approx(math.log2(2.0 / math.e) - math.log2(v), rel=1e-12)
+
     def test_zero_rate_at_steering_threshold(self):
         boundary = (2.0 / math.e) ** 2
         res = key_rate(RR_HOM_HOM, hom_hom_cv(math.sqrt(boundary), math.sqrt(boundary)))

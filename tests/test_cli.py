@@ -174,6 +174,41 @@ class TestSimulate:
         assert code == 3
 
 
+class TestRejectedInputs:
+    @pytest.mark.parametrize("command", ["region", "distance"])
+    def test_modulation_is_a_usage_error_for_solvers(self, capsys, command):
+        # region and distance solve in the V -> inf limit, so --V has no meaning there
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--protocol", "rr-homA-homB-eb", "--V", "2"])
+        assert exc.value.code == 2
+        assert "--V" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--xi", "inf"],
+            ["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--xi", "nan"],
+            ["distance", "--protocol", "rr-homA-homB-eb", "--xi", "nan"],
+            ["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--V", "nan"],
+            ["distance", "--protocol", "rr-homA-homB-eb", "--attenuation-db-per-km", "inf"],
+            ["verify-ur", "--v-list", "nan"],
+        ],
+        ids=[
+            "keyrate-xi-inf",
+            "keyrate-xi-nan",
+            "distance-xi-nan",
+            "keyrate-v-nan",
+            "distance-att-inf",
+            "verify-ur-v-nan",
+        ],
+    )
+    def test_non_finite_input_exits_three(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestVerifyUr:
     def test_vacuum_point(self, capsys):
         code, out, _ = run(

@@ -52,6 +52,8 @@ class TestConstruction:
     def test_tmsv_rejects_v_below_one(self):
         with pytest.raises(DomainError):
             tmsv(0.999)
+        with pytest.raises(DomainError):
+            tmsv(math.nan)
 
     def test_rejects_asymmetric_matrix(self):
         m = np.eye(2)

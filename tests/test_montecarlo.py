@@ -71,14 +71,18 @@ class TestSampling:
         # homodyne Bob has exactly one finite cell per symbol
         assert np.all(np.isfinite(rec.x_b) ^ np.isfinite(rec.p_b))
 
-    def test_worker_partitioning_is_invisible(self, monkeypatch):
+    def test_whole_block_prefix_is_independent_of_length(self):
+        # a partial last block draws its basis coins after its own rows, so
+        # only whole blocks are shared between records of different lengths
         n = 3 * 65536 + 17  # several blocks plus a ragged tail
-        monkeypatch.setenv("CVQKD_THREADS", "1")
-        serial = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, n, seed=4)
-        monkeypatch.setenv("CVQKD_THREADS", "4")
-        parallel = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, n, seed=4)
-        assert record_equal(serial, parallel)
-        assert np.array_equal(serial.basis_b, parallel.basis_b)
+        m = 65536 + 5  # one whole block plus part of the next
+        long = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, n, seed=4)
+        short = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, m, seed=4)
+        k = 65536
+        for name in ("x_a", "p_a", "x_b", "p_b"):
+            assert np.array_equal(long.column(name)[:k], short.column(name)[:k], equal_nan=True)
+        assert np.array_equal(long.basis_a[:k], short.basis_a[:k])
+        assert np.array_equal(long.basis_b[:k], short.basis_b[:k])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -179,6 +183,14 @@ class TestSimulateProtocolRun:
         sim = simulate_protocol_run(RR_HOM_HOM, PERFECT, 2.0, 100, seed=7)
         assert sim.key_rate.std_error > 0.1
         assert abs(sim.key_rate.value - math.log2(4.0 / math.e)) < 5.0 * sim.key_rate.std_error
+
+    def test_record_is_the_sampled_record(self):
+        ch = ChannelParams(0.7, 0.05)
+        sim = simulate_protocol_run(RR_HOM_HOM, ch, 3.0, 70_000, seed=6)
+        rec = sample_quadratures(RR_HOM_HOM, ch, 3.0, 70_000, seed=6)
+        assert record_equal(sim.record, rec)
+        assert np.array_equal(sim.record.basis_a, rec.basis_a)
+        assert np.array_equal(sim.record.basis_b, rec.basis_b)
 
     def test_result_carries_protocol_metadata(self):
         sim = simulate_protocol_run(RR_HOM_HOM, PERFECT, 2.0, 2000, seed=1)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvqkd import (
     ChannelParams,
@@ -19,6 +21,7 @@ from cvqkd import (
     security_region,
     threshold_transmission,
 )
+from cvqkd.security import T_BISECT_FLOOR, XI_BISECT_CEILING
 
 E = math.e
 
@@ -269,3 +272,65 @@ class TestMaxDistance:
     def test_fibre_model_validation(self):
         with pytest.raises(DomainError):
             FibreModel(0.0)
+
+
+class TestRootFinderProperties:
+    """Both solvers return the last secure point of their bracket, to 2 tol."""
+
+    TOL = 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(protocol=st.sampled_from(ProtocolSpec.all()), xi=st.floats(0.0, 0.5))
+    @example(protocol=RR_HOM_HOM, xi=1e-200)  # k(1) squares xi: the product underflows
+    def test_threshold_transmission_is_last_secure(self, protocol, xi):
+        def k(t):
+            return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
+
+        t = threshold_transmission(protocol, xi, self.TOL)
+        if t is None:
+            assert k(1.0) < 0.0
+            return
+        assert k(t) >= 0.0
+        assert t == T_BISECT_FLOOR or k(t - 2.0 * self.TOL) < 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(protocol=st.sampled_from(ProtocolSpec.all()), t=st.floats(1e-6, 1.0))
+    def test_max_excess_noise_is_last_secure(self, protocol, t):
+        def k(xi):
+            return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
+
+        xi = max_excess_noise(protocol, t, self.TOL)
+        if xi is None:
+            assert k(0.0) < 0.0
+            return
+        assert k(xi) >= 0.0
+        assert xi == XI_BISECT_CEILING or k(xi + 2.0 * self.TOL) < 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda x: ChannelParams(x, 0.0),
+        lambda x: ChannelParams(0.5, x),
+        lambda x: SweepConfig(t_min=x, t_max=1.0, steps=10),
+        lambda x: SweepConfig(t_min=0.1, t_max=x, steps=10),
+        lambda x: SweepConfig(t_min=0.1, t_max=1.0, steps=10, tolerance=x),
+        lambda x: FibreModel(x),
+        lambda x: threshold_transmission(RR_HOM_HOM, x),
+        lambda x: max_excess_noise(RR_HOM_HOM, x),
+    ],
+    ids=[
+        "channel-T",
+        "channel-xi",
+        "sweep-t_min",
+        "sweep-t_max",
+        "sweep-tolerance",
+        "fibre-attenuation",
+        "threshold-xi",
+        "max-noise-T",
+    ],
+)
+def test_non_finite_parameters_raise_domain_error(make, bad):
+    with pytest.raises(DomainError):
+        make(bad)
