@@ -35,9 +35,14 @@ def _fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _round9(x: float) -> float:
-    # JSON carries the same 9-significant-digit values as the CSV/text output
-    return float(_fmt(x))
+def _round9(x: float) -> float | None:
+    # JSON carries the same 9-significant-digit values as the CSV/text output;
+    # it has no spelling for inf or NaN, so those become null
+    return float(_fmt(x)) if math.isfinite(x) else None
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _protocol_arg(value: str) -> ProtocolSpec:
@@ -184,7 +189,7 @@ def cmd_keyrate(args) -> int:
                 "kind_a_given_b": cv.kind_a_given_b.value,
             },
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json(payload), args.out)
     else:
         _emit(_report(fields), args.out)
     return 0
@@ -197,7 +202,7 @@ def cmd_region(args) -> int:
         payload = [
             {"T": _round9(t), "xi_max": None if xi is None else _round9(xi)} for t, xi in rows
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json(payload), args.out)
     else:
         text = _csv_text(
             ["T", "xi_max"],
@@ -220,7 +225,7 @@ def cmd_distance(args) -> int:
             "loss_percent": None if t_star is None else _round9(100.0 * (1.0 - t_star)),
             "max_distance_km": None if km is None else _round9(km),
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json(payload), args.out)
         return 0
     fields = [
         ("protocol", args.protocol.id),
@@ -266,7 +271,7 @@ def cmd_simulate(args) -> int:
                 for name, e in sim.variances.items()
             },
         }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_json(payload))
         return 0
     fields = [
         ("protocol", args.protocol.id),
@@ -303,7 +308,7 @@ def cmd_verify_ur(args) -> int:
             }
             for v, t, xi, b, tri in rows
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json(payload), args.out)
     else:
         text = _csv_text(
             ["V", "T", "xi", "slack_bipartite", "slack_tripartite"],
@@ -326,7 +331,7 @@ def cmd_table(args) -> int:
         payload = [
             {"protocol": p.id, "classification": classify_1sdi(p).value} for p in protocols
         ]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(_json(payload), args.out)
         return 0
     columns = [("hom", "hom"), ("hom", "het"), ("het", "hom"), ("het", "het")]
     lines = [

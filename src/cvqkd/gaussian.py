@@ -117,8 +117,8 @@ def vacuum(n_modes: int = 1) -> CovarianceMatrix:
 
 def thermal(v: float) -> CovarianceMatrix:
     """Single thermal mode with quadrature variance v >= 1."""
-    if v < 1.0:
-        raise DomainError(f"thermal variance must be >= 1, got {v}")
+    if not 1.0 <= v < math.inf:
+        raise DomainError(f"thermal variance must be finite and >= 1, got {v}")
     return CovarianceMatrix(np.diag([v, v]))
 
 

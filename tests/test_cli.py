@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cvqkd.cli import main
+from cvqkd.cli import _json, main
 
 
 def run(capsys, *argv):
@@ -59,6 +59,26 @@ class TestKeyrate:
         )
         assert code == 3
         assert "error" in err
+
+
+class TestJsonOutput:
+    @staticmethod
+    def _reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    def test_infinite_steering_is_null(self, capsys):
+        argv = ["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--xi", "1e300"]
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        payload = json.loads(out, parse_constant=self._reject)
+        assert payload["steering_ab"] is None and payload["steering_ba"] is None
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert report_value(out, "steering_ab") == "inf"
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(ValueError):
+            _json({"x": math.inf})
 
 
 class TestRegion:

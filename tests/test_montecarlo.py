@@ -1,5 +1,8 @@
 """Sampling determinism, estimator consistency and entropy estimation."""
 
+import csv
+import dataclasses
+import hashlib
 import io
 import math
 
@@ -17,10 +20,36 @@ from cvqkd import (
     sample_quadratures,
     simulate_protocol_run,
 )
+from cvqkd.montecarlo import _CSV_CHUNK_ROWS
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
 PERFECT = ChannelParams(1.0, 0.0)
+
+
+def oracle_csv(record):
+    """The row-by-row export that write_csv replaced: the reference for its bytes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["index", "basis_a", "basis_b", "x_a", "p_a", "x_b", "p_b"])
+    basis_char = {0: "x", 1: "p"}
+    for i in range(record.n):
+        row = [
+            str(i),
+            basis_char[int(record.basis_a[i])] if record.basis_a is not None else "",
+            basis_char[int(record.basis_b[i])] if record.basis_b is not None else "",
+        ]
+        for name in ("x_a", "p_a", "x_b", "p_b"):
+            value = record.column(name)[i]
+            row.append(f"{value:.9g}" if math.isfinite(value) else "")
+        writer.writerow(row)
+    return buf.getvalue()
+
+
+def csv_text(record):
+    buf = io.StringIO()
+    record.write_csv(buf)
+    return buf.getvalue()
 
 
 def record_equal(a, b):
@@ -234,6 +263,55 @@ class TestCsvExport:
                     assert math.isnan(value)
                 else:
                     assert float(cell) == pytest.approx(value, rel=1e-8)
+
+    @pytest.mark.parametrize("protocol", ProtocolSpec.all(), ids=lambda p: p.id)
+    def test_matches_row_by_row_oracle(self, protocol):
+        ch = ChannelParams(0.7, 0.05)
+        for n in (1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 65_537):
+            rec = sample_quadratures(protocol, ch, 3.0, n, seed=n)
+            assert csv_text(rec) == oracle_csv(rec), n
+
+    @pytest.mark.parametrize("protocol", [RR_HOM_HOM, ProtocolSpec.parse("rr-hetA-hetB-eb")])
+    def test_extreme_values_match_oracle(self, protocol):
+        values = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.2345678912345e20,
+                  -1.2345678912345e20, math.inf, -math.inf, math.nan, 1.0, -2.5, 1e16]
+        n = len(values)
+        rec = sample_quadratures(protocol, PERFECT, 2.0, n, seed=1)
+        columns = {name: np.roll(values, k) for k, name in enumerate(("x_a", "p_a", "x_b", "p_b"))}
+        rec = dataclasses.replace(rec, **columns)
+        text = csv_text(rec)
+        assert text == oracle_csv(rec)
+        first = text.split("\n")[1].split(",")
+        assert first[3:] == ["-0", "1e+16", "-2.5", "1"]
+        assert "nan" not in text and "inf" not in text
+
+    @pytest.mark.parametrize(
+        "protocol, digest",
+        [
+            ("rr-homA-homB-eb", "aed3cdd9a759eb74e657086607937fbd1a1229b44c664a30cbccbec96e28ae12"),
+            ("rr-hetA-hetB-eb", "f4fe4dff451ca1260b08c66ce12fe9b96b342d140e7f32c71be50e0ca3ce4225"),
+        ],
+    )
+    def test_bytes_are_pinned(self, protocol, digest):
+        # digests of the row-by-row export, so the oracle and write_csv cannot drift together
+        ch = ChannelParams(0.7, 0.05)
+        rec = sample_quadratures(ProtocolSpec.parse(protocol), ch, 3.0, 100_000, seed=11)
+        assert hashlib.sha256(csv_text(rec).encode()).hexdigest() == digest
+
+    def test_export_streams_in_bounded_writes(self):
+        class WriteSizes:
+            def __init__(self):
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+
+        het_het = ProtocolSpec.parse("rr-hetA-hetB-eb")
+        rec = sample_quadratures(het_het, PERFECT, 2.0, 100_000, seed=3)
+        stream = WriteSizes()
+        rec.write_csv(stream)
+        assert sum(stream.sizes) == len(csv_text(rec))
+        assert max(stream.sizes) <= 1 << 20
 
     def test_rng_stream_recorded(self):
         rec = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 10, seed=1)

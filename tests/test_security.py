@@ -13,12 +13,14 @@ from cvqkd import (
     FibreModel,
     ProtocolSpec,
     SweepConfig,
+    empirical_entropy,
     key_rate_at,
     max_distance,
     max_excess_noise,
     optimize_modulation,
     protocol_cond_variances,
     security_region,
+    thermal,
     threshold_transmission,
 )
 from cvqkd.security import T_BISECT_FLOOR, XI_BISECT_CEILING
@@ -319,6 +321,8 @@ class TestRootFinderProperties:
         lambda x: FibreModel(x),
         lambda x: threshold_transmission(RR_HOM_HOM, x),
         lambda x: max_excess_noise(RR_HOM_HOM, x),
+        thermal,
+        lambda x: empirical_entropy(np.linspace(-1.0, 1.0, 2000), x),
     ],
     ids=[
         "channel-T",
@@ -329,6 +333,8 @@ class TestRootFinderProperties:
         "fibre-attenuation",
         "threshold-xi",
         "max-noise-T",
+        "thermal-v",
+        "entropy-bin-width",
     ],
 )
 def test_non_finite_parameters_raise_domain_error(make, bad):
