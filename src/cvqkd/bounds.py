@@ -172,7 +172,9 @@ class KeyRateResult:
     homodyne-homodyne protocols these are exactly the Gaussian steering
     parameters E_ab = V_{xB|xA} V_{pB|pA} and its reverse. Positivity of
     the key therefore coincides with the product dropping below (2/e)^2
-    by the very same arithmetic.
+    by the very same arithmetic. ``variances`` are the inputs the rate
+    was computed from; None in the identity-channel V -> inf limit of the
+    homodyne-homodyne protocols, where all four vanish.
     """
 
     protocol: ProtocolSpec
@@ -181,6 +183,7 @@ class KeyRateResult:
     steering_ba: float
     positive: bool
     one_sided_di: OneSidedDI
+    variances: ConditionalVariances | None
 
 
 def gaussian_shannon_entropy(v: float) -> float:
@@ -283,6 +286,7 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
         steering_ba=steering_ba,
         positive=rate > 0.0,
         one_sided_di=classify_1sdi(protocol),
+        variances=cv,
     )
 
 
@@ -305,11 +309,14 @@ def measured_conditional_vn_entropy(
         raise DomainError("conditional measured entropy is defined on two-mode states")
     if side == measured.mode or not 0 <= side < 2:
         raise DomainError("side must be the remaining mode")
+    return _outcome_entropy(cm, measured) - von_neumann_entropy(reduced_state(cm, [side]))
+
+
+def _outcome_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) -> float:
+    # H(q_M) + S(rest | q_M): the terms every measured conditional entropy shares
     h_outcome = gaussian_shannon_entropy(cm.variance(measured))
     conditioned, _ = condition_on_homodyne(cm, measured)
-    return h_outcome + von_neumann_entropy(conditioned) - von_neumann_entropy(
-        reduced_state(cm, [side])
-    )
+    return h_outcome + von_neumann_entropy(conditioned)
 
 
 def verify_ur_bipartite(cm: CovarianceMatrix) -> float:
@@ -318,9 +325,12 @@ def verify_ur_bipartite(cm: CovarianceMatrix) -> float:
     Mode 0 plays A, mode 1 plays B. Nonnegative (to -1e-9) for every
     physical state.
     """
-    s_x = measured_conditional_vn_entropy(cm, ModeQuadrature(0, Quadrature.X), side=1)
-    s_p = measured_conditional_vn_entropy(cm, ModeQuadrature(0, Quadrature.P), side=1)
-    s_a_given_b = von_neumann_entropy(cm) - von_neumann_entropy(reduced_state(cm, [1]))
+    if cm.n_modes != 2:
+        raise DomainError("bipartite check is defined on two-mode states")
+    s_b = von_neumann_entropy(reduced_state(cm, [1]))
+    s_x = _outcome_entropy(cm, ModeQuadrature(0, Quadrature.X)) - s_b
+    s_p = _outcome_entropy(cm, ModeQuadrature(0, Quadrature.P)) - s_b
+    s_a_given_b = von_neumann_entropy(cm) - s_b
     return s_x + s_p - LOG2_4PI - s_a_given_b
 
 
@@ -334,13 +344,7 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     if cm.n_modes != 2:
         raise DomainError("tripartite check is defined on two-mode states")
     s_x_given_b = measured_conditional_vn_entropy(cm, ModeQuadrature(0, Quadrature.X), side=1)
-    p_a = ModeQuadrature(0, Quadrature.P)
-    conditioned_b, _ = condition_on_homodyne(cm, p_a)
-    s_p_given_e = (
-        gaussian_shannon_entropy(cm.variance(p_a))
-        + von_neumann_entropy(conditioned_b)
-        - von_neumann_entropy(cm)
-    )
+    s_p_given_e = _outcome_entropy(cm, ModeQuadrature(0, Quadrature.P)) - von_neumann_entropy(cm)
     return s_x_given_b + s_p_given_e - LOG2_4PI
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from .bounds import OneSidedDI, ProtocolSpec, classify_1sdi
+from .bounds import OneSidedDI, ProtocolSpec, classify_1sdi, expected_kinds
 from .errors import CVQKDError
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
 from .bounds import verify_ur_bipartite, verify_ur_tripartite
@@ -22,9 +22,7 @@ from .montecarlo import simulate_protocol_run
 from .security import (
     FibreModel,
     key_rate_at,
-    max_distance,
     max_excess_noise,
-    protocol_cond_variances,
     threshold_transmission,
 )
 
@@ -152,8 +150,18 @@ def cmd_keyrate(args) -> int:
     if args.transmission is None:
         raise CVQKDError("keyrate requires --T")
     ch = ChannelParams(args.transmission, args.xi)
-    cv = protocol_cond_variances(args.protocol, ch, args.modulation)
     result = key_rate_at(args.protocol, ch, args.modulation)
+    kind_ab, kind_ba = expected_kinds(args.protocol)
+    cv = result.variances  # None where all four vanish: identity channel, V -> inf
+    variances = [
+        (name, 0.0 if cv is None else getattr(cv, name), kind)
+        for name, kind in (
+            ("v_x_b_given_a", kind_ba),
+            ("v_p_b_given_a", kind_ba),
+            ("v_x_a_given_b", kind_ab),
+            ("v_p_a_given_b", kind_ab),
+        )
+    ]
     fields = [
         ("protocol", args.protocol.id),
         ("T", _fmt(ch.transmission)),
@@ -164,11 +172,7 @@ def cmd_keyrate(args) -> int:
         ("classification", result.one_sided_di.value),
         ("steering_ab", _fmt(result.steering_ab)),
         ("steering_ba", _fmt(result.steering_ba)),
-        ("v_x_b_given_a", f"{_fmt(cv.v_x_b_given_a)} ({cv.kind_b_given_a.value})"),
-        ("v_p_b_given_a", f"{_fmt(cv.v_p_b_given_a)} ({cv.kind_b_given_a.value})"),
-        ("v_x_a_given_b", f"{_fmt(cv.v_x_a_given_b)} ({cv.kind_a_given_b.value})"),
-        ("v_p_a_given_b", f"{_fmt(cv.v_p_a_given_b)} ({cv.kind_a_given_b.value})"),
-    ]
+    ] + [(name, f"{_fmt(v)} ({kind.value})") for name, v, kind in variances]
     if args.json:
         payload = {
             "protocol": args.protocol.id,
@@ -180,14 +184,8 @@ def cmd_keyrate(args) -> int:
             "classification": result.one_sided_di.value,
             "steering_ab": _round9(result.steering_ab),
             "steering_ba": _round9(result.steering_ba),
-            "variances": {
-                "v_x_b_given_a": _round9(cv.v_x_b_given_a),
-                "v_p_b_given_a": _round9(cv.v_p_b_given_a),
-                "v_x_a_given_b": _round9(cv.v_x_a_given_b),
-                "v_p_a_given_b": _round9(cv.v_p_a_given_b),
-                "kind_b_given_a": cv.kind_b_given_a.value,
-                "kind_a_given_b": cv.kind_a_given_b.value,
-            },
+            "variances": {name: _round9(v) for name, v, _ in variances}
+            | {"kind_b_given_a": kind_ba.value, "kind_a_given_b": kind_ab.value},
         }
         _emit(_json(payload), args.out)
     else:
@@ -215,7 +213,7 @@ def cmd_region(args) -> int:
 def cmd_distance(args) -> int:
     fibre = FibreModel(args.attenuation_db_per_km)
     t_star = threshold_transmission(args.protocol, args.xi)
-    km = None if t_star is None else max_distance(args.protocol, args.xi, fibre)
+    km = None if t_star is None else fibre.distance_km(t_star)
     if args.json:
         payload = {
             "protocol": args.protocol.id,

@@ -192,6 +192,7 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
             steering_ba=0.0,
             positive=True,
             one_sided_di=classify_1sdi(protocol),
+            variances=None,
         )
     return key_rate(protocol, protocol_cond_variances(protocol, ch, v))
 

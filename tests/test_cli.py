@@ -1,5 +1,6 @@
 """CLI contract: values, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -59,6 +60,31 @@ class TestKeyrate:
         )
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "protocol", ["dr-homA-homB-pm", "dr-homA-homB-eb", "rr-homA-homB-pm", "rr-homA-homB-eb"]
+    )
+    def test_identity_channel_hom_hom_rate_is_infinite(self, capsys, protocol):
+        # V -> inf on T = 1, xi = 0: all four variances vanish and the bound diverges
+        argv = ["keyrate", "--protocol", protocol, "--T", "1", "--xi", "0"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert report_value(out, "key_rate_bits") == "inf"
+        assert report_value(out, "positive") == "true"
+        for name in ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"):
+            assert f"{name}   0 (full)\n" in out
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["key_rate_bits"] is None and payload["positive"] is True
+        assert payload["variances"] == {
+            "v_x_b_given_a": 0.0,
+            "v_p_b_given_a": 0.0,
+            "v_x_a_given_b": 0.0,
+            "v_p_a_given_b": 0.0,
+            "kind_b_given_a": "full",
+            "kind_a_given_b": "full",
+        }
 
 
 class TestJsonOutput:
@@ -230,6 +256,17 @@ class TestRejectedInputs:
 
 
 class TestVerifyUr:
+    # sha256 of the default-grid stdout, taken before the closed-form spectrum
+    # landed; a change to the spectrum or the entropies must not move them
+    DEFAULT_TEXT_SHA256 = "6648cb9baae9600e358bde9daba2c37c5abdb95a0cd295a18ee5881ef94acc9f"
+    DEFAULT_JSON_SHA256 = "b55e28be2290040df51dbeade052d6d9f69656f9fd9d74ca585b3fbea5a29479"
+
+    def test_default_grid_output_is_pinned(self, capsys):
+        _, text, _ = run(capsys, "verify-ur")
+        _, as_json, _ = run(capsys, "verify-ur", "--json")
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DEFAULT_TEXT_SHA256
+        assert hashlib.sha256(as_json.encode()).hexdigest() == self.DEFAULT_JSON_SHA256
+
     def test_vacuum_point(self, capsys):
         code, out, _ = run(
             capsys,

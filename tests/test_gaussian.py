@@ -1,9 +1,12 @@
 """Covariance-matrix core: construction, channel, beamsplitter, conditioning."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P_A, P_B, X_A, X_B, channelled_state, random_channelled_states
 from cvqkd import (
@@ -26,6 +29,7 @@ from cvqkd import (
     vacuum,
     von_neumann_entropy,
 )
+from cvqkd.gaussian import NU_TOLERANCE, _closed_form_spectrum, _eigh_spectrum
 
 
 class TestConstruction:
@@ -246,3 +250,149 @@ class TestReducedState:
     def test_reduce_bad_mode(self):
         with pytest.raises(DomainError):
             reduced_state(tmsv(2.0), [2])
+
+
+def _exact_det(rows):
+    """Determinant by Laplace expansion; exact when the entries are Fractions."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _exact_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j in range(len(rows))
+        if rows[0][j]
+    )
+
+
+def mpmath_spectrum(m, mp):
+    """Ascending spectrum of the stored one- or two-mode matrix to 50 digits.
+
+    The invariants (det Sigma and Delta = det A + det B + 2 det C) are exact
+    rationals of the stored doubles, so the only roundings are the 50-digit
+    square roots and one division.
+    """
+    q = [[Fraction(x) for x in row] for row in m.tolist()]
+    to_mp = lambda f: mp.mpf(f.numerator) / f.denominator
+    with mp.workdps(50):
+        det = _exact_det(q)
+        if len(q) == 2:
+            return [mp.sqrt(to_mp(det))]
+        block_det = lambda i, j: q[i][j] * q[i + 1][j + 1] - q[i][j + 1] * q[i + 1][j]
+        delta = block_det(0, 0) + block_det(2, 2) + 2 * block_det(0, 2)
+        hi2 = (to_mp(delta) + mp.sqrt(to_mp(delta * delta - 4 * det))) / 2
+        return [mp.sqrt(to_mp(det) / hi2), mp.sqrt(hi2)]
+
+
+def _tol(m):
+    return NU_TOLERANCE * max(1.0, float(np.max(np.abs(m))))
+
+
+def _old_route(m):
+    """The eigh/SVD route with the same snap and gate as the validation."""
+    tol = _tol(m)
+    nus = _eigh_spectrum(m, tol)
+    assert min(nus) >= 1.0 - tol
+    return [1.0 if nu < 1.0 + tol else nu for nu in nus]
+
+
+ORACLE_V = np.logspace(0.0, 7.0, 29).tolist()  # four points a decade over [1, 1e7]
+ORACLE_T = [1e-3, 0.1, 0.5, 0.9, 1.0]
+ORACLE_XI = [0.0, 1e-8, 1e-4, 0.01, 0.5]
+
+
+class TestClosedFormSpectrum:
+    def test_routes(self):
+        assert _closed_form_spectrum(tmsv(30.0).matrix) is not None
+        assert _closed_form_spectrum(channelled_state(30.0, 0.4, 0.1).matrix) is not None
+        assert _closed_form_spectrum(thermal(3.0).matrix) == (3.0,)
+        three_mode = split_with_vacuum(tmsv(3.0), 0).matrix
+        assert _closed_form_spectrum(three_mode) is None
+        conditioned, _ = condition_on_homodyne(split_with_vacuum(tmsv(3.0), 0), X_A)
+        assert _closed_form_spectrum(conditioned.matrix) is None  # two modes, not block form
+
+    def test_against_mpmath_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        states = [(v, tmsv(v)) for v in ORACLE_V] + [
+            (v, channelled_state(v, t, xi)) for v in ORACLE_V for t in ORACLE_T for xi in ORACLE_XI
+        ]
+        worst_closed, worst_eigh = {}, {}
+        for v, cm in states:
+            m = cm.matrix
+            ref = mpmath_spectrum(m, mp)
+            closed = _closed_form_spectrum(m)
+            assert closed is not None
+            eigh = _eigh_spectrum(m, _tol(m))
+            err_closed = max(float(abs(x - r) / r) for x, r in zip(closed, ref))
+            err_eigh = max(float(abs(x - r) / r) for x, r in zip(eigh, ref))
+            if v <= 1e5:
+                assert err_closed <= 1e-9, (v, m.tolist())
+            decade = min(int(math.log10(v)), 6)  # V = 1e7 joins the last decade
+            worst_closed[decade] = max(worst_closed.get(decade, 0.0), err_closed)
+            worst_eigh[decade] = max(worst_eigh.get(decade, 0.0), err_eigh)
+        assert sorted(worst_closed) == list(range(7))
+        for decade in worst_closed:
+            assert worst_closed[decade] <= worst_eigh[decade], decade
+
+    def test_tmsv_is_exactly_pure_up_to_1e7(self):
+        for v in ORACLE_V:
+            assert symplectic_eigenvalues(tmsv(v)) == [1.0, 1.0], v
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        nu=st.lists(st.one_of(st.just(1.0), st.floats(1.001, 20.0)), min_size=2, max_size=2),
+        squeeze=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=10, max_size=10),
+        block_form=st.booleans(),
+    )
+    def test_matches_old_route_on_random_states(self, nu, squeeze, angles, block_form):
+        # thermal states under random symplectic maps; values of nu either exactly 1 or
+        # well above the snap tolerance, so both routes snap the same values
+        nu1, nu2 = nu
+        if block_form:  # two-mode squeezing keeps A = a I, B = b I, C = diag(c, -c)
+            ch, sh = math.cosh(squeeze[0]), math.sinh(squeeze[0])
+            a = nu1 * ch * ch + nu2 * sh * sh
+            b = nu1 * sh * sh + nu2 * ch * ch
+            c = (nu1 + nu2) * ch * sh
+            two_mode = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+        else:
+            r1, r2 = squeeze
+            squeezer = np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
+            s = _passive(angles[:5]) @ squeezer @ _passive(angles[5:])
+            two_mode = s @ np.diag([nu1, nu1, nu2, nu2]) @ s.T
+        one_mode = nu1 * _rotation(angles[0]) @ np.diag(
+            [math.exp(-2.0 * squeeze[1]), math.exp(2.0 * squeeze[1])]
+        ) @ _rotation(angles[0]).T
+        for m, exact in ((one_mode, [nu1]), (two_mode, sorted(nu))):
+            cm = CovarianceMatrix(m)
+            assert symplectic_eigenvalues(cm) == pytest.approx(_old_route(cm.matrix), rel=1e-9)
+            assert symplectic_eigenvalues(cm) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([0.5, 0.5]),
+            np.diag([2.0, -1.0]),
+            # block form, nu+ = 2.6 and nu- = 0.6
+            np.array([[3.0, 0, 1.2, 0], [0, 3.0, 0, -1.2], [1.2, 0, 1.0, 0], [0, -1.2, 0, 1.0]]),
+        ],
+        ids=["sub-vacuum", "indefinite", "block-form-nu-minus-below-one"],
+    )
+    def test_unphysical_inputs_still_raise(self, m):
+        with pytest.raises(UnphysicalStateError):
+            CovarianceMatrix(m)
+
+
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def _passive(angles):
+    """Phase shifts, a beamsplitter of angle angles[0], phase shifts: orthogonal and symplectic."""
+    def phases(a, b):
+        out = np.zeros((4, 4))
+        out[:2, :2], out[2:, 2:] = _rotation(a), _rotation(b)
+        return out
+
+    c, s = math.cos(angles[0]), math.sin(angles[0])
+    splitter = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+    return phases(angles[1], angles[2]) @ splitter @ phases(angles[3], angles[4])
