@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError, TagMismatchError, UnphysicalInferenceError
 from .gaussian import (
     CovarianceMatrix,
@@ -197,9 +199,11 @@ def infer_full_mode_variance(measured_half_conditional: float) -> float:
     """Full-mode conditional variance 2v - 1 inferred from a heterodyne half.
 
     Inverse of the heterodyne-half law V_half = (V_full + 1)/2; the
-    trusted party's beamsplitter is what licenses the inference.
+    trusted party's beamsplitter is what licenses the inference. Applies
+    elementwise to an array, raising if any element is below 1/2.
     """
-    if measured_half_conditional < 0.5:
+    too_low = measured_half_conditional < 0.5
+    if too_low.any() if isinstance(too_low, np.ndarray) else too_low:
         raise UnphysicalInferenceError(
             f"inferred variance 2*{measured_half_conditional} - 1 would be nonpositive"
         )
@@ -256,6 +260,20 @@ def _effective_pair(v_x: float, v_p: float, kind: VarianceKind) -> tuple[float, 
     return v_x, v_p
 
 
+def _rate_pair(
+    protocol: ProtocolSpec, b_given_a: tuple[float, float], a_given_b: tuple[float, float]
+) -> tuple[float, float]:
+    """The (v_x, v_p) pair a protocol's rate reads, lifted by ``_effective_pair``.
+
+    DR rates read the A|B pair and RR rates the B|A pair. Floats or
+    numpy arrays (elementwise); only the selected pair is lifted.
+    """
+    kind_ab, kind_ba = expected_kinds(protocol)
+    if protocol.reconciliation is Reconciliation.DR:
+        return _effective_pair(*a_given_b, kind_ab)
+    return _effective_pair(*b_given_a, kind_ba)
+
+
 def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     """Evaluate the protocol's entropic key-rate bound on given variances.
 
@@ -270,10 +288,12 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
             f"protocol {protocol.id} expects tags ({exp_ab.value}, {exp_ba.value}), "
             f"got ({cv.kind_a_given_b.value}, {cv.kind_b_given_a.value})"
         )
-    pair_ab = _effective_pair(cv.v_x_b_given_a, cv.v_p_b_given_a, cv.kind_b_given_a)
-    pair_ba = _effective_pair(cv.v_x_a_given_b, cv.v_p_a_given_b, cv.kind_a_given_b)
+    b_given_a = (cv.v_x_b_given_a, cv.v_p_b_given_a)
+    a_given_b = (cv.v_x_a_given_b, cv.v_p_a_given_b)
+    pair_ab = _effective_pair(*b_given_a, exp_ba)
+    pair_ba = _effective_pair(*a_given_b, exp_ab)
     steering_ab, steering_ba = pair_ab[0] * pair_ab[1], pair_ba[0] * pair_ba[1]
-    v_x, v_p = pair_ba if protocol.reconciliation is Reconciliation.DR else pair_ab
+    v_x, v_p = _rate_pair(protocol, b_given_a, a_given_b)
     product = v_x * v_p
     if 0.0 < product < math.inf:
         rate = math.log2(2.0 / (math.e * math.sqrt(product)))

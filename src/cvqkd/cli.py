@@ -14,17 +14,14 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .bounds import OneSidedDI, ProtocolSpec, classify_1sdi, expected_kinds
 from .errors import CVQKDError
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
 from .bounds import verify_ur_bipartite, verify_ur_tripartite
 from .montecarlo import simulate_protocol_run
-from .security import (
-    FibreModel,
-    key_rate_at,
-    max_excess_noise,
-    threshold_transmission,
-)
+from .security import FibreModel, _xi_max, key_rate_at, threshold_transmission
 
 _VALID_IDS = [p.id for p in ProtocolSpec.all()]
 
@@ -194,8 +191,9 @@ def cmd_keyrate(args) -> int:
 
 
 def cmd_region(args) -> int:
-    ts = _t_grid(args.t_min, args.t_max, args.steps)
-    rows = [(t, max_excess_noise(args.protocol, t)) for t in ts]
+    # ChannelParams raises DomainError (exit 3) at the first T outside (0, 1]
+    ts = [ChannelParams(t).transmission for t in _t_grid(args.t_min, args.t_max, args.steps)]
+    rows = list(zip(ts, _xi_max(args.protocol, np.array(ts))))
     if args.json:
         payload = [
             {"T": _round9(t), "xi_max": None if xi is None else _round9(xi)} for t, xi in rows

@@ -149,11 +149,10 @@ def apply_channel(cm: CovarianceMatrix, ch: ChannelParams, mode: int) -> Covaria
     t = ch.transmission
     m = cm.matrix.copy()
     sl = slice(2 * mode, 2 * mode + 2)
-    rest = np.ones(2 * cm.n_modes, dtype=bool)
-    rest[sl] = False
-    m[sl, sl] = t * m[sl, sl] + ((1.0 - t) + t * ch.excess_noise) * np.eye(2)
-    m[np.ix_([2 * mode, 2 * mode + 1], np.flatnonzero(rest))] *= math.sqrt(t)
-    m[np.ix_(np.flatnonzero(rest), [2 * mode, 2 * mode + 1])] *= math.sqrt(t)
+    m[sl, :] *= math.sqrt(t)
+    m[:, sl] *= math.sqrt(t)
+    # the diagonal block, scaled twice above, is rebuilt from the unscaled one
+    m[sl, sl] = t * cm.matrix[sl, sl] + ((1.0 - t) + t * ch.excess_noise) * np.eye(2)
     return CovarianceMatrix(m)
 
 

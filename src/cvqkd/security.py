@@ -6,6 +6,13 @@ heterodynes) and reads conditional variances off the result. The
 infinite-modulation path uses the closed-form limits of those same
 variances; all the figure-of-merit numbers quoted for these protocols
 live in that limit, which is also the most favorable one.
+
+The solvers (thresholds, xi_max, regions, distances) work in that limit
+without building a ``KeyRateResult``: ``_secure_at_infinite_v`` tests
+fl(e sqrt P) <= 2 on the rate's variance product P, which is exactly the
+floating-point sign test ``key_rate_at(...).key_rate >= 0``, and
+``_last_secure`` bisects a whole array of brackets (one per grid T of a
+region) in one pass, each bracket bit-identical to a bisection of its own.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .bounds import (
     KeyRateResult,
     Measurement,
     ProtocolSpec,
+    _rate_pair,
     classify_1sdi,
     expected_kinds,
     key_rate,
@@ -108,35 +116,35 @@ def build_protocol_state(protocol: ProtocolSpec, ch: ChannelParams, v: float) ->
     return ProtocolState(cm, a_x, a_p, b_x, b_p)
 
 
-def _infinite_v_variances(protocol: ProtocolSpec, ch: ChannelParams) -> ConditionalVariances:
-    # Closed-form V -> infinity limits of the conditional variances, with
-    # w = 1 - T + T*xi the asymptotic noise seen from Bob's side:
+def _infinite_v_limits(protocol: ProtocolSpec, t: float | np.ndarray, xi: float | np.ndarray):
+    # Closed-form V -> infinity limits (V_{A|B}, V_{B|A}) of the conditional
+    # variances, x and p alike, with w = 1 - T + T*xi the asymptotic noise
+    # seen from Bob's side; floats or numpy arrays (elementwise):
     #   full-mode:            V_{B|A} -> w,            V_{A|B} -> w/T
     #   Alice heterodynes:    V_{A1|B} -> (w/T + 1)/2, V_{B|A2} = 1 + T*xi (exact)
     #   Bob heterodynes:      V_{A|B1} -> (w + 1)/T,   V_{B1|A} -> (w + 1)/2
     #   both heterodyne:      V_{A1|B1} -> ((w+1)/T + 1)/2, V_{B1|A1} = (2 + T*xi)/2 (exact)
-    t, xi = ch.transmission, ch.excess_noise
     w = 1.0 - t + t * xi
     a_het = protocol.alice_measurement is Measurement.HET
     b_het = protocol.bob_measurement is Measurement.HET
-    if w == 0.0 and not (a_het or b_het):
-        # lossless noiseless boundary: both full-mode variances vanish and
-        # the bound diverges; key_rate_at reports the infinite rate instead
-        raise DomainError(
-            "conditional variances vanish in the V->inf limit on an identity channel"
-        )
     if a_het and b_het:
-        a_given_b = ((w + 1.0) / t + 1.0) / 2.0
-        b_given_a = (2.0 + t * xi) / 2.0
-    elif a_het:
-        a_given_b = (w / t + 1.0) / 2.0
-        b_given_a = 1.0 + t * xi
-    elif b_het:
-        a_given_b = (w + 1.0) / t
-        b_given_a = (w + 1.0) / 2.0
-    else:
-        a_given_b = w / t
-        b_given_a = w
+        return ((w + 1.0) / t + 1.0) / 2.0, (2.0 + t * xi) / 2.0
+    if a_het:
+        return (w / t + 1.0) / 2.0, 1.0 + t * xi
+    if b_het:
+        return (w + 1.0) / t, (w + 1.0) / 2.0
+    return w / t, w
+
+
+def _infinite_v_variances(protocol: ProtocolSpec, ch: ChannelParams) -> ConditionalVariances | None:
+    """The V -> inf conditional variances, or None where they vanish.
+
+    Only homodyne-homodyne protocols on the identity channel (w = 0) get
+    None: both full-mode variances are zero there and the bound diverges.
+    """
+    a_given_b, b_given_a = _infinite_v_limits(protocol, ch.transmission, ch.excess_noise)
+    if b_given_a == 0.0:  # V_{B|A} = w for hom-hom; every heterodyne limit is >= 1/2
+        return None
     kind_ab, kind_ba = expected_kinds(protocol)
     return ConditionalVariances(
         v_x_b_given_a=b_given_a,
@@ -148,6 +156,23 @@ def _infinite_v_variances(protocol: ProtocolSpec, ch: ChannelParams) -> Conditio
     )
 
 
+def _secure_at_infinite_v(
+    protocol: ProtocolSpec, t: float | np.ndarray, xi: float | np.ndarray
+) -> bool | np.ndarray:
+    """Elementwise ``key_rate_at(protocol, ChannelParams(t, xi)).key_rate >= 0.0``.
+
+    With P the product of the rate's variance pair, the rate
+    log2(2/(e sqrt P)) is >= 0 exactly when fl(e sqrt P) <= 2, since
+    rounding is monotone and log2 keeps its sign around 1. The test also
+    holds where ``key_rate`` leaves that formula: P = 0 (identity channel
+    or underflow, rate +inf or large) is secure and P = inf (overflow,
+    rate negative) is not. Overflow warnings are the caller's to silence.
+    """
+    a_given_b, b_given_a = _infinite_v_limits(protocol, t, xi)
+    v_x, v_p = _rate_pair(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))
+    return math.e * np.sqrt(v_x * v_p) <= 2.0
+
+
 def protocol_cond_variances(
     protocol: ProtocolSpec, ch: ChannelParams, v: float
 ) -> ConditionalVariances:
@@ -156,7 +181,12 @@ def protocol_cond_variances(
     Pass v = math.inf for the analytic large-modulation limits.
     """
     if math.isinf(v):
-        return _infinite_v_variances(protocol, ch)
+        cv = _infinite_v_variances(protocol, ch)
+        if cv is None:
+            raise DomainError(
+                "conditional variances vanish in the V->inf limit on an identity channel"
+            )
+        return cv
     st = build_protocol_state(protocol, ch, v)
 
     def cv(t_mode: int, g_mode: int, quad: Quadrature) -> float:
@@ -177,14 +207,11 @@ def protocol_cond_variances(
 
 def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) -> KeyRateResult:
     """Key-rate bound of a protocol on a channel at modulation v (or the v->inf limit)."""
-    if (
-        math.isinf(v)
-        and ch.is_identity
-        and protocol.alice_measurement is Measurement.HOM
-        and protocol.bob_measurement is Measurement.HOM
-    ):
-        # identity-channel limit of the homodyne-homodyne bound: V_{B|A} and
-        # V_{A|B} both tend to zero and the rate grows without bound
+    if not math.isinf(v):
+        return key_rate(protocol, protocol_cond_variances(protocol, ch, v))
+    cv = _infinite_v_variances(protocol, ch)
+    if cv is None:
+        # the variances vanish and the rate grows without bound
         return KeyRateResult(
             protocol=protocol,
             key_rate=math.inf,
@@ -194,7 +221,7 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
             one_sided_di=classify_1sdi(protocol),
             variances=None,
         )
-    return key_rate(protocol, protocol_cond_variances(protocol, ch, v))
+    return key_rate(protocol, cv)
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -232,26 +259,47 @@ def optimize_modulation(
     return max(candidates, key=lambda pair: pair[1])
 
 
-def _last_secure(
-    k: Callable[[float], float], secure_end: float, far_end: float, tol: float
-) -> float | None:
-    """Bisect from secure_end towards far_end for the last point with k >= 0.
+def _pick(cond, a, b):
+    # np.where for a single bracket held in Python floats
+    return a if cond else b
 
-    Returns None when secure_end itself is insecure and far_end when the
-    whole interval is secure; otherwise the secure bracket end once the
-    bracket is narrower than tol.
+
+def _last_secure(
+    secure: Callable[[float | np.ndarray], bool | np.ndarray],
+    secure_end: float,
+    far_end: float,
+    tol: float,
+) -> float | None | list[float | None]:
+    """Bisect from secure_end towards far_end for the last point where ``secure`` holds.
+
+    ``secure`` may broadcast over a fixed array parameter; then every
+    element is its own bracket, all bisected in one array pass, and the
+    result is a list. Per bracket the result is None when secure_end
+    itself is insecure, far_end when far_end is secure, and otherwise
+    the secure end once |far - secure| <= tol. Each bracket halves at
+    (lo + hi)/2.0 and stops on its own, so every result is bit-identical
+    to bisecting that bracket alone. A lone bracket stays in Python
+    floats, where an operation costs a tenth of a 1-element array one.
+    The whole solve runs under one ``np.errstate``: variances overflow to
+    inf (insecure) at T near 5e-324 or xi near 1e300.
     """
-    if k(secure_end) < 0.0:
-        return None
-    if k(far_end) >= 0.0:
-        return far_end
-    while abs(far_end - secure_end) > tol:
-        mid = (secure_end + far_end) / 2.0
-        if k(mid) >= 0.0:
-            secure_end = mid
-        else:
-            far_end = mid
-    return secure_end
+    with np.errstate(over="ignore"):
+        found = secure(secure_end)
+        batched = np.ndim(found) > 0
+        select, any_open = (np.where, np.count_nonzero) if batched else (_pick, bool)
+        lo = select(secure(far_end), far_end, secure_end)
+        hi = select(found, far_end, lo)  # an insecure secure_end closes its bracket
+        while True:
+            open_ = abs(hi - lo) > tol
+            if not any_open(open_):
+                break
+            # a closed bracket tests its own lo and stays put
+            mid = select(open_, (lo + hi) / 2.0, lo)
+            ok = secure(mid)
+            lo, hi = select(ok, mid, lo), select(ok, hi, mid)
+    if batched:
+        return [x if f else None for x, f in zip(lo.tolist(), found.tolist())]
+    return lo if found else None
 
 
 def threshold_transmission(
@@ -262,23 +310,36 @@ def threshold_transmission(
     Bisection on T in [1e-6, 1] to the given tolerance; returns None
     when no transmission in (0, 1] is secure (a result, not an error).
     """
-    rate = lambda t: key_rate_at(protocol, ChannelParams(t, xi)).key_rate
-    return _last_secure(rate, 1.0, T_BISECT_FLOOR, tol)
+    xi = ChannelParams(1.0, xi).excess_noise  # DomainError on NaN, inf or xi < 0
+    return _last_secure(
+        lambda t: _secure_at_infinite_v(protocol, t, xi), 1.0, T_BISECT_FLOOR, tol
+    )
+
+
+def _xi_max(
+    protocol: ProtocolSpec, t: float | np.ndarray, tol: float = 1e-9
+) -> float | None | list[float | None]:
+    # largest secure xi at T = t in (0, 1]; an array t gives one bracket per element
+    return _last_secure(
+        lambda xi: _secure_at_infinite_v(protocol, t, xi), 0.0, XI_BISECT_CEILING, tol
+    )
 
 
 def max_excess_noise(protocol: ProtocolSpec, t: float, tol: float = 1e-9) -> float | None:
     """Largest xi with nonnegative key at transmission t (v -> inf), or None."""
-    rate = lambda xi: key_rate_at(protocol, ChannelParams(t, xi)).key_rate
-    return _last_secure(rate, 0.0, XI_BISECT_CEILING, tol)
+    t = ChannelParams(t).transmission  # DomainError on NaN, inf or T outside (0, 1]
+    return _xi_max(protocol, t, tol)
 
 
 def security_region(
     protocol: ProtocolSpec, config: SweepConfig
 ) -> list[tuple[float, float | None]]:
-    """(T, xi_max) rows over the grid in ascending T; xi_max is None where nothing is secure."""
-    return [
-        (t, max_excess_noise(protocol, t, config.tolerance)) for t in config.t_values().tolist()
-    ]
+    """(T, xi_max) rows over the grid in ascending T; xi_max is None where nothing is secure.
+
+    The whole grid is one batched bisection, one bracket per T.
+    """
+    ts = config.t_values()
+    return list(zip(ts.tolist(), _xi_max(protocol, ts, config.tolerance)))
 
 
 def max_distance(

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from cvqkd import ProtocolSpec
 from cvqkd.cli import _json, main
 
 
@@ -159,6 +160,35 @@ class TestRegion:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    # sha256 of the default-grid stdout of all 16 protocols in ProtocolSpec.all()
+    # order, taken with the point-by-point solver the batched one replaced
+    DEFAULT_TEXT_SHA256 = "9c4b4fedbff0da9a7b7337e9bbad19b6507bd91f5b26bb6a62769fd2f3ba7d57"
+    DEFAULT_JSON_SHA256 = "ea86b3296ff3e9f4d922d2b1215d866051df54528644eae4e4ec392d3cd4b9b3"
+
+    def test_default_grid_output_is_pinned(self, capsys):
+        for extra, want in (([], self.DEFAULT_TEXT_SHA256), (["--json"], self.DEFAULT_JSON_SHA256)):
+            text = ""
+            for protocol in ProtocolSpec.all():
+                code, out, err = run(capsys, "region", "--protocol", protocol.id, *extra)
+                assert (code, err) == (0, "")
+                text += out
+            assert hashlib.sha256(text.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize(
+        "grid, bad",
+        [
+            (["--t-min", "1.5", "--steps", "1"], "1.5"),
+            (["--t-min", "0"], "0.0"),
+            (["--t-min", "-1", "--t-max", "2", "--steps", "4"], "-1.0"),
+            (["--t-min", "0.5", "--t-max", "1.25", "--steps", "4"], "1.25"),
+            (["--t-min", "nan", "--steps", "1"], "nan"),
+        ],
+    )
+    def test_transmission_outside_unit_interval_exits_three(self, capsys, grid, bad):
+        code, out, err = run(capsys, "region", "--protocol", "rr-homA-homB-eb", *grid)
+        assert (code, out) == (3, "")
+        assert err == f"error: transmission must lie in (0, 1], got {bad}\n"
 
 
 class TestDistance:

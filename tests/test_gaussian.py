@@ -113,6 +113,31 @@ class TestChannel:
         with pytest.raises(DomainError):
             apply_channel(tmsv(2.0), ChannelParams(0.5, 0.0), mode=2)
 
+    @staticmethod
+    def ix_oracle(cm, ch, mode):
+        """The earlier apply_channel: cross terms scaled through two np.ix_ grids."""
+        t = ch.transmission
+        m = cm.matrix.copy()
+        sl = slice(2 * mode, 2 * mode + 2)
+        rest = np.ones(2 * cm.n_modes, dtype=bool)
+        rest[sl] = False
+        m[sl, sl] = t * m[sl, sl] + ((1.0 - t) + t * ch.excess_noise) * np.eye(2)
+        m[np.ix_([2 * mode, 2 * mode + 1], np.flatnonzero(rest))] *= math.sqrt(t)
+        m[np.ix_(np.flatnonzero(rest), [2 * mode, 2 * mode + 1])] *= math.sqrt(t)
+        return CovarianceMatrix(m)
+
+    def test_matches_ix_oracle_exactly(self):
+        rng = np.random.default_rng(20261018)
+        for i in range(600):
+            v = float(10.0 ** rng.uniform(0.0, 6.0))
+            cm = apply_channel(tmsv(v), ChannelParams(float(rng.uniform(1e-3, 1.0)), 0.0), 1)
+            if i % 2:  # three modes, as the heterodyne protocols build them
+                cm = split_with_vacuum(cm, int(rng.integers(2)))
+            ch = ChannelParams(float(rng.uniform(1e-6, 1.0)), float(rng.uniform(0.0, 0.5)))
+            mode = int(rng.integers(cm.n_modes))
+            got = apply_channel(cm, ch, mode).matrix
+            assert np.array_equal(got, self.ix_oracle(cm, ch, mode).matrix)
+
 
 class TestBeamsplitter:
     def test_vacuum_invariant(self):

@@ -1,5 +1,6 @@
 """Threshold solvers, secure regions and distances against closed-form oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,12 @@ from cvqkd import (
     thermal,
     threshold_transmission,
 )
-from cvqkd.security import T_BISECT_FLOOR, XI_BISECT_CEILING
+from cvqkd.security import (
+    T_BISECT_FLOOR,
+    XI_BISECT_CEILING,
+    _last_secure,
+    _secure_at_infinite_v,
+)
 
 E = math.e
 
@@ -307,6 +313,83 @@ class TestRootFinderProperties:
             return
         assert k(xi) >= 0.0
         assert xi == XI_BISECT_CEILING or k(xi + 2.0 * self.TOL) < 0.0
+
+
+class TestBatchedSolver:
+    """The array security test and batched bisection reproduce the scalar solvers bit for bit."""
+
+    # sha256 of the repr of solver output, taken with the scalar key_rate_at
+    # bisection that the batched solver replaced
+    REGION_SHA256 = "5a5dd1af83e5ba329fd1f66d1f8673ba36dd38d6f103b634bf40b35e6b6adb6e"
+    DISTANCE_SHA256 = "cbba1a951cac4e34f500efb933c49dec093102710105217bf28f366cec3c4601"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        protocol=st.sampled_from(ProtocolSpec.all()),
+        t=st.floats(5e-324, 1.0),
+        xi=st.floats(0.0, 1e300),
+    )
+    @example(protocol=RR_HOM_HOM, t=1.0, xi=1e-200)  # the product underflows
+    @example(protocol=DR_HOM_HOM, t=1.0, xi=1e-200)
+    @example(protocol=RR_HOM_HOM, t=1.0, xi=0.0)  # identity channel: rate inf
+    @example(protocol=DR_HOM_HOM, t=1.0, xi=0.0)
+    @example(protocol=RR_BOB_HET, t=1.0, xi=0.0)
+    @example(protocol=DR_COHERENT, t=5e-324, xi=0.0)  # w / T overflows
+    @example(protocol=RR_HOM_HOM, t=0.5, xi=1e300)  # the product overflows
+    def test_security_test_is_the_sign_of_key_rate_at(self, protocol, t, xi):
+        want = key_rate_at(protocol, ChannelParams(t, xi)).key_rate >= 0.0
+        with np.errstate(over="ignore"):
+            assert bool(_secure_at_infinite_v(protocol, t, xi)) is want
+            batch = _secure_at_infinite_v(protocol, np.array([t, t]), np.array([xi, xi]))
+        assert batch.tolist() == [want, want]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SweepConfig(t_min=1e-6, t_max=1.0, steps=57, tolerance=1e-12),
+            SweepConfig(t_min=0.0523, t_max=0.9999, steps=33, tolerance=3e-7),
+        ],
+    )
+    def test_region_equals_one_bracket_per_point(self, config):
+        for protocol in ProtocolSpec.all():
+            assert security_region(protocol, config) == [
+                (t, max_excess_noise(protocol, t, config.tolerance))
+                for t in config.t_values().tolist()
+            ]
+
+    def test_each_bracket_stops_on_its_own(self):
+        # near one ulp the rounded midpoints leave brackets of unequal width,
+        # so they close after different numbers of halvings
+        cuts = np.linspace(0.11, 0.69, 101)
+        for ends, below in (((0.1, 0.7), True), ((0.7, 0.1), False)):
+            test = (lambda x, c: x <= c) if below else (lambda x, c: x >= c)
+            batched = _last_secure(lambda x: test(x, cuts), *ends, 1.5e-16)
+            assert None not in batched
+            assert batched == [
+                _last_secure(lambda x: test(x, c), *ends, 1.5e-16) for c in cuts.tolist()
+            ]
+
+    def test_region_is_pinned(self):
+        config = SweepConfig(t_min=0.01, t_max=1.0, steps=200)
+        rows = [security_region(p, config) for p in ProtocolSpec.all()]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.REGION_SHA256
+
+    def test_distances_are_pinned(self):
+        km = [[max_distance(p, xi) for xi in (0.0, 0.002, 0.0237)] for p in ProtocolSpec.all()]
+        assert hashlib.sha256(repr(km).encode()).hexdigest() == self.DISTANCE_SHA256
+
+    def test_overflowing_transmission_is_quiet_and_insecure(self):
+        # at T = 5e-324 the array form of w / T overflows to inf; the solve
+        # silences numpy's warning (which the test configuration makes an error)
+        config = SweepConfig(t_min=5e-324, t_max=1.0, steps=5)
+        for protocol in ProtocolSpec.all():
+            rows = security_region(protocol, config)
+            assert rows[0] == (5e-324, None)
+            assert rows == [(t, max_excess_noise(protocol, t)) for t, _ in rows]
+
+    def test_identity_channel_limit_still_raises_for_variances(self):
+        with pytest.raises(DomainError, match="vanish"):
+            protocol_cond_variances(RR_HOM_HOM, ChannelParams(1.0, 0.0), math.inf)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
