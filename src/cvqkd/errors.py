@@ -17,6 +17,10 @@ class UnphysicalStateError(CVQKDError):
     """A covariance matrix violates the bona fide condition (some nu < 1)."""
 
 
+class PrecisionError(CVQKDError):
+    """An argument lies beyond the range where floats represent the result faithfully."""
+
+
 class DegenerateConditioningError(CVQKDError):
     """Conditioning on a quadrature with nonpositive variance."""
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DegenerateConditioningError,
     DomainError,
+    PrecisionError,
     UnphysicalStateError,
 )
 
@@ -127,10 +128,15 @@ def tmsv(v: float) -> CovarianceMatrix:
 
     Diagonal blocks v*I, off-diagonal block diag(+c, -c) with
     c = sqrt(v^2 - 1); pure for every v >= 1, reducing to two vacua
-    at v = 1.
+    at v = 1. The stored c carries an absolute error of about eps * v,
+    so the validated spectrum is reliably [1, 1] only up to v = 1e7.
+    Beyond about 9.49e7, v^2 - 1 rounds to v^2 and c to v; such v (inf
+    included) raise PrecisionError.
     """
     if not v >= 1.0:
         raise DomainError(f"EPR variance must be >= 1, got {v}")
+    if v * v - 1.0 == v * v:
+        raise PrecisionError(f"EPR variance {v} too large: v^2 - 1 rounds to v^2")
     c = math.sqrt(v * v - 1.0)
     m = np.diag([float(v)] * 4)
     m[0, 2] = m[2, 0] = c
@@ -344,8 +350,9 @@ def entropy_g(nu: float) -> float:
     """Bosonic entropy kernel g(nu) in bits, vanishing at nu = 1."""
     if nu <= 1.0:
         return 0.0
+    # up log2 up - dn log2 dn with up = dn + 1, without cancelling the two terms
     up, dn = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
-    return up * math.log2(up) - dn * math.log2(dn)
+    return math.log2(up) + dn * math.log1p(1.0 / dn) / math.log(2.0)
 
 
 def von_neumann_entropy(cm: CovarianceMatrix) -> float:

@@ -26,8 +26,7 @@ from .bounds import (
     key_rate,
 )
 from .errors import DomainError, InsufficientDataError
-from .gaussian import ChannelParams
-from .security import build_protocol_state
+from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, split_with_vacuum, tmsv
 
 BLOCK_SIZE = 1 << 16
 RNG_STREAM = f"numpy.random.Philox(4x64-10), numpy {np.__version__}"
@@ -36,6 +35,28 @@ CSV_HEADER = ["index", "basis_a", "basis_b", "x_a", "p_a", "x_b", "p_b"]
 COLUMNS = ("x_a", "p_a", "x_b", "p_b")
 _CSV_CHUNK_ROWS = 4096
 _BASIS_LETTERS = bytes.maketrans(b"\x00\x01", b"xp")
+
+
+def build_protocol_state(
+    protocol: ProtocolSpec, ch: ChannelParams, v: float
+) -> tuple[CovarianceMatrix, dict[str, int]]:
+    """EPR state of variance v through the channel, split where a party heterodynes.
+
+    Returns the covariance matrix and the row in it of each record column.
+    """
+    if math.isinf(v):
+        raise DomainError("state construction needs a finite modulation variance")
+    if not v >= 1.0:
+        raise DomainError(f"modulation variance must be >= 1, got {v}")
+    cm = apply_channel(tmsv(v), ch, mode=1)
+    rows = {"x_a": 0, "p_a": 1, "x_b": 2, "p_b": 3}
+    if protocol.alice_measurement is Measurement.HET:
+        cm = split_with_vacuum(cm, 0)  # modes: A1, B, A2; p_a is A2's p
+        rows["p_a"] = 5
+    if protocol.bob_measurement is Measurement.HET:
+        rows["p_b"] = 2 * cm.n_modes + 1  # p of the slot the split appends
+        cm = split_with_vacuum(cm, 1)
+    return cm, rows
 
 
 @dataclass(frozen=True)
@@ -121,15 +142,9 @@ def sample_quadratures(
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    st = build_protocol_state(protocol, ch, v)
-    chol = np.linalg.cholesky(st.cm.matrix)
-    dim = 2 * st.cm.n_modes
-    col_index = {
-        "x_a": 2 * st.alice_x_mode,
-        "p_a": 2 * st.alice_p_mode + 1,
-        "x_b": 2 * st.bob_x_mode,
-        "p_b": 2 * st.bob_p_mode + 1,
-    }
+    cm, rows = build_protocol_state(protocol, ch, v)
+    chol = np.linalg.cholesky(cm.matrix)
+    dim = 2 * cm.n_modes
     alice_hom = protocol.alice_measurement is Measurement.HOM
     bob_hom = protocol.bob_measurement is Measurement.HOM
 
@@ -139,7 +154,7 @@ def sample_quadratures(
         rng = _block_seed(seed, block)
         # draw order is fixed: quadratures, then Alice's coins, then Bob's
         y = rng.standard_normal((m, dim)) @ chol.T
-        out = {name: y[:, idx].copy() for name, idx in col_index.items()}
+        out = {name: y[:, idx].copy() for name, idx in rows.items()}
         ba = rng.integers(0, 2, size=m, dtype=np.uint8) if alice_hom else None
         bb = rng.integers(0, 2, size=m, dtype=np.uint8) if bob_hom else None
         if ba is not None:

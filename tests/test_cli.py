@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import mpmath
 import pytest
 
 from cvqkd import ProtocolSpec
@@ -86,6 +87,28 @@ class TestKeyrate:
             "kind_b_given_a": "full",
             "kind_a_given_b": "full",
         }
+
+
+    def test_large_modulation_exits_zero(self, capsys):
+        # the covariance-matrix path raised a spurious UnphysicalStateError here
+        code, out, err = run(
+            capsys, "keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--xi", "0.01",
+            "--V", "3e7",
+        )
+        assert (code, err) == (0, "")
+        assert float(report_value(out, "key_rate_bits")) > 0.0
+
+    def test_large_modulation_rate_matches_mpmath(self, capsys):
+        code, out, _ = run(
+            capsys, "keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--xi", "0.01",
+            "--V", "1e10",
+        )
+        assert code == 0
+        with mpmath.workdps(60):
+            t, xi, v = mpmath.mpf(0.5), mpmath.mpf(0.01), mpmath.mpf(1e10)
+            v_b_given_a = 1 - t + t * xi + t / v  # RR hom-hom reads V_{B|A} twice
+            want = float(mpmath.log(2 / (mpmath.e * v_b_given_a), 2))
+        assert abs(float(report_value(out, "key_rate_bits")) - want) <= 1e-9
 
 
 class TestJsonOutput:
@@ -296,6 +319,11 @@ class TestVerifyUr:
         _, as_json, _ = run(capsys, "verify-ur", "--json")
         assert hashlib.sha256(text.encode()).hexdigest() == self.DEFAULT_TEXT_SHA256
         assert hashlib.sha256(as_json.encode()).hexdigest() == self.DEFAULT_JSON_SHA256
+
+    def test_modulation_beyond_tmsv_precision_exits_three(self, capsys):
+        code, out, err = run(capsys, "verify-ur", "--v-list", "1e8")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: EPR variance 100000000.0 too large")
 
     def test_vacuum_point(self, capsys):
         code, out, _ = run(

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from cvqkd import (
     vacuum,
     von_neumann_entropy,
 )
+from cvqkd.errors import PrecisionError
 from cvqkd.gaussian import NU_TOLERANCE, _closed_form_spectrum, _eigh_spectrum
 
 
@@ -52,6 +54,13 @@ class TestConstruction:
     def test_tmsv_is_pure_for_any_variance(self):
         for v in (1.0, 1.5, 7.0, 50.0):
             assert symplectic_eigenvalues(tmsv(v)) == [1.0, 1.0]
+
+    def test_tmsv_rejects_v_beyond_float_precision(self):
+        # at 1e8, v^2 - 1 rounds to v^2 and the spectrum came out [2.98, 2.98]
+        assert symplectic_eigenvalues(tmsv(1e7)) == [1.0, 1.0]
+        for v in (9.4917469e7, 1e8, 1e12, math.inf):
+            with pytest.raises(PrecisionError, match="too large"):
+                tmsv(v)
 
     def test_tmsv_rejects_v_below_one(self):
         with pytest.raises(DomainError):
@@ -258,6 +267,14 @@ class TestSpectraAndEntropy:
         assert expected == pytest.approx(1.3774437510817343, abs=1e-12)
         got = von_neumann_entropy(reduced_state(tmsv(2.0), [0]))
         assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_g_matches_mpmath(self):
+        # the two-term form up log2 up - dn log2 dn cancelled to 2.2e-8 at nu = 1e7
+        with mpmath.workdps(60):
+            for nu in [1.0 + 1e-12, 1.5, 2.0] + np.logspace(0.5, 9.0, 35).tolist():
+                up, dn = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
+                want = up * mpmath.log(up, 2) - dn * mpmath.log(dn, 2)
+                assert abs(entropy_g(nu) - float(want)) <= 1e-13, nu
 
     def test_g_properties(self):
         assert entropy_g(1.0) == 0.0

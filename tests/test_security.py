@@ -3,17 +3,23 @@
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvqkd.gaussian
 from cvqkd import (
     ChannelParams,
     DomainError,
     FibreModel,
+    Measurement,
+    ModeQuadrature,
     ProtocolSpec,
+    Quadrature,
     SweepConfig,
+    conditional_variance,
     empirical_entropy,
     key_rate_at,
     max_distance,
@@ -24,6 +30,7 @@ from cvqkd import (
     thermal,
     threshold_transmission,
 )
+from cvqkd.montecarlo import build_protocol_state
 from cvqkd.security import (
     T_BISECT_FLOOR,
     XI_BISECT_CEILING,
@@ -130,6 +137,96 @@ class TestKeyRateAt:
                 for t in np.linspace(0.4, 0.999, 8)
             ]
             assert all(b >= a - 1e-12 for a, b in zip(rates_t, rates_t[1:]))
+
+
+VARIANCE_FIELDS = ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b")
+
+
+def cm_oracle(protocol, ch, v):
+    """The four conditional variances read off the assembled covariance matrix."""
+    cm, rows = build_protocol_state(protocol, ch, v)
+
+    def mq(column):
+        row = rows[column]  # (x1, p1, x2, p2, ...) ordering
+        return ModeQuadrature(row // 2, Quadrature.P if row % 2 else Quadrature.X)
+
+    def cv(target, given):
+        return conditional_variance(cm, mq(target), mq(given))
+
+    return cv("x_b", "x_a"), cv("p_b", "p_a"), cv("x_a", "x_b"), cv("p_a", "p_b")
+
+
+def mpmath_variances(protocol, t, xi, v):
+    """(V_{A|B}, V_{B|A}) as 60-digit Schur complements of the measured modes' moments.
+
+    A heterodyned mode's half has variance (V + 1)/2 and carries 1/sqrt(2)
+    of its correlation.
+    """
+    with mpmath.workdps(60):
+        t, xi, v = mpmath.mpf(t), mpmath.mpf(xi), mpmath.mpf(v)
+        v_a, v_b, c2 = v, t * v + 1 - t + t * xi, t * (v * v - 1)
+        if protocol.alice_measurement is Measurement.HET:
+            v_a, c2 = (v_a + 1) / 2, c2 / 2
+        if protocol.bob_measurement is Measurement.HET:
+            v_b, c2 = (v_b + 1) / 2, c2 / 2
+        return v_a - c2 / v_b, v_b - c2 / v_a
+
+
+class TestClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        protocol=st.sampled_from(ProtocolSpec.all()),
+        log_v=st.floats(0.0, 5.0),
+        t=st.floats(1e-3, 1.0),
+        xi=st.floats(0.0, 0.5),
+    )
+    @example(protocol=RR_HOM_HOM, log_v=5.0, t=1.0, xi=0.0)  # w = 0: V_{B|A} = 1/V
+    def test_matches_covariance_matrix_oracle(self, protocol, log_v, t, xi):
+        # The oracle's Schur complements cancel entries of size T V, so it
+        # cannot resolve a variance more finely than a few eps * V; that
+        # floor only binds where w = 1 - T + T xi is near 0.
+        v = 10.0**log_v
+        ch = ChannelParams(t, xi)
+        cv = protocol_cond_variances(protocol, ch, v)
+        floor = 8.0 * np.finfo(float).eps * v
+        for name, want in zip(VARIANCE_FIELDS, cm_oracle(protocol, ch, v)):
+            assert getattr(cv, name) == pytest.approx(want, rel=1e-9, abs=floor), name
+
+    def test_matches_mpmath_at_large_v(self):
+        rng = np.random.default_rng(6)
+        for v in np.logspace(5.0, 10.0, 11).tolist():
+            for protocol in ProtocolSpec.all():
+                t, xi = float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, 0.5))
+                cv = protocol_cond_variances(protocol, ChannelParams(t, xi), v)
+                a_given_b, b_given_a = mpmath_variances(protocol, t, xi, v)
+                for got, want in (
+                    (cv.v_x_a_given_b, a_given_b),
+                    (cv.v_p_a_given_b, a_given_b),
+                    (cv.v_x_b_given_a, b_given_a),
+                    (cv.v_p_b_given_a, b_given_a),
+                ):
+                    assert abs(got - want) <= 1e-14 * want, (protocol.id, v, t, xi)
+
+    def test_infinite_v_is_the_limit(self):
+        for protocol in ProtocolSpec.all():
+            ch = ChannelParams(0.3, 0.05)
+            cv_inf = protocol_cond_variances(protocol, ch, math.inf)
+            cv_big = protocol_cond_variances(protocol, ch, 1e300)
+            for name in VARIANCE_FIELDS:
+                assert getattr(cv_big, name) == pytest.approx(getattr(cv_inf, name), rel=1e-15)
+
+    def test_key_rate_at_builds_no_covariance_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a covariance matrix was built")
+
+        monkeypatch.setattr(cvqkd.gaussian.CovarianceMatrix, "__post_init__", refuse)
+        for protocol in ProtocolSpec.all():
+            for v in (1.0, 2.5, 1e4, 3e7, 1e10, math.inf):
+                ch = ChannelParams(0.5, 0.01)
+                assert math.isfinite(key_rate_at(protocol, ch, v).key_rate)
+                protocol_cond_variances(protocol, ch, v)
+        with pytest.raises(AssertionError, match="covariance matrix was built"):
+            build_protocol_state(RR_HOM_HOM, ChannelParams(0.5, 0.01), 2.0)
 
 
 class TestOptimizeModulation:
