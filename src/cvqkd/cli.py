@@ -1,8 +1,9 @@
 """Command-line surface: key rates, sweeps, distances, simulation and tables.
 
 Exit codes: 0 on success (including "no security" and negative-key
-results), 2 on usage errors, 3 on numeric/domain errors. All numeric
-output is fixed at 9 significant digits, in CSV and JSON alike.
+results), 2 on usage errors (including an --out path that cannot be
+written), 3 on numeric/domain errors. All numeric output is fixed at 9
+significant digits, in CSV and JSON alike.
 """
 
 from __future__ import annotations
@@ -367,6 +368,10 @@ def main(argv=None) -> int:
     except CVQKDError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # the output could not be written
+        target = "stdout" if args.out is None else args.out
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def entry_point() -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +34,101 @@ RNG_STREAM = f"numpy.random.Philox(4x64-10), numpy {np.__version__}"
 
 CSV_HEADER = ["index", "basis_a", "basis_b", "x_a", "p_a", "x_b", "p_b"]
 COLUMNS = ("x_a", "p_a", "x_b", "p_b")
-_CSV_CHUNK_ROWS = 4096
-_BASIS_LETTERS = bytes.maketrans(b"\x00\x01", b"xp")
+_CSV_CHUNK_ROWS = 2048
+
+# Vectorised "%.9g" for the quadrature cells. A cell is built in a 24-byte slot
+#     , - 0 . 0 0 0 D0 .D1 .D2 .D3 .D4 .D5 .D6 .D7 .D8
+# from three 8-byte words: a lead word ending in the leading digit D0 and
+# two group words ".a.b.c.d" for D1-D4 and D5-D8. A keep mask per (decimal
+# exponent e in -4..7, trailing zeros, sign) selects the bytes of the
+# cell's "%.9g" text; the last mask keeps only the comma, an empty cell.
+_EMPTY_CELL = 216
+_POW10 = 10.0 ** np.arange(14)
+_LETTERS = np.frombuffer(b"xp", np.uint8)
+
+
+class _Tables(NamedTuple):
+    lead: np.ndarray  # uint64 lead word per leading digit
+    groups: np.ndarray  # uint64 ".a.b.c.d" per 4-digit group
+    trailing: np.ndarray  # trailing zeros per 4-digit group, 4 for 0000
+    masks: np.ndarray  # (217, 3) uint64 keep masks
+    numerals: np.ndarray  # uint32 "abcd" per 4-digit group, for the index column
+
+
+def _tables() -> _Tables:
+    """The formatter's tables: 0.2 MB, built in about 0.2 ms.
+
+    They are built once per export and dropped after it: kept for the
+    process's life, they raised the peak RSS of repeated in-process exports
+    by about 3 MB through heap fragmentation.
+    """
+    lead = np.tile(np.frombuffer(b",-0.0000", np.uint8), (10, 1))
+    lead[:, 7] += np.arange(10, dtype=np.uint8)
+    # the four digits of the groups 0000..9999, one broadcast axis each
+    digits = [np.arange(10).reshape((10,) + (1,) * k) for k in (3, 2, 1, 0)]
+    numerals = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for j, digit in enumerate(digits):
+        numerals[..., j] = 48 + digit
+    numerals = numerals.reshape(10_000, 4)
+    a, b, c, d = (digit == 0 for digit in digits)
+    groups = np.full((10_000, 8), ord("."), np.uint8)
+    groups[:, 1::2] = numerals
+    e = np.arange(-4, 8)[:, None, None, None]
+    zeros = np.arange(9)[:, None, None]
+    negative = np.arange(2)[:, None]
+    p = np.arange(24)
+    last = np.maximum(e, 8 - zeros)  # the last digit shown; D0..D_e are integer digits
+    masks = (
+        (p == 0)
+        | (negative == 1) & (p == 1)
+        | (e < 0) & (p >= 2) & (p < 3 - e)  # "0." and -e - 1 zeros
+        | (e >= 0) & (last > e) & (p == 8 + 2 * e)  # the point after D_e
+        | (p >= 7) & (p % 2 == 1) & (p <= 7 + 2 * last)  # D0..D_last
+    )
+    return _Tables(
+        lead=lead.view(np.uint64).ravel(),
+        groups=groups.view(np.uint64).ravel(),
+        trailing=(d * (1 + c * (1 + b * (1 + a)))).ravel(),
+        masks=np.vstack([masks.reshape(_EMPTY_CELL, 24), p == 0]).view(np.uint64),
+        numerals=numerals.view(np.uint32).ravel(),
+    )
+
+
+def _format_cells(x: np.ndarray, tables: _Tables, text: np.ndarray, keep: np.ndarray) -> None:
+    """Fill the slot words and keep masks, shape x.shape + (3,), of "," + "%.9g" % x.
+
+    Non-finite values keep only the comma, an empty cell.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e8)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    # y is within half an ulp (< 1e-7) of |x| 10^(8-e); where log10 put a
+    # value next to a power of ten in the wrong decade, y leaves [1e8, 1e9)
+    y = a * _POW10[8 - e]
+    z = y + 0.5  # exact in this range
+    d = np.floor(z)
+    fast &= (y >= 1e8) & (d < 1e9) & (np.abs(z - d - 0.5) <= 0.5 - 1e-6)
+    d = np.where(fast, d, 1e8).astype(np.intp)
+    high = d // 10_000
+    low = d - 10_000 * high
+    leading = high // 10_000
+    high -= 10_000 * leading
+    text[..., 0] = tables.lead[leading]
+    text[..., 1] = tables.groups[high]
+    text[..., 2] = tables.groups[low]
+    zeros = tables.trailing[low]
+    round_low = fast & (low == 0)
+    if round_low.any():
+        zeros[round_low] += tables.trailing[high[round_low]]
+    row = np.where(fast, 18 * e + 2 * zeros + (x < 0) + 72, _EMPTY_CELL)
+    tables.masks.take(row, axis=0, out=keep, mode="clip")
+    slow = ~fast
+    slow &= np.isfinite(x)
+    for i in zip(*np.nonzero(slow)):
+        cell = (",%.9g" % x[i]).encode()
+        text[i] = np.frombuffer(cell.ljust(24), np.uint64)
+        keep[i] = (np.arange(24) < len(cell)).view(np.uint64)
 
 
 def build_protocol_state(
@@ -91,32 +185,57 @@ class MeasurementRecord:
         """Record export: index,basis_a,basis_b,x_a,p_a,x_b,p_b, one row per symbol.
 
         Basis cells hold "x" or "p" for a homodyning party and are empty
-        for a heterodyning one; quadratures carry 9 significant digits
-        ("%.9g") and unmeasured (non-finite) cells are empty. Lines end in
-        LF. Rows are formatted and written in chunks of a few thousand,
-        so memory does not grow with the record length.
+        for a heterodyning one; quadratures carry 9 significant digits,
+        byte for byte Python's "%.9g", and unmeasured (non-finite) cells
+        are empty. Lines end in LF.
+
+        Rows are built as numpy byte arrays and written in chunks of
+        _CSV_CHUNK_ROWS = 2,048 rows, so memory does not grow with the
+        record length. A quadrature with 1e-4 <= |x| < 1e8 takes its nine
+        digits from the exactly rounded integer round(|x| 10^(8-e)), e its
+        decimal exponent, and its layout from a table of keep masks.
+        Python's "%.9g" formats the rest: zeros, magnitudes outside that
+        range, values that round up to the next power of ten, and values
+        whose scaled product lies within 1e-6 of a rounding tie.
         """
-        stream.write(",".join(CSV_HEADER) + "\n")
+        stream.write(",".join(CSV_HEADER))  # each row follows its own line break
+        tables = _tables()
         bases = (self.basis_a, self.basis_b)
-        basis_cells = ",".join("" if b is None else "%s" for b in bases)
-        row = "%d," + basis_cells + ",%.9g" * len(COLUMNS) + "\n"
-        letters = [
-            b.astype(np.uint8).tobytes().translate(_BASIS_LETTERS).decode()
-            for b in bases
-            if b is not None
-        ]
-        columns = [getattr(self, name) for name in COLUMNS]
-        width = 1 + len(letters) + len(columns)
+        groups = -(-len(str(self.n - 1)) // 4)  # 4-digit groups of the widest index
+        powers = 10 ** np.arange(1, 4 * groups)
+        # keep masks of the index groups by the number of digits shown
+        index_keep = np.arange(4 * groups) >= 4 * groups - np.arange(4 * groups + 1)[:, None]
+        index_keep = index_keep.view(np.uint32)
+        # a row's head: LF, three unused bytes, the index groups, then a comma
+        # and any basis letter per party, padded to whole 8-byte words
+        bases_at = 4 + 4 * groups
+        head = -(-(bases_at + 2 + sum(b is not None for b in bases)) // 8)
         for start in range(0, self.n, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, self.n)
-            cells = [None] * (width * (stop - start))
-            cells[0::width] = range(start, stop)
-            chunk = [s[start:stop] for s in letters] + [c[start:stop].tolist() for c in columns]
-            for slot, values in enumerate(chunk, 1):
-                cells[slot::width] = values
-            # %g spells non-finite values nan, inf and -inf; finite ones hold no letter but e
-            text = row * (stop - start) % tuple(cells)
-            stream.write(text.replace(",nan", ",").replace(",-inf", ",").replace(",inf", ","))
+            text = np.empty((stop - start, head + 12), np.uint64)
+            keep = np.zeros((stop - start, head + 12), np.uint64)
+            text8, keep8 = text.view(np.uint8), keep.view(bool)
+            text32, keep32 = text.view(np.uint32), keep.view(np.uint32)
+            text8[:, 0] = ord("\n")
+            keep8[:, 0] = True
+            index = np.arange(start, stop)
+            shown = 1 + np.searchsorted(powers, index, side="right")  # digits of each index
+            for k in range(groups):  # k-th group from the right
+                text32[:, groups - k] = tables.numerals[index // 10 ** (4 * k) % 10_000]
+            keep32[:, 1 : 1 + groups] = index_keep[shown]
+            col = bases_at
+            for b in bases:
+                text8[:, col] = ord(",")
+                col += 1
+                if b is not None:
+                    text8[:, col] = _LETTERS[b[start:stop]]
+                    col += 1
+            keep8[:, bases_at:col] = True
+            values = np.stack([getattr(self, name)[start:stop] for name in COLUMNS], axis=1)
+            cells = (stop - start, len(COLUMNS), 3)
+            _format_cells(values, tables, text[:, head:].reshape(cells), keep[:, head:].reshape(cells))
+            stream.write(np.compress(keep8.ravel(), text8.ravel()).tobytes().decode("ascii"))
+        stream.write("\n")
 
 
 @dataclass(frozen=True)

@@ -189,38 +189,21 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
     return key_rate(protocol, cv)
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimize_modulation(
-    protocol: ProtocolSpec, ch: ChannelParams, v_max: float, xtol: float = 1e-6
+    protocol: ProtocolSpec, ch: ChannelParams, v_max: float
 ) -> tuple[float, float]:
     """Maximise the key rate over modulation variance v in [1, v_max].
 
-    Golden-section search to xtol in v, then an endpoint comparison so
-    monotone rates (the common case, supremum at the boundary) are
-    resolved exactly. Returns (v_star, k_star); k_star may be negative.
+    The rate is monotone in v for every protocol: with u = 1/v, dV_{A|B}/du
+    has the sign of T^2 - w^2, V_{B|A} = w + T u falls as v grows, and the
+    (x + 1)/2 and 2x - 1 lifts keep the order. So the better of v = 1 and
+    v = v_max is the maximum; a tie goes to v = 1, and v_max = inf means
+    the large-modulation limit. Returns (v_star, k_star); k_star may be
+    negative.
     """
     if v_max < 1.0:
         raise DomainError(f"v_max must be >= 1, got {v_max}")
-
-    def k(v: float) -> float:
-        return key_rate_at(protocol, ch, v).key_rate
-
-    lo, hi = 1.0, v_max
-    v1 = hi - _INV_GOLDEN * (hi - lo)
-    v2 = lo + _INV_GOLDEN * (hi - lo)
-    k1, k2 = k(v1), k(v2)
-    while hi - lo > xtol:
-        if k1 < k2:
-            lo, v1, k1 = v1, v2, k2
-            v2 = lo + _INV_GOLDEN * (hi - lo)
-            k2 = k(v2)
-        else:
-            hi, v2, k2 = v2, v1, k1
-            v1 = hi - _INV_GOLDEN * (hi - lo)
-            k1 = k(v1)
-    candidates = [(1.0, k(1.0)), ((lo + hi) / 2.0, k((lo + hi) / 2.0)), (v_max, k(v_max))]
+    candidates = [(v, key_rate_at(protocol, ch, v).key_rate) for v in (1.0, v_max)]
     return max(candidates, key=lambda pair: pair[1])
 
 

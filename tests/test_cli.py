@@ -266,6 +266,38 @@ class TestSimulate:
         assert lines[0] == "index,basis_a,basis_b,x_a,p_a,x_b,p_b"
         assert len(lines) == 66  # header + 64 rows + trailing LF
 
+    # sha256 of the written file, taken with the %-formatting export that the
+    # vectorised one replaced; 70,000 rows are a whole sampling block and part of a second
+    @pytest.mark.parametrize(
+        "protocol, digest",
+        [
+            ("rr-homA-homB-eb", "f730d5bd0c4848a662da57039060337908164d828b1eb16a0f385e9e0ce5648a"),
+            ("rr-hetA-hetB-eb", "4d081ef2aa57a2d2453b248ea742f1dbe69a8d770730f7136f467bba23740491"),
+        ],
+    )
+    def test_record_csv_bytes_are_pinned(self, capsys, tmp_path, protocol, digest):
+        path = tmp_path / "record.csv"
+        code, _, _ = run(
+            capsys,
+            "simulate", "--protocol", protocol, "--T", "0.9", "--xi", "0.01", "--V", "5",
+            "--samples", "70000", "--seed", "3", "--out", str(path),
+        )
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("protocol", ["rr-homA-homB-eb", "rr-hetA-hetB-eb"])
+    def test_single_sample_writes_no_record(self, capsys, tmp_path, protocol):
+        # one symbol gives fewer than two sifted pairs, so the run stops before the export
+        path = tmp_path / "record.csv"
+        code, out, err = run(
+            capsys,
+            "simulate", "--protocol", protocol, "--T", "0.9", "--xi", "0.01", "--V", "5",
+            "--samples", "1", "--seed", "3", "--out", str(path),
+        )
+        assert code == 3
+        assert out == "" and err.startswith("error: only ")
+        assert not path.exists()
+
     def test_infinite_v_rejected(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--V", "inf"
@@ -306,6 +338,27 @@ class TestRejectedInputs:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9", "--V", "3", "--samples", "10"],
+            ["table"],
+        ],
+        ids=["simulate", "table"],
+    )
+    @pytest.mark.parametrize(
+        "where, reason",
+        [("missing-directory", "No such file or directory"), ("directory", "Is a directory")],
+    )
+    def test_usage_error_without_traceback(self, capsys, tmp_path, argv, where, reason):
+        path = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {path}: {reason}\n"
 
 
 class TestVerifyUr:

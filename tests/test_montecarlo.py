@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqkd import (
     ChannelParams,
@@ -50,6 +52,30 @@ def csv_text(record):
     buf = io.StringIO()
     record.write_csv(buf)
     return buf.getvalue()
+
+
+def holding(protocol, values):
+    """A record of len(values) rows whose four columns are rotations of values."""
+    rec = sample_quadratures(protocol, PERFECT, 2.0, len(values), seed=1)
+    columns = {name: np.roll(values, k) for k, name in enumerate(("x_a", "p_a", "x_b", "p_b"))}
+    return dataclasses.replace(rec, **columns)
+
+
+def near_ties():
+    """Values at and next to the formatter's hard cases, both signs.
+
+    Ninth-digit rounding ties (d + 0.5) 10^(e - 8), some exact in binary;
+    powers of ten; and 9.9999999995 10^k, which rounds up to the next one.
+    """
+    rng = np.random.default_rng(0)
+    values = [(d + 0.5) * 10.0 ** (e - 8) for e in range(-5, 9) for d in rng.integers(10**8, 10**9, 16)]
+    for k in range(1, 5):  # j / 2^(k+1) = (d + 0.5) 10^-k exactly when 5^k j = 2d + 1
+        j = (10**9 // 5**k) | 1
+        values += [(j + 2 * i) / 2 ** (k + 1) for i in range(8)]
+    values += [m * 10.0**k for k in range(-6, 10) for m in (1.0, 9.9999999995)]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
 
 
 def record_equal(a, b):
@@ -284,6 +310,21 @@ class TestCsvExport:
         first = text.split("\n")[1].split(",")
         assert first[3:] == ["-0", "1e+16", "-2.5", "1"]
         assert "nan" not in text and "inf" not in text
+
+    @pytest.mark.parametrize("protocol", [RR_HOM_HOM, ProtocolSpec.parse("rr-hetA-hetB-eb")])
+    def test_near_ties_match_oracle(self, protocol):
+        rec = holding(protocol, near_ties())
+        assert csv_text(rec) == oracle_csv(rec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        protocol=st.sampled_from([RR_HOM_HOM, ProtocolSpec.parse("rr-hetA-hetB-eb")]),
+        values=st.lists(st.floats(), min_size=1, max_size=48),
+    )
+    def test_any_float_matches_oracle(self, protocol, values):
+        # st.floats() covers subnormals, +-0, nan and +-inf
+        rec = holding(protocol, np.array(values, dtype=float))
+        assert csv_text(rec) == oracle_csv(rec)
 
     @pytest.mark.parametrize(
         "protocol, digest",
