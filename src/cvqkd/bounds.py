@@ -33,9 +33,6 @@ from .gaussian import (
 )
 
 LOG2_4PI = math.log2(4.0 * math.pi)
-# positivity boundary of the RR homodyne-homodyne rate: K > 0 iff the
-# steering product V_{xB|xA} V_{pB|pA} drops below (2/e)^2
-STEERING_KEY_THRESHOLD = (2.0 / math.e) ** 2
 
 
 class Reconciliation(Enum):
@@ -293,7 +290,7 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     pair_ab = _effective_pair(*b_given_a, exp_ba)
     pair_ba = _effective_pair(*a_given_b, exp_ab)
     steering_ab, steering_ba = pair_ab[0] * pair_ab[1], pair_ba[0] * pair_ba[1]
-    v_x, v_p = _rate_pair(protocol, b_given_a, a_given_b)
+    v_x, v_p = pair_ba if protocol.reconciliation is Reconciliation.DR else pair_ab
     product = v_x * v_p
     if 0.0 < product < math.inf:
         rate = math.log2(2.0 / (math.e * math.sqrt(product)))

@@ -1,16 +1,21 @@
 """Command-line surface: key rates, sweeps, distances, simulation and tables.
 
+Each command returns one record; `main` renders it and writes it, to
+stdout or --out. A dict is an aligned `name  value` report, or a JSON
+object with --json; a (header, rows) pair is CSV, or a JSON array of
+objects. Only the table's grid comes laid out as text. Every value is
+one cell: 9 significant digits, "" for None, lower-case booleans; JSON
+carries the same rounded numbers, with null for inf and NaN.
+
 Exit codes: 0 on success (including "no security" and negative-key
 results), 2 on usage errors (including an --out path that cannot be
-written), 3 on numeric/domain errors. All numeric output is fixed at 9
-significant digits, in CSV and JSON alike.
+written), 3 on numeric/domain errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import dataclasses
 import json
 import math
 import sys
@@ -27,14 +32,24 @@ from .security import FibreModel, _xi_max, key_rate_at, threshold_transmission
 _VALID_IDS = [p.id for p in ProtocolSpec.all()]
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return f"{x:.9g}"
+    return str(x).lower() if isinstance(x, bool) else str(x)
 
 
-def _round9(x: float) -> float | None:
-    # JSON carries the same 9-significant-digit values as the CSV/text output;
+def _plain(x):
+    # JSON carries the same 9-significant-digit values as the text and CSV;
     # it has no spelling for inf or NaN, so those become null
-    return float(_fmt(x)) if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_plain(v) for v in x]
+    if isinstance(x, float):
+        return float(_cell(x)) if math.isfinite(x) else None
+    return x
 
 
 def _json(payload) -> str:
@@ -66,39 +81,35 @@ def _float_list_arg(value: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {value!r}") from None
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _report(pairs: list[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in pairs)
+def _render(record, as_json: bool) -> str:
+    if isinstance(record, str):  # the table's grid, already laid out
+        return record
+    if isinstance(record, tuple):
+        header, rows = record
+        if not as_json:  # every cell is a number or empty, so no CSV quoting is needed
+            return "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+        record = [dict(zip(header, row)) for row in rows]
+    if as_json:
+        return _json(_plain(record))
+    width = max(map(len, record))
+    return "".join(f"{k.ljust(width)}  {_cell(v)}\n" for k, v in record.items())
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cvqkd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, point=True):
+    def add_output(p, out="out"):
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", default=None, dest=out, metavar="OUT")
+
+    def add_common(p, point=True, out="out"):
         p.add_argument("--protocol", type=_protocol_arg, required=True)
         if point:  # one (T, xi, V) operating point; the solvers work in the V -> inf limit
             p.add_argument("--T", type=float, dest="transmission")
             p.add_argument("--xi", type=float, default=0.0)
             p.add_argument("--V", type=_modulation_arg, default=math.inf, dest="modulation")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", default=None)
+        add_output(p, out)
 
     p = sub.add_parser("keyrate", help="key rate, variances, steering, classification")
     add_common(p)
@@ -115,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attenuation-db-per-km", type=float, default=0.2)
 
     p = sub.add_parser("simulate", help="sampled run: empirical key rate vs analytic")
-    add_common(p)
+    add_common(p, out="record")  # --out names the sampled record's CSV; the report goes to stdout
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
 
@@ -125,12 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    add_output(p)
 
     p = sub.add_parser("table", help="the 16 protocol variants and their 1sDI status")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
+    add_output(p)
     return parser
 
 
@@ -144,149 +153,94 @@ def _t_grid(t_min: float, t_max: float, steps: int) -> list[float]:
     return [t_min + (t_max - t_min) * i / (steps - 1) for i in range(steps)]
 
 
-def cmd_keyrate(args) -> int:
+def _channel(args, finite_v: bool = False) -> tuple[ChannelParams, dict]:
+    # a keyrate or simulate run's channel and its record's head: the protocol and (T, xi, V)
     if args.transmission is None:
-        raise CVQKDError("keyrate requires --T")
+        raise CVQKDError(f"{args.command} requires --T")
+    if finite_v and math.isinf(args.modulation):
+        raise CVQKDError(f"{args.command} requires a finite --V")
     ch = ChannelParams(args.transmission, args.xi)
+    return ch, {
+        "protocol": args.protocol.id, "T": ch.transmission, "xi": ch.excess_noise,
+        "V": args.modulation,
+    }
+
+
+def cmd_keyrate(args):
+    ch, record = _channel(args)
     result = key_rate_at(args.protocol, ch, args.modulation)
     kind_ab, kind_ba = expected_kinds(args.protocol)
+    kinds = {"b_given_a": kind_ba.value, "a_given_b": kind_ab.value}
     cv = result.variances  # None where all four vanish: identity channel, V -> inf
-    variances = [
-        (name, 0.0 if cv is None else getattr(cv, name), kind)
-        for name, kind in (
-            ("v_x_b_given_a", kind_ba),
-            ("v_p_b_given_a", kind_ba),
-            ("v_x_a_given_b", kind_ab),
-            ("v_p_a_given_b", kind_ab),
-        )
-    ]
-    fields = [
-        ("protocol", args.protocol.id),
-        ("T", _fmt(ch.transmission)),
-        ("xi", _fmt(ch.excess_noise)),
-        ("V", "inf" if math.isinf(args.modulation) else _fmt(args.modulation)),
-        ("key_rate_bits", _fmt(result.key_rate)),
-        ("positive", str(result.positive).lower()),
-        ("classification", result.one_sided_di.value),
-        ("steering_ab", _fmt(result.steering_ab)),
-        ("steering_ba", _fmt(result.steering_ba)),
-    ] + [(name, f"{_fmt(v)} ({kind.value})") for name, v, kind in variances]
+    variances = {
+        name: 0.0 if cv is None else getattr(cv, name)
+        for name in ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b")
+    }
+    record |= {
+        "key_rate_bits": result.key_rate,
+        "positive": result.positive,
+        "classification": result.one_sided_di.value,
+        "steering_ab": result.steering_ab,
+        "steering_ba": result.steering_ba,
+    }
     if args.json:
-        payload = {
-            "protocol": args.protocol.id,
-            "T": _round9(ch.transmission),
-            "xi": _round9(ch.excess_noise),
-            "V": None if math.isinf(args.modulation) else _round9(args.modulation),
-            "key_rate_bits": _round9(result.key_rate),
-            "positive": result.positive,
-            "classification": result.one_sided_di.value,
-            "steering_ab": _round9(result.steering_ab),
-            "steering_ba": _round9(result.steering_ba),
-            "variances": {name: _round9(v) for name, v, _ in variances}
-            | {"kind_b_given_a": kind_ba.value, "kind_a_given_b": kind_ab.value},
-        }
-        _emit(_json(payload), args.out)
-    else:
-        _emit(_report(fields), args.out)
-    return 0
+        return record | {"variances": variances | {f"kind_{k}": v for k, v in kinds.items()}}
+    return record | {name: f"{_cell(v)} ({kinds[name[4:]]})" for name, v in variances.items()}
 
 
-def cmd_region(args) -> int:
+def cmd_region(args):
     # ChannelParams raises DomainError (exit 3) at the first T outside (0, 1]
     ts = [ChannelParams(t).transmission for t in _t_grid(args.t_min, args.t_max, args.steps)]
-    rows = list(zip(ts, _xi_max(args.protocol, np.array(ts))))
-    if args.json:
-        payload = [
-            {"T": _round9(t), "xi_max": None if xi is None else _round9(xi)} for t, xi in rows
-        ]
-        _emit(_json(payload), args.out)
-    else:
-        text = _csv_text(
-            ["T", "xi_max"],
-            [[_fmt(t), "" if xi is None else _fmt(xi)] for t, xi in rows],
-        )
-        _emit(text, args.out)
-    return 0
+    return ["T", "xi_max"], list(zip(ts, _xi_max(args.protocol, np.array(ts))))
 
 
-def cmd_distance(args) -> int:
+def cmd_distance(args):
     fibre = FibreModel(args.attenuation_db_per_km)
     t_star = threshold_transmission(args.protocol, args.xi)
-    km = None if t_star is None else fibre.distance_km(t_star)
-    if args.json:
-        payload = {
-            "protocol": args.protocol.id,
-            "xi": _round9(args.xi),
-            "attenuation_db_per_km": _round9(fibre.attenuation_db_per_km),
-            "threshold_transmission": None if t_star is None else _round9(t_star),
-            "loss_percent": None if t_star is None else _round9(100.0 * (1.0 - t_star)),
-            "max_distance_km": None if km is None else _round9(km),
-        }
-        _emit(_json(payload), args.out)
-        return 0
-    fields = [
-        ("protocol", args.protocol.id),
-        ("xi", _fmt(args.xi)),
-        ("attenuation_db_per_km", _fmt(fibre.attenuation_db_per_km)),
-    ]
+    record = {
+        "protocol": args.protocol.id,
+        "xi": args.xi,
+        "attenuation_db_per_km": fibre.attenuation_db_per_km,
+    }
     if t_star is None:
-        fields.append(("max_distance_km", "no-security"))
-    else:
-        fields += [
-            ("threshold_transmission", _fmt(t_star)),
-            ("loss_percent", _fmt(100.0 * (1.0 - t_star))),
-            ("max_distance_km", _fmt(km)),
-        ]
-    _emit(_report(fields), args.out)
-    return 0
+        if not args.json:
+            return record | {"max_distance_km": "no-security"}
+        return record | dict.fromkeys(("threshold_transmission", "loss_percent", "max_distance_km"))
+    return record | {
+        "threshold_transmission": t_star,
+        "loss_percent": 100.0 * (1.0 - t_star),
+        "max_distance_km": fibre.distance_km(t_star),
+    }
 
 
-def cmd_simulate(args) -> int:
-    if args.transmission is None:
-        raise CVQKDError("simulate requires --T")
-    if math.isinf(args.modulation):
-        raise CVQKDError("simulate requires a finite --V")
-    ch = ChannelParams(args.transmission, args.xi)
+def cmd_simulate(args):
+    ch, record = _channel(args, finite_v=True)
     sim = simulate_protocol_run(args.protocol, ch, args.modulation, args.samples, args.seed)
     analytic = key_rate_at(args.protocol, ch, args.modulation)
-    if args.out is not None:
-        with open(args.out, "w", newline="") as fh:
-            sim.record.write_csv(fh)
+    if args.record is not None:
+        try:
+            with open(args.record, "w", newline="") as fh:
+                sim.record.write_csv(fh)
+        except OSError as exc:  # a failed write or flush names no file; main's message needs it
+            exc.filename = args.record
+            raise
+    record |= {"samples": args.samples, "seed": args.seed}
+    rate, variances = sim.key_rate, sim.variances
     if args.json:
-        payload = {
-            "protocol": args.protocol.id,
-            "T": _round9(ch.transmission),
-            "xi": _round9(ch.excess_noise),
-            "V": _round9(args.modulation),
-            "samples": args.samples,
-            "seed": args.seed,
-            "key_rate_bits": _round9(sim.key_rate.value),
-            "key_rate_std_error": _round9(sim.key_rate.std_error),
-            "analytic_key_rate_bits": _round9(analytic.key_rate),
-            "variances": {
-                name: {"value": _round9(e.value), "std_error": _round9(e.std_error), "n": e.n}
-                for name, e in sim.variances.items()
-            },
+        return record | {
+            "key_rate_bits": rate.value,
+            "key_rate_std_error": rate.std_error,
+            "analytic_key_rate_bits": analytic.key_rate,
+            "variances": {name: dataclasses.asdict(e) for name, e in variances.items()},
         }
-        sys.stdout.write(_json(payload))
-        return 0
-    fields = [
-        ("protocol", args.protocol.id),
-        ("T", _fmt(ch.transmission)),
-        ("xi", _fmt(ch.excess_noise)),
-        ("V", _fmt(args.modulation)),
-        ("samples", str(args.samples)),
-        ("seed", str(args.seed)),
-        ("key_rate_bits", f"{_fmt(sim.key_rate.value)} +- {_fmt(sim.key_rate.std_error)}"),
-        ("analytic_key_rate_bits", _fmt(analytic.key_rate)),
-    ]
-    for name, est in sim.variances.items():
-        fields.append((name, f"{_fmt(est.value)} +- {_fmt(est.std_error)} (n={est.n})"))
-    sys.stdout.write(_report(fields))
-    return 0
+    record["key_rate_bits"] = f"{_cell(rate.value)} +- {_cell(rate.std_error)}"
+    record["analytic_key_rate_bits"] = analytic.key_rate
+    return record | {
+        name: f"{_cell(e.value)} +- {_cell(e.std_error)} (n={e.n})" for name, e in variances.items()
+    }
 
 
-def cmd_verify_ur(args) -> int:
+def cmd_verify_ur(args):
     ts = _t_grid(args.t_min, args.t_max, args.steps)
     rows = []
     for v in args.v_list:
@@ -294,25 +248,7 @@ def cmd_verify_ur(args) -> int:
             for xi in args.xi_list:
                 cm: CovarianceMatrix = apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
                 rows.append((v, t, xi, verify_ur_bipartite(cm), verify_ur_tripartite(cm)))
-    if args.json:
-        payload = [
-            {
-                "V": _round9(v),
-                "T": _round9(t),
-                "xi": _round9(xi),
-                "slack_bipartite": _round9(b),
-                "slack_tripartite": _round9(tri),
-            }
-            for v, t, xi, b, tri in rows
-        ]
-        _emit(_json(payload), args.out)
-    else:
-        text = _csv_text(
-            ["V", "T", "xi", "slack_bipartite", "slack_tripartite"],
-            [[_fmt(v), _fmt(t), _fmt(xi), _fmt(b), _fmt(tri)] for v, t, xi, b, tri in rows],
-        )
-        _emit(text, args.out)
-    return 0
+    return ["V", "T", "xi", "slack_bipartite", "slack_tripartite"], rows
 
 
 _MARK = {
@@ -322,14 +258,10 @@ _MARK = {
 }
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     protocols = ProtocolSpec.all()
     if args.json:
-        payload = [
-            {"protocol": p.id, "classification": classify_1sdi(p).value} for p in protocols
-        ]
-        _emit(_json(payload), args.out)
-        return 0
+        return ["protocol", "classification"], [[p.id, classify_1sdi(p).value] for p in protocols]
     columns = [("hom", "hom"), ("hom", "het"), ("het", "hom"), ("het", "het")]
     lines = [
         "alice        |   hom   |   hom   |   het   |   het   ",
@@ -346,8 +278,7 @@ def cmd_table(args) -> int:
     n_1sdi = sum(1 for p in protocols if classify_1sdi(p) is not OneSidedDI.NOT_1SDI)
     lines.append("")
     lines.append(f"{n_1sdi} of {len(protocols)} protocols are one-sided device independent")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 _COMMANDS = {
@@ -361,17 +292,23 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)  # None for simulate, whose --out is its record file
     try:
-        return _COMMANDS[args.command](args)
+        text = _render(_COMMANDS[args.command](args), args.json)
+        if out is None:
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
     except CVQKDError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # the output could not be written
-        target = "stdout" if args.out is None else args.out
+        target = exc.filename or out or "stdout"
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry_point() -> None:

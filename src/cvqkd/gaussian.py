@@ -66,10 +66,6 @@ class ChannelParams:
         if not 0.0 <= self.excess_noise < math.inf:
             raise DomainError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.transmission == 1.0 and self.excess_noise == 0.0
-
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
@@ -129,9 +125,10 @@ def tmsv(v: float) -> CovarianceMatrix:
     Diagonal blocks v*I, off-diagonal block diag(+c, -c) with
     c = sqrt(v^2 - 1); pure for every v >= 1, reducing to two vacua
     at v = 1. The stored c carries an absolute error of about eps * v,
-    so the validated spectrum is reliably [1, 1] only up to v = 1e7.
-    Beyond about 9.49e7, v^2 - 1 rounds to v^2 and c to v; such v (inf
-    included) raise PrecisionError.
+    which from about v = 8.5e6 can exceed the purity gate. A v whose
+    stored matrix does not validate to the spectrum [1, 1] exactly
+    raises PrecisionError, as does every v beyond about 9.49e7 (inf
+    included), where v^2 - 1 rounds to v^2 and c to v.
     """
     if not v >= 1.0:
         raise DomainError(f"EPR variance must be >= 1, got {v}")
@@ -141,7 +138,13 @@ def tmsv(v: float) -> CovarianceMatrix:
     m = np.diag([float(v)] * 4)
     m[0, 2] = m[2, 0] = c
     m[1, 3] = m[3, 1] = -c
-    return CovarianceMatrix(m)
+    try:
+        cm = CovarianceMatrix(m)
+        if cm._nus == (1.0, 1.0):
+            return cm
+    except UnphysicalStateError:
+        pass
+    raise PrecisionError(f"EPR variance {v} too large: the stored state is not pure")
 
 
 def apply_channel(cm: CovarianceMatrix, ch: ChannelParams, mode: int) -> CovarianceMatrix:

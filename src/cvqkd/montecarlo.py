@@ -311,13 +311,14 @@ def estimate_conditional_variance(
     Sifting keeps the symbols where both columns were measured. The
     optimal-gain estimator matches the analytic conditional variance;
     the standard error uses the asymptotic chi-square width
-    sqrt(2/(n-1)) * value.
+    sqrt(2/(n-1)) * value. A line fits two points exactly, leaving a
+    residual of zero up to rounding, so it takes three sifted pairs.
     """
     t = record.column(target)
     g = record.column(given)
     mask = np.isfinite(t) & np.isfinite(g)
     m = int(mask.sum())
-    if m < 2:
+    if m < 3:
         raise InsufficientDataError(f"only {m} sifted pairs for {target}|{given}")
     cov = np.cov(t[mask], g[mask], ddof=1)
     value = float(cov[0, 0] - cov[0, 1] ** 2 / cov[1, 1])

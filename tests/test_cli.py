@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import cvqkd
 from cvqkd import ProtocolSpec
 from cvqkd.cli import _json, main
 
@@ -15,6 +19,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def stdout_sha256(capsys, argvs):
+    """sha256 of the concatenated stdout of successful, silent runs."""
+    text = ""
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        text += out
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def report_value(text, key):
@@ -109,6 +123,28 @@ class TestKeyrate:
             v_b_given_a = 1 - t + t * xi + t / v  # RR hom-hom reads V_{B|A} twice
             want = float(mpmath.log(2 / (mpmath.e * v_b_given_a), 2))
         assert abs(float(report_value(out, "key_rate_bits")) - want) <= 1e-9
+
+    # sha256 of the stdout of all 16 protocols at each point, taken before the
+    # commands shared one record renderer
+    PINNED_POINTS = [
+        ("1", "0", "inf"), ("0.5", "0.01", "3e7"), ("0.9", "0.1", "5"), ("0.5", "1e300", "inf")
+    ]
+
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "752d05dce8c657cfe595c01a2f2e41aa17d19d2139de7c78d155d57d50c6c16f"),
+            (["--json"], "1673761e74f289b825e42b5367fedc73b4166e7824541dc4322df7b63bf9d17e"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_output_is_pinned(self, capsys, extra, digest):
+        argvs = [
+            ["keyrate", "--protocol", p.id, "--T", t, "--xi", xi, "--V", v, *extra]
+            for p in ProtocolSpec.all()
+            for t, xi, v in self.PINNED_POINTS
+        ]
+        assert stdout_sha256(capsys, argvs) == digest
 
 
 class TestJsonOutput:
@@ -241,6 +277,24 @@ class TestDistance:
         assert payload["max_distance_km"] == pytest.approx(28.8565, abs=0.01)
         assert payload["loss_percent"] == pytest.approx(73.52, abs=0.01)
 
+    # sha256 of the stdout of all 16 protocols at each noise, taken before the
+    # commands shared one record renderer
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "befabfbf6d6e6fdd1d692a8960a6b2edf7ff0fec374d8b685628d78608f8cf57"),
+            (["--json"], "4d9cd22a467719fae1780a34b61f396d7d3479be8812b68aad0c0d0e0e695a55"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_output_is_pinned(self, capsys, extra, digest):
+        argvs = [
+            ["distance", "--protocol", p.id, "--xi", xi, *extra]
+            for p in ProtocolSpec.all()
+            for xi in ("0", "0.002", "0.05")
+        ]
+        assert stdout_sha256(capsys, argvs) == digest
+
 
 class TestSimulate:
     def test_reports_empirical_and_analytic(self, capsys):
@@ -285,6 +339,23 @@ class TestSimulate:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    # sha256 of the report, taken before the commands shared one record renderer
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "0786ced87e9d9dde879a89c17950867717d03b84750059f08737bd7f8db5fe13"),
+            (["--json"], "84125d3c6040bb06818c579b607cf835ef776fe2f83bbc1e8ed0d89d4ad6907d"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_report_is_pinned(self, capsys, extra, digest):
+        argvs = [
+            ["simulate", "--protocol", p, "--T", "0.9", "--xi", "0.01", "--V", "5",
+             "--samples", "70000", "--seed", "3", *extra]
+            for p in ("rr-homA-homB-eb", "rr-hetA-hetB-eb")
+        ]
+        assert stdout_sha256(capsys, argvs) == digest
+
     @pytest.mark.parametrize("protocol", ["rr-homA-homB-eb", "rr-hetA-hetB-eb"])
     def test_single_sample_writes_no_record(self, capsys, tmp_path, protocol):
         # one symbol gives fewer than two sifted pairs, so the run stops before the export
@@ -297,6 +368,28 @@ class TestSimulate:
         assert code == 3
         assert out == "" and err.startswith("error: only ")
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--protocol", "rr-homA-homB-eb", "--T", "0.9", "--xi", "0.01", "--V", "5",
+             "--samples", "4", "--seed", "43", "--json"],
+            ["--protocol", "rr-hetA-hetB-eb", "--T", "0.9", "--V", "2", "--samples", "2"],
+        ],
+        ids=["hom-hom", "het-het"],
+    )
+    def test_two_sifted_pairs_exit_three(self, capsys, argv):
+        # two points fit a line exactly, so their residual variance is 0 up to rounding
+        code, out, err = run(capsys, "simulate", *argv)
+        assert (code, out, err) == (3, "", "error: only 2 sifted pairs for x_b|x_a\n")
+
+    def test_modulation_beyond_tmsv_precision_exits_three(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9", "--V", "3e7",
+            "--samples", "100",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: EPR variance 30000000.0 too large")
 
     def test_infinite_v_rejected(self, capsys):
         code, _, err = run(
@@ -430,3 +523,42 @@ class TestTable:
         path = tmp_path / "table.txt"
         run(capsys, "table", "--out", str(path))
         assert "6 of 16" in path.read_text()
+
+    # sha256 of the stdout, taken before the commands shared one record renderer
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "af82bc4c32795d2e991f2a9cea790191e84d6bfa315feb1576db68c2b030902e"),
+            (["--json"], "48ab25c6fc7824b8bcee4ea3813e342b32e267ff77a408efa22935ad3e4c88dc"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_output_is_pinned(self, capsys, extra, digest):
+        assert stdout_sha256(capsys, [["table", *extra]]) == digest
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["table"], 0),
+            (["keyrate", "--protocol", "bogus", "--T", "1"], 2),
+            (["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--V", "0.5"], 3),
+        ],
+        ids=["ok", "usage", "domain"],
+    )
+    def test_python_m_cvqkd_matches_main(self, capsys, argv, want):
+        src = os.path.dirname(os.path.dirname(cvqkd.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvqkd", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert proc.returncode == code == want
+        assert (proc.stdout, proc.stderr) == (out.out, out.err)

@@ -62,6 +62,20 @@ class TestConstruction:
             with pytest.raises(PrecisionError, match="too large"):
                 tmsv(v)
 
+    def test_tmsv_below_the_rounding_limit_is_pure_or_raises(self):
+        # from about 8.5e6 the stored c = sqrt(v^2 - 1) is off by about eps * v, more than
+        # the purity gate; such states once came out as [1.0114, 1.0114] or as unphysical
+        raised = 0
+        for v in np.logspace(6.0, math.log10(9.49e7), 4000).tolist():
+            try:
+                assert symplectic_eigenvalues(tmsv(v)) == [1.0, 1.0]
+            except PrecisionError:
+                raised += 1
+        assert 0 < raised < 4000
+        for v in (3e7, 10170285.935037531):
+            with pytest.raises(PrecisionError, match="too large"):
+                tmsv(v)
+
     def test_tmsv_rejects_v_below_one(self):
         with pytest.raises(DomainError):
             tmsv(0.999)

@@ -168,6 +168,16 @@ class TestConditionalVarianceEstimate:
         with pytest.raises(InsufficientDataError):
             estimate_conditional_variance(rec, "x_b", "x_a")
 
+    def test_two_sifted_pairs_are_too_few(self):
+        # a line through two points leaves no residual, so the estimate would be 0 up to rounding
+        het_het = ProtocolSpec.parse("rr-hetA-hetB-eb")
+        rec = sample_quadratures(het_het, PERFECT, 2.0, 2, seed=12)
+        assert np.isfinite(rec.x_a).sum() == np.isfinite(rec.x_b).sum() == 2
+        with pytest.raises(InsufficientDataError, match=r"only 2 sifted pairs for x_b\|x_a"):
+            estimate_conditional_variance(rec, "x_b", "x_a")
+        rec = sample_quadratures(het_het, PERFECT, 2.0, 3, seed=12)
+        assert estimate_conditional_variance(rec, "x_b", "x_a").n == 3
+
     def test_std_error_shrinks_like_sqrt_n(self):
         rec_small = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 4 * 10**3, seed=13)
         rec_large = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 4 * 10**5, seed=13)
