@@ -158,7 +158,7 @@ class ConditionalVariances:
 
     def __post_init__(self):
         for name in ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails too
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
 
 
@@ -187,7 +187,7 @@ class KeyRateResult:
 
 def gaussian_shannon_entropy(v: float) -> float:
     """Differential Shannon entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v)."""
-    if v <= 0.0:
+    if not v > 0.0:
         raise DomainError(f"variance must be positive, got {v}")
     return 0.5 * math.log2(2.0 * math.pi * math.e * v)
 
@@ -197,10 +197,10 @@ def infer_full_mode_variance(measured_half_conditional: float) -> float:
 
     Inverse of the heterodyne-half law V_half = (V_full + 1)/2; the
     trusted party's beamsplitter is what licenses the inference. Applies
-    elementwise to an array, raising if any element is below 1/2.
+    elementwise to an array, raising if any element is below 1/2 or NaN.
     """
-    too_low = measured_half_conditional < 0.5
-    if too_low.any() if isinstance(too_low, np.ndarray) else too_low:
+    ok = measured_half_conditional >= 0.5
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise UnphysicalInferenceError(
             f"inferred variance 2*{measured_half_conditional} - 1 would be nonpositive"
         )

@@ -20,14 +20,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .bounds import OneSidedDI, ProtocolSpec, classify_1sdi, expected_kinds
 from .errors import CVQKDError
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
 from .bounds import verify_ur_bipartite, verify_ur_tripartite
 from .montecarlo import simulate_protocol_run
-from .security import FibreModel, _xi_max, key_rate_at, threshold_transmission
+from .security import FibreModel, SweepConfig, key_rate_at, security_region, threshold_transmission
 
 _VALID_IDS = [p.id for p in ProtocolSpec.all()]
 
@@ -65,15 +63,6 @@ def _protocol_arg(value: str) -> ProtocolSpec:
         ) from None
 
 
-def _modulation_arg(value: str) -> float:
-    if value.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        return float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--V must be a real number or 'inf', got {value!r}") from None
-
-
 def _float_list_arg(value: str) -> list[float]:
     try:
         return [float(part) for part in value.split(",") if part != ""]
@@ -108,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         if point:  # one (T, xi, V) operating point; the solvers work in the V -> inf limit
             p.add_argument("--T", type=float, dest="transmission")
             p.add_argument("--xi", type=float, default=0.0)
-            p.add_argument("--V", type=_modulation_arg, default=math.inf, dest="modulation")
+            p.add_argument("--V", type=float, default=math.inf, dest="modulation")
         add_output(p, out)
 
     p = sub.add_parser("keyrate", help="key rate, variances, steering, classification")
@@ -141,16 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="the 16 protocol variants and their 1sDI status")
     add_output(p)
     return parser
-
-
-def _t_grid(t_min: float, t_max: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise CVQKDError("--steps must be >= 1")
-    if steps == 1:
-        return [t_min]
-    if not t_min < t_max:
-        raise CVQKDError("--t-min must be below --t-max")
-    return [t_min + (t_max - t_min) * i / (steps - 1) for i in range(steps)]
 
 
 def _channel(args, finite_v: bool = False) -> tuple[ChannelParams, dict]:
@@ -189,9 +168,9 @@ def cmd_keyrate(args):
 
 
 def cmd_region(args):
-    # ChannelParams raises DomainError (exit 3) at the first T outside (0, 1]
-    ts = [ChannelParams(t).transmission for t in _t_grid(args.t_min, args.t_max, args.steps)]
-    return ["T", "xi_max"], list(zip(ts, _xi_max(args.protocol, np.array(ts))))
+    # SweepConfig raises DomainError (exit 3) on a T outside (0, 1] or a bad step count
+    config = SweepConfig(args.t_min, args.t_max, args.steps)
+    return ["T", "xi_max"], security_region(args.protocol, config)
 
 
 def cmd_distance(args):
@@ -241,7 +220,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify_ur(args):
-    ts = _t_grid(args.t_min, args.t_max, args.steps)
+    ts = SweepConfig(args.t_min, args.t_max, args.steps).t_values().tolist()
     rows = []
     for v in args.v_list:
         for t in ts:

@@ -83,7 +83,10 @@ class CovarianceMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0 or m.shape[0] == 0:
             raise DomainError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()))
+        peak = float(np.abs(m).max())  # NaN if any entry is
+        if not peak < math.inf:
+            raise DomainError(f"covariance matrix entries must be finite, got max |m| = {peak}")
+        scale = max(1.0, peak)
         if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise DomainError("covariance matrix is not symmetric")
         m = (m + m.T) / 2.0
@@ -350,9 +353,13 @@ def _eigh_spectrum(m: np.ndarray, tol: float) -> tuple[float, ...]:
 
 
 def entropy_g(nu: float) -> float:
-    """Bosonic entropy kernel g(nu) in bits, vanishing at nu = 1."""
-    if nu <= 1.0:
+    """Bosonic entropy kernel g(nu) in bits, vanishing at nu = 1; g(inf) = inf, NaN raises."""
+    if not nu > 1.0:
+        if math.isnan(nu):
+            raise DomainError("symplectic eigenvalue is NaN")
         return 0.0
+    if nu == math.inf:  # dn log1p(1/dn) below would be inf * 0
+        return math.inf
     # up log2 up - dn log2 dn with up = dn + 1, without cancelling the two terms
     up, dn = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
     return math.log2(up) + dn * math.log1p(1.0 / dn) / math.log(2.0)

@@ -257,10 +257,13 @@ def sample_quadratures(
     Homodyning parties flip a fair, seeded basis coin per symbol and the
     unmeasured quadrature is blanked; heterodyning parties record both
     halves every symbol. Identical (parameters, seed) reproduce the
-    record bit for bit.
+    record bit for bit. The seed is a non-negative integer (DomainError
+    otherwise), as ``numpy.random.SeedSequence`` takes it.
     """
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     cm, rows = build_protocol_state(protocol, ch, v)
     chol = np.linalg.cholesky(cm.matrix)
     dim = 2 * cm.n_modes
@@ -337,8 +340,8 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     if samples.size < 1000:
         raise InsufficientDataError(f"entropy estimate needs >= 1000 samples, got {samples.size}")
     spread = 8.0 * math.sqrt(float(np.var(samples)))
-    if spread <= 0.0:
-        raise DomainError("samples are constant; differential entropy diverges")
+    if not spread > 0.0:  # NaN too: a NaN sample falls in no histogram bin
+        raise DomainError("samples are constant or NaN; differential entropy is undefined")
     edges = np.arange(-spread, spread + bin_width, bin_width)
     counts, _ = np.histogram(samples, bins=edges)
     p = counts[counts > 0] / samples.size

@@ -56,7 +56,13 @@ class FibreModel:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Transmission grid plus solver settings for region sweeps."""
+    """Transmission grid plus solver settings for region sweeps.
+
+    The grid is ``steps`` evenly spaced T from t_min to t_max, both ends
+    exact, or [t_min] for one step. Each end must lie in (0, 1], t_min
+    checked first, in ``ChannelParams``' words; two or more steps need
+    t_min < t_max.
+    """
 
     t_min: float
     t_max: float
@@ -64,10 +70,12 @@ class SweepConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not 0.0 < self.t_min < self.t_max <= 1.0:
-            raise DomainError(f"need 0 < t_min < t_max <= 1, got {self.t_min}, {self.t_max}")
-        if self.steps < 2:
-            raise DomainError("grid needs at least 2 steps")
+        ChannelParams(self.t_min)  # DomainError on NaN, inf or T outside (0, 1]
+        ChannelParams(self.t_max)
+        if self.steps < 1:
+            raise DomainError(f"grid needs at least 1 step, got {self.steps}")
+        if self.steps > 1 and not self.t_min < self.t_max:
+            raise DomainError(f"need t_min < t_max, got {self.t_min}, {self.t_max}")
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
 

@@ -11,7 +11,7 @@ import mpmath
 import pytest
 
 import cvqkd
-from cvqkd import ProtocolSpec
+from cvqkd import ProtocolSpec, SweepConfig, security_region
 from cvqkd.cli import _json, main
 
 
@@ -249,6 +249,34 @@ class TestRegion:
         assert (code, out) == (3, "")
         assert err == f"error: transmission must lie in (0, 1], got {bad}\n"
 
+    @pytest.mark.parametrize("protocol", ProtocolSpec.all(), ids=lambda p: p.id)
+    def test_json_rows_are_the_library_region(self, capsys, protocol):
+        # the default grid, where t_min + i (t_max - t_min) / 99 and linspace
+        # disagree in the last bit at 32 of the 100 points
+        _, out, _ = run(capsys, "region", "--protocol", protocol.id, "--json")
+        want = [
+            {"T": float(f"{t:.9g}"), "xi_max": None if xi is None else float(f"{xi:.9g}")}
+            for t, xi in security_region(protocol, SweepConfig(0.01, 1.0, 100))
+        ]
+        assert json.loads(out) == want
+
+
+@pytest.mark.parametrize("command", [["region", "--protocol", "rr-homA-homB-eb"], ["verify-ur"]])
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (["--steps", "0"], "grid needs at least 1 step, got 0"),
+        (["--t-min", "0.8", "--t-max", "0.2"], "need t_min < t_max, got 0.8, 0.2"),
+        # one step is the grid [t_min], but --t-max must still lie in (0, 1]
+        (["--t-min", "0.5", "--t-max", "1.25", "--steps", "1"], "got 1.25"),
+    ],
+    ids=["no-steps", "reversed", "one-step-bad-t-max"],
+)
+def test_bad_grid_exits_three_with_one_line(capsys, command, grid, message):
+    code, out, err = run(capsys, *command, *grid)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
+
 
 class TestDistance:
     def test_reported_noise_distance(self, capsys):
@@ -307,6 +335,14 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["analytic_key_rate_bits"] == pytest.approx(0.557304959, abs=1e-9)
         assert abs(payload["key_rate_bits"] - 0.557305) < 5.0 * payload["key_rate_std_error"]
+
+    def test_negative_seed_exits_three(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9", "--V", "5",
+            "--seed", "-1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_record_csv_written(self, capsys, tmp_path):
         path = tmp_path / "record.csv"
@@ -396,6 +432,20 @@ class TestSimulate:
             capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--V", "inf"
         )
         assert code == 3
+
+
+class TestModulationSpelling:
+    @pytest.mark.parametrize("spelling", ["inf", "Infinity", "INF"])
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_infinite_spellings_are_the_default(self, capsys, spelling, extra):
+        argv = ["keyrate", "--protocol", "dr-hetA-homB-pm", "--T", "0.9", "--xi", "0.01", *extra]
+        assert stdout_sha256(capsys, [[*argv, "--V", spelling]]) == stdout_sha256(capsys, [argv])
+
+    def test_malformed_modulation_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--V", "abc"])
+        assert exc.value.code == 2
+        assert "argument --V: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 class TestRejectedInputs:

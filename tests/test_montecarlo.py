@@ -145,6 +145,17 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_quadratures(RR_HOM_HOM, PERFECT, math.inf, 10, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # numpy raised ValueError on -1 and TypeError on 1.5
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 10, seed=seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        r1 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=11)
+        r2 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=np.uint32(11))
+        assert record_equal(r1, r2)
+
 
 class TestConditionalVarianceEstimate:
     def test_perfect_channel(self):

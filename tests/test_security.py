@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 import cvqkd.gaussian
 from cvqkd import (
     ChannelParams,
+    ConditionalVariances,
+    CovarianceMatrix,
+    CVQKDError,
     DomainError,
     FibreModel,
     Measurement,
@@ -21,6 +24,9 @@ from cvqkd import (
     SweepConfig,
     conditional_variance,
     empirical_entropy,
+    entropy_g,
+    gaussian_shannon_entropy,
+    infer_full_mode_variance,
     key_rate_at,
     max_distance,
     max_excess_noise,
@@ -374,7 +380,15 @@ class TestSecurityRegion:
         with pytest.raises(DomainError):
             SweepConfig(t_min=0.5, t_max=0.5, steps=10)
         with pytest.raises(DomainError):
-            SweepConfig(t_min=0.1, t_max=1.0, steps=1)
+            SweepConfig(t_min=0.1, t_max=1.0, steps=0)
+
+    def test_one_step_grid_and_exact_ends(self):
+        assert SweepConfig(0.5, 1.0, 1).t_values().tolist() == [0.5]
+        # (0.1, 1.0, 10) is verify-ur's default grid; t_min + i (t_max - t_min) / 9
+        # ends it at 0.9999999999999999
+        for t_min, steps in ((0.1, 10), (0.01, 100), (0.3, 8)):
+            ts = SweepConfig(t_min, 1.0, steps).t_values()
+            assert (ts[0], ts[-1]) == (t_min, 1.0)
 
 
 class TestMaxDistance:
@@ -547,3 +561,36 @@ class TestBatchedSolver:
 def test_non_finite_parameters_raise_domain_error(make, bad):
     with pytest.raises(DomainError):
         make(bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ConditionalVariances(math.nan, 1.0, 1.0, 1.0),
+        lambda: gaussian_shannon_entropy(math.nan),
+        lambda: infer_full_mode_variance(math.nan),
+        lambda: infer_full_mode_variance(np.array([1.0, math.nan])),
+        lambda: entropy_g(math.nan),
+        lambda: CovarianceMatrix(np.array([[math.inf, 0.0], [0.0, 1.0]])),
+        lambda: CovarianceMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]])),
+        lambda: empirical_entropy(np.full(2000, math.nan), 0.1),
+    ],
+    ids=[
+        "variances-nan",
+        "shannon-nan",
+        "infer-nan",
+        "infer-array-nan",
+        "entropy-g-nan",
+        "cm-inf",
+        "cm-nan",
+        "empirical-nan",
+    ],
+)
+def test_non_finite_values_raise_typed_errors(call):
+    # each of these returned NaN or raised an untyped numpy error
+    with pytest.raises(CVQKDError):
+        call()
+
+
+def test_entropy_kernel_diverges_at_infinity():
+    assert entropy_g(math.inf) == math.inf
