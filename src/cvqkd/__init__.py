@@ -31,6 +31,7 @@ from .errors import (
     DegenerateConditioningError,
     DomainError,
     InsufficientDataError,
+    PrecisionError,
     TagMismatchError,
     UnphysicalInferenceError,
     UnphysicalStateError,

@@ -20,10 +20,16 @@ import json
 import math
 import sys
 
-from .bounds import OneSidedDI, ProtocolSpec, classify_1sdi, expected_kinds
+from .bounds import (
+    OneSidedDI,
+    ProtocolSpec,
+    classify_1sdi,
+    expected_kinds,
+    verify_ur_bipartite,
+    verify_ur_tripartite,
+)
 from .errors import CVQKDError
-from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
-from .bounds import verify_ur_bipartite, verify_ur_tripartite
+from .gaussian import ChannelParams, apply_channel, tmsv
 from .montecarlo import simulate_protocol_run
 from .security import FibreModel, SweepConfig, key_rate_at, security_region, threshold_transmission
 
@@ -225,7 +231,7 @@ def cmd_verify_ur(args):
     for v in args.v_list:
         for t in ts:
             for xi in args.xi_list:
-                cm: CovarianceMatrix = apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
+                cm = apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
                 rows.append((v, t, xi, verify_ur_bipartite(cm), verify_ur_tripartite(cm)))
     return ["V", "T", "xi", "slack_bipartite", "slack_tripartite"], rows
 

@@ -98,9 +98,16 @@ class CovarianceMatrix:
         object.__setattr__(self, "_nus", _symplectic_spectrum(m, scale))
 
     def variance(self, mq: ModeQuadrature) -> float:
+        # compared inline: a _check_mode call on this hot path slows finite-V sweeps
+        if not 0 <= mq.mode < self.n_modes:
+            raise DomainError(f"mode {mq.mode} out of range for {self.n_modes}-mode state")
         return float(self.matrix[mq.index(), mq.index()])
 
     def covariance(self, a: ModeQuadrature, b: ModeQuadrature) -> float:
+        if not (0 <= a.mode < self.n_modes and 0 <= b.mode < self.n_modes):
+            raise DomainError(
+                f"modes {a.mode}, {b.mode} out of range for {self.n_modes}-mode state"
+            )
         return float(self.matrix[a.index(), b.index()])
 
     def _check_mode(self, mode: int):
@@ -325,10 +332,6 @@ def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
     return (num / hi, hi)
 
 
-# Omega for each mode count, built on first use and never modified
-_OMEGA: dict[int, np.ndarray] = {}
-
-
 def _eigh_spectrum(m: np.ndarray, tol: float) -> tuple[float, ...]:
     """Unsnapped spectrum of any symmetric 2n x 2n matrix, ascending.
 
@@ -343,11 +346,7 @@ def _eigh_spectrum(m: np.ndarray, tol: float) -> tuple[float, ...]:
     # extremely squeezed near-pure states do not produce a spurious nu ~ 0
     floor = np.finfo(float).eps * max(1.0, float(w[-1]))
     root = (u * np.sqrt(np.maximum(w, floor))) @ u.T
-    n = m.shape[0] // 2
-    omega = _OMEGA.get(n)
-    if omega is None:
-        omega = _OMEGA[n] = symplectic_form(n)
-    k = root @ omega @ root
+    k = root @ symplectic_form(m.shape[0] // 2) @ root
     sv = np.linalg.svd((k - k.T) / 2.0, compute_uv=False)  # pairs, descending
     return tuple(float(nu) for nu in sv[::2][::-1])
 

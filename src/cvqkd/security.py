@@ -36,6 +36,7 @@ from .gaussian import ChannelParams
 
 T_BISECT_FLOOR = 1e-6
 XI_BISECT_CEILING = 10.0  # xi_max <= 2/e for every protocol, so 10 safely brackets
+SOLVER_TOL = 1e-9  # every threshold, xi_max and region bisects to this bracket width
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class FibreModel:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Transmission grid plus solver settings for region sweeps.
+    """Transmission grid for region sweeps.
 
     The grid is ``steps`` evenly spaced T from t_min to t_max, both ends
     exact, or [t_min] for one step. Each end must lie in (0, 1], t_min
@@ -67,7 +68,6 @@ class SweepConfig:
     t_min: float
     t_max: float
     steps: int
-    tolerance: float = 1e-9
 
     def __post_init__(self):
         ChannelParams(self.t_min)  # DomainError on NaN, inf or T outside (0, 1]
@@ -76,8 +76,6 @@ class SweepConfig:
             raise DomainError(f"grid needs at least 1 step, got {self.steps}")
         if self.steps > 1 and not self.t_min < self.t_max:
             raise DomainError(f"need t_min < t_max, got {self.t_min}, {self.t_max}")
-        if not 0.0 < self.tolerance < math.inf:
-            raise DomainError(f"tolerance must be finite and positive, got {self.tolerance}")
 
     def t_values(self) -> np.ndarray:
         return np.linspace(self.t_min, self.t_max, self.steps)
@@ -258,33 +256,29 @@ def _last_secure(
     return lo if found else None
 
 
-def threshold_transmission(
-    protocol: ProtocolSpec, xi: float, tol: float = 1e-9
-) -> float | None:
+def threshold_transmission(protocol: ProtocolSpec, xi: float) -> float | None:
     """Lowest transmission with nonnegative key at excess noise xi (v -> inf).
 
-    Bisection on T in [1e-6, 1] to the given tolerance; returns None
-    when no transmission in (0, 1] is secure (a result, not an error).
+    Bisection on T in [1e-6, 1] to ``SOLVER_TOL``; returns None when no
+    transmission in (0, 1] is secure (a result, not an error).
     """
     xi = ChannelParams(1.0, xi).excess_noise  # DomainError on NaN, inf or xi < 0
     return _last_secure(
-        lambda t: _secure_at_infinite_v(protocol, t, xi), 1.0, T_BISECT_FLOOR, tol
+        lambda t: _secure_at_infinite_v(protocol, t, xi), 1.0, T_BISECT_FLOOR, SOLVER_TOL
     )
 
 
-def _xi_max(
-    protocol: ProtocolSpec, t: float | np.ndarray, tol: float = 1e-9
-) -> float | None | list[float | None]:
+def _xi_max(protocol: ProtocolSpec, t: float | np.ndarray) -> float | None | list[float | None]:
     # largest secure xi at T = t in (0, 1]; an array t gives one bracket per element
     return _last_secure(
-        lambda xi: _secure_at_infinite_v(protocol, t, xi), 0.0, XI_BISECT_CEILING, tol
+        lambda xi: _secure_at_infinite_v(protocol, t, xi), 0.0, XI_BISECT_CEILING, SOLVER_TOL
     )
 
 
-def max_excess_noise(protocol: ProtocolSpec, t: float, tol: float = 1e-9) -> float | None:
+def max_excess_noise(protocol: ProtocolSpec, t: float) -> float | None:
     """Largest xi with nonnegative key at transmission t (v -> inf), or None."""
     t = ChannelParams(t).transmission  # DomainError on NaN, inf or T outside (0, 1]
-    return _xi_max(protocol, t, tol)
+    return _xi_max(protocol, t)
 
 
 def security_region(
@@ -295,7 +289,7 @@ def security_region(
     The whole grid is one batched bisection, one bracket per T.
     """
     ts = config.t_values()
-    return list(zip(ts.tolist(), _xi_max(protocol, ts, config.tolerance)))
+    return list(zip(ts.tolist(), _xi_max(protocol, ts)))
 
 
 def max_distance(

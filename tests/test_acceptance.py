@@ -154,7 +154,7 @@ def test_criterion_8_devetak_winter_dominance(acceptance_sweep):
 
 def test_criterion_9_secure_region_curves():
     start = time.perf_counter()
-    grid = SweepConfig(t_min=0.05, t_max=1.0, steps=200, tolerance=1e-9)
+    grid = SweepConfig(t_min=0.05, t_max=1.0, steps=200)
     oracles = {
         RR_HOM_HOM: lambda t: (2.0 / E - 1.0 + t) / t,
         RR_BOB_HET: lambda t: (4.0 / E - 2.0 + t) / t,

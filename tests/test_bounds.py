@@ -256,19 +256,19 @@ class TestInference:
 
 class TestMeasuredConditionalEntropy:
     def test_product_of_vacua(self):
-        got = measured_conditional_vn_entropy(vacuum(2), X_A, side=1)
+        got = measured_conditional_vn_entropy(vacuum(2), X_A)
         assert got == pytest.approx(0.5 * math.log2(2.0 * math.pi * math.e), abs=1e-12)
 
     def test_tmsv_two(self):
         # H(x_A) = 0.5*log2(4 pi e); conditioned B is pure diag(0.5, 2); S(B) = g(2)
         expected = 0.5 * math.log2(4.0 * math.pi * math.e) - (1.5 * math.log2(1.5) + 0.5)
-        got = measured_conditional_vn_entropy(tmsv(2.0), X_A, side=1)
+        got = measured_conditional_vn_entropy(tmsv(2.0), X_A)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_phase_symmetry(self):
         for v, t, xi, cm in random_channelled_states(20, seed=23):
-            s_x = measured_conditional_vn_entropy(cm, X_A, side=1)
-            s_p = measured_conditional_vn_entropy(cm, P_A, side=1)
+            s_x = measured_conditional_vn_entropy(cm, X_A)
+            s_p = measured_conditional_vn_entropy(cm, P_A)
             assert abs(s_x - s_p) < 1e-10
 
 

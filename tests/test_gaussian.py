@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvqkd
 from conftest import P_A, P_B, X_A, X_B, channelled_state, random_channelled_states
 from cvqkd import (
     ChannelParams,
@@ -22,6 +23,7 @@ from cvqkd import (
     condition_on_homodyne,
     conditional_variance,
     entropy_g,
+    measured_conditional_vn_entropy,
     reduced_state,
     split_with_vacuum,
     symplectic_eigenvalues,
@@ -75,6 +77,11 @@ class TestConstruction:
         for v in (3e7, 10170285.935037531):
             with pytest.raises(PrecisionError, match="too large"):
                 tmsv(v)
+
+    def test_precision_error_is_exported(self):
+        assert issubclass(cvqkd.PrecisionError, cvqkd.CVQKDError)
+        with pytest.raises(cvqkd.PrecisionError):
+            cvqkd.tmsv(1e8)
 
     def test_tmsv_rejects_v_below_one(self):
         with pytest.raises(DomainError):
@@ -306,6 +313,36 @@ class TestReducedState:
     def test_reduce_bad_mode(self):
         with pytest.raises(DomainError):
             reduced_state(tmsv(2.0), [2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda cm: cm.variance(ModeQuadrature(-1, Quadrature.X)),
+        lambda cm: cm.variance(ModeQuadrature(2, Quadrature.P)),
+        lambda cm: cm.covariance(X_A, ModeQuadrature(-1, Quadrature.P)),
+        lambda cm: cm.covariance(ModeQuadrature(2, Quadrature.X), X_B),
+        lambda cm: conditional_variance(cm, X_B, ModeQuadrature(-2, Quadrature.X)),
+        lambda cm: conditional_variance(cm, ModeQuadrature(2, Quadrature.X), X_A),
+        lambda cm: measured_conditional_vn_entropy(cm, ModeQuadrature(-1, Quadrature.X)),
+        lambda cm: measured_conditional_vn_entropy(cm, ModeQuadrature(2, Quadrature.P)),
+    ],
+    ids=[
+        "variance-mode-1",
+        "variance-mode2",
+        "covariance-mode-1",
+        "covariance-mode2",
+        "conditional-given-mode-2",
+        "conditional-target-mode2",
+        "measured-entropy-mode-1",
+        "measured-entropy-mode2",
+    ],
+)
+def test_mode_out_of_range_raises_domain_error(call):
+    # a negative mode once indexed from the end (mode -1 read mode 1's
+    # variance) and a mode past the last raised an untyped IndexError
+    with pytest.raises(DomainError, match="out of range"):
+        call(channelled_state(5.0, 0.7, 0.1))
 
 
 def _exact_det(rows):

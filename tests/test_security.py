@@ -432,7 +432,7 @@ class TestRootFinderProperties:
         def k(t):
             return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
 
-        t = threshold_transmission(protocol, xi, self.TOL)
+        t = threshold_transmission(protocol, xi)
         if t is None:
             assert k(1.0) < 0.0
             return
@@ -445,7 +445,7 @@ class TestRootFinderProperties:
         def k(xi):
             return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
 
-        xi = max_excess_noise(protocol, t, self.TOL)
+        xi = max_excess_noise(protocol, t)
         if xi is None:
             assert k(0.0) < 0.0
             return
@@ -484,14 +484,14 @@ class TestBatchedSolver:
     @pytest.mark.parametrize(
         "config",
         [
-            SweepConfig(t_min=1e-6, t_max=1.0, steps=57, tolerance=1e-12),
-            SweepConfig(t_min=0.0523, t_max=0.9999, steps=33, tolerance=3e-7),
+            SweepConfig(t_min=1e-6, t_max=1.0, steps=57),
+            SweepConfig(t_min=0.0523, t_max=0.9999, steps=33),
         ],
     )
     def test_region_equals_one_bracket_per_point(self, config):
         for protocol in ProtocolSpec.all():
             assert security_region(protocol, config) == [
-                (t, max_excess_noise(protocol, t, config.tolerance))
+                (t, max_excess_noise(protocol, t))
                 for t in config.t_values().tolist()
             ]
 
@@ -538,7 +538,6 @@ class TestBatchedSolver:
         lambda x: ChannelParams(0.5, x),
         lambda x: SweepConfig(t_min=x, t_max=1.0, steps=10),
         lambda x: SweepConfig(t_min=0.1, t_max=x, steps=10),
-        lambda x: SweepConfig(t_min=0.1, t_max=1.0, steps=10, tolerance=x),
         lambda x: FibreModel(x),
         lambda x: threshold_transmission(RR_HOM_HOM, x),
         lambda x: max_excess_noise(RR_HOM_HOM, x),
@@ -550,7 +549,6 @@ class TestBatchedSolver:
         "channel-xi",
         "sweep-t_min",
         "sweep-t_max",
-        "sweep-tolerance",
         "fibre-attenuation",
         "threshold-xi",
         "max-noise-T",
