@@ -44,6 +44,10 @@ class ModeQuadrature:
     mode: int
     quadrature: Quadrature
 
+    def __post_init__(self):  # a mode's range depends on the state and is checked where read
+        if not (isinstance(self.mode, (int, np.integer)) and isinstance(self.quadrature, Quadrature)):
+            raise DomainError(f"need (int, Quadrature), got ({self.mode!r}, {self.quadrature!r})")
+
     def index(self) -> int:
         """Row/column index in the (x1, p1, x2, p2, ...) ordering."""
         return 2 * self.mode + (0 if self.quadrature is Quadrature.X else 1)

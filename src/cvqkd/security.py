@@ -3,20 +3,30 @@
 Every protocol's conditional variances come from one closed form in
 u = 1/V (``_cond_variances``), so no covariance matrix is built at any
 modulation. u = 0 is the V -> inf limit, the most favorable one, where
-all the figure-of-merit numbers quoted for these protocols live.
+all the figure-of-merit numbers quoted for these protocols live, and
+where the solvers work in closed form. With w = 1 - T + T xi, the rate
+log2(2/(e sqrt P)) on the variance ``_rate_pair`` reads (A|B for DR, B|A
+for RR) is nonnegative iff e sqrt P <= 2, which is one law w <= c T^k
+with xi_max(T) = (c T^k - (1 - T))/T:
 
-The solvers (thresholds, xi_max, regions, distances) work in that limit
-without building a ``KeyRateResult``: ``_secure_at_infinite_v`` tests
-fl(e sqrt P) <= 2 on the rate's variance product P, which is exactly the
-floating-point sign test ``key_rate_at(...).key_rate >= 0``, and
-``_last_secure`` bisects a whole array of brackets (one per grid T of a
-region) in one pass, each bracket bit-identical to a bisection of its own.
+    dr homA-homB   w/T           w <= (2/e) T       T* = 1/(1 + 2/e - xi)
+    rr homA-homB   w             w <= 2/e           T* = (1 - 2/e)/(1 - xi)
+    rr homA-hetB   (w + 1)/2     w <= 4/e - 1       T* = (2 - 4/e)/(1 - xi)
+    dr hetA-homB   (w/T + 1)/2   w <= (4/e - 1) T   T* = 1/(4/e - xi)
+
+A heterodyning conditioner (Bob for DR, Alice for RR) makes the rate read
+v and 2v - 1 with v >= 1, a product >= 1 > 4/e^2: the other eight are
+never secure. T* and xi_max lie within 1e-14 relative plus 1e-15 of
+60-digit mpmath, then step by nextafter towards the secure side until
+``_secure_at_infinite_v`` (exactly ``key_rate_at(...).key_rate >= 0``)
+holds, at most 3 ulps on about 10^5 sampled points. Within
+``_LAW_MARGIN`` of a boundary, where law and float test can differ by a
+rounding, that test decides between a value and None.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +36,7 @@ from .bounds import (
     KeyRateResult,
     Measurement,
     ProtocolSpec,
+    Reconciliation,
     _rate_pair,
     classify_1sdi,
     expected_kinds,
@@ -34,9 +45,14 @@ from .bounds import (
 from .errors import DomainError
 from .gaussian import ChannelParams
 
-T_BISECT_FLOOR = 1e-6
-XI_BISECT_CEILING = 10.0  # xi_max <= 2/e for every protocol, so 10 safely brackets
-SOLVER_TOL = 1e-9  # every threshold, xi_max and region bisects to this bracket width
+# (c, k) of the law w <= c T^k, by (reconciliation, Alice's, Bob's measurement)
+_LAWS = {
+    (Reconciliation.DR, Measurement.HOM, Measurement.HOM): (2.0 / math.e, 1),
+    (Reconciliation.RR, Measurement.HOM, Measurement.HOM): (2.0 / math.e, 0),
+    (Reconciliation.RR, Measurement.HOM, Measurement.HET): (4.0 / math.e - 1.0, 0),
+    (Reconciliation.DR, Measurement.HET, Measurement.HOM): (4.0 / math.e - 1.0, 1),
+}
+_LAW_MARGIN = 1e-12  # law and float sign test agree beyond this distance from a boundary
 
 
 @dataclass(frozen=True)
@@ -213,81 +229,59 @@ def optimize_modulation(
     return max(candidates, key=lambda pair: pair[1])
 
 
-def _pick(cond, a, b):
-    # np.where for a single bracket held in Python floats
-    return a if cond else b
+def _law(protocol: ProtocolSpec) -> tuple[float, int] | None:
+    # (c, k) of the secure law w <= c T^k, or None where nothing is ever secure
+    return _LAWS.get((protocol.reconciliation, protocol.alice_measurement, protocol.bob_measurement))
 
 
-def _last_secure(
-    secure: Callable[[float | np.ndarray], bool | np.ndarray],
-    secure_end: float,
-    far_end: float,
-    tol: float,
-) -> float | None | list[float | None]:
-    """Bisect from secure_end towards far_end for the last point where ``secure`` holds.
-
-    ``secure`` may broadcast over a fixed array parameter; then every
-    element is its own bracket, all bisected in one array pass, and the
-    result is a list. Per bracket the result is None when secure_end
-    itself is insecure, far_end when far_end is secure, and otherwise
-    the secure end once |far - secure| <= tol. Each bracket halves at
-    (lo + hi)/2.0 and stops on its own, so every result is bit-identical
-    to bisecting that bracket alone. A lone bracket stays in Python
-    floats, where an operation costs a tenth of a 1-element array one.
-    The whole solve runs under one ``np.errstate``: variances overflow to
-    inf (insecure) at T near 5e-324 or xi near 1e300.
-    """
-    with np.errstate(over="ignore"):
-        found = secure(secure_end)
-        batched = np.ndim(found) > 0
-        select, any_open = (np.where, np.count_nonzero) if batched else (_pick, bool)
-        lo = select(secure(far_end), far_end, secure_end)
-        hi = select(found, far_end, lo)  # an insecure secure_end closes its bracket
-        while True:
-            open_ = abs(hi - lo) > tol
-            if not any_open(open_):
-                break
-            # a closed bracket tests its own lo and stays put
-            mid = select(open_, (lo + hi) / 2.0, lo)
-            ok = secure(mid)
-            lo, hi = select(ok, mid, lo), select(ok, hi, mid)
-    if batched:
-        return [x if f else None for x, f in zip(lo.tolist(), found.tolist())]
-    return lo if found else None
+def _nudged(secure, x: np.ndarray, toward: float) -> list[float | None]:
+    # step each x one ulp towards the secure end until the float sign test
+    # holds; None where it fails even at that end, or where x is NaN
+    ok = secure(x)
+    while (open_ := ~ok & (np.abs(x - toward) > 0.0)).any():
+        x = np.where(open_, np.nextafter(x, toward), x)
+        ok = secure(x)
+    return [v if s else None for v, s in zip(x.tolist(), ok.tolist())]
 
 
 def threshold_transmission(protocol: ProtocolSpec, xi: float) -> float | None:
     """Lowest transmission with nonnegative key at excess noise xi (v -> inf).
 
-    Bisection on T in [1e-6, 1] to ``SOLVER_TOL``; returns None when no
-    transmission in (0, 1] is secure (a result, not an error).
+    T* = 1/(1 + c - xi) for a DR law, (1 - c)/(1 - xi) for an RR law; None (a
+    result, not an error) without a law or where that denominator is <= 0 or T* > 1.
     """
     xi = ChannelParams(1.0, xi).excess_noise  # DomainError on NaN, inf or xi < 0
-    return _last_secure(
-        lambda t: _secure_at_infinite_v(protocol, t, xi), 1.0, T_BISECT_FLOOR, SOLVER_TOL
-    )
+    if (law := _law(protocol)) is None:
+        return None
+    c, k = law
+    num, den = (1.0, 1.0 + c - xi) if k else (1.0 - c, 1.0 - xi)
+    if not den > 0.0 or num / den > 1.0 + _LAW_MARGIN:
+        return None
+    t = np.array([min(num / den, 1.0)])
+    return _nudged(lambda t: _secure_at_infinite_v(protocol, t, xi), t, 1.0)[0]
 
 
-def _xi_max(protocol: ProtocolSpec, t: float | np.ndarray) -> float | None | list[float | None]:
-    # largest secure xi at T = t in (0, 1]; an array t gives one bracket per element
-    return _last_secure(
-        lambda xi: _secure_at_infinite_v(protocol, t, xi), 0.0, XI_BISECT_CEILING, SOLVER_TOL
-    )
+def _xi_max(protocol: ProtocolSpec, ts: np.ndarray) -> list[float | None]:
+    # (c T^k - (1 - T))/T elementwise; rows more than _LAW_MARGIN below 0 stay
+    # NaN (None), so only T > 1/4 is divided and T = 5e-324 stays quiet
+    if (law := _law(protocol)) is None:
+        return [None] * len(ts)
+    c, k = law
+    num = c * ts**k - (1.0 - ts)
+    xi = np.divide(np.maximum(num, 0.0), ts, out=np.full_like(ts, np.nan), where=num >= -_LAW_MARGIN)
+    return _nudged(lambda xi: _secure_at_infinite_v(protocol, ts, xi), xi, 0.0)
 
 
 def max_excess_noise(protocol: ProtocolSpec, t: float) -> float | None:
-    """Largest xi with nonnegative key at transmission t (v -> inf), or None."""
+    """Largest xi with nonnegative key at transmission t (v -> inf): (c T^k - (1 - T))/T, or None."""
     t = ChannelParams(t).transmission  # DomainError on NaN, inf or T outside (0, 1]
-    return _xi_max(protocol, t)
+    return _xi_max(protocol, np.array([t]))[0]
 
 
 def security_region(
     protocol: ProtocolSpec, config: SweepConfig
 ) -> list[tuple[float, float | None]]:
-    """(T, xi_max) rows over the grid in ascending T; xi_max is None where nothing is secure.
-
-    The whole grid is one batched bisection, one bracket per T.
-    """
+    """(T, max_excess_noise(T)) rows over the grid in ascending T, in one array pass."""
     ts = config.t_values()
     return list(zip(ts.tolist(), _xi_max(protocol, ts)))
 

@@ -50,7 +50,7 @@ def test_criterion_1_rr_hom_hom_loss_threshold():
     t_star = threshold_transmission(RR_HOM_HOM, 0.0)
     elapsed = time.perf_counter() - start
     expected = 1.0 - 2.0 / E  # 73.58% loss
-    assert t_star == pytest.approx(expected, abs=1e-6)
+    assert t_star == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert elapsed < 1.0
     report(1, f"T* = {t_star:.9f}, err = {abs(t_star - expected):.2e}, {elapsed:.3f} s")
 
@@ -60,7 +60,7 @@ def test_criterion_2_coherent_dr_threshold():
     t_star = threshold_transmission(DR_COHERENT, 0.0)
     elapsed = time.perf_counter() - start
     expected = E / 4.0  # 32.04% loss
-    assert t_star == pytest.approx(expected, abs=1e-6)
+    assert t_star == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert elapsed < 1.0
     report(2, f"T* = {t_star:.9f}, err = {abs(t_star - expected):.2e}, {elapsed:.3f} s")
 
@@ -70,7 +70,7 @@ def test_criterion_3_dr_hom_hom_threshold():
     t_star = threshold_transmission(DR_HOM_HOM, 0.0)
     elapsed = time.perf_counter() - start
     expected = E / (E + 2.0)  # 42.39% loss
-    assert t_star == pytest.approx(expected, abs=1e-6)
+    assert t_star == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert elapsed < 1.0
     report(3, f"T* = {t_star:.9f}, err = {abs(t_star - expected):.2e}, {elapsed:.3f} s")
 

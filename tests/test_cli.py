@@ -221,9 +221,9 @@ class TestRegion:
         assert first == second
 
     # sha256 of the default-grid stdout of all 16 protocols in ProtocolSpec.all()
-    # order, taken with the point-by-point solver the batched one replaced
-    DEFAULT_TEXT_SHA256 = "9c4b4fedbff0da9a7b7337e9bbad19b6507bd91f5b26bb6a62769fd2f3ba7d57"
-    DEFAULT_JSON_SHA256 = "ea86b3296ff3e9f4d922d2b1215d866051df54528644eae4e4ec392d3cd4b9b3"
+    # order, taken with the closed-form laws that replaced the bisection
+    DEFAULT_TEXT_SHA256 = "07ba2788181140fe20a8350ffc8eadd82d7acc261aeeb327001020764b452806"
+    DEFAULT_JSON_SHA256 = "a503ef289863181f5f45d15f0e165b6ffdd0bc06e73267f5b2580cacdf2d434e"
 
     def test_default_grid_output_is_pinned(self, capsys):
         for extra, want in (([], self.DEFAULT_TEXT_SHA256), (["--json"], self.DEFAULT_JSON_SHA256)):
@@ -305,13 +305,13 @@ class TestDistance:
         assert payload["max_distance_km"] == pytest.approx(28.8565, abs=0.01)
         assert payload["loss_percent"] == pytest.approx(73.52, abs=0.01)
 
-    # sha256 of the stdout of all 16 protocols at each noise, taken before the
-    # commands shared one record renderer
+    # sha256 of the stdout of all 16 protocols at each noise, taken with the
+    # closed-form thresholds that replaced the bisection
     @pytest.mark.parametrize(
         "extra, digest",
         [
-            ([], "befabfbf6d6e6fdd1d692a8960a6b2edf7ff0fec374d8b685628d78608f8cf57"),
-            (["--json"], "4d9cd22a467719fae1780a34b61f396d7d3479be8812b68aad0c0d0e0e695a55"),
+            ([], "be7e3e58b0d57524bbfe8f3aba3fd77f14288bf5f07fa4380893fdf9e7cd0142"),
+            (["--json"], "5813970e7abb0e2d95f2feb8d09cbe2b2bd9c3536a8d6bb3ce896fb56f7f7f45"),
         ],
         ids=["text", "json"],
     )

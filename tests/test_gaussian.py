@@ -489,3 +489,20 @@ def _passive(angles):
     c, s = math.cos(angles[0]), math.sin(angles[0])
     splitter = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
     return phases(angles[1], angles[2]) @ splitter @ phases(angles[3], angles[4])
+
+
+@pytest.mark.parametrize(
+    "mode, quadrature",
+    [(0, "x"), (1, "p"), (0, 1), (0.5, Quadrature.X), (1.0, Quadrature.P), ("0", Quadrature.X)],
+    ids=["str-x", "str-p", "int-quadrature", "half-mode", "float-mode", "str-mode"],
+)
+def test_mode_quadrature_rejects_untyped_fields(mode, quadrature):
+    # a quadrature other than Quadrature.X once read p, so (0, "x") read p_A,
+    # and a non-integer mode reached numpy's untyped IndexError
+    with pytest.raises(DomainError):
+        ModeQuadrature(mode, quadrature)
+
+
+def test_mode_quadrature_accepts_numpy_integer_modes():
+    cm = channelled_state(5.0, 0.7, 0.1)
+    assert cm.variance(ModeQuadrature(np.int64(1), Quadrature.P)) == cm.variance(P_B)

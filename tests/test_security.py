@@ -21,6 +21,7 @@ from cvqkd import (
     ModeQuadrature,
     ProtocolSpec,
     Quadrature,
+    Reconciliation,
     SweepConfig,
     conditional_variance,
     empirical_entropy,
@@ -37,12 +38,7 @@ from cvqkd import (
     threshold_transmission,
 )
 from cvqkd.montecarlo import build_protocol_state
-from cvqkd.security import (
-    T_BISECT_FLOOR,
-    XI_BISECT_CEILING,
-    _last_secure,
-    _secure_at_infinite_v,
-)
+from cvqkd.security import _law, _secure_at_infinite_v
 
 E = math.e
 
@@ -285,19 +281,19 @@ class TestOptimizeModulation:
 class TestThresholdTransmission:
     def test_rr_hom_hom_loss_threshold(self):
         got = threshold_transmission(RR_HOM_HOM, 0.0)
-        assert got == pytest.approx(1.0 - 2.0 / E, abs=1e-6)
+        assert got == pytest.approx(1.0 - 2.0 / E, rel=1e-15, abs=0.0)
 
     def test_dr_coherent_threshold(self):
         got = threshold_transmission(DR_COHERENT, 0.0)
-        assert got == pytest.approx(E / 4.0, abs=1e-6)
+        assert got == pytest.approx(E / 4.0, rel=1e-15, abs=0.0)
 
     def test_dr_hom_hom_threshold(self):
         got = threshold_transmission(DR_HOM_HOM, 0.0)
-        assert got == pytest.approx(E / (E + 2.0), abs=1e-6)
+        assert got == pytest.approx(E / (E + 2.0), rel=1e-15, abs=0.0)
 
     def test_rr_bob_het_threshold(self):
         got = threshold_transmission(RR_BOB_HET, 0.0)
-        assert got == pytest.approx(2.0 - 4.0 / E, abs=1e-6)
+        assert got == pytest.approx(2.0 - 4.0 / E, rel=1e-15, abs=0.0)
 
     def test_matches_oracle_across_noise(self):
         for protocol in (RR_HOM_HOM, RR_BOB_HET, DR_HOM_HOM, DR_COHERENT):
@@ -324,6 +320,13 @@ class TestThresholdTransmission:
 
     def test_too_much_noise_is_no_security(self):
         assert threshold_transmission(RR_HOM_HOM, 0.8) is None  # > 2/e at T = 1
+
+    @pytest.mark.parametrize("xi", [1.0, 1.0 + 2.0 / E, 4.0 / E, 1e300])
+    def test_zero_or_negative_denominator_is_no_security(self, xi):
+        # 1 - xi vanishes for the RR laws at xi = 1, and 1 + c - xi for the
+        # DR laws at xi = 1 + 2/e (hom-hom) and 4/e (Alice heterodynes)
+        for protocol in ProtocolSpec.all():
+            assert threshold_transmission(protocol, xi) is None
 
 
 class TestSecurityRegion:
@@ -421,7 +424,7 @@ class TestMaxDistance:
 
 
 class TestRootFinderProperties:
-    """Both solvers return the last secure point of their bracket, to 2 tol."""
+    """Both solvers return a secure point within 2e-9 of the first insecure one."""
 
     TOL = 1e-9
 
@@ -437,7 +440,7 @@ class TestRootFinderProperties:
             assert k(1.0) < 0.0
             return
         assert k(t) >= 0.0
-        assert t == T_BISECT_FLOOR or k(t - 2.0 * self.TOL) < 0.0
+        assert k(t - 2.0 * self.TOL) < 0.0
 
     @settings(max_examples=80, deadline=None)
     @given(protocol=st.sampled_from(ProtocolSpec.all()), t=st.floats(1e-6, 1.0))
@@ -450,16 +453,106 @@ class TestRootFinderProperties:
             assert k(0.0) < 0.0
             return
         assert k(xi) >= 0.0
-        assert xi == XI_BISECT_CEILING or k(xi + 2.0 * self.TOL) < 0.0
+        assert k(xi + 2.0 * self.TOL) < 0.0
+
+
+def mpmath_law(protocol):
+    """(c, k) of the law w <= c T^k in 60-digit mpmath, or None, from the protocol's measurements.
+
+    The conditioning party (Bob for DR, Alice for RR) must homodyne; c is
+    2/e where the other party homodynes too and 4/e - 1 where it
+    heterodynes; k = 1 for DR and 0 for RR.
+    """
+    dr = protocol.reconciliation is Reconciliation.DR
+    het = (protocol.alice_measurement is Measurement.HET, protocol.bob_measurement is Measurement.HET)
+    conditioner_het, other_het = (het[1], het[0]) if dr else het
+    if conditioner_het:
+        return None
+    with mpmath.workdps(60):
+        return (4 / mpmath.e - 1 if other_het else 2 / mpmath.e), int(dr)
+
+
+class TestClosedFormLaws:
+    """Thresholds and xi_max against 60-digit laws, and the laws against key_rate_at."""
+
+    XIS = (0.0, 0.002, 0.0237, 0.05, 0.1, 0.3)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert abs(got - want) <= 1e-14 * abs(want) + 1e-15, (got, want)
+
+    def test_threshold_transmission_matches_mpmath(self):
+        for protocol in ProtocolSpec.all():
+            law = mpmath_law(protocol)
+            for xi in self.XIS:
+                got = threshold_transmission(protocol, xi)
+                if law is None:
+                    assert got is None
+                    continue
+                with mpmath.workdps(60):
+                    c, k = law
+                    x = mpmath.mpf(xi)
+                    want = 1 / (1 + c - x) if k else (1 - c) / (1 - x)
+                    if want > 1:
+                        assert got is None, (protocol.id, xi)
+                    else:
+                        self.assert_close(got, want)
+
+    @pytest.mark.parametrize(
+        "config", [SweepConfig(0.01, 1.0, 200), SweepConfig(0.2, 0.9999, 157)], ids=["default", "fine"]
+    )
+    def test_xi_max_matches_mpmath(self, config):
+        for protocol in ProtocolSpec.all():
+            law = mpmath_law(protocol)
+            for t, got in security_region(protocol, config):
+                if law is None:
+                    assert got is None
+                    continue
+                with mpmath.workdps(60):
+                    c, k = law
+                    x = mpmath.mpf(t)
+                    want = (c * x**k - (1 - x)) / x
+                    if want < 0:
+                        assert got is None, (protocol.id, t)
+                    else:
+                        self.assert_close(got, want)
+
+    def test_laws_are_the_private_table(self):
+        for protocol in ProtocolSpec.all():
+            law, want = _law(protocol), mpmath_law(protocol)
+            assert (law is None) is (want is None)
+            if law is not None:
+                assert law[0] == pytest.approx(float(want[0]), rel=1e-15)
+                assert law[1] == want[1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        protocol=st.sampled_from(ProtocolSpec.all()),
+        t=st.floats(1e-6, 1.0),
+        xi=st.floats(0.0, 2.0),
+        snap=st.none() | st.floats(-1e-9, 1e-9),
+    )
+    @example(protocol=RR_BOB_HET, t=0.5284822353142306, xi=0.0, snap=None)  # margin -1.1e-16, secure
+    def test_law_sign_is_the_sign_of_key_rate_at(self, protocol, t, xi, snap):
+        law = _law(protocol)
+        if law is None:
+            assert key_rate_at(protocol, ChannelParams(t, xi)).key_rate < 0.0
+            return
+        c, k = law
+        if snap is not None:  # move xi to within 1e-9 of the law's xi_max(t)
+            xi = max(0.0, (c * t**k - (1.0 - t)) / t + snap)
+        secure = key_rate_at(protocol, ChannelParams(t, xi)).key_rate >= 0.0
+        margin = c * t**k - (1.0 - t + t * xi)
+        if abs(margin) > 1e-12:
+            assert (margin > 0.0) is secure
 
 
 class TestBatchedSolver:
-    """The array security test and batched bisection reproduce the scalar solvers bit for bit."""
+    """The array security test and the elementwise region reproduce the scalar solvers bit for bit."""
 
-    # sha256 of the repr of solver output, taken with the scalar key_rate_at
-    # bisection that the batched solver replaced
-    REGION_SHA256 = "5a5dd1af83e5ba329fd1f66d1f8673ba36dd38d6f103b634bf40b35e6b6adb6e"
-    DISTANCE_SHA256 = "cbba1a951cac4e34f500efb933c49dec093102710105217bf28f366cec3c4601"
+    # sha256 of the repr of solver output, taken with the closed-form laws
+    REGION_SHA256 = "a4db3be3f80cd2fdad47d27a11e6062ffbd623eaf7dec9ec990eb2873e6eb306"
+    DISTANCE_SHA256 = "2336786b5fc80826ff39b40b8e8083081ce4ab9ad9c917d0e4845e69ad5a0e63"
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -493,18 +586,6 @@ class TestBatchedSolver:
             assert security_region(protocol, config) == [
                 (t, max_excess_noise(protocol, t))
                 for t in config.t_values().tolist()
-            ]
-
-    def test_each_bracket_stops_on_its_own(self):
-        # near one ulp the rounded midpoints leave brackets of unequal width,
-        # so they close after different numbers of halvings
-        cuts = np.linspace(0.11, 0.69, 101)
-        for ends, below in (((0.1, 0.7), True), ((0.7, 0.1), False)):
-            test = (lambda x, c: x <= c) if below else (lambda x, c: x >= c)
-            batched = _last_secure(lambda x: test(x, cuts), *ends, 1.5e-16)
-            assert None not in batched
-            assert batched == [
-                _last_secure(lambda x: test(x, c), *ends, 1.5e-16) for c in cuts.tolist()
             ]
 
     def test_region_is_pinned(self):
