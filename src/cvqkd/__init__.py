@@ -59,8 +59,8 @@ from .montecarlo import (
     SimulatedKeyRate,
     empirical_entropy,
     estimate_conditional_variance,
+    estimate_key_rate,
     sample_quadratures,
-    simulate_protocol_run,
 )
 from .security import (
     FibreModel,

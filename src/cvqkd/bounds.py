@@ -162,6 +162,14 @@ class ConditionalVariances:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
 
 
+def _tagged(protocol: ProtocolSpec, b_given_a, a_given_b) -> ConditionalVariances:
+    # the (x, p) pairs of B|A and A|B, tagged with the protocol's expected kinds
+    kind_ab, kind_ba = expected_kinds(protocol)
+    return ConditionalVariances(
+        *b_given_a, *a_given_b, kind_b_given_a=kind_ba, kind_a_given_b=kind_ab
+    )
+
+
 @dataclass(frozen=True)
 class KeyRateResult:
     """Key rate in bits per retained symbol plus the steering diagnostics.
@@ -338,16 +346,11 @@ def _outcome_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) -> float:
 def verify_ur_bipartite(cm: CovarianceMatrix) -> float:
     """Slack of S(x_A|B) + S(p_A|B) >= log2(4 pi) + S(A|B) in bits.
 
-    Mode 0 plays A, mode 1 plays B. Nonnegative (to -1e-9) for every
-    physical state.
+    Mode 0 plays A, mode 1 plays B. On every two-mode state this is the
+    tripartite slack, so it returns ``verify_ur_tripartite(cm)``; see
+    there. Nonnegative (to -1e-9) for every physical state.
     """
-    if cm.n_modes != 2:
-        raise DomainError("bipartite check is defined on two-mode states")
-    s_b = von_neumann_entropy(reduced_state(cm, [1]))
-    s_x = _outcome_entropy(cm, ModeQuadrature(0, Quadrature.X)) - s_b
-    s_p = _outcome_entropy(cm, ModeQuadrature(0, Quadrature.P)) - s_b
-    s_a_given_b = von_neumann_entropy(cm) - s_b
-    return s_x + s_p - LOG2_4PI - s_a_given_b
+    return verify_ur_tripartite(cm)
 
 
 def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
@@ -355,10 +358,13 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
 
     Purity of the global state gives S(E) = S(AB), and after the p_A
     measurement the conditional BE state is pure, so S(rho_E^{p_A}) =
-    S(rho_B^{p_A}); no explicit purification is ever constructed.
+    S(rho_B^{p_A}); no explicit purification is ever constructed. With
+    O_q = H(q_A) + S(B|q_A) the slack is (O_x - S_B) + (O_p - S_AB) - log2(4 pi),
+    and the bipartite one (O_x - S_B) + (O_p - S_B) - log2(4 pi) - (S_AB - S_B)
+    is the same sum: the duality of Berta et al., Nat. Phys. 6, 659 (2010).
     """
     if cm.n_modes != 2:
-        raise DomainError("tripartite check is defined on two-mode states")
+        raise DomainError("uncertainty relations are checked on two-mode states")
     s_x_given_b = measured_conditional_vn_entropy(cm, ModeQuadrature(0, Quadrature.X))
     s_p_given_e = _outcome_entropy(cm, ModeQuadrature(0, Quadrature.P)) - von_neumann_entropy(cm)
     return s_x_given_b + s_p_given_e - LOG2_4PI

@@ -25,12 +25,11 @@ from .bounds import (
     ProtocolSpec,
     classify_1sdi,
     expected_kinds,
-    verify_ur_bipartite,
     verify_ur_tripartite,
 )
 from .errors import CVQKDError
 from .gaussian import ChannelParams, apply_channel, tmsv
-from .montecarlo import simulate_protocol_run
+from .montecarlo import estimate_key_rate, sample_quadratures
 from .security import FibreModel, SweepConfig, key_rate_at, security_region, threshold_transmission
 
 _VALID_IDS = [p.id for p in ProtocolSpec.all()]
@@ -101,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, point=True, out="out"):
         p.add_argument("--protocol", type=_protocol_arg, required=True)
         if point:  # one (T, xi, V) operating point; the solvers work in the V -> inf limit
-            p.add_argument("--T", type=float, dest="transmission")
+            p.add_argument("--T", type=float, dest="transmission", required=True)
             p.add_argument("--xi", type=float, default=0.0)
             p.add_argument("--V", type=float, default=math.inf, dest="modulation")
         add_output(p, out)
@@ -138,12 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _channel(args, finite_v: bool = False) -> tuple[ChannelParams, dict]:
+def _channel(args) -> tuple[ChannelParams, dict]:
     # a keyrate or simulate run's channel and its record's head: the protocol and (T, xi, V)
-    if args.transmission is None:
-        raise CVQKDError(f"{args.command} requires --T")
-    if finite_v and math.isinf(args.modulation):
-        raise CVQKDError(f"{args.command} requires a finite --V")
     ch = ChannelParams(args.transmission, args.xi)
     return ch, {
         "protocol": args.protocol.id, "T": ch.transmission, "xi": ch.excess_noise,
@@ -199,16 +194,18 @@ def cmd_distance(args):
 
 
 def cmd_simulate(args):
-    ch, record = _channel(args, finite_v=True)
-    sim = simulate_protocol_run(args.protocol, ch, args.modulation, args.samples, args.seed)
-    analytic = key_rate_at(args.protocol, ch, args.modulation)
+    ch, record = _channel(args)
+    # sample, write, then estimate: a record too short to estimate from is still written
+    sampled = sample_quadratures(args.protocol, ch, args.modulation, args.samples, args.seed)
     if args.record is not None:
         try:
             with open(args.record, "w", newline="") as fh:
-                sim.record.write_csv(fh)
+                sampled.write_csv(fh)
         except OSError as exc:  # a failed write or flush names no file; main's message needs it
             exc.filename = args.record
             raise
+    sim = estimate_key_rate(sampled)
+    analytic = key_rate_at(args.protocol, ch, args.modulation)
     record |= {"samples": args.samples, "seed": args.seed}
     rate, variances = sim.key_rate, sim.variances
     if args.json:
@@ -232,7 +229,8 @@ def cmd_verify_ur(args):
         for t in ts:
             for xi in args.xi_list:
                 cm = apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
-                rows.append((v, t, xi, verify_ur_bipartite(cm), verify_ur_tripartite(cm)))
+                slack = verify_ur_tripartite(cm)  # the bipartite slack too: one quantity
+                rows.append((v, t, xi, slack, slack))
     return ["V", "T", "xi", "slack_bipartite", "slack_tripartite"], rows
 
 

@@ -1,5 +1,9 @@
 """Seeded sampling of quadrature records and empirical key-rate estimates.
 
+``sample_quadratures`` makes a ``MeasurementRecord``, its ``write_csv``
+exports it, and ``estimate_key_rate(record)`` estimates its protocol's
+key rate from it; a record too short to estimate from can still be written.
+
 Gaussian states admit exact classical sampling: outcomes are drawn from
 the multivariate normal defined by the post-channel covariance matrix
 via its lower-triangular Cholesky factor. Records are drawn block by
@@ -18,12 +22,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import (
-    ConditionalVariances,
     KeyRateResult,
     Measurement,
     ProtocolSpec,
     Reconciliation,
-    expected_kinds,
+    _tagged,
     key_rate,
 )
 from .errors import DomainError, InsufficientDataError
@@ -355,40 +358,32 @@ class SimulatedKeyRate:
     result: KeyRateResult
     key_rate: EstimateWithError
     variances: dict[str, EstimateWithError]
-    record: MeasurementRecord
 
 
-def simulate_protocol_run(
-    protocol: ProtocolSpec, ch: ChannelParams, v: float, n: int, seed: int
-) -> SimulatedKeyRate:
-    """Estimate the protocol's conditional variances from a sampled record
-    and push them through the key-rate formula.
+def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
+    """Estimate a record's conditional variances and push them through its
+    protocol's key-rate formula.
 
     The propagated standard error combines the per-variance errors
     through the log-derivative of the rate, doubling the weight of a
-    slot that enters through the 2v - 1 inference.
+    slot that enters through the 2v - 1 inference. InsufficientDataError
+    where a pair has fewer than three sifted symbols.
     """
-    record = sample_quadratures(protocol, ch, v, n, seed)
+    protocol = record.protocol
     estimates = {
         "v_x_b_given_a": estimate_conditional_variance(record, "x_b", "x_a"),
         "v_p_b_given_a": estimate_conditional_variance(record, "p_b", "p_a"),
         "v_x_a_given_b": estimate_conditional_variance(record, "x_a", "x_b"),
         "v_p_a_given_b": estimate_conditional_variance(record, "p_a", "p_b"),
     }
-    kind_ab, kind_ba = expected_kinds(protocol)
-    cv = ConditionalVariances(
-        v_x_b_given_a=estimates["v_x_b_given_a"].value,
-        v_p_b_given_a=estimates["v_p_b_given_a"].value,
-        v_x_a_given_b=estimates["v_x_a_given_b"].value,
-        v_p_a_given_b=estimates["v_p_a_given_b"].value,
-        kind_b_given_a=kind_ba,
-        kind_a_given_b=kind_ab,
-    )
+    pairs = list(estimates.values())
+    values = [e.value for e in pairs]
+    cv = _tagged(protocol, values[:2], values[2:])
     result = key_rate(protocol, cv)
-    if protocol.reconciliation is Reconciliation.RR:
-        x_est, p_est, kind = estimates["v_x_b_given_a"], estimates["v_p_b_given_a"], kind_ba
+    if protocol.reconciliation is Reconciliation.RR:  # the rate reads B|A
+        (x_est, p_est), kind = pairs[:2], cv.kind_b_given_a
     else:
-        x_est, p_est, kind = estimates["v_x_a_given_b"], estimates["v_p_a_given_b"], kind_ab
+        (x_est, p_est), kind = pairs[2:], cv.kind_a_given_b
     # K = const - (log2 vx)/2 - (log2 vp_eff)/2 with vp_eff = 2 vp - 1 where inferred
     dx = x_est.std_error / (2.0 * math.log(2.0) * x_est.value)
     if kind.conditioner_is_half:
@@ -401,5 +396,4 @@ def simulate_protocol_run(
         result=result,
         key_rate=EstimateWithError(result.key_rate, sigma, min(x_est.n, p_est.n)),
         variances=estimates,
-        record=record,
     )

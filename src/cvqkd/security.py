@@ -38,8 +38,8 @@ from .bounds import (
     ProtocolSpec,
     Reconciliation,
     _rate_pair,
+    _tagged,
     classify_1sdi,
-    expected_kinds,
     key_rate,
 )
 from .errors import DomainError
@@ -143,15 +143,7 @@ def _tagged_variances(
     a_given_b, b_given_a = _cond_variances(protocol, ch.transmission, ch.excess_noise, 1.0 / v)
     if b_given_a == 0.0:  # V_{B|A} = w + T u for hom-hom; every heterodyne one is >= 1/2
         return None
-    kind_ab, kind_ba = expected_kinds(protocol)
-    return ConditionalVariances(
-        v_x_b_given_a=b_given_a,
-        v_p_b_given_a=b_given_a,
-        v_x_a_given_b=a_given_b,
-        v_p_a_given_b=a_given_b,
-        kind_b_given_a=kind_ba,
-        kind_a_given_b=kind_ab,
-    )
+    return _tagged(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))
 
 
 def _secure_at_infinite_v(
@@ -164,7 +156,9 @@ def _secure_at_infinite_v(
     rounding is monotone and log2 keeps its sign around 1. The test also
     holds where ``key_rate`` leaves that formula: P = 0 (identity channel
     or underflow, rate +inf or large) is secure and P = inf (overflow,
-    rate negative) is not. Overflow warnings are the caller's to silence.
+    rate negative) is not. Extreme (t, xi) can overflow numpy's arithmetic
+    here; the solvers never pass them, since ``_xi_max`` divides only rows
+    at T > 1/4 and ``threshold_transmission`` tests only T* >= 0.26.
     """
     a_given_b, b_given_a = _cond_variances(protocol, t, xi)
     v_x, v_p = _rate_pair(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))

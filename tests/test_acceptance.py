@@ -22,12 +22,12 @@ from cvqkd import (
     devetak_winter_oracle,
     empirical_entropy,
     estimate_conditional_variance,
+    estimate_key_rate,
     key_rate,
     key_rate_at,
     max_distance,
     sample_quadratures,
     security_region,
-    simulate_protocol_run,
     threshold_transmission,
     verify_ur_bipartite,
     verify_ur_tripartite,
@@ -197,7 +197,8 @@ def test_criterion_9_secure_region_curves():
 def test_criterion_10_monte_carlo_validation():
     start = time.perf_counter()
     target = math.log2(4.0 / E)  # 0.557305
-    sim = simulate_protocol_run(RR_HOM_HOM, ChannelParams(1.0, 0.0), 2.0, 10**6, seed=20240901)
+    record = sample_quadratures(RR_HOM_HOM, ChannelParams(1.0, 0.0), 2.0, 10**6, seed=20240901)
+    sim = estimate_key_rate(record)
     pull = abs(sim.key_rate.value - target) / sim.key_rate.std_error
     assert pull < 3.0
 

@@ -14,6 +14,7 @@ from conftest import (
 )
 from cvqkd import (
     ConditionalVariances,
+    CovarianceMatrix,
     DomainError,
     Measurement,
     ModeQuadrature,
@@ -26,19 +27,54 @@ from cvqkd import (
     UnphysicalInferenceError,
     VarianceKind,
     classify_1sdi,
+    condition_on_homodyne,
     conditional_variance,
     devetak_winter_oracle,
     gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate,
     measured_conditional_vn_entropy,
+    reduced_state,
     split_with_vacuum,
     steering_parameter,
     tmsv,
     vacuum,
     verify_ur_bipartite,
     verify_ur_tripartite,
+    von_neumann_entropy,
 )
+
+def general_two_mode_states(n, seed):
+    """Thermal states under local squeezers and rotations around a beamsplitter.
+
+    Seeded and physical; unlike channelled EPR states they are not in the
+    block form A = a I, B = b I, C = diag(c, -c).
+    """
+    rng = np.random.default_rng(seed)
+
+    def local():
+        out = np.zeros((4, 4))
+        for k in (0, 2):
+            a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
+            squeezer = np.diag(np.exp(np.array([-1.0, 1.0]) * rng.uniform(-1.0, 1.0)))
+            out[k : k + 2, k : k + 2] = rotation(a) @ squeezer @ rotation(b)
+        return out
+
+    states = []
+    for _ in range(n):
+        theta = rng.uniform(0.0, math.pi)
+        c, s = math.cos(theta), math.sin(theta)
+        splitter = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
+        sym = local() @ splitter @ local()
+        m = sym @ np.diag(np.repeat(rng.uniform(1.0, 20.0, 2), 2)) @ sym.T
+        states.append(CovarianceMatrix((m + m.T) / 2.0))
+    return states
+
+
+def rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 DR_HOM_HOM = ProtocolSpec.parse("dr-homA-homB-eb")
@@ -287,10 +323,25 @@ class TestUncertaintyRelations:
         assert verify_ur_bipartite(channelled_state(2.0, 0.5, 0.1)) >= -1e-9
         assert verify_ur_tripartite(channelled_state(2.0, 0.5, 0.05)) >= -1e-9
 
-    def test_pure_state_tripartite_reduces_to_bipartite(self):
-        for v in (1.0, 2.0, 10.0):
-            cm = tmsv(v)
-            assert verify_ur_tripartite(cm) == pytest.approx(verify_ur_bipartite(cm), abs=1e-9)
+    def test_bipartite_slack_is_the_tripartite_slack_on_mixed_states(self):
+        # the purification duality: both functions match the tripartite assembly
+        # S(x_A|B) + S(p_A|E) - log2(4 pi) and the bipartite one
+        # S(x_A|B) + S(p_A|B) - log2(4 pi) - S(A|B), built here from the kernels
+        states = [cm for *_, cm in random_channelled_states(300, seed=59)]
+        states += general_two_mode_states(300, seed=61)
+        log2_4pi = math.log2(4.0 * math.pi)
+        for cm in states:
+            s_ab = von_neumann_entropy(cm)
+            s_x_given_b = measured_conditional_vn_entropy(cm, X_A)
+            s_p_given_b = measured_conditional_vn_entropy(cm, P_A)
+            conditioned, _ = condition_on_homodyne(cm, P_A)
+            h_p = gaussian_shannon_entropy(cm.variance(P_A))
+            tripartite = s_x_given_b + (h_p + von_neumann_entropy(conditioned) - s_ab) - log2_4pi
+            s_a_given_b = s_ab - von_neumann_entropy(reduced_state(cm, [1]))
+            bipartite = s_x_given_b + s_p_given_b - log2_4pi - s_a_given_b
+            for got in (verify_ur_bipartite(cm), verify_ur_tripartite(cm)):
+                assert abs(got - tripartite) <= 2e-15, cm.matrix.tolist()
+                assert abs(got - bipartite) <= 2e-15, cm.matrix.tolist()
 
     def test_slack_continuous_on_grid(self):
         # neighbouring grid points never jump: no discontinuities observed

@@ -1,6 +1,7 @@
 """CLI contract: values, formats, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -393,8 +394,9 @@ class TestSimulate:
         assert stdout_sha256(capsys, argvs) == digest
 
     @pytest.mark.parametrize("protocol", ["rr-homA-homB-eb", "rr-hetA-hetB-eb"])
-    def test_single_sample_writes_no_record(self, capsys, tmp_path, protocol):
-        # one symbol gives fewer than two sifted pairs, so the run stops before the export
+    def test_single_sample_record_is_written(self, capsys, tmp_path, protocol):
+        # one symbol gives too few sifted pairs to estimate from, but the record
+        # is written before the estimate fails
         path = tmp_path / "record.csv"
         code, out, err = run(
             capsys,
@@ -403,7 +405,12 @@ class TestSimulate:
         )
         assert code == 3
         assert out == "" and err.startswith("error: only ")
-        assert not path.exists()
+        want = io.StringIO()
+        cvqkd.sample_quadratures(
+            ProtocolSpec.parse(protocol), cvqkd.ChannelParams(0.9, 0.01), 5.0, 1, 3
+        ).write_csv(want)
+        assert path.read_bytes() == want.getvalue().encode()
+        assert path.read_text().count("\n") == 2  # header and one row
 
     @pytest.mark.parametrize(
         "argv",
@@ -428,10 +435,14 @@ class TestSimulate:
         assert err.startswith("error: EPR variance 30000000.0 too large")
 
     def test_infinite_v_rejected(self, capsys):
-        code, _, err = run(
-            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--V", "inf"
-        )
-        assert code == 3
+        # an omitted --V is the V -> inf limit, which no record can be sampled from;
+        # the library's DomainError says so
+        for modulation in (["--V", "inf"], []):
+            code, out, err = run(
+                capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", *modulation
+            )
+            assert (code, out) == (3, "")
+            assert err == "error: state construction needs a finite modulation variance\n"
 
 
 class TestModulationSpelling:
@@ -449,6 +460,15 @@ class TestModulationSpelling:
 
 
 class TestRejectedInputs:
+    @pytest.mark.parametrize("command", ["keyrate", "simulate"])
+    def test_missing_transmission_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--protocol", "rr-homA-homB-eb"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --T" in captured.err
+
     @pytest.mark.parametrize("command", ["region", "distance"])
     def test_modulation_is_a_usage_error_for_solvers(self, capsys, command):
         # region and distance solve in the V -> inf limit, so --V has no meaning there

@@ -18,9 +18,9 @@ from cvqkd import (
     ProtocolSpec,
     empirical_entropy,
     estimate_conditional_variance,
+    estimate_key_rate,
     key_rate_at,
     sample_quadratures,
-    simulate_protocol_run,
 )
 from cvqkd.montecarlo import _CSV_CHUNK_ROWS
 
@@ -245,31 +245,23 @@ class TestEmpiricalEntropy:
 
 class TestSimulateProtocolRun:
     def test_rr_hom_hom_converges_to_analytic(self):
-        sim = simulate_protocol_run(RR_HOM_HOM, PERFECT, 2.0, 10**6, seed=42)
+        sim = estimate_key_rate(sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 10**6, seed=42))
         assert abs(sim.key_rate.value - math.log2(4.0 / math.e)) < 0.01
         assert abs(sim.key_rate.value - math.log2(4.0 / math.e)) < 3.0 * sim.key_rate.std_error
 
     def test_coherent_dr_matches_analytic(self):
         ch = ChannelParams(0.9, 0.0)
-        sim = simulate_protocol_run(DR_COHERENT, ch, 10.0, 10**6, seed=3)
+        sim = estimate_key_rate(sample_quadratures(DR_COHERENT, ch, 10.0, 10**6, seed=3))
         analytic = key_rate_at(DR_COHERENT, ch, 10.0).key_rate
         assert abs(sim.key_rate.value - analytic) < 3.0 * sim.key_rate.std_error
 
     def test_small_sample_is_wide_but_consistent(self):
-        sim = simulate_protocol_run(RR_HOM_HOM, PERFECT, 2.0, 100, seed=7)
+        sim = estimate_key_rate(sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 100, seed=7))
         assert sim.key_rate.std_error > 0.1
         assert abs(sim.key_rate.value - math.log2(4.0 / math.e)) < 5.0 * sim.key_rate.std_error
 
-    def test_record_is_the_sampled_record(self):
-        ch = ChannelParams(0.7, 0.05)
-        sim = simulate_protocol_run(RR_HOM_HOM, ch, 3.0, 70_000, seed=6)
-        rec = sample_quadratures(RR_HOM_HOM, ch, 3.0, 70_000, seed=6)
-        assert record_equal(sim.record, rec)
-        assert np.array_equal(sim.record.basis_a, rec.basis_a)
-        assert np.array_equal(sim.record.basis_b, rec.basis_b)
-
     def test_result_carries_protocol_metadata(self):
-        sim = simulate_protocol_run(RR_HOM_HOM, PERFECT, 2.0, 2000, seed=1)
+        sim = estimate_key_rate(sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 2000, seed=1))
         assert sim.result.protocol is RR_HOM_HOM
         assert set(sim.variances) == {
             "v_x_b_given_a",

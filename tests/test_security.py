@@ -598,8 +598,9 @@ class TestBatchedSolver:
         assert hashlib.sha256(repr(km).encode()).hexdigest() == self.DISTANCE_SHA256
 
     def test_overflowing_transmission_is_quiet_and_insecure(self):
-        # at T = 5e-324 the array form of w / T overflows to inf; the solve
-        # silences numpy's warning (which the test configuration makes an error)
+        # at T = 5e-324 the array form of w / T would overflow to inf; the solve
+        # divides only rows at T > 1/4 and tests the rest with a NaN xi, so
+        # numpy raises no warning (which the test configuration makes an error)
         config = SweepConfig(t_min=5e-324, t_max=1.0, steps=5)
         for protocol in ProtocolSpec.all():
             rows = security_region(protocol, config)
