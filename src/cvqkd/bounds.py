@@ -26,9 +26,9 @@ from .gaussian import (
     CovarianceMatrix,
     ModeQuadrature,
     Quadrature,
-    condition_on_homodyne,
+    _conditioned_mode_entropy,
+    _reduced_mode_entropy,
     conditional_variance,
-    reduced_state,
     von_neumann_entropy,
 )
 
@@ -328,19 +328,23 @@ def measured_conditional_vn_entropy(cm: CovarianceMatrix, measured: ModeQuadratu
     Gaussian outcome distribution, the entropy of the conditioned remote
     state (outcome independent for Gaussian states) and the entropy of
     the unconditioned remote state. DomainError for a measured mode
-    outside {0, 1}.
+    outside {0, 1}, naming the remote mode it reads first.
+
+    Both one-mode entropies are read from the two-mode matrix entries,
+    with no intermediate ``CovarianceMatrix``; they are bit-identical to
+    ``von_neumann_entropy`` of ``condition_on_homodyne`` and
+    ``reduced_state``, errors included.
     """
     if cm.n_modes != 2:
         raise DomainError("conditional measured entropy is defined on two-mode states")
-    remote = reduced_state(cm, [1 - measured.mode])
-    return _outcome_entropy(cm, measured) - von_neumann_entropy(remote)
+    s_remote = _reduced_mode_entropy(cm, 1 - measured.mode)
+    return _outcome_entropy(cm, measured) - s_remote
 
 
 def _outcome_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) -> float:
     # H(q_M) + S(rest | q_M): the terms every measured conditional entropy shares
     h_outcome = gaussian_shannon_entropy(cm.variance(measured))
-    conditioned, _ = condition_on_homodyne(cm, measured)
-    return h_outcome + von_neumann_entropy(conditioned)
+    return h_outcome + _conditioned_mode_entropy(cm, measured)
 
 
 def verify_ur_bipartite(cm: CovarianceMatrix) -> float:
@@ -362,6 +366,11 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     O_q = H(q_A) + S(B|q_A) the slack is (O_x - S_B) + (O_p - S_AB) - log2(4 pi),
     and the bipartite one (O_x - S_B) + (O_p - S_B) - log2(4 pi) - (S_AB - S_B)
     is the same sum: the duality of Berta et al., Nat. Phys. 6, 659 (2010).
+
+    The one-mode entropies are read from the two-mode matrix entries (see
+    ``measured_conditional_vn_entropy``), bit-identical to the
+    ``CovarianceMatrix`` route through ``condition_on_homodyne`` and
+    ``reduced_state``.
     """
     if cm.n_modes != 2:
         raise DomainError("uncertainty relations are checked on two-mode states")
@@ -380,7 +389,9 @@ def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> fl
     purification purity. Serves as the independent ceiling the entropic
     bound must stay below. Both parties read x: a ``tmsv`` state sent
     through ``apply_channel`` is phase symmetric, and on 2,000 such
-    states x and p gave bitwise-equal rates in both directions.
+    states x and p gave bitwise-equal rates in both directions. The
+    conditioned entropy is read from the two-mode matrix entries,
+    bit-identical to ``von_neumann_entropy(condition_on_homodyne(...)[0])``.
     """
     if cm.n_modes != 2:
         raise DomainError("Devetak-Winter oracle is defined on two-mode states")
@@ -388,6 +399,5 @@ def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> fl
     ref = ModeQuadrature(ref_mode, Quadrature.X)
     other = ModeQuadrature(1 - ref_mode, Quadrature.X)
     mutual_info = 0.5 * math.log2(cm.variance(ref) / conditional_variance(cm, ref, other))
-    conditioned_other, _ = condition_on_homodyne(cm, ref)
-    holevo = von_neumann_entropy(cm) - von_neumann_entropy(conditioned_other)
+    holevo = von_neumann_entropy(cm) - _conditioned_mode_entropy(cm, ref)
     return mutual_info - holevo

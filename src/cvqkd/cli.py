@@ -97,12 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None, dest=out, metavar="OUT")
 
-    def add_common(p, point=True, out="out"):
+    def add_common(p, point=True, out="out", v_required=False):
         p.add_argument("--protocol", type=_protocol_arg, required=True)
         if point:  # one (T, xi, V) operating point; the solvers work in the V -> inf limit
             p.add_argument("--T", type=float, dest="transmission", required=True)
             p.add_argument("--xi", type=float, default=0.0)
-            p.add_argument("--V", type=float, default=math.inf, dest="modulation")
+            p.add_argument(
+                "--V", type=float, default=math.inf, dest="modulation", required=v_required
+            )
         add_output(p, out)
 
     p = sub.add_parser("keyrate", help="key rate, variances, steering, classification")
@@ -120,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attenuation-db-per-km", type=float, default=0.2)
 
     p = sub.add_parser("simulate", help="sampled run: empirical key rate vs analytic")
-    add_common(p, out="record")  # --out names the sampled record's CSV; the report goes to stdout
+    # --out names the sampled record's CSV; the report goes to stdout. --V has no
+    # default: keyrate's, the V -> inf limit, cannot be sampled from
+    add_common(p, out="record", v_required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
 

@@ -77,7 +77,9 @@ class CovarianceMatrix:
 
     The entries are validated on construction: the matrix must be
     symmetric (to 1e-12 relative tolerance), positive definite and
-    physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9.
+    physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9. A matrix
+    on the eigh route whose smallest eigenvalue is rounding noise raises
+    PrecisionError, since its spectrum cannot be resolved.
     """
 
     matrix: np.ndarray
@@ -156,7 +158,7 @@ def tmsv(v: float) -> CovarianceMatrix:
         cm = CovarianceMatrix(m)
         if cm._nus == (1.0, 1.0):
             return cm
-    except UnphysicalStateError:
+    except (UnphysicalStateError, PrecisionError):
         pass
     raise PrecisionError(f"EPR variance {v} too large: the stored state is not pure")
 
@@ -276,7 +278,8 @@ def _symplectic_spectrum(m: np.ndarray, scale: float) -> tuple[float, ...]:
       (a - c) + (b - c) and ab - c^2 all positive;
     * eigh and an SVD (``_eigh_spectrum``) for every other matrix,
       including the ones the closed form declines, so a matrix that is
-      not positive definite raises there as before.
+      not positive definite raises there as before, and one that is
+      singular to rounding raises PrecisionError.
 
     Both routes share one gate. Values below 1 by less than the tolerance
     are snapped to 1 (two-mode squeezed vacuum is analytically pure but
@@ -293,12 +296,20 @@ def _symplectic_spectrum(m: np.ndarray, scale: float) -> tuple[float, ...]:
     nus = _closed_form_spectrum(m)
     if nus is None:
         nus = _eigh_spectrum(m, tol)
-    out = []
-    for nu in nus:
-        if nu < 1.0 - tol:
-            raise UnphysicalStateError(f"symplectic eigenvalue {nu} < 1 (unphysical state)")
-        out.append(1.0 if nu < 1.0 + tol else nu)  # snap float noise around purity
-    return tuple(out)
+    return tuple(_gate(nu, tol) for nu in nus)
+
+
+def _gate(nu: float, tol: float) -> float:
+    # the one physicality gate: raise below 1 - tol, snap float noise around purity to 1
+    if nu < 1.0 - tol:
+        raise UnphysicalStateError(f"symplectic eigenvalue {nu} < 1 (unphysical state)")
+    return 1.0 if nu < 1.0 + tol else nu
+
+
+def _one_mode_nu(a: float, b: float, d: float) -> float | None:
+    # unsnapped closed form nu = sqrt(ad - b^2) of [[a, b], [b, d]]; None unless a > 0 and det > 0
+    det = a * d - b * b
+    return math.sqrt(det) if a > 0.0 and det > 0.0 else None
 
 
 def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
@@ -320,8 +331,8 @@ def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
     """
     if m.shape == (2, 2):
         (a, b), (_, d) = m.tolist()
-        det = a * d - b * b
-        return (math.sqrt(det),) if a > 0.0 and det > 0.0 else None
+        nu = _one_mode_nu(a, b, d)
+        return None if nu is None else (nu,)
     if m.shape != (4, 4):
         return None
     (a, z1, c, z2), (_, a2, z3, c2), (_, _, b, z4), (_, _, _, b2) = m.tolist()
@@ -340,19 +351,75 @@ def _eigh_spectrum(m: np.ndarray, tol: float) -> tuple[float, ...]:
     """Unsnapped spectrum of any symmetric 2n x 2n matrix, ascending.
 
     Computed through the antisymmetric congruence Sigma^(1/2) Omega
-    Sigma^(1/2), whose singular values are the nu in pairs. Raises when
-    an eigenvalue of the matrix is below -tol (not positive definite).
+    Sigma^(1/2), whose singular values are the nu in pairs. Raises
+    UnphysicalStateError when an eigenvalue of the matrix is below -tol
+    (not positive definite), and PrecisionError when one is below
+    eps * max(1, largest eigenvalue): at that size it is rounding noise,
+    and its square root would set a spurious nu ~ 0 or some other
+    unresolved value.
     """
     w, u = np.linalg.eigh(m)
     if w[0] < -tol:
         raise UnphysicalStateError("covariance matrix is not positive definite")
-    # floor tiny/rounded-negative eigenvalues at representation accuracy so
-    # extremely squeezed near-pure states do not produce a spurious nu ~ 0
     floor = np.finfo(float).eps * max(1.0, float(w[-1]))
-    root = (u * np.sqrt(np.maximum(w, floor))) @ u.T
+    if w[0] < floor:
+        raise PrecisionError(
+            f"covariance matrix eigenvalue {w[0]} is below its rounding floor {floor}"
+        )
+    root = (u * np.sqrt(w)) @ u.T
     k = root @ symplectic_form(m.shape[0] // 2) @ root
     sv = np.linalg.svd((k - k.T) / 2.0, compute_uv=False)  # pairs, descending
     return tuple(float(nu) for nu in sv[::2][::-1])
+
+
+# Two-mode entropies read from the matrix entries. Each equals, bit for bit and
+# error for error, von_neumann_entropy of the one-mode CovarianceMatrix that
+# reduced_state or condition_on_homodyne would build: the same entries in the
+# same operation order, the same scale, closed form and gate.
+
+# an entry this large overflows CovarianceMatrix's symmetrisation (m + m.T) / 2
+_SYMMETRISE_LIMIT = 2.0**1023
+
+
+def _one_mode_entropy(a: float, b: float, d: float) -> float:
+    """von_neumann_entropy(CovarianceMatrix([[a, b], [b, d]])) without building it.
+
+    A matrix the closed form declines (a non-finite entry, a <= 0, or
+    ad - b^2 <= 0) is built after all, so it raises, or takes the eigh
+    route, exactly as before.
+    """
+    scale = max(1.0, abs(a), abs(b), abs(d))  # a NaN entry is declined by _one_mode_nu
+    nu = _one_mode_nu(a, b, d) if scale < _SYMMETRISE_LIMIT else None
+    if nu is None:
+        return von_neumann_entropy(CovarianceMatrix(np.array([[a, b], [b, d]])))
+    return entropy_g(_gate(nu, NU_TOLERANCE * scale))
+
+
+def _reduced_mode_entropy(cm: CovarianceMatrix, mode: int) -> float:
+    """von_neumann_entropy(reduced_state(cm, [mode])), read from the mode's 2x2 block."""
+    cm._check_mode(mode)
+    (a, b), (_, d) = cm.matrix[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2].tolist()
+    return _one_mode_entropy(a, b, d)
+
+
+def _conditioned_mode_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) -> float:
+    """von_neumann_entropy(condition_on_homodyne(cm, measured)[0]); cm has two modes.
+
+    The kept mode's Schur complement m_kl - s_k s_l / v in scalars, in the
+    order np.outer(sigma, sigma) / v computes it. A nonpositive measured
+    variance goes through condition_on_homodyne, which raises.
+    """
+    cm._check_mode(measured.mode)
+    i = measured.index()
+    rows = cm.matrix.tolist()
+    v = rows[i][i]
+    if not v > 0.0:
+        return von_neumann_entropy(condition_on_homodyne(cm, measured)[0])
+    k = 2 - 2 * measured.mode  # the kept mode's x row; its p row is k + 1
+    s0, s1 = rows[k][i], rows[k + 1][i]
+    return _one_mode_entropy(
+        rows[k][k] - s0 * s0 / v, rows[k][k + 1] - s0 * s1 / v, rows[k + 1][k + 1] - s1 * s1 / v
+    )
 
 
 def entropy_g(nu: float) -> float:

@@ -301,6 +301,14 @@ class TestMeasuredConditionalEntropy:
         got = measured_conditional_vn_entropy(tmsv(2.0), X_A)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("mode, remote", [(2, -1), (-1, 2)])
+    def test_out_of_range_mode_names_the_remote_mode(self, mode, remote):
+        # the remote mode 1 - mode is read before the measured one
+        with pytest.raises(DomainError, match=f"^mode {remote} out of range for 2-mode state$"):
+            measured_conditional_vn_entropy(
+                channelled_state(5.0, 0.7, 0.1), ModeQuadrature(mode, Quadrature.X)
+            )
+
     def test_phase_symmetry(self):
         for v, t, xi, cm in random_channelled_states(20, seed=23):
             s_x = measured_conditional_vn_entropy(cm, X_A)

@@ -435,14 +435,17 @@ class TestSimulate:
         assert err.startswith("error: EPR variance 30000000.0 too large")
 
     def test_infinite_v_rejected(self, capsys):
-        # an omitted --V is the V -> inf limit, which no record can be sampled from;
-        # the library's DomainError says so
-        for modulation in (["--V", "inf"], []):
-            code, out, err = run(
-                capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", *modulation
-            )
-            assert (code, out) == (3, "")
-            assert err == "error: state construction needs a finite modulation variance\n"
+        # no record can be sampled in the V -> inf limit; the library's DomainError says so
+        code, out, err = run(
+            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--V", "inf"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: state construction needs a finite modulation variance\n"
+        # so simulate, unlike keyrate, has no V -> inf default: an omitted --V is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--protocol", "rr-homA-homB-eb", "--T", "1"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --V" in capsys.readouterr().err
 
 
 class TestModulationSpelling:

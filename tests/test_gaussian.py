@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd
@@ -33,7 +33,14 @@ from cvqkd import (
     von_neumann_entropy,
 )
 from cvqkd.errors import PrecisionError
-from cvqkd.gaussian import NU_TOLERANCE, _closed_form_spectrum, _eigh_spectrum
+from cvqkd.gaussian import (
+    NU_TOLERANCE,
+    _closed_form_spectrum,
+    _conditioned_mode_entropy,
+    _eigh_spectrum,
+    _one_mode_entropy,
+    _reduced_mode_entropy,
+)
 
 
 class TestConstruction:
@@ -506,3 +513,93 @@ def test_mode_quadrature_rejects_untyped_fields(mode, quadrature):
 def test_mode_quadrature_accepts_numpy_integer_modes():
     cm = channelled_state(5.0, 0.7, 0.1)
     assert cm.variance(ModeQuadrature(np.int64(1), Quadrature.P)) == cm.variance(P_B)
+
+
+class TestEighFloor:
+    def test_singular_matrix_raises_precision_error(self):
+        # c = v: the closed form declines the singular matrix, and eigh finds the
+        # eigenvalue 0 that it once floored to a spurious nu ~ 6e-8
+        m = np.array([[2.0, 0, 2.0, 0], [0, 2.0, 0, -2.0], [2.0, 0, 2.0, 0], [0, -2.0, 0, 2.0]])
+        with pytest.raises(PrecisionError, match="below its rounding floor"):
+            CovarianceMatrix(m)
+
+    def test_tmsv_whose_stored_matrix_is_singular_keeps_its_message(self):
+        # ab - c^2 rounds to 0 here; the floored eigh route once read the pure
+        # state's spectrum as [2.026, 2.026]
+        v = 67982204.65969986
+        c = math.sqrt(v * v - 1.0)
+        m = np.diag([v] * 4)
+        m[0, 2] = m[2, 0] = c
+        m[1, 3] = m[3, 1] = -c
+        assert _closed_form_spectrum(m) is None
+        with pytest.raises(PrecisionError, match="rounding floor"):
+            _eigh_spectrum(m, NU_TOLERANCE * v)
+        with pytest.raises(PrecisionError, match="too large: the stored state is not pure"):
+            tmsv(v)
+
+
+def _outcome(f):
+    # a value's repr, or the type and text of what was raised
+    try:
+        return repr(f())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_scalar_entropies_match_cm_route(cm):
+    # the entry-level entropies against the CovarianceMatrix route, bit for bit
+    for mode in (0, 1):
+        assert _outcome(lambda: _reduced_mode_entropy(cm, mode)) == _outcome(
+            lambda: von_neumann_entropy(reduced_state(cm, [mode]))
+        ), (mode, cm.matrix.tolist())
+    for q in (X_A, P_A, X_B, P_B):
+        assert _outcome(lambda: _conditioned_mode_entropy(cm, q)) == _outcome(
+            lambda: von_neumann_entropy(condition_on_homodyne(cm, q)[0])
+        ), (q, cm.matrix.tolist())
+
+
+class TestScalarEntropies:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        v=st.one_of(st.sampled_from([1.0, 1e5, 1e7, 3e7]), st.floats(1.0, 3e7)),
+        t=st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(1e-3, 1.0)),
+        xi=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    )
+    def test_channel_states(self, v, t, xi):
+        try:
+            cm = channelled_state(v, t, xi)
+        except PrecisionError:  # tmsv past its precision limit
+            assume(False)
+        _assert_scalar_entropies_match_cm_route(cm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        nu=st.lists(st.one_of(st.just(1.0), st.floats(1.0, 1e3)), min_size=2, max_size=2),
+        squeeze=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
+        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=10, max_size=10),
+    )
+    def test_general_two_mode_states(self, nu, squeeze, angles):
+        # thermal states under random symplectic maps: passive, local squeezers, passive
+        r1, r2 = squeeze
+        squeezer = np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
+        s = _passive(angles[:5]) @ squeezer @ _passive(angles[5:])
+        try:
+            cm = CovarianceMatrix(s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T)
+        except (DomainError, UnphysicalStateError, PrecisionError):
+            assume(False)
+        _assert_scalar_entropies_match_cm_route(cm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3))
+    @example(entries=[math.nan, 0.0, 1.0])
+    @example(entries=[math.inf, 0.0, 1.0])
+    @example(entries=[2.0**1023, 0.0, 2.0**1023])
+    @example(entries=[-1.0, 0.0, 1.0])
+    @example(entries=[1.0, 1.0, 1.0])  # singular: the eigh route
+    @example(entries=[0.5, 0.0, 0.5])  # nu = 0.5 < 1: the gate raises
+    @example(entries=[1.0 - 1e-10, 0.0, 1.0])  # snapped to purity
+    def test_declined_entries_raise_as_the_covariance_matrix_does(self, entries):
+        a, b, d = entries
+        assert _outcome(lambda: _one_mode_entropy(a, b, d)) == _outcome(
+            lambda: von_neumann_entropy(CovarianceMatrix(np.array([[a, b], [b, d]])))
+        )
