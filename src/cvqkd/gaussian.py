@@ -30,6 +30,8 @@ from .errors import (
 # Tolerances for the bona fide checks.
 SYMMETRY_RTOL = 1e-12
 NU_TOLERANCE = 1e-9
+# an entry this large overflows CovarianceMatrix's symmetrisation (m + m.T) / 2
+_SYMMETRISE_LIMIT = 2.0**1023
 
 
 class Quadrature(Enum):
@@ -77,9 +79,11 @@ class CovarianceMatrix:
 
     The entries are validated on construction: the matrix must be
     symmetric (to 1e-12 relative tolerance), positive definite and
-    physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9. A matrix
-    on the eigh route whose smallest eigenvalue is rounding noise raises
-    PrecisionError, since its spectrum cannot be resolved.
+    physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9. An entry
+    of magnitude 2^1023 or more, which (m + m^T) / 2 would overflow,
+    raises PrecisionError, and so does a matrix on the eigh route whose
+    smallest eigenvalue is rounding noise, since its spectrum cannot be
+    resolved.
     """
 
     matrix: np.ndarray
@@ -92,6 +96,8 @@ class CovarianceMatrix:
         peak = float(np.abs(m).max())  # NaN if any entry is
         if not peak < math.inf:
             raise DomainError(f"covariance matrix entries must be finite, got max |m| = {peak}")
+        if peak >= _SYMMETRISE_LIMIT:
+            raise PrecisionError(f"covariance matrix entry {peak} overflows the symmetrisation")
         scale = max(1.0, peak)
         if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise DomainError("covariance matrix is not symmetric")
@@ -117,12 +123,16 @@ class CovarianceMatrix:
         return float(self.matrix[a.index(), b.index()])
 
     def _check_mode(self, mode: int):
+        if not isinstance(mode, (int, np.integer)):
+            raise DomainError(f"mode must be an integer, got {mode!r}")
         if not 0 <= mode < self.n_modes:
             raise DomainError(f"mode {mode} out of range for {self.n_modes}-mode state")
 
 
 def vacuum(n_modes: int = 1) -> CovarianceMatrix:
     """n uncorrelated vacuum modes (identity CM)."""
+    if not isinstance(n_modes, (int, np.integer)):
+        raise DomainError(f"mode count must be an integer, got {n_modes!r}")
     if n_modes < 1:
         raise DomainError("need at least one mode")
     return CovarianceMatrix(np.eye(2 * n_modes))
@@ -377,16 +387,13 @@ def _eigh_spectrum(m: np.ndarray, tol: float) -> tuple[float, ...]:
 # reduced_state or condition_on_homodyne would build: the same entries in the
 # same operation order, the same scale, closed form and gate.
 
-# an entry this large overflows CovarianceMatrix's symmetrisation (m + m.T) / 2
-_SYMMETRISE_LIMIT = 2.0**1023
-
 
 def _one_mode_entropy(a: float, b: float, d: float) -> float:
     """von_neumann_entropy(CovarianceMatrix([[a, b], [b, d]])) without building it.
 
-    A matrix the closed form declines (a non-finite entry, a <= 0, or
-    ad - b^2 <= 0) is built after all, so it raises, or takes the eigh
-    route, exactly as before.
+    A matrix the closed form declines (a non-finite entry, an entry of
+    2^1023 or more, a <= 0, or ad - b^2 <= 0) is built after all, so it
+    raises, or takes the eigh route, exactly as CovarianceMatrix does.
     """
     scale = max(1.0, abs(a), abs(b), abs(d))  # a NaN entry is declined by _one_mode_nu
     nu = _one_mode_nu(a, b, d) if scale < _SYMMETRISE_LIMIT else None

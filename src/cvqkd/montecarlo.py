@@ -55,7 +55,6 @@ class _Tables(NamedTuple):
     groups: np.ndarray  # uint64 ".a.b.c.d" per 4-digit group
     trailing: np.ndarray  # trailing zeros per 4-digit group, 4 for 0000
     masks: np.ndarray  # (217, 3) uint64 keep masks
-    numerals: np.ndarray  # uint32 "abcd" per 4-digit group, for the index column
 
 
 def _tables() -> _Tables:
@@ -93,7 +92,6 @@ def _tables() -> _Tables:
         groups=groups.view(np.uint64).ravel(),
         trailing=(d * (1 + c * (1 + b * (1 + a)))).ravel(),
         masks=np.vstack([masks.reshape(_EMPTY_CELL, 24), p == 0]).view(np.uint64),
-        numerals=numerals.view(np.uint32).ravel(),
     )
 
 
@@ -120,10 +118,7 @@ def _format_cells(x: np.ndarray, tables: _Tables, text: np.ndarray, keep: np.nda
     text[..., 0] = tables.lead[leading]
     text[..., 1] = tables.groups[high]
     text[..., 2] = tables.groups[low]
-    zeros = tables.trailing[low]
-    round_low = fast & (low == 0)
-    if round_low.any():
-        zeros[round_low] += tables.trailing[high[round_low]]
+    zeros = tables.trailing[low] + (low == 0) * tables.trailing[high]
     row = np.where(fast, 18 * e + 2 * zeros + (x < 0) + 72, _EMPTY_CELL)
     tables.masks.take(row, axis=0, out=keep, mode="clip")
     slow = ~fast
@@ -194,9 +189,12 @@ class MeasurementRecord:
 
         Rows are built as numpy byte arrays and written in chunks of
         _CSV_CHUNK_ROWS = 2,048 rows, so memory does not grow with the
-        record length. A quadrature with 1e-4 <= |x| < 1e8 takes its nine
-        digits from the exactly rounded integer round(|x| 10^(8-e)), e its
-        decimal exponent, and its layout from a table of keep masks.
+        record length. The index i takes one byte per digit of the widest
+        index, i // 10^k % 10 for digit k, kept from its leading digit on
+        (the units digit always). A quadrature with
+        1e-4 <= |x| < 1e8 takes its nine digits from the exactly rounded
+        integer round(|x| 10^(8-e)), e its decimal exponent, and its layout
+        from a table of keep masks.
         Python's "%.9g" formats the rest: zeros, magnitudes outside that
         range, values that round up to the next power of ten, and values
         whose scaled product lies within 1e-6 of a rounding tie.
@@ -204,28 +202,22 @@ class MeasurementRecord:
         stream.write(",".join(CSV_HEADER))  # each row follows its own line break
         tables = _tables()
         bases = (self.basis_a, self.basis_b)
-        groups = -(-len(str(self.n - 1)) // 4)  # 4-digit groups of the widest index
-        powers = 10 ** np.arange(1, 4 * groups)
-        # keep masks of the index groups by the number of digits shown
-        index_keep = np.arange(4 * groups) >= 4 * groups - np.arange(4 * groups + 1)[:, None]
-        index_keep = index_keep.view(np.uint32)
-        # a row's head: LF, three unused bytes, the index groups, then a comma
-        # and any basis letter per party, padded to whole 8-byte words
-        bases_at = 4 + 4 * groups
+        width = len(str(self.n - 1))  # digits of the widest index
+        place = 10 ** np.arange(width - 1, -1, -1)[:, None]  # a column: rows on the fast axis
+        # a row's head: LF, the index digits, then a comma and any basis
+        # letter per party, padded to whole 8-byte words
+        bases_at = 1 + width
         head = -(-(bases_at + 2 + sum(b is not None for b in bases)) // 8)
         for start in range(0, self.n, _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, self.n)
             text = np.empty((stop - start, head + 12), np.uint64)
             keep = np.zeros((stop - start, head + 12), np.uint64)
             text8, keep8 = text.view(np.uint8), keep.view(bool)
-            text32, keep32 = text.view(np.uint32), keep.view(np.uint32)
             text8[:, 0] = ord("\n")
             keep8[:, 0] = True
-            index = np.arange(start, stop)
-            shown = 1 + np.searchsorted(powers, index, side="right")  # digits of each index
-            for k in range(groups):  # k-th group from the right
-                text32[:, groups - k] = tables.numerals[index // 10 ** (4 * k) % 10_000]
-            keep32[:, 1 : 1 + groups] = index_keep[shown]
+            i = np.arange(start, stop)
+            text8[:, 1:bases_at] = (48 + i // place % 10).T
+            keep8[:, 1:bases_at] = ((i >= place) | (place == 1)).T  # no leading zeros
             col = bases_at
             for b in bases:
                 text8[:, col] = ord(",")
@@ -263,6 +255,8 @@ def sample_quadratures(
     record bit for bit. The seed is a non-negative integer (DomainError
     otherwise), as ``numpy.random.SeedSequence`` takes it.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError(f"sample count must be an integer, got {n!r}")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
@@ -318,10 +312,13 @@ def estimate_conditional_variance(
     optimal-gain estimator matches the analytic conditional variance;
     the standard error uses the asymptotic chi-square width
     sqrt(2/(n-1)) * value. A line fits two points exactly, leaving a
-    residual of zero up to rounding, so it takes three sifted pairs.
+    residual of zero up to rounding, so it takes three sifted pairs. A
+    column fits itself exactly, so target and given must differ.
     """
     t = record.column(target)
     g = record.column(given)
+    if target == given:
+        raise DomainError("target and given columns must differ")
     mask = np.isfinite(t) & np.isfinite(g)
     m = int(mask.sum())
     if m < 3:
@@ -384,13 +381,12 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
         (x_est, p_est), kind = pairs[:2], cv.kind_b_given_a
     else:
         (x_est, p_est), kind = pairs[2:], cv.kind_a_given_b
-    # K = const - (log2 vx)/2 - (log2 vp_eff)/2 with vp_eff = 2 vp - 1 where inferred
+    # K = const - (log2 vx)/2 - (log2 vp_eff)/2 with vp_eff = slope vp - (slope - 1):
+    # slope 2 where vp enters through the 2 vp - 1 inference, else 1
+    slope = 2.0 if kind.conditioner_is_half else 1.0
     dx = x_est.std_error / (2.0 * math.log(2.0) * x_est.value)
-    if kind.conditioner_is_half:
-        vp_eff = 2.0 * p_est.value - 1.0
-        dp = p_est.std_error / (math.log(2.0) * vp_eff)
-    else:
-        dp = p_est.std_error / (2.0 * math.log(2.0) * p_est.value)
+    vp_eff = slope * p_est.value - (slope - 1.0)
+    dp = slope * p_est.std_error / (2.0 * math.log(2.0) * vp_eff)
     sigma = math.hypot(dx, dp)
     return SimulatedKeyRate(
         result=result,

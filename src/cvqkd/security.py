@@ -68,7 +68,10 @@ class FibreModel:
             )
 
     def distance_km(self, transmission: float) -> float:
-        return -10.0 * math.log10(transmission) / self.attenuation_db_per_km
+        """Fibre length with this transmission, which must lie in (0, 1]."""
+        ChannelParams(transmission)  # DomainError on NaN or T outside (0, 1]
+        # abs gives 0, not -0, at T = 1
+        return abs(10.0 * math.log10(transmission)) / self.attenuation_db_per_km
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class SweepConfig:
 
     The grid is ``steps`` evenly spaced T from t_min to t_max, both ends
     exact, or [t_min] for one step. Each end must lie in (0, 1], t_min
-    checked first, in ``ChannelParams``' words; two or more steps need
-    t_min < t_max.
+    checked first, in ``ChannelParams``' words; ``steps`` is an integer
+    >= 1, and two or more steps need t_min < t_max.
     """
 
     t_min: float
@@ -88,6 +91,8 @@ class SweepConfig:
     def __post_init__(self):
         ChannelParams(self.t_min)  # DomainError on NaN, inf or T outside (0, 1]
         ChannelParams(self.t_max)
+        if not isinstance(self.steps, (int, np.integer)):
+            raise DomainError(f"grid steps must be an integer, got {self.steps!r}")
         if self.steps < 1:
             raise DomainError(f"grid needs at least 1 step, got {self.steps}")
         if self.steps > 1 and not self.t_min < self.t_max:

@@ -352,6 +352,49 @@ def test_mode_out_of_range_raises_domain_error(call):
         call(channelled_state(5.0, 0.7, 0.1))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vacuum(1.5), "mode count must be an integer, got 1.5"),
+        (lambda: apply_channel(tmsv(2.0), ChannelParams(0.5), 1.0), "mode must be an integer, got 1.0"),
+        (lambda: split_with_vacuum(tmsv(2.0), 1.0), "mode must be an integer, got 1.0"),
+        (lambda: reduced_state(tmsv(2.0), [0.5]), "mode must be an integer, got 0.5"),
+        (lambda: reduced_state(tmsv(2.0), [0, "1"]), "mode must be an integer, got '1'"),
+    ],
+    ids=["vacuum", "apply-channel", "split", "reduced-state", "reduced-state-str"],
+)
+def test_non_integer_mode_raises_domain_error(call, message):
+    # numpy raised an untyped TypeError or IndexError for these
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_numpy_integer_mode_is_the_int_mode():
+    cm = channelled_state(5.0, 0.7, 0.1)
+    assert np.array_equal(reduced_state(cm, [np.int64(1)]).matrix, reduced_state(cm, [1]).matrix)
+    assert vacuum(np.int32(2)).n_modes == 2
+
+
+class TestSymmetrisationLimit:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CovarianceMatrix(np.diag([1e308, 1e308])),
+            lambda: CovarianceMatrix(np.diag([2.0**1023, 1.0])),
+            lambda: thermal(1.7e308),
+        ],
+        ids=["diag-1e308", "diag-2^1023", "thermal"],
+    )
+    def test_entry_that_overflows_raises_precision_error(self, make):
+        # (m + m.T) / 2 overflowed to inf entries, which then validated
+        with pytest.raises(PrecisionError, match="overflows the symmetrisation"):
+            make()
+
+    def test_largest_entry_below_the_limit_validates(self):
+        v = math.nextafter(2.0**1023, 0.0)
+        assert thermal(v).matrix[0, 0] == v
+
+
 def _exact_det(rows):
     """Determinant by Laplace expansion; exact when the entries are Fractions."""
     if len(rows) == 1:

@@ -145,6 +145,17 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_quadratures(RR_HOM_HOM, PERFECT, math.inf, 10, seed=1)
 
+    @pytest.mark.parametrize("n", [1e3, 10.5, 2.0, "10", None])
+    def test_sample_count_must_be_an_integer(self, n):
+        # numpy raised TypeError on 1e3 and 10.5
+        with pytest.raises(DomainError, match="sample count must be an integer"):
+            sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, n, seed=1)
+
+    def test_numpy_integer_count_is_the_int_count(self):
+        r1 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=11)
+        r2 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, np.int64(50), seed=11)
+        assert record_equal(r1, r2)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         # numpy raised ValueError on -1 and TypeError on 1.5
@@ -200,6 +211,13 @@ class TestConditionalVarianceEstimate:
         rec = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 10, seed=1)
         with pytest.raises(DomainError):
             estimate_conditional_variance(rec, "x_c", "x_a")
+
+    @pytest.mark.parametrize("column", ["x_a", "p_a", "x_b", "p_b"])
+    def test_column_given_itself_is_rejected(self, column):
+        # a column fits itself exactly: the residual was rounding noise (8.9e-16 for x_a here)
+        rec = sample_quadratures(RR_HOM_HOM, ChannelParams(0.9, 0.01), 5.0, 100, seed=0)
+        with pytest.raises(DomainError, match="target and given columns must differ"):
+            estimate_conditional_variance(rec, column, column)
 
 
 class TestEmpiricalEntropy:
@@ -351,6 +369,19 @@ class TestCsvExport:
         ch = ChannelParams(0.7, 0.05)
         rec = sample_quadratures(ProtocolSpec.parse(protocol), ch, 3.0, 100_000, seed=11)
         assert hashlib.sha256(csv_text(rec).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [100_001, 1_000_001])
+    def test_index_column_past_five_digits(self, n):
+        # constant cells keep this fast; only the index column varies
+        het_het = ProtocolSpec.parse("rr-hetA-hetB-eb")
+        rec = sample_quadratures(het_het, PERFECT, 2.0, 1, seed=1)
+        cells = np.full(n, 1.5)
+        rec = dataclasses.replace(rec, n=n, x_a=cells, p_a=cells, x_b=cells, p_b=cells)
+        lines = io.StringIO(csv_text(rec))
+        assert next(lines) == "index,basis_a,basis_b,x_a,p_a,x_b,p_b\n"
+        for i, line in enumerate(lines):
+            assert line == f"{i},,,1.5,1.5,1.5,1.5\n", i
+        assert i == n - 1
 
     def test_export_streams_in_bounded_writes(self):
         class WriteSizes:

@@ -385,6 +385,12 @@ class TestSecurityRegion:
         with pytest.raises(DomainError):
             SweepConfig(t_min=0.1, t_max=1.0, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 10.0, math.nan, "10"])
+    def test_sweep_steps_must_be_an_integer(self, steps):
+        # 2.5 and NaN once constructed, then t_values raised TypeError
+        with pytest.raises(DomainError, match="grid steps must be an integer"):
+            SweepConfig(0.1, 1.0, steps)
+
     def test_one_step_grid_and_exact_ends(self):
         assert SweepConfig(0.5, 1.0, 1).t_values().tolist() == [0.5]
         # (0.1, 1.0, 10) is verify-ur's default grid; t_min + i (t_max - t_min) / 9
@@ -421,6 +427,16 @@ class TestMaxDistance:
     def test_fibre_model_validation(self):
         with pytest.raises(DomainError):
             FibreModel(0.0)
+
+    @pytest.mark.parametrize("transmission", [0.0, -0.5, 1.5, math.nan, math.inf])
+    def test_distance_needs_a_transmission_in_unit_interval(self, transmission):
+        # log10 once raised ValueError at 0, gave -8.80 km at 1.5 and NaN for NaN
+        with pytest.raises(DomainError, match="transmission must lie in"):
+            FibreModel().distance_km(transmission)
+
+    def test_distance_of_valid_transmissions(self):
+        assert FibreModel().distance_km(0.1) == pytest.approx(50.0, rel=1e-15)
+        assert math.copysign(1.0, FibreModel().distance_km(1.0)) == 1.0  # "0", not "-0"
 
 
 class TestRootFinderProperties:
