@@ -14,7 +14,6 @@ from .bounds import (
     OneSidedDI,
     ProtocolSpec,
     Reconciliation,
-    SteeringDirection,
     VarianceKind,
     classify_1sdi,
     devetak_winter_oracle,
@@ -22,13 +21,11 @@ from .bounds import (
     infer_full_mode_variance,
     key_rate,
     measured_conditional_vn_entropy,
-    steering_parameter,
     verify_ur_bipartite,
     verify_ur_tripartite,
 )
 from .errors import (
     CVQKDError,
-    DegenerateConditioningError,
     DomainError,
     InsufficientDataError,
     PrecisionError,
@@ -69,7 +66,6 @@ from .security import (
     max_distance,
     max_excess_noise,
     optimize_modulation,
-    protocol_cond_variances,
     security_region,
     threshold_transmission,
 )

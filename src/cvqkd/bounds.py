@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, TagMismatchError, UnphysicalInferenceError
+from .errors import DomainError, TagMismatchError, UnphysicalInferenceError, _typed
 from .gaussian import (
     CovarianceMatrix,
     ModeQuadrature,
@@ -56,11 +56,6 @@ class OneSidedDI(Enum):
     NOT_1SDI = "not-1sdi"
 
 
-class SteeringDirection(Enum):
-    ALICE_STEERS_BOB = "alice-steers-bob"
-    BOB_STEERS_ALICE = "bob-steers-alice"
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """One of the 16 protocol variants.
@@ -86,6 +81,7 @@ class ProtocolSpec:
 
     @classmethod
     def parse(cls, protocol_id: str) -> "ProtocolSpec":
+        _typed(protocol_id, "protocol id", "a string")
         parts = protocol_id.split("-")
         if len(parts) != 4:
             raise DomainError(f"unknown protocol id {protocol_id!r}")
@@ -174,14 +170,18 @@ def _tagged(protocol: ProtocolSpec, b_given_a, a_given_b) -> ConditionalVariance
 class KeyRateResult:
     """Key rate in bits per retained symbol plus the steering diagnostics.
 
-    ``steering_ab`` and ``steering_ba`` are the conditional-variance
-    products entering the RR and DR formulas respectively; for the
-    homodyne-homodyne protocols these are exactly the Gaussian steering
-    parameters E_ab = V_{xB|xA} V_{pB|pA} and its reverse. Positivity of
-    the key therefore coincides with the product dropping below (2/e)^2
-    by the very same arithmetic. ``variances`` are the inputs the rate
-    was computed from; None in the identity-channel V -> inf limit of the
-    homodyne-homodyne protocols, where all four vanish.
+    The public route to the four conditional variances (``variances``)
+    and to both steering products (``steering_ab``, ``steering_ba``);
+    ``key_rate_at`` returns one for a protocol on a channel, ``key_rate``
+    for given variances. ``steering_ab`` and ``steering_ba`` are the
+    conditional-variance products entering the RR and DR formulas
+    respectively; for the homodyne-homodyne protocols these are exactly
+    the Gaussian steering parameters E_ab = V_{xB|xA} V_{pB|pA} and its
+    reverse (>= 1 iff not steerable). Positivity of the key therefore
+    coincides with the product dropping below (2/e)^2 by the very same
+    arithmetic. ``variances`` are the inputs the rate was computed from;
+    None in the identity-channel V -> inf limit of the homodyne-homodyne
+    protocols, where all four vanish.
     """
 
     protocol: ProtocolSpec
@@ -238,22 +238,6 @@ def classify_1sdi(protocol: ProtocolSpec) -> OneSidedDI:
     ):
         return OneSidedDI.INDEPENDENT_OF_ALICE
     return OneSidedDI.NOT_1SDI
-
-
-def steering_parameter(cv: ConditionalVariances, direction: SteeringDirection) -> float:
-    """Gaussian steering product for one direction; requires full-mode variances.
-
-    E = V_{xB|xA} V_{pB|pA} for Alice steering Bob (>= 1 iff not
-    steerable); the caller compares against 1 and against (2/e)^2 for
-    key positivity.
-    """
-    if direction is SteeringDirection.ALICE_STEERS_BOB:
-        if cv.kind_b_given_a is not VarianceKind.FULL:
-            raise TagMismatchError("steering parameter needs full-mode B|A variances")
-        return cv.v_x_b_given_a * cv.v_p_b_given_a
-    if cv.kind_a_given_b is not VarianceKind.FULL:
-        raise TagMismatchError("steering parameter needs full-mode A|B variances")
-    return cv.v_x_a_given_b * cv.v_p_a_given_b
 
 
 def _effective_pair(v_x: float, v_p: float, kind: VarianceKind) -> tuple[float, float]:

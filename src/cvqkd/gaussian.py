@@ -20,12 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateConditioningError,
-    DomainError,
-    PrecisionError,
-    UnphysicalStateError,
-)
+from .errors import DomainError, PrecisionError, UnphysicalStateError, _typed
 
 # Tolerances for the bona fide checks.
 SYMMETRY_RTOL = 1e-12
@@ -67,6 +62,8 @@ class ChannelParams:
     excess_noise: float = 0.0
 
     def __post_init__(self):
+        _typed(self.transmission, "transmission")
+        _typed(self.excess_noise, "excess noise")
         if not 0.0 < self.transmission <= 1.0:
             raise DomainError(f"transmission must lie in (0, 1], got {self.transmission}")
         if not 0.0 <= self.excess_noise < math.inf:
@@ -83,7 +80,8 @@ class CovarianceMatrix:
     of magnitude 2^1023 or more, which (m + m^T) / 2 would overflow,
     raises PrecisionError, and so does a matrix on the eigh route whose
     smallest eigenvalue is rounding noise, since its spectrum cannot be
-    resolved.
+    resolved. So every quadrature variance of a validated matrix is
+    positive, and conditioning on any quadrature divides by it safely.
     """
 
     matrix: np.ndarray
@@ -123,16 +121,14 @@ class CovarianceMatrix:
         return float(self.matrix[a.index(), b.index()])
 
     def _check_mode(self, mode: int):
-        if not isinstance(mode, (int, np.integer)):
-            raise DomainError(f"mode must be an integer, got {mode!r}")
+        _typed(mode, "mode", "an integer")
         if not 0 <= mode < self.n_modes:
             raise DomainError(f"mode {mode} out of range for {self.n_modes}-mode state")
 
 
 def vacuum(n_modes: int = 1) -> CovarianceMatrix:
     """n uncorrelated vacuum modes (identity CM)."""
-    if not isinstance(n_modes, (int, np.integer)):
-        raise DomainError(f"mode count must be an integer, got {n_modes!r}")
+    _typed(n_modes, "mode count", "an integer")
     if n_modes < 1:
         raise DomainError("need at least one mode")
     return CovarianceMatrix(np.eye(2 * n_modes))
@@ -140,6 +136,7 @@ def vacuum(n_modes: int = 1) -> CovarianceMatrix:
 
 def thermal(v: float) -> CovarianceMatrix:
     """Single thermal mode with quadrature variance v >= 1."""
+    _typed(v, "thermal variance")
     if not 1.0 <= v < math.inf:
         raise DomainError(f"thermal variance must be finite and >= 1, got {v}")
     return CovarianceMatrix(np.diag([v, v]))
@@ -156,6 +153,7 @@ def tmsv(v: float) -> CovarianceMatrix:
     raises PrecisionError, as does every v beyond about 9.49e7 (inf
     included), where v^2 - 1 rounds to v^2 and c to v.
     """
+    _typed(v, "EPR variance")
     if not v >= 1.0:
         raise DomainError(f"EPR variance must be >= 1, got {v}")
     if v * v - 1.0 == v * v:
@@ -236,8 +234,6 @@ def condition_on_homodyne(
     if cm.n_modes < 2:
         raise DomainError("conditioning needs at least one remaining mode")
     v_meas = cm.variance(measured)
-    if v_meas <= 0.0:
-        raise DegenerateConditioningError("measured quadrature has nonpositive variance")
     keep = [i for i in range(2 * cm.n_modes) if i // 2 != measured.mode]
     sigma = cm.matrix[keep, measured.index()]
     rest = cm.matrix[np.ix_(keep, keep)] - np.outer(sigma, sigma) / v_meas
@@ -251,8 +247,6 @@ def conditional_variance(
     if target == given:
         raise DomainError("target and given quadratures must differ")
     v_g = cm.variance(given)
-    if v_g <= 0.0:
-        raise DegenerateConditioningError("conditioning quadrature has nonpositive variance")
     c = cm.covariance(target, given)
     return cm.variance(target) - c * c / v_g
 
@@ -413,15 +407,12 @@ def _conditioned_mode_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) ->
     """von_neumann_entropy(condition_on_homodyne(cm, measured)[0]); cm has two modes.
 
     The kept mode's Schur complement m_kl - s_k s_l / v in scalars, in the
-    order np.outer(sigma, sigma) / v computes it. A nonpositive measured
-    variance goes through condition_on_homodyne, which raises.
+    order np.outer(sigma, sigma) / v computes it.
     """
     cm._check_mode(measured.mode)
     i = measured.index()
     rows = cm.matrix.tolist()
     v = rows[i][i]
-    if not v > 0.0:
-        return von_neumann_entropy(condition_on_homodyne(cm, measured)[0])
     k = 2 - 2 * measured.mode  # the kept mode's x row; its p row is k + 1
     s0, s1 = rows[k][i], rows[k + 1][i]
     return _one_mode_entropy(

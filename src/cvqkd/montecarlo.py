@@ -21,15 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    KeyRateResult,
-    Measurement,
-    ProtocolSpec,
-    Reconciliation,
-    _tagged,
-    key_rate,
-)
-from .errors import DomainError, InsufficientDataError
+from .bounds import Measurement, ProtocolSpec, Reconciliation, _tagged, key_rate
+from .errors import DomainError, InsufficientDataError, _typed
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, split_with_vacuum, tmsv
 
 BLOCK_SIZE = 1 << 16
@@ -136,6 +129,7 @@ def build_protocol_state(
 
     Returns the covariance matrix and the row in it of each record column.
     """
+    _typed(v, "modulation variance")
     if math.isinf(v):
         raise DomainError("state construction needs a finite modulation variance")
     if not v >= 1.0:
@@ -255,8 +249,7 @@ def sample_quadratures(
     record bit for bit. The seed is a non-negative integer (DomainError
     otherwise), as ``numpy.random.SeedSequence`` takes it.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise DomainError(f"sample count must be an integer, got {n!r}")
+    _typed(n, "sample count", "an integer")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
@@ -334,6 +327,7 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     Bins of the given width span +-8 standard deviations; the estimate
     is -sum p log2 p + log2(bin_width).
     """
+    _typed(bin_width, "bin width")
     if not 0.0 < bin_width < math.inf:
         raise DomainError(f"bin width must be positive and finite, got {bin_width}")
     samples = np.asarray(samples, dtype=float)
@@ -352,7 +346,6 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
 class SimulatedKeyRate:
     """Empirical key-rate evaluation with propagated statistical error."""
 
-    result: KeyRateResult
     key_rate: EstimateWithError
     variances: dict[str, EstimateWithError]
 
@@ -389,7 +382,6 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     dp = slope * p_est.std_error / (2.0 * math.log(2.0) * vp_eff)
     sigma = math.hypot(dx, dp)
     return SimulatedKeyRate(
-        result=result,
         key_rate=EstimateWithError(result.key_rate, sigma, min(x_est.n, p_est.n)),
         variances=estimates,
     )

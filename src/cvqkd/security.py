@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
-    ConditionalVariances,
     KeyRateResult,
     Measurement,
     ProtocolSpec,
@@ -42,7 +41,7 @@ from .bounds import (
     classify_1sdi,
     key_rate,
 )
-from .errors import DomainError
+from .errors import DomainError, _typed
 from .gaussian import ChannelParams
 
 # (c, k) of the law w <= c T^k, by (reconciliation, Alice's, Bob's measurement)
@@ -62,6 +61,7 @@ class FibreModel:
     attenuation_db_per_km: float = 0.2
 
     def __post_init__(self):
+        _typed(self.attenuation_db_per_km, "attenuation")
         if not 0.0 < self.attenuation_db_per_km < math.inf:
             raise DomainError(
                 f"attenuation must be finite and positive, got {self.attenuation_db_per_km}"
@@ -91,8 +91,7 @@ class SweepConfig:
     def __post_init__(self):
         ChannelParams(self.t_min)  # DomainError on NaN, inf or T outside (0, 1]
         ChannelParams(self.t_max)
-        if not isinstance(self.steps, (int, np.integer)):
-            raise DomainError(f"grid steps must be an integer, got {self.steps!r}")
+        _typed(self.steps, "grid steps", "an integer")
         if self.steps < 1:
             raise DomainError(f"grid needs at least 1 step, got {self.steps}")
         if self.steps > 1 and not self.t_min < self.t_max:
@@ -134,23 +133,6 @@ def _cond_variances(
     return a_given_b, b_given_a
 
 
-def _tagged_variances(
-    protocol: ProtocolSpec, ch: ChannelParams, v: float
-) -> ConditionalVariances | None:
-    """The tagged conditional variances at modulation v, or None where they vanish.
-
-    Only homodyne-homodyne protocols on the identity channel at V = inf
-    (w = u = 0) get None: both full-mode variances are zero there and the
-    bound diverges.
-    """
-    if not v >= 1.0:
-        raise DomainError(f"modulation variance must be >= 1, got {v}")
-    a_given_b, b_given_a = _cond_variances(protocol, ch.transmission, ch.excess_noise, 1.0 / v)
-    if b_given_a == 0.0:  # V_{B|A} = w + T u for hom-hom; every heterodyne one is >= 1/2
-        return None
-    return _tagged(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))
-
-
 def _secure_at_infinite_v(
     protocol: ProtocolSpec, t: float | np.ndarray, xi: float | np.ndarray
 ) -> bool | np.ndarray:
@@ -170,34 +152,23 @@ def _secure_at_infinite_v(
     return math.e * np.sqrt(v_x * v_p) <= 2.0
 
 
-def protocol_cond_variances(
-    protocol: ProtocolSpec, ch: ChannelParams, v: float
-) -> ConditionalVariances:
-    """The four tagged conditional variances of a protocol at modulation v.
-
-    Valid for v in [1, inf], v = math.inf giving the large-modulation
-    limits; within 1e-15 relative of a 60-digit reference on V in
-    [1, 1e10]. DomainError for v < 1 or NaN, and where the variances
-    vanish (homodyne-homodyne on the identity channel at v = inf).
-    """
-    cv = _tagged_variances(protocol, ch, v)
-    if cv is None:
-        raise DomainError(
-            "conditional variances vanish in the V->inf limit on an identity channel"
-        )
-    return cv
-
-
 def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) -> KeyRateResult:
     """Key-rate bound of a protocol on a channel at modulation v (default the v->inf limit).
 
-    Any v in [1, inf] is valid (DomainError for v < 1 or NaN); the
-    variances are those of ``protocol_cond_variances``, and the rate is
-    within 1e-14 bits of a 60-digit reference on V in [1, 1e10].
+    The public route to a protocol's four tagged conditional variances
+    (``.variances``) and to both steering products (``.steering_ab``,
+    ``.steering_ba``). Any v in [1, inf] is valid (DomainError for v < 1
+    or NaN); the variances are within 1e-15 relative, and the rate within
+    1e-14 bits, of a 60-digit reference on V in [1, 1e10]. Only
+    homodyne-homodyne protocols on the identity channel at v = inf
+    (w = u = 0) have no variances: all four vanish, ``variances`` is None
+    and the rate is +inf.
     """
-    cv = _tagged_variances(protocol, ch, v)
-    if cv is None:
-        # the variances vanish and the rate grows without bound
+    _typed(v, "modulation variance")
+    if not v >= 1.0:
+        raise DomainError(f"modulation variance must be >= 1, got {v}")
+    a_given_b, b_given_a = _cond_variances(protocol, ch.transmission, ch.excess_noise, 1.0 / v)
+    if b_given_a == 0.0:  # V_{B|A} = w + T u for hom-hom; every heterodyne one is >= 1/2
         return KeyRateResult(
             protocol=protocol,
             key_rate=math.inf,
@@ -207,7 +178,7 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
             one_sided_di=classify_1sdi(protocol),
             variances=None,
         )
-    return key_rate(protocol, cv)
+    return key_rate(protocol, _tagged(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b)))
 
 
 def optimize_modulation(
@@ -222,6 +193,7 @@ def optimize_modulation(
     the large-modulation limit. Returns (v_star, k_star); k_star may be
     negative.
     """
+    _typed(v_max, "v_max")
     if v_max < 1.0:
         raise DomainError(f"v_max must be >= 1, got {v_max}")
     candidates = [(v, key_rate_at(protocol, ch, v).key_rate) for v in (1.0, v_max)]

@@ -22,7 +22,6 @@ from cvqkd import (
     ProtocolSpec,
     Quadrature,
     Reconciliation,
-    SteeringDirection,
     TagMismatchError,
     UnphysicalInferenceError,
     VarianceKind,
@@ -36,7 +35,6 @@ from cvqkd import (
     measured_conditional_vn_entropy,
     reduced_state,
     split_with_vacuum,
-    steering_parameter,
     tmsv,
     vacuum,
     verify_ur_bipartite,
@@ -201,42 +199,30 @@ class TestEqTenEquivalence:
 
 class TestSteering:
     def test_vacuum_boundary(self):
-        assert steering_parameter(
-            full_mode_cv(vacuum(2)), SteeringDirection.ALICE_STEERS_BOB
-        ) == pytest.approx(1.0, abs=0)
+        assert key_rate(RR_HOM_HOM, full_mode_cv(vacuum(2))).steering_ab == pytest.approx(1.0, abs=0)
 
     def test_tmsv_perfect_channel(self):
-        assert steering_parameter(
-            full_mode_cv(tmsv(2.0)), SteeringDirection.ALICE_STEERS_BOB
-        ) == pytest.approx(0.25, abs=1e-12)
+        assert key_rate(RR_HOM_HOM, full_mode_cv(tmsv(2.0))).steering_ab == pytest.approx(
+            0.25, abs=1e-12
+        )
 
     def test_loss_threshold_limit(self):
         # V -> inf at T = 1 - 2/e, xi = 0: V_{xB|xA} -> 1 - T = 2/e, product (2/e)^2
         t = 1.0 - 2.0 / math.e
         limit = 1.0 - t
         cv = hom_hom_cv(limit, limit)
-        assert steering_parameter(cv, SteeringDirection.ALICE_STEERS_BOB) == pytest.approx(
-            (2.0 / math.e) ** 2, rel=1e-14
-        )
-
-    def test_requires_full_mode_tags(self):
-        cv = ConditionalVariances(
-            v_x_b_given_a=1.0,
-            v_p_b_given_a=1.0,
-            v_x_a_given_b=1.0,
-            v_p_a_given_b=1.0,
-            kind_b_given_a=VarianceKind.CONDITIONER_HALF,
-            kind_a_given_b=VarianceKind.TARGET_HALF,
-        )
-        with pytest.raises(TagMismatchError):
-            steering_parameter(cv, SteeringDirection.ALICE_STEERS_BOB)
+        assert key_rate(RR_HOM_HOM, cv).steering_ab == pytest.approx((2.0 / math.e) ** 2, rel=1e-14)
 
     def test_key_positivity_matches_steering(self):
+        # the steering products E_ab = V_{xB|xA} V_{pB|pA} and E_ba = V_{xA|xB} V_{pA|pB},
+        # bit for bit, and a positive key exactly where the product read is below (2/e)^2
         for v, t, xi, cm in random_channelled_states(100, seed=22):
-            res = key_rate(RR_HOM_HOM, full_mode_cv(cm))
-            steer = steering_parameter(full_mode_cv(cm), SteeringDirection.ALICE_STEERS_BOB)
-            assert res.positive == (steer < (2.0 / math.e) ** 2)
-            assert res.steering_ab == pytest.approx(steer, abs=0)
+            cv = full_mode_cv(cm)
+            rr, dr = key_rate(RR_HOM_HOM, cv), key_rate(DR_HOM_HOM, cv)
+            assert rr.steering_ab == cv.v_x_b_given_a * cv.v_p_b_given_a
+            assert dr.steering_ba == cv.v_x_a_given_b * cv.v_p_a_given_b
+            assert rr.positive == (rr.steering_ab < (2.0 / math.e) ** 2)
+            assert dr.positive == (dr.steering_ba < (2.0 / math.e) ** 2)
 
 
 class TestClassification:

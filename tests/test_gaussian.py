@@ -14,7 +14,6 @@ from conftest import P_A, P_B, X_A, X_B, channelled_state, random_channelled_sta
 from cvqkd import (
     ChannelParams,
     CovarianceMatrix,
-    DegenerateConditioningError,
     DomainError,
     ModeQuadrature,
     Quadrature,
@@ -646,3 +645,68 @@ class TestScalarEntropies:
         assert _outcome(lambda: _one_mode_entropy(a, b, d)) == _outcome(
             lambda: von_neumann_entropy(CovarianceMatrix(np.array([[a, b], [b, d]])))
         )
+
+
+def _assert_positive_diagonal(cm):
+    # condition_on_homodyne, conditional_variance and _conditioned_mode_entropy
+    # divide by a quadrature variance without testing its sign
+    assert (np.diag(cm.matrix) > 0.0).all(), cm.matrix.tolist()
+
+
+class TestPositiveDiagonal:
+    """Every quadrature variance of a validated CovarianceMatrix is positive."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nu=st.lists(st.one_of(st.just(1.0), st.floats(1.0, 1e3)), min_size=2, max_size=2),
+        squeeze=st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=2),
+        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=10, max_size=10),
+    )
+    def test_symplectic_maps_of_thermal_states(self, nu, squeeze, angles):
+        r1, r2 = squeeze
+        one = _rotation(angles[0]) @ np.diag([math.exp(-r1), math.exp(r1)]) @ _rotation(angles[1])
+        squeezer = np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
+        two = _passive(angles[:5]) @ squeezer @ _passive(angles[5:])
+        for s, thermal_nus in ((one, [nu[0]] * 2), (two, [nu[0], nu[0], nu[1], nu[1]])):
+            try:
+                cm = CovarianceMatrix(s @ np.diag(thermal_nus) @ s.T)
+            except (DomainError, UnphysicalStateError, PrecisionError):
+                continue
+            _assert_positive_diagonal(cm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v=st.one_of(st.sampled_from([1.0, 8.5e6, 6.8e7, 9e7]), st.floats(1.0, 9e7)),
+        t=st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(1e-3, 1.0)),
+        xi=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    )
+    def test_epr_and_channel_states(self, v, t, xi):
+        try:
+            epr = tmsv(v)
+        except PrecisionError:  # tmsv past its precision limit
+            assume(False)
+        _assert_positive_diagonal(epr)
+        try:
+            cm = apply_channel(epr, ChannelParams(t, xi), mode=1)
+        except (UnphysicalStateError, PrecisionError):
+            assume(False)
+        _assert_positive_diagonal(cm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_a=st.floats(-8.0, 8.0),
+        b=st.floats(-1e4, 1e4),
+        excess=st.floats(-1e-6, 1e-6),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    @example(log_a=0.0, b=0.0, excess=0.0, sign=-1.0)  # -I: det 1, both variances -1
+    @example(log_a=0.0, b=0.0, excess=0.0, sign=1.0)  # the vacuum
+    def test_one_mode_states_near_unit_determinant(self, log_a, b, excess, sign):
+        # ad - b^2 = 1 + excess, so nu is near 1 and the gate decides
+        a = sign * 10.0**log_a
+        d = (1.0 + excess + b * b) / a
+        try:
+            cm = CovarianceMatrix(np.array([[a, b], [b, d]]))
+        except (DomainError, UnphysicalStateError, PrecisionError):
+            assume(False)
+        _assert_positive_diagonal(cm)

@@ -32,10 +32,10 @@ from cvqkd import (
     max_distance,
     max_excess_noise,
     optimize_modulation,
-    protocol_cond_variances,
     security_region,
     thermal,
     threshold_transmission,
+    tmsv,
 )
 from cvqkd.montecarlo import build_protocol_state
 from cvqkd.security import _law, _secure_at_infinite_v
@@ -81,15 +81,15 @@ def xi_max_oracle(protocol, t):
 
 class TestProtocolCondVariances:
     def test_finite_v_perfect_channel(self):
-        cv = protocol_cond_variances(RR_HOM_HOM, ChannelParams(1.0, 0.0), 2.0)
+        cv = key_rate_at(RR_HOM_HOM, ChannelParams(1.0, 0.0), 2.0).variances
         assert cv.v_x_b_given_a == pytest.approx(0.5, abs=1e-12)
 
     def test_infinite_v_rr(self):
-        cv = protocol_cond_variances(RR_HOM_HOM, ChannelParams(0.5, 0.1), math.inf)
+        cv = key_rate_at(RR_HOM_HOM, ChannelParams(0.5, 0.1), math.inf).variances
         assert cv.v_x_b_given_a == pytest.approx(1.0 - 0.5 + 0.05, abs=1e-15)  # 0.55
 
     def test_infinite_v_dr(self):
-        cv = protocol_cond_variances(DR_HOM_HOM, ChannelParams(0.5, 0.0), math.inf)
+        cv = key_rate_at(DR_HOM_HOM, ChannelParams(0.5, 0.0), math.inf).variances
         assert cv.v_x_a_given_b == pytest.approx(1.0, abs=1e-15)  # (1-T)/T
 
     def test_finite_matches_infinite_at_large_v(self):
@@ -107,7 +107,7 @@ class TestProtocolCondVariances:
 
     def test_rejects_v_below_one(self):
         with pytest.raises(DomainError):
-            protocol_cond_variances(RR_HOM_HOM, ChannelParams(0.5, 0.0), 0.5)
+            key_rate_at(RR_HOM_HOM, ChannelParams(0.5, 0.0), 0.5)
 
 
 class TestKeyRateAt:
@@ -189,7 +189,7 @@ class TestClosedForm:
         # floor only binds where w = 1 - T + T xi is near 0.
         v = 10.0**log_v
         ch = ChannelParams(t, xi)
-        cv = protocol_cond_variances(protocol, ch, v)
+        cv = key_rate_at(protocol, ch, v).variances
         floor = 8.0 * np.finfo(float).eps * v
         for name, want in zip(VARIANCE_FIELDS, cm_oracle(protocol, ch, v)):
             assert getattr(cv, name) == pytest.approx(want, rel=1e-9, abs=floor), name
@@ -199,7 +199,7 @@ class TestClosedForm:
         for v in np.logspace(5.0, 10.0, 11).tolist():
             for protocol in ProtocolSpec.all():
                 t, xi = float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, 0.5))
-                cv = protocol_cond_variances(protocol, ChannelParams(t, xi), v)
+                cv = key_rate_at(protocol, ChannelParams(t, xi), v).variances
                 a_given_b, b_given_a = mpmath_variances(protocol, t, xi, v)
                 for got, want in (
                     (cv.v_x_a_given_b, a_given_b),
@@ -212,8 +212,8 @@ class TestClosedForm:
     def test_infinite_v_is_the_limit(self):
         for protocol in ProtocolSpec.all():
             ch = ChannelParams(0.3, 0.05)
-            cv_inf = protocol_cond_variances(protocol, ch, math.inf)
-            cv_big = protocol_cond_variances(protocol, ch, 1e300)
+            cv_inf = key_rate_at(protocol, ch, math.inf).variances
+            cv_big = key_rate_at(protocol, ch, 1e300).variances
             for name in VARIANCE_FIELDS:
                 assert getattr(cv_big, name) == pytest.approx(getattr(cv_inf, name), rel=1e-15)
 
@@ -226,7 +226,6 @@ class TestClosedForm:
             for v in (1.0, 2.5, 1e4, 3e7, 1e10, math.inf):
                 ch = ChannelParams(0.5, 0.01)
                 assert math.isfinite(key_rate_at(protocol, ch, v).key_rate)
-                protocol_cond_variances(protocol, ch, v)
         with pytest.raises(AssertionError, match="covariance matrix was built"):
             build_protocol_state(RR_HOM_HOM, ChannelParams(0.5, 0.01), 2.0)
 
@@ -623,9 +622,9 @@ class TestBatchedSolver:
             assert rows[0] == (5e-324, None)
             assert rows == [(t, max_excess_noise(protocol, t)) for t, _ in rows]
 
-    def test_identity_channel_limit_still_raises_for_variances(self):
-        with pytest.raises(DomainError, match="vanish"):
-            protocol_cond_variances(RR_HOM_HOM, ChannelParams(1.0, 0.0), math.inf)
+    def test_identity_channel_limit_has_no_variances(self):
+        # all four vanish; the rate diverges (TestKeyRateAt) and the CLI prints zeros
+        assert key_rate_at(RR_HOM_HOM, ChannelParams(1.0, 0.0), math.inf).variances is None
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -657,6 +656,44 @@ class TestBatchedSolver:
 def test_non_finite_parameters_raise_domain_error(make, bad):
     with pytest.raises(DomainError):
         make(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ChannelParams("0.5"),
+        lambda: ChannelParams(0.5, "0"),
+        lambda: SweepConfig(t_min="0.1", t_max=1.0, steps=10),
+        lambda: threshold_transmission(RR_HOM_HOM, "0"),
+        lambda: tmsv(None),
+        lambda: thermal("2"),
+        lambda: FibreModel("0.2"),
+        lambda: empirical_entropy(np.linspace(-1.0, 1.0, 2000), None),
+        lambda: key_rate_at(RR_HOM_HOM, ChannelParams(0.5), "3"),
+        lambda: optimize_modulation(RR_HOM_HOM, ChannelParams(0.5), "3"),
+        lambda: build_protocol_state(RR_HOM_HOM, ChannelParams(0.5), "3"),
+        lambda: ProtocolSpec.parse(None),
+    ],
+    ids=[
+        "channel-T",
+        "channel-xi",
+        "sweep-t_min",
+        "threshold-xi",
+        "tmsv-v",
+        "thermal-v",
+        "fibre-attenuation",
+        "entropy-bin-width",
+        "key-rate-v",
+        "optimize-v_max",
+        "state-v",
+        "protocol-id",
+    ],
+)
+def test_non_numeric_parameters_raise_domain_error(make):
+    # a comparison with a str or None once raised an untyped TypeError
+    # (AttributeError for the protocol id); the CLI converts before calling
+    with pytest.raises(DomainError, match=r"must be a (real number|string), got ('|None)"):
+        make()
 
 
 @pytest.mark.parametrize(
