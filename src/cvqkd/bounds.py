@@ -154,8 +154,14 @@ class ConditionalVariances:
 
     def __post_init__(self):
         for name in ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"):
-            if not getattr(self, name) > 0.0:  # NaN fails too
-                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:  # on this hot path only a failed comparison pays for the type check
+                positive = value > 0.0  # NaN fails too
+            except TypeError:
+                _typed(value, name)
+                raise
+            if not positive:
+                raise DomainError(f"{name} must be positive, got {value}")
 
 
 def _tagged(protocol: ProtocolSpec, b_given_a, a_given_b) -> ConditionalVariances:
@@ -195,6 +201,7 @@ class KeyRateResult:
 
 def gaussian_shannon_entropy(v: float) -> float:
     """Differential Shannon entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v)."""
+    _typed(v, "variance")
     if not v > 0.0:
         raise DomainError(f"variance must be positive, got {v}")
     return 0.5 * math.log2(2.0 * math.pi * math.e * v)
@@ -207,7 +214,11 @@ def infer_full_mode_variance(measured_half_conditional: float) -> float:
     trusted party's beamsplitter is what licenses the inference. Applies
     elementwise to an array, raising if any element is below 1/2 or NaN.
     """
-    ok = measured_half_conditional >= 0.5
+    try:  # on this hot path only a failed comparison pays for the type check
+        ok = measured_half_conditional >= 0.5
+    except TypeError:
+        _typed(measured_half_conditional, "half-mode conditional variance")
+        raise
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise UnphysicalInferenceError(
             f"inferred variance 2*{measured_half_conditional} - 1 would be nonpositive"
@@ -379,6 +390,8 @@ def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> fl
     """
     if cm.n_modes != 2:
         raise DomainError("Devetak-Winter oracle is defined on two-mode states")
+    if not isinstance(direction, Reconciliation):
+        raise DomainError(f"reconciliation direction must be a Reconciliation, got {direction!r}")
     ref_mode = 1 if direction is Reconciliation.RR else 0
     ref = ModeQuadrature(ref_mode, Quadrature.X)
     other = ModeQuadrature(1 - ref_mode, Quadrature.X)

@@ -42,6 +42,9 @@ _KINDS = {
 
 
 def _typed(value, what: str, kind: str = "a real number") -> None:
-    """DomainError "<what> must be <kind>, got <value!r>" where a range test would raise TypeError."""
-    if not isinstance(value, _KINDS[kind]):
+    """DomainError "<what> must be <kind>, got <value!r>" where a range test would raise TypeError.
+
+    A bool is an int to Python but no count, mode or real parameter here, so it is rejected too.
+    """
+    if not isinstance(value, _KINDS[kind]) or value.__class__ is bool:
         raise DomainError(f"{what} must be {kind}, got {value!r}")

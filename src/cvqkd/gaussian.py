@@ -42,7 +42,8 @@ class ModeQuadrature:
     quadrature: Quadrature
 
     def __post_init__(self):  # a mode's range depends on the state and is checked where read
-        if not (isinstance(self.mode, (int, np.integer)) and isinstance(self.quadrature, Quadrature)):
+        integer = isinstance(self.mode, (int, np.integer)) and self.mode.__class__ is not bool
+        if not (integer and isinstance(self.quadrature, Quadrature)):
             raise DomainError(f"need (int, Quadrature), got ({self.mode!r}, {self.quadrature!r})")
 
     def index(self) -> int:
@@ -422,7 +423,12 @@ def _conditioned_mode_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) ->
 
 def entropy_g(nu: float) -> float:
     """Bosonic entropy kernel g(nu) in bits, vanishing at nu = 1; g(inf) = inf, NaN raises."""
-    if not nu > 1.0:
+    try:  # on this hot path only a failed comparison pays for the type check
+        low = not nu > 1.0
+    except TypeError:
+        _typed(nu, "symplectic eigenvalue")
+        raise
+    if low:
         if math.isnan(nu):
             raise DomainError("symplectic eigenvalue is NaN")
         return 0.0

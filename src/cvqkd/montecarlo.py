@@ -4,13 +4,14 @@
 exports it, and ``estimate_key_rate(record)`` estimates its protocol's
 key rate from it; a record too short to estimate from can still be written.
 
-Gaussian states admit exact classical sampling: outcomes are drawn from
-the multivariate normal defined by the post-channel covariance matrix
-via its lower-triangular Cholesky factor. Records are drawn block by
-block, in order; each block of 65536 rows has its own generator derived
-from (seed, block index), so every whole block of a record is
-independent of the total length. A shorter last block draws its basis
-coins after its own rows, so its contents depend on its length.
+Gaussian states admit exact classical sampling: one linear map of
+standard normals, built from the Cholesky factor of the two-mode
+post-channel state, draws all four columns, and a heterodyning party's
+beamsplitter halves mix in vacuum normals of their own. Records are
+drawn block by block, in order; each block of 65536 rows has its own
+generator derived from (seed, block index), so every whole block of a
+record is independent of the total length. A shorter last block draws
+its basis coins after its own rows, so its contents depend on its length.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bounds import Measurement, ProtocolSpec, Reconciliation, _tagged, key_rate
 from .errors import DomainError, InsufficientDataError, _typed
-from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, split_with_vacuum, tmsv
+from .gaussian import ChannelParams, apply_channel, tmsv
 
 BLOCK_SIZE = 1 << 16
 RNG_STREAM = f"numpy.random.Philox(4x64-10), numpy {np.__version__}"
@@ -120,29 +121,6 @@ def _format_cells(x: np.ndarray, tables: _Tables, text: np.ndarray, keep: np.nda
         cell = (",%.9g" % x[i]).encode()
         text[i] = np.frombuffer(cell.ljust(24), np.uint64)
         keep[i] = (np.arange(24) < len(cell)).view(np.uint64)
-
-
-def build_protocol_state(
-    protocol: ProtocolSpec, ch: ChannelParams, v: float
-) -> tuple[CovarianceMatrix, dict[str, int]]:
-    """EPR state of variance v through the channel, split where a party heterodynes.
-
-    Returns the covariance matrix and the row in it of each record column.
-    """
-    _typed(v, "modulation variance")
-    if math.isinf(v):
-        raise DomainError("state construction needs a finite modulation variance")
-    if not v >= 1.0:
-        raise DomainError(f"modulation variance must be >= 1, got {v}")
-    cm = apply_channel(tmsv(v), ch, mode=1)
-    rows = {"x_a": 0, "p_a": 1, "x_b": 2, "p_b": 3}
-    if protocol.alice_measurement is Measurement.HET:
-        cm = split_with_vacuum(cm, 0)  # modes: A1, B, A2; p_a is A2's p
-        rows["p_a"] = 5
-    if protocol.bob_measurement is Measurement.HET:
-        rows["p_b"] = 2 * cm.n_modes + 1  # p of the slot the split appends
-        cm = split_with_vacuum(cm, 1)
-    return cm, rows
 
 
 @dataclass(frozen=True)
@@ -245,28 +223,46 @@ def sample_quadratures(
 
     Homodyning parties flip a fair, seeded basis coin per symbol and the
     unmeasured quadrature is blanked; heterodyning parties record both
-    halves every symbol. Identical (parameters, seed) reproduce the
-    record bit for bit. The seed is a non-negative integer (DomainError
-    otherwise), as ``numpy.random.SeedSequence`` takes it.
+    halves every symbol: heterodyne is a balanced beamsplitter with
+    vacuum and a homodyne on each port (Weedbrook et al., Rev. Mod. Phys.
+    84, 621, 2012). A block of m rows is ``standard_normal((m, 4 + 2h)) @
+    mix.T``, h the number of heterodyning parties. ``mix`` is the Cholesky
+    factor of the 4 x 4 state, with a heterodyning party's rows scaled by
+    1/sqrt(2) and given +1/sqrt(2) (x port) and -1/sqrt(2) (p port) on its
+    own two vacuum normals, as ``split_with_vacuum`` orders its ports.
+    Identical (parameters, seed) reproduce the record bit for bit. The
+    seed is a non-negative integer, as ``numpy.random.SeedSequence`` takes
+    it, and v a finite real >= 1 (DomainError otherwise).
     """
     _typed(n, "sample count", "an integer")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    cm, rows = build_protocol_state(protocol, ch, v)
-    chol = np.linalg.cholesky(cm.matrix)
-    dim = 2 * cm.n_modes
+    _typed(v, "modulation variance")
+    if math.isinf(v):
+        raise DomainError("state construction needs a finite modulation variance")
+    if not v >= 1.0:
+        raise DomainError(f"modulation variance must be >= 1, got {v}")
     alice_hom = protocol.alice_measurement is Measurement.HOM
     bob_hom = protocol.bob_measurement is Measurement.HOM
+    # normals to x_a, p_a, x_b, p_b; see above
+    mix = np.linalg.cholesky(apply_channel(tmsv(v), ch, mode=1).matrix)
+    r = 1.0 / math.sqrt(2.0)
+    for party, hom in enumerate((alice_hom, bob_hom)):
+        if not hom:  # (q + v_x)/sqrt(2) on the x port, (q - v_p)/sqrt(2) on the p port
+            ports = np.zeros((4, 2))
+            ports[2 * party : 2 * party + 2] = [[r, 0.0], [0.0, -r]]
+            mix = np.hstack([mix, ports])
+            mix[2 * party : 2 * party + 2, :4] *= r
 
     def one_block(block: int) -> tuple:
         start = block * BLOCK_SIZE
         m = min(BLOCK_SIZE, n - start)
         rng = _block_seed(seed, block)
-        # draw order is fixed: quadratures, then Alice's coins, then Bob's
-        y = rng.standard_normal((m, dim)) @ chol.T
-        out = {name: y[:, idx].copy() for name, idx in rows.items()}
+        # draw order is fixed: normals, then Alice's coins, then Bob's
+        y = rng.standard_normal((m, mix.shape[1])) @ mix.T
+        out = {name: y[:, i].copy() for i, name in enumerate(COLUMNS)}
         ba = rng.integers(0, 2, size=m, dtype=np.uint8) if alice_hom else None
         bb = rng.integers(0, 2, size=m, dtype=np.uint8) if bob_hom else None
         if ba is not None:
@@ -301,10 +297,11 @@ def estimate_conditional_variance(
 ) -> EstimateWithError:
     """Residual variance of the least-squares fit of one column on another.
 
-    Sifting keeps the symbols where both columns were measured. The
-    optimal-gain estimator matches the analytic conditional variance;
-    the standard error uses the asymptotic chi-square width
-    sqrt(2/(n-1)) * value. A line fits two points exactly, leaving a
+    Sifting keeps m symbols where both columns were measured. The fit
+    spends two degrees of freedom, so the residual sum of squares is
+    divided by m - 2, an unbiased estimate of the analytic conditional
+    variance; the standard error is the chi-square width
+    sqrt(2/(m-2)) * value. A line fits two points exactly, leaving a
     residual of zero up to rounding, so it takes three sifted pairs. A
     column fits itself exactly, so target and given must differ.
     """
@@ -316,9 +313,9 @@ def estimate_conditional_variance(
     m = int(mask.sum())
     if m < 3:
         raise InsufficientDataError(f"only {m} sifted pairs for {target}|{given}")
-    cov = np.cov(t[mask], g[mask], ddof=1)
+    cov = np.cov(t[mask], g[mask], ddof=2)  # the residual over m - 2 degrees of freedom
     value = float(cov[0, 0] - cov[0, 1] ** 2 / cov[1, 1])
-    return EstimateWithError(value=value, std_error=math.sqrt(2.0 / (m - 1)) * value, n=m)
+    return EstimateWithError(value=value, std_error=math.sqrt(2.0 / (m - 2)) * value, n=m)
 
 
 def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:

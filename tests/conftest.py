@@ -4,10 +4,12 @@ import pytest
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
+    Measurement,
     ModeQuadrature,
     Quadrature,
     apply_channel,
     conditional_variance,
+    split_with_vacuum,
     tmsv,
 )
 
@@ -20,6 +22,25 @@ P_B = ModeQuadrature(1, Quadrature.P)
 def channelled_state(v, t, xi):
     """EPR state of variance v after a (t, xi) channel on mode B."""
     return apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
+
+
+def split_protocol_state(protocol, ch, v):
+    """A protocol's measured state with every beamsplitter port as a mode of its own.
+
+    The EPR state of variance v through the channel, each heterodyning
+    party's mode split with vacuum: the n-mode reference for the
+    conditional variances and for the sampled records. Returns the
+    covariance matrix and the row in it of each record column.
+    """
+    cm = channelled_state(v, ch.transmission, ch.excess_noise)
+    rows = {"x_a": 0, "p_a": 1, "x_b": 2, "p_b": 3}
+    if protocol.alice_measurement is Measurement.HET:
+        cm = split_with_vacuum(cm, 0)  # modes: A1, B, A2; p_a is A2's p
+        rows["p_a"] = 5
+    if protocol.bob_measurement is Measurement.HET:
+        rows["p_b"] = 2 * cm.n_modes + 1  # p of the slot the split appends
+        cm = split_with_vacuum(cm, 1)
+    return cm, rows
 
 
 def random_channelled_states(n, seed):

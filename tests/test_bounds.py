@@ -349,6 +349,20 @@ class TestUncertaintyRelations:
         assert np.max(np.abs(np.diff(slack, axis=1))) < 0.2
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (verify_ur_tripartite, "uncertainty relations are checked"),
+        (lambda cm: measured_conditional_vn_entropy(cm, X_A), "conditional measured entropy is defined"),
+        (lambda cm: devetak_winter_oracle(cm, Reconciliation.RR), "Devetak-Winter oracle is defined"),
+    ],
+    ids=["ur-tripartite", "measured-entropy", "devetak-winter"],
+)
+def test_two_mode_functions_reject_a_three_mode_state(call, message):
+    with pytest.raises(DomainError, match=f"^{message} on two-mode states$"):
+        call(split_with_vacuum(tmsv(2.0), 0))
+
+
 class TestDevetakWinter:
     def test_pure_tmsv_rr_gives_one_bit(self):
         # chi = 0 for a pure state; I = 0.5*log2(2/0.5) = 1

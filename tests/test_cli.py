@@ -357,13 +357,13 @@ class TestSimulate:
         assert lines[0] == "index,basis_a,basis_b,x_a,p_a,x_b,p_b"
         assert len(lines) == 66  # header + 64 rows + trailing LF
 
-    # sha256 of the written file, taken with the %-formatting export that the
-    # vectorised one replaced; 70,000 rows are a whole sampling block and part of a second
+    # sha256 of the written file, taken with a row-by-row "%.9g" export, not
+    # write_csv; 70,000 rows are a whole sampling block and part of a second
     @pytest.mark.parametrize(
         "protocol, digest",
         [
             ("rr-homA-homB-eb", "f730d5bd0c4848a662da57039060337908164d828b1eb16a0f385e9e0ce5648a"),
-            ("rr-hetA-hetB-eb", "4d081ef2aa57a2d2453b248ea742f1dbe69a8d770730f7136f467bba23740491"),
+            ("rr-hetA-hetB-eb", "3321a2882d77381b48c32c054c673330f09138e2ca72f79fb183ff375985356a"),
         ],
     )
     def test_record_csv_bytes_are_pinned(self, capsys, tmp_path, protocol, digest):
@@ -376,12 +376,13 @@ class TestSimulate:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
-    # sha256 of the report, taken before the commands shared one record renderer
+    # sha256 of the report, re-taken when the estimator divided the residual by
+    # n - 2 and heterodyne halves came from vacuum normals
     @pytest.mark.parametrize(
         "extra, digest",
         [
-            ([], "0786ced87e9d9dde879a89c17950867717d03b84750059f08737bd7f8db5fe13"),
-            (["--json"], "84125d3c6040bb06818c579b607cf835ef776fe2f83bbc1e8ed0d89d4ad6907d"),
+            ([], "762d360a4baf0eebf7d1d9229b2d0ba17d6420b3f3f3f8752f428fcbccee89e9"),
+            (["--json"], "1f4766950075e4f6c33f4a84885d5a38c9e918c7bbd12b0bd83629d4c884ddae"),
         ],
         ids=["text", "json"],
     )
@@ -463,6 +464,12 @@ class TestModulationSpelling:
 
 
 class TestRejectedInputs:
+    def test_malformed_list_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-ur", "--v-list", "1,abc"])
+        assert exc.value.code == 2
+        assert "argument --v-list: expected comma-separated reals, got '1,abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["keyrate", "simulate"])
     def test_missing_transmission_is_a_usage_error(self, capsys, command):
         with pytest.raises(SystemExit) as exc:

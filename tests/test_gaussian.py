@@ -101,6 +101,19 @@ class TestConstruction:
         with pytest.raises(DomainError):
             CovarianceMatrix(m)
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: CovarianceMatrix(np.eye(3)), r"covariance matrix must be 2n x 2n, got shape \(3, 3\)"),
+            (lambda: CovarianceMatrix(np.ones((2, 4))), r"covariance matrix must be 2n x 2n, got shape \(2, 4\)"),
+            (lambda: vacuum(0), "need at least one mode"),
+        ],
+        ids=["odd-square", "not-square", "vacuum-no-modes"],
+    )
+    def test_rejects_shapes_without_whole_modes(self, make, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            make()
+
     def test_rejects_unphysical_thermal(self):
         with pytest.raises(UnphysicalStateError):
             CovarianceMatrix(np.diag([0.5, 0.5]))
@@ -542,12 +555,13 @@ def _passive(angles):
 
 @pytest.mark.parametrize(
     "mode, quadrature",
-    [(0, "x"), (1, "p"), (0, 1), (0.5, Quadrature.X), (1.0, Quadrature.P), ("0", Quadrature.X)],
-    ids=["str-x", "str-p", "int-quadrature", "half-mode", "float-mode", "str-mode"],
+    [(0, "x"), (1, "p"), (0, 1), (0.5, Quadrature.X), (1.0, Quadrature.P), ("0", Quadrature.X),
+     (True, Quadrature.X)],
+    ids=["str-x", "str-p", "int-quadrature", "half-mode", "float-mode", "str-mode", "bool-mode"],
 )
 def test_mode_quadrature_rejects_untyped_fields(mode, quadrature):
     # a quadrature other than Quadrature.X once read p, so (0, "x") read p_A,
-    # and a non-integer mode reached numpy's untyped IndexError
+    # a non-integer mode reached numpy's untyped IndexError, and True read mode 1
     with pytest.raises(DomainError):
         ModeQuadrature(mode, quadrature)
 

@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvqkd.gaussian
+from conftest import split_protocol_state
 from cvqkd import (
     ChannelParams,
     DomainError,
     InsufficientDataError,
+    Measurement,
     ProtocolSpec,
     empirical_entropy,
     estimate_conditional_variance,
@@ -22,7 +25,7 @@ from cvqkd import (
     key_rate_at,
     sample_quadratures,
 )
-from cvqkd.montecarlo import _CSV_CHUNK_ROWS
+from cvqkd.montecarlo import _CSV_CHUNK_ROWS, COLUMNS
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
@@ -119,6 +122,42 @@ class TestSampling:
         frac = float(np.mean(rec.basis_a == rec.basis_b))
         assert abs(frac - 0.5) < 5.0 * math.sqrt(0.25 / n)
 
+    def test_builds_no_state_beyond_two_modes(self, monkeypatch):
+        # heterodyne halves come from vacuum normals, not from a split 3- or 4-mode state
+        shapes = []
+        validate = cvqkd.gaussian.CovarianceMatrix.__post_init__
+
+        def spy(self):
+            shapes.append(np.shape(self.matrix))
+            validate(self)
+
+        monkeypatch.setattr(cvqkd.gaussian.CovarianceMatrix, "__post_init__", spy)
+        for protocol in ProtocolSpec.all():
+            sample_quadratures(protocol, ChannelParams(0.7, 0.05), 3.0, 10, seed=1)
+        assert shapes and max(shapes) == (4, 4)
+
+    @pytest.mark.parametrize("protocol", ["rr-hetA-homB-eb", "rr-homA-hetB-eb", "rr-hetA-hetB-eb"])
+    def test_second_moments_match_the_split_state(self, protocol):
+        # every pair of columns measured together, against the state in which
+        # each heterodyning party's beamsplitter ports are modes of their own
+        protocol = ProtocolSpec.parse(protocol)
+        ch = ChannelParams(0.7, 0.05)
+        rec = sample_quadratures(protocol, ch, 3.0, 10**6, seed=21)
+        cm, rows = split_protocol_state(protocol, ch, 3.0)
+        pairs = 0
+        for i, a in enumerate(COLUMNS):
+            for b in COLUMNS[i:]:
+                both = np.isfinite(rec.column(a)) & np.isfinite(rec.column(b))
+                m = int(both.sum())
+                if m == 0:  # x and p of one homodyning party
+                    continue
+                va, vb, c = (cm.matrix[rows[j], rows[k]] for j, k in ((a, a), (b, b), (a, b)))
+                got = float(np.mean(rec.column(a)[both] * rec.column(b)[both]))
+                assert abs(got - c) < 5.0 * math.sqrt((va * vb + c * c) / m), (a, b, got, c)
+                pairs += 1
+        homodyning = (protocol.alice_measurement, protocol.bob_measurement).count(Measurement.HOM)
+        assert pairs == 10 - homodyning
+
     def test_heterodyne_party_records_both_halves(self):
         rec = sample_quadratures(DR_COHERENT, PERFECT, 2.0, 500, seed=3)
         assert rec.basis_a is None
@@ -144,6 +183,8 @@ class TestSampling:
             sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 0, seed=1)
         with pytest.raises(DomainError):
             sample_quadratures(RR_HOM_HOM, PERFECT, math.inf, 10, seed=1)
+        with pytest.raises(DomainError, match="^modulation variance must be >= 1, got 0.5$"):
+            sample_quadratures(RR_HOM_HOM, PERFECT, 0.5, 10, seed=1)
 
     @pytest.mark.parametrize("n", [1e3, 10.5, 2.0, "10", None])
     def test_sample_count_must_be_an_integer(self, n):
@@ -199,6 +240,21 @@ class TestConditionalVarianceEstimate:
             estimate_conditional_variance(rec, "x_b", "x_a")
         rec = sample_quadratures(het_het, PERFECT, 2.0, 3, seed=12)
         assert estimate_conditional_variance(rec, "x_b", "x_a").n == 3
+
+    @pytest.mark.parametrize("n", [5, 10, 40])
+    def test_small_sample_estimate_is_unbiased(self, n):
+        # the residual over n - 2 degrees of freedom is the analytic value times
+        # chi^2_(n-2) / (n - 2), so the mean ratio of 1,000 records has sd
+        # sqrt(2 / (n - 2) / 1000); over n - 1 it read 0.754, 0.876 and 0.974
+        het_het = ProtocolSpec.parse("rr-hetA-hetB-eb")
+        ch = ChannelParams(0.9, 0.01)
+        analytic = key_rate_at(het_het, ch, 5.0).variances.v_x_b_given_a
+        ratios = [
+            estimate_conditional_variance(sample_quadratures(het_het, ch, 5.0, n, seed), "x_b", "x_a").value
+            / analytic
+            for seed in range(1000)
+        ]
+        assert abs(np.mean(ratios) - 1.0) < 3.0 * math.sqrt(2.0 / (n - 2) / 1000)
 
     def test_std_error_shrinks_like_sqrt_n(self):
         rec_small = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 4 * 10**3, seed=13)
@@ -360,7 +416,7 @@ class TestCsvExport:
         "protocol, digest",
         [
             ("rr-homA-homB-eb", "aed3cdd9a759eb74e657086607937fbd1a1229b44c664a30cbccbec96e28ae12"),
-            ("rr-hetA-hetB-eb", "f4fe4dff451ca1260b08c66ce12fe9b96b342d140e7f32c71be50e0ca3ce4225"),
+            ("rr-hetA-hetB-eb", "f7406842513dfd84d09c08a6a7e877dac8ff84c230f93fbe00aa0b04acfbacd1"),
         ],
     )
     def test_bytes_are_pinned(self, protocol, digest):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd.gaussian
+from conftest import split_protocol_state
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
@@ -24,6 +25,7 @@ from cvqkd import (
     Reconciliation,
     SweepConfig,
     conditional_variance,
+    devetak_winter_oracle,
     empirical_entropy,
     entropy_g,
     gaussian_shannon_entropy,
@@ -32,12 +34,13 @@ from cvqkd import (
     max_distance,
     max_excess_noise,
     optimize_modulation,
+    sample_quadratures,
     security_region,
     thermal,
     threshold_transmission,
     tmsv,
+    vacuum,
 )
-from cvqkd.montecarlo import build_protocol_state
 from cvqkd.security import _law, _secure_at_infinite_v
 
 E = math.e
@@ -146,7 +149,7 @@ VARIANCE_FIELDS = ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_giv
 
 def cm_oracle(protocol, ch, v):
     """The four conditional variances read off the assembled covariance matrix."""
-    cm, rows = build_protocol_state(protocol, ch, v)
+    cm, rows = split_protocol_state(protocol, ch, v)
 
     def mq(column):
         row = rows[column]  # (x1, p1, x2, p2, ...) ordering
@@ -227,10 +230,14 @@ class TestClosedForm:
                 ch = ChannelParams(0.5, 0.01)
                 assert math.isfinite(key_rate_at(protocol, ch, v).key_rate)
         with pytest.raises(AssertionError, match="covariance matrix was built"):
-            build_protocol_state(RR_HOM_HOM, ChannelParams(0.5, 0.01), 2.0)
+            tmsv(2.0)
 
 
 class TestOptimizeModulation:
+    def test_v_max_below_one_rejected(self):
+        with pytest.raises(DomainError, match="^v_max must be >= 1, got 0.5$"):
+            optimize_modulation(RR_HOM_HOM, ChannelParams(0.5), 0.5)
+
     def test_rate_increases_with_v_max(self):
         ch = ChannelParams(0.5, 0.0)
         _, k10 = optimize_modulation(RR_HOM_HOM, ch, 10.0)
@@ -671,8 +678,22 @@ def test_non_finite_parameters_raise_domain_error(make, bad):
         lambda: empirical_entropy(np.linspace(-1.0, 1.0, 2000), None),
         lambda: key_rate_at(RR_HOM_HOM, ChannelParams(0.5), "3"),
         lambda: optimize_modulation(RR_HOM_HOM, ChannelParams(0.5), "3"),
-        lambda: build_protocol_state(RR_HOM_HOM, ChannelParams(0.5), "3"),
+        lambda: sample_quadratures(RR_HOM_HOM, ChannelParams(0.5), "3", 10, seed=1),
         lambda: ProtocolSpec.parse(None),
+        lambda: ChannelParams(True),
+        lambda: SweepConfig(0.1, 1.0, True),
+        lambda: vacuum(True),
+        lambda: sample_quadratures(RR_HOM_HOM, ChannelParams(0.5), 3.0, 10, seed=True),
+        lambda: max_excess_noise(RR_HOM_HOM, True),
+        lambda: entropy_g("2"),
+        lambda: entropy_g(None),
+        lambda: gaussian_shannon_entropy("2"),
+        lambda: gaussian_shannon_entropy(None),
+        lambda: ConditionalVariances("1", 1.0, 1.0, 1.0),
+        lambda: ConditionalVariances(1.0, 1.0, 1.0, None),
+        lambda: infer_full_mode_variance("1"),
+        lambda: infer_full_mode_variance(None),
+        lambda: devetak_winter_oracle(tmsv(2.0), None),
     ],
     ids=[
         "channel-T",
@@ -687,12 +708,29 @@ def test_non_finite_parameters_raise_domain_error(make, bad):
         "optimize-v_max",
         "state-v",
         "protocol-id",
+        "channel-T-bool",
+        "sweep-steps-bool",
+        "vacuum-bool",
+        "seed-bool",
+        "max-noise-T-bool",
+        "entropy-g-str",
+        "entropy-g-none",
+        "shannon-str",
+        "shannon-none",
+        "variances-str",
+        "variances-none",
+        "infer-str",
+        "infer-none",
+        "dw-direction-none",
     ],
 )
 def test_non_numeric_parameters_raise_domain_error(make):
     # a comparison with a str or None once raised an untyped TypeError
-    # (AttributeError for the protocol id); the CLI converts before calling
-    with pytest.raises(DomainError, match=r"must be a (real number|string), got ('|None)"):
+    # (AttributeError for the protocol id); a bool passed as the int or
+    # real it subclasses, and a None direction read as DR; the CLI
+    # converts before calling
+    kinds = "a real number|an integer|a non-negative integer|a string|a Reconciliation"
+    with pytest.raises(DomainError, match=rf"must be ({kinds}), got ('|None|True)"):
         make()
 
 
