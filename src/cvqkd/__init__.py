@@ -20,7 +20,6 @@ from .bounds import (
     gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate,
-    measured_conditional_vn_entropy,
     verify_ur_bipartite,
     verify_ur_tripartite,
 )
@@ -39,10 +38,8 @@ from .gaussian import (
     ModeQuadrature,
     Quadrature,
     apply_channel,
-    condition_on_homodyne,
     conditional_variance,
     entropy_g,
-    reduced_state,
     split_with_vacuum,
     symplectic_eigenvalues,
     thermal,
@@ -69,5 +66,22 @@ from .security import (
     security_region,
     threshold_transmission,
 )
+
+# the names above, as ``from cvqkd import *`` exports them
+__all__ = [
+    "ConditionalVariances", "Flavor", "KeyRateResult", "Measurement", "OneSidedDI", "ProtocolSpec",
+    "Reconciliation", "VarianceKind", "classify_1sdi", "devetak_winter_oracle",
+    "gaussian_shannon_entropy", "infer_full_mode_variance", "key_rate", "verify_ur_bipartite",
+    "verify_ur_tripartite",
+    "CVQKDError", "DomainError", "InsufficientDataError", "PrecisionError", "TagMismatchError",
+    "UnphysicalInferenceError", "UnphysicalStateError",
+    "ChannelParams", "CovarianceMatrix", "ModeQuadrature", "Quadrature", "apply_channel",
+    "conditional_variance", "entropy_g", "split_with_vacuum", "symplectic_eigenvalues", "thermal",
+    "tmsv", "vacuum", "von_neumann_entropy",
+    "EstimateWithError", "MeasurementRecord", "SimulatedKeyRate", "empirical_entropy",
+    "estimate_conditional_variance", "estimate_key_rate", "sample_quadratures",
+    "FibreModel", "SweepConfig", "key_rate_at", "max_distance", "max_excess_noise",
+    "optimize_modulation", "security_region", "threshold_transmission",
+]
 
 __version__ = "0.1.0"

@@ -22,15 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, TagMismatchError, UnphysicalInferenceError, _typed
-from .gaussian import (
-    CovarianceMatrix,
-    ModeQuadrature,
-    Quadrature,
-    _conditioned_mode_entropy,
-    _reduced_mode_entropy,
-    conditional_variance,
-    von_neumann_entropy,
-)
+from .gaussian import CovarianceMatrix, _mode_entropy, von_neumann_entropy
 
 LOG2_4PI = math.log2(4.0 * math.pi)
 
@@ -315,33 +307,6 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
 # ---------------------------------------------------------------------------
 
 
-def measured_conditional_vn_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) -> float:
-    """Conditional von Neumann entropy of a measured quadrature given the other mode.
-
-    On a two-mode state the conditioning side R is mode 1 - measured.mode.
-    Assembled as H(q_M) + S(rho_R^q) - S(R): the Shannon entropy of the
-    Gaussian outcome distribution, the entropy of the conditioned remote
-    state (outcome independent for Gaussian states) and the entropy of
-    the unconditioned remote state. DomainError for a measured mode
-    outside {0, 1}, naming the remote mode it reads first.
-
-    Both one-mode entropies are read from the two-mode matrix entries,
-    with no intermediate ``CovarianceMatrix``; they are bit-identical to
-    ``von_neumann_entropy`` of ``condition_on_homodyne`` and
-    ``reduced_state``, errors included.
-    """
-    if cm.n_modes != 2:
-        raise DomainError("conditional measured entropy is defined on two-mode states")
-    s_remote = _reduced_mode_entropy(cm, 1 - measured.mode)
-    return _outcome_entropy(cm, measured) - s_remote
-
-
-def _outcome_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) -> float:
-    # H(q_M) + S(rest | q_M): the terms every measured conditional entropy shares
-    h_outcome = gaussian_shannon_entropy(cm.variance(measured))
-    return h_outcome + _conditioned_mode_entropy(cm, measured)
-
-
 def verify_ur_bipartite(cm: CovarianceMatrix) -> float:
     """Slack of S(x_A|B) + S(p_A|B) >= log2(4 pi) + S(A|B) in bits.
 
@@ -362,16 +327,17 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     and the bipartite one (O_x - S_B) + (O_p - S_B) - log2(4 pi) - (S_AB - S_B)
     is the same sum: the duality of Berta et al., Nat. Phys. 6, 659 (2010).
 
-    The one-mode entropies are read from the two-mode matrix entries (see
-    ``measured_conditional_vn_entropy``), bit-identical to the
-    ``CovarianceMatrix`` route through ``condition_on_homodyne`` and
-    ``reduced_state``.
+    H(q_A) is the Shannon entropy of the Gaussian outcome distribution and
+    S(B|q_A) the entropy of B's conditioned state, outcome independent for
+    Gaussian states. S_B and S(B|q_A) are read from the matrix entries
+    (``_mode_entropy``); S_AB is ``von_neumann_entropy(cm)``.
     """
     if cm.n_modes != 2:
         raise DomainError("uncertainty relations are checked on two-mode states")
-    s_x_given_b = measured_conditional_vn_entropy(cm, ModeQuadrature(0, Quadrature.X))
-    s_p_given_e = _outcome_entropy(cm, ModeQuadrature(0, Quadrature.P)) - von_neumann_entropy(cm)
-    return s_x_given_b + s_p_given_e - LOG2_4PI
+    rows = cm.matrix.tolist()
+    s_b = _mode_entropy(rows, 2)
+    o_x, o_p = (gaussian_shannon_entropy(rows[i][i]) + _mode_entropy(rows, 2, i) for i in (0, 1))
+    return (o_x - s_b) + (o_p - von_neumann_entropy(cm)) - LOG2_4PI
 
 
 def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> float:
@@ -385,16 +351,17 @@ def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> fl
     bound must stay below. Both parties read x: a ``tmsv`` state sent
     through ``apply_channel`` is phase symmetric, and on 2,000 such
     states x and p gave bitwise-equal rates in both directions. The
-    conditioned entropy is read from the two-mode matrix entries,
-    bit-identical to ``von_neumann_entropy(condition_on_homodyne(...)[0])``.
+    conditional variance and the conditioned entropy are read from the
+    matrix entries (``_mode_entropy``).
     """
     if cm.n_modes != 2:
         raise DomainError("Devetak-Winter oracle is defined on two-mode states")
     if not isinstance(direction, Reconciliation):
         raise DomainError(f"reconciliation direction must be a Reconciliation, got {direction!r}")
-    ref_mode = 1 if direction is Reconciliation.RR else 0
-    ref = ModeQuadrature(ref_mode, Quadrature.X)
-    other = ModeQuadrature(1 - ref_mode, Quadrature.X)
-    mutual_info = 0.5 * math.log2(cm.variance(ref) / conditional_variance(cm, ref, other))
-    holevo = von_neumann_entropy(cm) - _conditioned_mode_entropy(cm, ref)
+    rows = cm.matrix.tolist()
+    i = 2 if direction is Reconciliation.RR else 0  # the reference's x row
+    k = 2 - i  # the other party's x row
+    v_ref, c = rows[i][i], rows[i][k]
+    mutual_info = 0.5 * math.log2(v_ref / (v_ref - c * c / rows[k][k]))
+    holevo = von_neumann_entropy(cm) - _mode_entropy(rows, k, i)
     return mutual_info - holevo

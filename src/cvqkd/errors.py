@@ -2,6 +2,13 @@
 
 Everything derives from ``CVQKDError`` so callers (notably the CLI) can
 distinguish numeric/domain failures from programming errors.
+
+The input contract of the public API: a numeric or string argument
+outside an operation's domain (a NaN, a bool, None or a str where a
+number is due) raises ``DomainError``, or ``PrecisionError`` where it lies
+beyond what floats resolve. An argument of the wrong object type, such
+as None for a protocol, a channel or a covariance matrix, is a
+programming error outside the contract.
 """
 
 import numbers

@@ -213,34 +213,6 @@ def split_with_vacuum(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
     return CovarianceMatrix(s @ ext @ s.T)
 
 
-def reduced_state(cm: CovarianceMatrix, modes: list[int]) -> CovarianceMatrix:
-    """Partial trace down to the given modes (kept in the given order)."""
-    for mode in modes:
-        cm._check_mode(mode)
-    idx = [2 * m + k for m in modes for k in range(2)]
-    return CovarianceMatrix(cm.matrix[np.ix_(idx, idx)])
-
-
-def condition_on_homodyne(
-    cm: CovarianceMatrix, measured: ModeQuadrature
-) -> tuple[CovarianceMatrix, float]:
-    """State of the remaining modes after a homodyne measurement.
-
-    Returns the Schur complement Sigma_rest - sigma sigma^T / V_meas
-    together with the variance of the measured quadrature. The
-    conjugate quadrature of the measured mode is discarded with the
-    mode, and the result is outcome independent.
-    """
-    cm._check_mode(measured.mode)
-    if cm.n_modes < 2:
-        raise DomainError("conditioning needs at least one remaining mode")
-    v_meas = cm.variance(measured)
-    keep = [i for i in range(2 * cm.n_modes) if i // 2 != measured.mode]
-    sigma = cm.matrix[keep, measured.index()]
-    rest = cm.matrix[np.ix_(keep, keep)] - np.outer(sigma, sigma) / v_meas
-    return CovarianceMatrix(rest), v_meas
-
-
 def conditional_variance(
     cm: CovarianceMatrix, target: ModeQuadrature, given: ModeQuadrature
 ) -> float:
@@ -377,48 +349,32 @@ def _eigh_spectrum(m: np.ndarray, tol: float) -> tuple[float, ...]:
     return tuple(float(nu) for nu in sv[::2][::-1])
 
 
-# Two-mode entropies read from the matrix entries. Each equals, bit for bit and
-# error for error, von_neumann_entropy of the one-mode CovarianceMatrix that
-# reduced_state or condition_on_homodyne would build: the same entries in the
-# same operation order, the same scale, closed form and gate.
-
-
 def _one_mode_entropy(a: float, b: float, d: float) -> float:
-    """von_neumann_entropy(CovarianceMatrix([[a, b], [b, d]])) without building it.
+    """von_neumann_entropy(CovarianceMatrix([[a, b], [b, d]])) without building it, bit for bit.
 
-    A matrix the closed form declines (a non-finite entry, an entry of
-    2^1023 or more, a <= 0, or ad - b^2 <= 0) is built after all, so it
-    raises, or takes the eigh route, exactly as CovarianceMatrix does.
+    PrecisionError where the closed form declines: a NaN or non-finite entry, an
+    entry of 2^1023 or more (its tolerance would snap nu = inf to purity), a <= 0
+    or ad - b^2 <= 0. A block of a validated state declines only through rounding.
     """
     scale = max(1.0, abs(a), abs(b), abs(d))  # a NaN entry is declined by _one_mode_nu
     nu = _one_mode_nu(a, b, d) if scale < _SYMMETRISE_LIMIT else None
     if nu is None:
-        return von_neumann_entropy(CovarianceMatrix(np.array([[a, b], [b, d]])))
+        raise PrecisionError(f"one-mode block [[{a}, {b}], [{b}, {d}]] is not positive definite")
     return entropy_g(_gate(nu, NU_TOLERANCE * scale))
 
 
-def _reduced_mode_entropy(cm: CovarianceMatrix, mode: int) -> float:
-    """von_neumann_entropy(reduced_state(cm, [mode])), read from the mode's 2x2 block."""
-    cm._check_mode(mode)
-    (a, b), (_, d) = cm.matrix[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2].tolist()
-    return _one_mode_entropy(a, b, d)
+def _mode_entropy(rows: list[list[float]], k: int, i: int | None = None) -> float:
+    """Entropy of the mode whose x row is k, after a homodyne of quadrature row i if given.
 
-
-def _conditioned_mode_entropy(cm: CovarianceMatrix, measured: ModeQuadrature) -> float:
-    """von_neumann_entropy(condition_on_homodyne(cm, measured)[0]); cm has two modes.
-
-    The kept mode's Schur complement m_kl - s_k s_l / v in scalars, in the
-    order np.outer(sigma, sigma) / v computes it.
+    ``rows`` is a validated matrix as nested lists. The conditioned block is
+    the Schur complement m_kl - s_k s_l / v (v = m_ii, s the column i),
+    rounded as np.outer(s, s) / v rounds it.
     """
-    cm._check_mode(measured.mode)
-    i = measured.index()
-    rows = cm.matrix.tolist()
-    v = rows[i][i]
-    k = 2 - 2 * measured.mode  # the kept mode's x row; its p row is k + 1
-    s0, s1 = rows[k][i], rows[k + 1][i]
-    return _one_mode_entropy(
-        rows[k][k] - s0 * s0 / v, rows[k][k + 1] - s0 * s1 / v, rows[k + 1][k + 1] - s1 * s1 / v
-    )
+    a, b, d = rows[k][k], rows[k][k + 1], rows[k + 1][k + 1]
+    if i is not None:
+        v, s0, s1 = rows[i][i], rows[k][i], rows[k + 1][i]
+        a, b, d = a - s0 * s0 / v, b - s0 * s1 / v, d - s1 * s1 / v
+    return _one_mode_entropy(a, b, d)
 
 
 def entropy_g(nu: float) -> float:

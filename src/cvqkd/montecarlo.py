@@ -31,6 +31,7 @@ RNG_STREAM = f"numpy.random.Philox(4x64-10), numpy {np.__version__}"
 
 CSV_HEADER = ["index", "basis_a", "basis_b", "x_a", "p_a", "x_b", "p_b"]
 COLUMNS = ("x_a", "p_a", "x_b", "p_b")
+MAX_ENTROPY_BINS = 10**7  # empirical_entropy's histogram: 80 MB of edges
 _CSV_CHUNK_ROWS = 2048
 
 # Vectorised "%.9g" for the quadrature cells. A cell is built in a 24-byte slot
@@ -322,7 +323,8 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     """Histogram estimate of differential entropy in bits.
 
     Bins of the given width span +-8 standard deviations; the estimate
-    is -sum p log2 p + log2(bin_width).
+    is -sum p log2 p + log2(bin_width). DomainError where that takes more
+    than MAX_ENTROPY_BINS bins.
     """
     _typed(bin_width, "bin width")
     if not 0.0 < bin_width < math.inf:
@@ -333,6 +335,9 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     spread = 8.0 * math.sqrt(float(np.var(samples)))
     if not spread > 0.0:  # NaN too: a NaN sample falls in no histogram bin
         raise DomainError("samples are constant or NaN; differential entropy is undefined")
+    bins = 2.0 * spread / bin_width  # inf where the quotient overflows
+    if not bins <= MAX_ENTROPY_BINS:
+        raise DomainError(f"bin width {bin_width} needs {bins:.3g} bins, over {MAX_ENTROPY_BINS}")
     edges = np.arange(-spread, spread + bin_width, bin_width)
     counts, _ = np.histogram(samples, bins=edges)
     p = counts[counts > 0] / samples.size

@@ -4,6 +4,8 @@ import pytest
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
+    CovarianceMatrix,
+    DomainError,
     Measurement,
     ModeQuadrature,
     Quadrature,
@@ -22,6 +24,34 @@ P_B = ModeQuadrature(1, Quadrature.P)
 def channelled_state(v, t, xi):
     """EPR state of variance v after a (t, xi) channel on mode B."""
     return apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
+
+
+def reduced_state(cm, modes):
+    """Partial trace down to the given modes (kept in the given order)."""
+    for mode in modes:
+        cm._check_mode(mode)
+    idx = [2 * m + k for m in modes for k in range(2)]
+    return CovarianceMatrix(cm.matrix[np.ix_(idx, idx)])
+
+
+def condition_on_homodyne(cm, measured):
+    """State of the remaining modes after a homodyne measurement.
+
+    Returns the Schur complement Sigma_rest - sigma sigma^T / V_meas
+    together with the variance of the measured quadrature. The
+    conjugate quadrature of the measured mode is discarded with the
+    mode, and the result is outcome independent. The reference that
+    the entry-level entropies of the UR slack and the DW ceiling are
+    checked against, bit for bit.
+    """
+    cm._check_mode(measured.mode)
+    if cm.n_modes < 2:
+        raise DomainError("conditioning needs at least one remaining mode")
+    v_meas = cm.variance(measured)
+    keep = [i for i in range(2 * cm.n_modes) if i // 2 != measured.mode]
+    sigma = cm.matrix[keep, measured.index()]
+    rest = cm.matrix[np.ix_(keep, keep)] - np.outer(sigma, sigma) / v_meas
+    return CovarianceMatrix(rest), v_meas
 
 
 def split_protocol_state(protocol, ch, v):

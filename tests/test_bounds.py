@@ -9,8 +9,10 @@ from conftest import (
     P_A,
     X_A,
     channelled_state,
+    condition_on_homodyne,
     full_mode_cv,
     random_channelled_states,
+    reduced_state,
 )
 from cvqkd import (
     ConditionalVariances,
@@ -26,14 +28,11 @@ from cvqkd import (
     UnphysicalInferenceError,
     VarianceKind,
     classify_1sdi,
-    condition_on_homodyne,
     conditional_variance,
     devetak_winter_oracle,
     gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate,
-    measured_conditional_vn_entropy,
-    reduced_state,
     split_with_vacuum,
     tmsv,
     vacuum,
@@ -41,6 +40,8 @@ from cvqkd import (
     verify_ur_tripartite,
     von_neumann_entropy,
 )
+from cvqkd.gaussian import _mode_entropy
+
 
 def general_two_mode_states(n, seed):
     """Thermal states under local squeezers and rotations around a beamsplitter.
@@ -276,29 +277,27 @@ class TestInference:
             infer_full_mode_variance(0.49)
 
 
+def measured_conditional_entropy(cm, i):
+    # S(q_A|B) = H(q_A) + S(B|q_A) - S(B), q_A on row i, as verify_ur_tripartite assembles it
+    rows = cm.matrix.tolist()
+    return gaussian_shannon_entropy(rows[i][i]) + _mode_entropy(rows, 2, i) - _mode_entropy(rows, 2)
+
+
 class TestMeasuredConditionalEntropy:
     def test_product_of_vacua(self):
-        got = measured_conditional_vn_entropy(vacuum(2), X_A)
+        got = measured_conditional_entropy(vacuum(2), 0)
         assert got == pytest.approx(0.5 * math.log2(2.0 * math.pi * math.e), abs=1e-12)
 
     def test_tmsv_two(self):
         # H(x_A) = 0.5*log2(4 pi e); conditioned B is pure diag(0.5, 2); S(B) = g(2)
         expected = 0.5 * math.log2(4.0 * math.pi * math.e) - (1.5 * math.log2(1.5) + 0.5)
-        got = measured_conditional_vn_entropy(tmsv(2.0), X_A)
+        got = measured_conditional_entropy(tmsv(2.0), 0)
         assert got == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("mode, remote", [(2, -1), (-1, 2)])
-    def test_out_of_range_mode_names_the_remote_mode(self, mode, remote):
-        # the remote mode 1 - mode is read before the measured one
-        with pytest.raises(DomainError, match=f"^mode {remote} out of range for 2-mode state$"):
-            measured_conditional_vn_entropy(
-                channelled_state(5.0, 0.7, 0.1), ModeQuadrature(mode, Quadrature.X)
-            )
 
     def test_phase_symmetry(self):
         for v, t, xi, cm in random_channelled_states(20, seed=23):
-            s_x = measured_conditional_vn_entropy(cm, X_A)
-            s_p = measured_conditional_vn_entropy(cm, P_A)
+            s_x = measured_conditional_entropy(cm, 0)
+            s_p = measured_conditional_entropy(cm, 1)
             assert abs(s_x - s_p) < 1e-10
 
 
@@ -321,17 +320,22 @@ class TestUncertaintyRelations:
         # the purification duality: both functions match the tripartite assembly
         # S(x_A|B) + S(p_A|E) - log2(4 pi) and the bipartite one
         # S(x_A|B) + S(p_A|B) - log2(4 pi) - S(A|B), built here from the kernels
+        # and the covariance-matrix references
         states = [cm for *_, cm in random_channelled_states(300, seed=59)]
         states += general_two_mode_states(300, seed=61)
         log2_4pi = math.log2(4.0 * math.pi)
+
+        def outcome_entropy(cm, q):  # H(q_A) + S(B|q_A)
+            conditioned, v = condition_on_homodyne(cm, q)
+            return gaussian_shannon_entropy(v) + von_neumann_entropy(conditioned)
+
         for cm in states:
             s_ab = von_neumann_entropy(cm)
-            s_x_given_b = measured_conditional_vn_entropy(cm, X_A)
-            s_p_given_b = measured_conditional_vn_entropy(cm, P_A)
-            conditioned, _ = condition_on_homodyne(cm, P_A)
-            h_p = gaussian_shannon_entropy(cm.variance(P_A))
-            tripartite = s_x_given_b + (h_p + von_neumann_entropy(conditioned) - s_ab) - log2_4pi
-            s_a_given_b = s_ab - von_neumann_entropy(reduced_state(cm, [1]))
+            s_b = von_neumann_entropy(reduced_state(cm, [1]))
+            s_x_given_b = outcome_entropy(cm, X_A) - s_b
+            s_p_given_b = outcome_entropy(cm, P_A) - s_b
+            tripartite = s_x_given_b + (outcome_entropy(cm, P_A) - s_ab) - log2_4pi
+            s_a_given_b = s_ab - s_b
             bipartite = s_x_given_b + s_p_given_b - log2_4pi - s_a_given_b
             for got in (verify_ur_bipartite(cm), verify_ur_tripartite(cm)):
                 assert abs(got - tripartite) <= 2e-15, cm.matrix.tolist()
@@ -353,10 +357,9 @@ class TestUncertaintyRelations:
     "call, message",
     [
         (verify_ur_tripartite, "uncertainty relations are checked"),
-        (lambda cm: measured_conditional_vn_entropy(cm, X_A), "conditional measured entropy is defined"),
         (lambda cm: devetak_winter_oracle(cm, Reconciliation.RR), "Devetak-Winter oracle is defined"),
     ],
-    ids=["ur-tripartite", "measured-entropy", "devetak-winter"],
+    ids=["ur-tripartite", "devetak-winter"],
 )
 def test_two_mode_functions_reject_a_three_mode_state(call, message):
     with pytest.raises(DomainError, match=f"^{message} on two-mode states$"):

@@ -316,6 +316,13 @@ class TestEmpiricalEntropy:
         with pytest.raises(InsufficientDataError):
             empirical_entropy(rng.standard_normal(10), 0.01)
 
+    @pytest.mark.parametrize("bin_width", [5e-324, 1e-300, 1e-20])
+    def test_too_many_bins_raise_domain_error(self, bin_width):
+        # np.arange raised an untyped "Maximum allowed size exceeded" for these
+        message = rf"^bin width {bin_width} needs .* bins, over 10000000$"
+        with pytest.raises(DomainError, match=message):
+            empirical_entropy(np.linspace(-1.0, 1.0, 2000), bin_width)
+
 
 class TestSimulateProtocolRun:
     def test_rr_hom_hom_converges_to_analytic(self):

@@ -1,6 +1,7 @@
 """Threshold solvers, secure regions and distances against closed-form oracles."""
 
 import hashlib
+import inspect
 import math
 
 import mpmath
@@ -761,6 +762,22 @@ def test_non_finite_values_raise_typed_errors(call):
     # each of these returned NaN or raised an untyped numpy error
     with pytest.raises(CVQKDError):
         call()
+
+
+def test_all_is_exactly_the_exported_names():
+    # every public name the package binds, bar its submodules, and nothing else
+    namespace = {}
+    exec("from cvqkd import *", namespace)
+    del namespace["__builtins__"]
+    public = {
+        name
+        for name, value in vars(cvqkd).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert sorted(namespace) == sorted(cvqkd.__all__) == sorted(public)
+    assert all(namespace[name] is getattr(cvqkd, name) for name in cvqkd.__all__)
+    for removed in ("reduced_state", "condition_on_homodyne", "measured_conditional_vn_entropy"):
+        assert not hasattr(cvqkd, removed)
 
 
 def test_entropy_kernel_diverges_at_infinity():
