@@ -1,6 +1,7 @@
 """Asymptotic one-sided device-independent key-rate bounds for Gaussian CVQKD.
 
-Covariance-matrix algebra for Gaussian states, entropic
+Covariance-matrix algebra for the one- and two-mode Gaussian states of
+the protocols (an EPR state through a loss-and-noise channel), entropic
 uncertainty-relation verification, the eight squeezed/coherent x
 homodyne/heterodyne x DR/RR key-rate bounds, channel-parameter security
 analysis and a seeded Monte Carlo validation path.
@@ -40,9 +41,7 @@ from .gaussian import (
     apply_channel,
     conditional_variance,
     entropy_g,
-    split_with_vacuum,
     symplectic_eigenvalues,
-    thermal,
     tmsv,
     vacuum,
     von_neumann_entropy,
@@ -76,8 +75,8 @@ __all__ = [
     "CVQKDError", "DomainError", "InsufficientDataError", "PrecisionError", "TagMismatchError",
     "UnphysicalInferenceError", "UnphysicalStateError",
     "ChannelParams", "CovarianceMatrix", "ModeQuadrature", "Quadrature", "apply_channel",
-    "conditional_variance", "entropy_g", "split_with_vacuum", "symplectic_eigenvalues", "thermal",
-    "tmsv", "vacuum", "von_neumann_entropy",
+    "conditional_variance", "entropy_g", "symplectic_eigenvalues", "tmsv", "vacuum",
+    "von_neumann_entropy",
     "EstimateWithError", "MeasurementRecord", "SimulatedKeyRate", "empirical_entropy",
     "estimate_conditional_variance", "estimate_key_rate", "sample_quadratures",
     "FibreModel", "SweepConfig", "key_rate_at", "max_distance", "max_excess_noise",

@@ -134,7 +134,8 @@ class ConditionalVariances:
     For homodyne measurements the quantities are full-mode; when a party
     heterodynes, the corresponding target or conditioner is the
     beamsplitter half that party actually measures, as recorded by the
-    kind tags (x and p of one direction always share a tag).
+    kind tags (x and p of one direction always share a tag). Each must be
+    positive, inf included (DomainError otherwise).
     """
 
     v_x_b_given_a: float
@@ -192,7 +193,7 @@ class KeyRateResult:
 
 
 def gaussian_shannon_entropy(v: float) -> float:
-    """Differential Shannon entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v)."""
+    """Differential entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v), inf at v = inf."""
     _typed(v, "variance")
     if not v > 0.0:
         raise DomainError(f"variance must be positive, got {v}")
@@ -205,6 +206,7 @@ def infer_full_mode_variance(measured_half_conditional: float) -> float:
     Inverse of the heterodyne-half law V_half = (V_full + 1)/2; the
     trusted party's beamsplitter is what licenses the inference. Applies
     elementwise to an array, raising if any element is below 1/2 or NaN.
+    A half of inf, or above about 9e307 where 2v - 1 overflows, gives inf.
     """
     try:  # on this hot path only a failed comparison pays for the type check
         ok = measured_half_conditional >= 0.5

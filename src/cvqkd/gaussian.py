@@ -1,10 +1,15 @@
-"""Covariance-matrix algebra for multimode Gaussian states.
+"""Covariance-matrix algebra for the one- and two-mode Gaussian states of the protocols.
+
+Every state the package builds is an EPR state (two-mode squeezed
+vacuum) sent through a phase-insensitive loss-and-noise channel, or one
+mode of it: a 4 x 4 matrix with blocks a I, b I and diag(c, -c), or a
+2 x 2 matrix. Both have a closed-form symplectic spectrum.
 
 Conventions (fixed throughout the package):
 
 * shot-noise units with hbar = 2, i.e. x = a + a^dag, p = i(a^dag - a),
   so the vacuum has quadrature variance 1;
-* quadrature ordering (x1, p1, x2, p2, ...), making every single-mode
+* quadrature ordering (x1, p1, x2, p2), making every single-mode
   operation a 2x2 block update;
 * all logarithms base 2, entropies in bits.
 
@@ -73,16 +78,17 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Second-moment matrix of an n-mode Gaussian state.
+    """Second-moment matrix of a one-mode state, or of a two-mode state in block form.
 
-    The entries are validated on construction: the matrix must be
-    symmetric (to 1e-12 relative tolerance), positive definite and
-    physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9. An entry
-    of magnitude 2^1023 or more, which (m + m^T) / 2 would overflow,
-    raises PrecisionError, and so does a matrix on the eigh route whose
-    smallest eigenvalue is rounding noise, since its spectrum cannot be
-    resolved. So every quadrature variance of a validated matrix is
-    positive, and conditioning on any quadrature divides by it safely.
+    Two modes take the form A = a I, B = b I, C = diag(c, -c) that ``tmsv``
+    and ``apply_channel`` build; any other shape or form raises DomainError.
+    The matrix must be symmetric (to 1e-12 relative tolerance), positive
+    definite and physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9.
+    An entry of magnitude 2^1023 or more, which (m + m^T) / 2 would
+    overflow, raises PrecisionError, and so does a matrix whose smallest
+    eigenvalue is rounding noise, since its spectrum cannot be resolved.
+    So every quadrature variance of a validated matrix is positive, and
+    conditioning on any quadrature divides by it safely.
     """
 
     matrix: np.ndarray
@@ -90,8 +96,8 @@ class CovarianceMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0 or m.shape[0] == 0:
-            raise DomainError(f"covariance matrix must be 2n x 2n, got shape {m.shape}")
+        if m.shape not in ((2, 2), (4, 4)):
+            raise DomainError(f"covariance matrix must be 2 x 2 or 4 x 4, got shape {m.shape}")
         peak = float(np.abs(m).max())  # NaN if any entry is
         if not peak < math.inf:
             raise DomainError(f"covariance matrix entries must be finite, got max |m| = {peak}")
@@ -128,19 +134,11 @@ class CovarianceMatrix:
 
 
 def vacuum(n_modes: int = 1) -> CovarianceMatrix:
-    """n uncorrelated vacuum modes (identity CM)."""
+    """One or two uncorrelated vacuum modes (identity CM)."""
     _typed(n_modes, "mode count", "an integer")
-    if n_modes < 1:
-        raise DomainError("need at least one mode")
+    if not 1 <= n_modes <= 2:
+        raise DomainError(f"need one or two modes, got {n_modes}")
     return CovarianceMatrix(np.eye(2 * n_modes))
-
-
-def thermal(v: float) -> CovarianceMatrix:
-    """Single thermal mode with quadrature variance v >= 1."""
-    _typed(v, "thermal variance")
-    if not 1.0 <= v < math.inf:
-        raise DomainError(f"thermal variance must be finite and >= 1, got {v}")
-    return CovarianceMatrix(np.diag([v, v]))
 
 
 def tmsv(v: float) -> CovarianceMatrix:
@@ -190,29 +188,6 @@ def apply_channel(cm: CovarianceMatrix, ch: ChannelParams, mode: int) -> Covaria
     return CovarianceMatrix(m)
 
 
-def split_with_vacuum(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
-    """Mix one mode with vacuum on a balanced beamsplitter.
-
-    The vacuum mode is appended at the end; the original slot carries
-    output 1 = (in + vac)/sqrt(2) and the appended slot output
-    2 = (in - vac)/sqrt(2). Each output quadrature has variance
-    (V + 1)/2 and correlations to third modes scale by 1/sqrt(2).
-    """
-    cm._check_mode(mode)
-    n = cm.n_modes
-    ext = np.eye(2 * (n + 1))
-    ext[: 2 * n, : 2 * n] = cm.matrix
-    s = np.eye(2 * (n + 1))
-    r = 1.0 / math.sqrt(2.0)
-    for k in range(2):  # x then p of the (target, appended) pair
-        i, j = 2 * mode + k, 2 * n + k
-        s[i, i] = r
-        s[i, j] = r
-        s[j, i] = r
-        s[j, j] = -r
-    return CovarianceMatrix(s @ ext @ s.T)
-
-
 def conditional_variance(
     cm: CovarianceMatrix, target: ModeQuadrature, given: ModeQuadrature
 ) -> float:
@@ -224,55 +199,45 @@ def conditional_variance(
     return cm.variance(target) - c * c / v_g
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Standard symplectic form Omega for the (x1, p1, ...) ordering."""
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
     """Symplectic spectrum: |eig(i Omega Sigma)|, one value per mode, ascending.
 
-    Computed once, when the covariance matrix is validated, by one of two
-    routes (see ``_symplectic_spectrum``): a closed form for one-mode
-    states and for two-mode states in the block form that ``tmsv`` and
-    ``apply_channel`` produce, eigh and an SVD for everything else.
-    Measured against a 50-digit spectrum of the same stored matrix on
-    channel states with V in [1, 1e7], the closed form's largest relative
-    error per decade of V runs from 4e-16 to 7e-10; the eigh route's runs
-    from 8e-15 to 1.2e-2, roughly eps times the squared largest entry.
+    Computed once, in closed form, when the covariance matrix is validated
+    (see ``_symplectic_spectrum``). Measured against a 50-digit spectrum of
+    the same stored matrix on channel states with V in [1, 1e7], the
+    largest relative error in the decade 10^d <= V < 10^(d+1) (V = 1e7
+    joins d = 6) runs from 4e-16 at d = 0 to 6.7e-10 at d = 6 and stays
+    below eps * 10^(d+1) / 2: it grows like eps * V.
     """
     return list(cm._nus)
 
 
 def _symplectic_spectrum(m: np.ndarray, scale: float) -> tuple[float, ...]:
-    """Validated symplectic spectrum of a symmetric 2n x 2n matrix, ascending.
+    """Validated closed-form symplectic spectrum of a symmetric 2 x 2 or 4 x 4 matrix, ascending.
 
-    ``scale`` is max(1, max |m_ij|). The route is chosen from the entries:
+    ``scale`` is max(1, max |m_ij|). Where ``_closed_form_spectrum``
+    declines, the quadrature block [[a, c], [c, b]] is not positive
+    definite to rounding: its smallest eigenvalue
+    (a + b)/2 - hypot((a - b)/2, c) below -tol raises UnphysicalStateError,
+    and otherwise PrecisionError, since the spectrum of a matrix singular
+    to rounding cannot be resolved.
 
-    * closed form (``_closed_form_spectrum``) for one mode with a > 0 and
-      a positive determinant, and for two modes in block form A = a I,
-      B = b I, C = diag(c, -c) (exact float equality) with a, b,
-      (a - c) + (b - c) and ab - c^2 all positive;
-    * eigh and an SVD (``_eigh_spectrum``) for every other matrix,
-      including the ones the closed form declines, so a matrix that is
-      not positive definite raises there as before, and one that is
-      singular to rounding raises PrecisionError.
-
-    Both routes share one gate. Values below 1 by less than the tolerance
-    are snapped to 1 (two-mode squeezed vacuum is analytically pure but
-    numerically nu = 1 +- eps); anything further below 1 raises an
-    unphysical-state error. The 1e-9 tolerance is scaled by ``scale``: a
-    stored CM with entries of size s cannot represent purity more finely
-    than s * machine epsilon, so a fixed gate would spuriously reject pure
-    states beyond V ~ 1e4. The closed form keeps ``tmsv(V)`` at [1, 1] up
-    to V = 1e7; the two-mode closed form's relative error grows like
-    eps * V on channel states (7e-10 at V = 1e7), the eigh route's like
-    eps * V^2.
+    Values below 1 by less than the tolerance are snapped to 1 (two-mode
+    squeezed vacuum is analytically pure but numerically nu = 1 +- eps);
+    anything further below 1 raises an unphysical-state error. The 1e-9
+    tolerance is scaled by ``scale``: a stored CM with entries of size s
+    cannot represent purity more finely than s * machine epsilon, so a
+    fixed gate would spuriously reject pure states beyond V ~ 1e4. This
+    keeps ``tmsv(V)`` at [1, 1] up to V = 1e7.
     """
     tol = NU_TOLERANCE * scale
     nus = _closed_form_spectrum(m)
     if nus is None:
-        nus = _eigh_spectrum(m, tol)
+        (a, c), (_, b) = (m if m.shape == (2, 2) else m[::2, ::2]).tolist()
+        low = (a + b) / 2.0 - math.hypot((a - b) / 2.0, c)
+        if low < -tol:
+            raise UnphysicalStateError("covariance matrix is not positive definite")
+        raise PrecisionError(f"covariance matrix eigenvalue {low} is below its rounding floor")
     return tuple(_gate(nu, tol) for nu in nus)
 
 
@@ -290,12 +255,13 @@ def _one_mode_nu(a: float, b: float, d: float) -> float | None:
 
 
 def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
-    """Unsnapped closed-form spectrum, ascending, or None when it does not apply.
+    """Unsnapped closed-form spectrum, ascending, or None where it declines.
 
-    One mode: nu = sqrt(ad - b^2). Two modes in block form
-    A = a I, B = b I, C = diag(c, -c), with c taken as |c| and
-    lo = (a - c) + (b - c) (Serafini, Illuminati and De Siena, J. Phys. B
-    37, L21, 2004):
+    One mode: nu = sqrt(ad - b^2), for a > 0 and a positive determinant.
+    Two modes must be in block form A = a I, B = b I, C = diag(c, -c)
+    (exact float equality; DomainError otherwise). With c taken as |c|
+    and lo = (a - c) + (b - c), for a, b, lo and ab - c^2 positive
+    (Serafini, Illuminati and De Siena, J. Phys. B 37, L21, 2004):
 
         nu+ = (sqrt(lo (a + b + 2c)) + |a - b|) / 2,
         nu- = (a (b - c) + c (a - c)) / nu+.
@@ -310,11 +276,9 @@ def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
         (a, b), (_, d) = m.tolist()
         nu = _one_mode_nu(a, b, d)
         return None if nu is None else (nu,)
-    if m.shape != (4, 4):
-        return None
     (a, z1, c, z2), (_, a2, z3, c2), (_, _, b, z4), (_, _, _, b2) = m.tolist()
     if not (a == a2 and b == b2 and c == -c2 and z1 == z2 == z3 == z4 == 0.0):
-        return None
+        raise DomainError("two-mode covariance matrix must have blocks a I, b I and diag(c, -c)")
     c = abs(c)
     lo = (a - c) + (b - c)
     num = a * (b - c) + c * (a - c)  # ab - c^2 without cancelling products
@@ -322,31 +286,6 @@ def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
         return None
     hi = (math.sqrt(lo * (a + b + 2.0 * c)) + abs(a - b)) / 2.0
     return (num / hi, hi)
-
-
-def _eigh_spectrum(m: np.ndarray, tol: float) -> tuple[float, ...]:
-    """Unsnapped spectrum of any symmetric 2n x 2n matrix, ascending.
-
-    Computed through the antisymmetric congruence Sigma^(1/2) Omega
-    Sigma^(1/2), whose singular values are the nu in pairs. Raises
-    UnphysicalStateError when an eigenvalue of the matrix is below -tol
-    (not positive definite), and PrecisionError when one is below
-    eps * max(1, largest eigenvalue): at that size it is rounding noise,
-    and its square root would set a spurious nu ~ 0 or some other
-    unresolved value.
-    """
-    w, u = np.linalg.eigh(m)
-    if w[0] < -tol:
-        raise UnphysicalStateError("covariance matrix is not positive definite")
-    floor = np.finfo(float).eps * max(1.0, float(w[-1]))
-    if w[0] < floor:
-        raise PrecisionError(
-            f"covariance matrix eigenvalue {w[0]} is below its rounding floor {floor}"
-        )
-    root = (u * np.sqrt(w)) @ u.T
-    k = root @ symplectic_form(m.shape[0] // 2) @ root
-    sv = np.linalg.svd((k - k.T) / 2.0, compute_uv=False)  # pairs, descending
-    return tuple(float(nu) for nu in sv[::2][::-1])
 
 
 def _one_mode_entropy(a: float, b: float, d: float) -> float:

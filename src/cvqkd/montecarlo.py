@@ -229,8 +229,8 @@ def sample_quadratures(
     84, 621, 2012). A block of m rows is ``standard_normal((m, 4 + 2h)) @
     mix.T``, h the number of heterodyning parties. ``mix`` is the Cholesky
     factor of the 4 x 4 state, with a heterodyning party's rows scaled by
-    1/sqrt(2) and given +1/sqrt(2) (x port) and -1/sqrt(2) (p port) on its
-    own two vacuum normals, as ``split_with_vacuum`` orders its ports.
+    1/sqrt(2) and given +1/sqrt(2) (x port, (in + vac)/sqrt(2)) and
+    -1/sqrt(2) (p port, (in - vac)/sqrt(2)) on its own two vacuum normals.
     Identical (parameters, seed) reproduce the record bit for bit. The
     seed is a non-negative integer, as ``numpy.random.SeedSequence`` takes
     it, and v a finite real >= 1 (DomainError otherwise).
@@ -332,9 +332,10 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.size < 1000:
         raise InsufficientDataError(f"entropy estimate needs >= 1000 samples, got {samples.size}")
-    spread = 8.0 * math.sqrt(float(np.var(samples)))
-    if not spread > 0.0:  # NaN too: a NaN sample falls in no histogram bin
-        raise DomainError("samples are constant or NaN; differential entropy is undefined")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are raised below
+        spread = 8.0 * math.sqrt(float(np.var(samples)))
+    if not 0.0 < spread < math.inf:  # NaN too: a NaN sample falls in no histogram bin
+        raise DomainError("samples are constant, non-finite or too large to bin")
     bins = 2.0 * spread / bin_width  # inf where the quotient overflows
     if not bins <= MAX_ENTROPY_BINS:
         raise DomainError(f"bin width {bin_width} needs {bins:.3g} bins, over {MAX_ENTROPY_BINS}")

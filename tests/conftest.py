@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from cvqkd import (
     Quadrature,
     apply_channel,
     conditional_variance,
-    split_with_vacuum,
     tmsv,
 )
 
@@ -54,23 +55,51 @@ def condition_on_homodyne(cm, measured):
     return CovarianceMatrix(rest), v_meas
 
 
+def split_with_vacuum(m, mode):
+    """Mix one mode of the array m with vacuum on a balanced beamsplitter.
+
+    The vacuum mode is appended at the end; the original slot carries
+    output 1 = (in + vac)/sqrt(2) and the appended slot output
+    2 = (in - vac)/sqrt(2). Each output quadrature has variance
+    (V + 1)/2 and correlations to third modes scale by 1/sqrt(2). Returns
+    the (n + 1)-mode array, symmetrised as (m + m^T) / 2.
+    """
+    n = m.shape[0] // 2
+    ext = np.eye(2 * (n + 1))
+    ext[: 2 * n, : 2 * n] = m
+    s = np.eye(2 * (n + 1))
+    r = 1.0 / math.sqrt(2.0)
+    for k in range(2):  # x then p of the (target, appended) pair
+        i, j = 2 * mode + k, 2 * n + k
+        s[i, i] = s[i, j] = s[j, i] = r
+        s[j, j] = -r
+    out = s @ ext @ s.T
+    return (out + out.T) / 2.0
+
+
+def schur_variance(m, target, given):
+    """Conditional variance m_tt - m_tg^2 / m_gg of row ``target`` given row ``given`` of the array m."""
+    c = m[target, given]
+    return m[target, target] - c * c / m[given, given]
+
+
 def split_protocol_state(protocol, ch, v):
     """A protocol's measured state with every beamsplitter port as a mode of its own.
 
     The EPR state of variance v through the channel, each heterodyning
-    party's mode split with vacuum: the n-mode reference for the
-    conditional variances and for the sampled records. Returns the
-    covariance matrix and the row in it of each record column.
+    party's mode split with vacuum: the n-mode reference array for the
+    conditional variances and for the sampled records. Returns the array
+    and the row in it of each record column.
     """
-    cm = channelled_state(v, ch.transmission, ch.excess_noise)
+    m = channelled_state(v, ch.transmission, ch.excess_noise).matrix
     rows = {"x_a": 0, "p_a": 1, "x_b": 2, "p_b": 3}
     if protocol.alice_measurement is Measurement.HET:
-        cm = split_with_vacuum(cm, 0)  # modes: A1, B, A2; p_a is A2's p
+        m = split_with_vacuum(m, 0)  # modes: A1, B, A2; p_a is A2's p
         rows["p_a"] = 5
     if protocol.bob_measurement is Measurement.HET:
-        rows["p_b"] = 2 * cm.n_modes + 1  # p of the slot the split appends
-        cm = split_with_vacuum(cm, 1)
-    return cm, rows
+        rows["p_b"] = m.shape[0] + 1  # p of the slot the split appends
+        m = split_with_vacuum(m, 1)
+    return m, rows
 
 
 def random_channelled_states(n, seed):

@@ -13,10 +13,12 @@ from conftest import (
     full_mode_cv,
     random_channelled_states,
     reduced_state,
+    schur_variance,
+    split_with_vacuum,
 )
 from cvqkd import (
+    ChannelParams,
     ConditionalVariances,
-    CovarianceMatrix,
     DomainError,
     Measurement,
     ModeQuadrature,
@@ -27,13 +29,13 @@ from cvqkd import (
     TagMismatchError,
     UnphysicalInferenceError,
     VarianceKind,
+    apply_channel,
     classify_1sdi,
     conditional_variance,
     devetak_winter_oracle,
     gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate,
-    split_with_vacuum,
     tmsv,
     vacuum,
     verify_ur_bipartite,
@@ -41,38 +43,6 @@ from cvqkd import (
     von_neumann_entropy,
 )
 from cvqkd.gaussian import _mode_entropy
-
-
-def general_two_mode_states(n, seed):
-    """Thermal states under local squeezers and rotations around a beamsplitter.
-
-    Seeded and physical; unlike channelled EPR states they are not in the
-    block form A = a I, B = b I, C = diag(c, -c).
-    """
-    rng = np.random.default_rng(seed)
-
-    def local():
-        out = np.zeros((4, 4))
-        for k in (0, 2):
-            a, b = rng.uniform(0.0, 2.0 * math.pi, 2)
-            squeezer = np.diag(np.exp(np.array([-1.0, 1.0]) * rng.uniform(-1.0, 1.0)))
-            out[k : k + 2, k : k + 2] = rotation(a) @ squeezer @ rotation(b)
-        return out
-
-    states = []
-    for _ in range(n):
-        theta = rng.uniform(0.0, math.pi)
-        c, s = math.cos(theta), math.sin(theta)
-        splitter = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
-        sym = local() @ splitter @ local()
-        m = sym @ np.diag(np.repeat(rng.uniform(1.0, 20.0, 2), 2)) @ sym.T
-        states.append(CovarianceMatrix((m + m.T) / 2.0))
-    return states
-
-
-def rotation(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
 
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
@@ -184,13 +154,9 @@ class TestEqTenEquivalence:
         # log2(2/(e sqrt(V_{xA1|xB} V_{pA2|pB}))) ==
         # log2(4/(e sqrt((V_{xA|xB}+1)(V_{pA|pB}+1)))) when halves come from the splitter
         for v, t, xi, cm in random_channelled_states(40, seed=21):
-            split = split_with_vacuum(cm, 0)  # A1=0, B=1, A2=2
-            half_x = conditional_variance(
-                split, ModeQuadrature(0, Quadrature.X), ModeQuadrature(1, Quadrature.X)
-            )
-            half_p = conditional_variance(
-                split, ModeQuadrature(2, Quadrature.P), ModeQuadrature(1, Quadrature.P)
-            )
+            split = split_with_vacuum(cm.matrix, 0)  # A1=0, B=1, A2=2
+            half_x = schur_variance(split, 0, 2)  # x_A1 given x_B
+            half_p = schur_variance(split, 5, 3)  # p_A2 given p_B
             full_x = conditional_variance(cm, X_A, ModeQuadrature(1, Quadrature.X))
             full_p = conditional_variance(cm, P_A, ModeQuadrature(1, Quadrature.P))
             lhs = math.log2(2.0 / (math.e * math.sqrt(half_x * half_p)))
@@ -264,10 +230,8 @@ class TestInference:
 
     def test_round_trip_with_splitter(self):
         # tmsv(2), perfect channel: V_{xB|xA} = 0.5, half (0.5+1)/2 = 0.75
-        split = split_with_vacuum(tmsv(2.0), 0)
-        half = conditional_variance(
-            split, ModeQuadrature(0, Quadrature.X), ModeQuadrature(1, Quadrature.X)
-        )
+        split = split_with_vacuum(tmsv(2.0).matrix, 0)
+        half = schur_variance(split, 0, 2)  # x_A1 given x_B
         assert infer_full_mode_variance(half) == pytest.approx(
             conditional_variance(tmsv(2.0), X_A, ModeQuadrature(1, Quadrature.X)), abs=1e-12
         )
@@ -320,9 +284,13 @@ class TestUncertaintyRelations:
         # the purification duality: both functions match the tripartite assembly
         # S(x_A|B) + S(p_A|E) - log2(4 pi) and the bipartite one
         # S(x_A|B) + S(p_A|B) - log2(4 pi) - S(A|B), built here from the kernels
-        # and the covariance-matrix references
+        # and the covariance-matrix references; half the states are mixed on both arms
         states = [cm for *_, cm in random_channelled_states(300, seed=59)]
-        states += general_two_mode_states(300, seed=61)
+        rng = np.random.default_rng(61)
+        states += [
+            apply_channel(cm, ChannelParams(float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, 0.5))), 0)
+            for *_, cm in random_channelled_states(300, seed=61)
+        ]
         log2_4pi = math.log2(4.0 * math.pi)
 
         def outcome_entropy(cm, q):  # H(q_A) + S(B|q_A)
@@ -361,9 +329,9 @@ class TestUncertaintyRelations:
     ],
     ids=["ur-tripartite", "devetak-winter"],
 )
-def test_two_mode_functions_reject_a_three_mode_state(call, message):
+def test_two_mode_functions_reject_a_one_mode_state(call, message):
     with pytest.raises(DomainError, match=f"^{message} on two-mode states$"):
-        call(split_with_vacuum(tmsv(2.0), 0))
+        call(vacuum(1))
 
 
 class TestDevetakWinter:

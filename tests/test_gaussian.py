@@ -1,4 +1,4 @@
-"""Covariance-matrix core: construction, channel, beamsplitter, conditioning."""
+"""Covariance-matrix core: construction, channel, beamsplitter reference, conditioning."""
 
 import math
 from fractions import Fraction
@@ -19,6 +19,8 @@ from conftest import (
     condition_on_homodyne,
     random_channelled_states,
     reduced_state,
+    schur_variance,
+    split_with_vacuum,
 )
 from cvqkd import (
     ChannelParams,
@@ -30,9 +32,7 @@ from cvqkd import (
     apply_channel,
     conditional_variance,
     entropy_g,
-    split_with_vacuum,
     symplectic_eigenvalues,
-    thermal,
     tmsv,
     vacuum,
     von_neumann_entropy,
@@ -41,7 +41,6 @@ from cvqkd.errors import CVQKDError, PrecisionError
 from cvqkd.gaussian import (
     NU_TOLERANCE,
     _closed_form_spectrum,
-    _eigh_spectrum,
     _mode_entropy,
     _one_mode_entropy,
 )
@@ -109,13 +108,39 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: CovarianceMatrix(np.eye(3)), r"covariance matrix must be 2n x 2n, got shape \(3, 3\)"),
-            (lambda: CovarianceMatrix(np.ones((2, 4))), r"covariance matrix must be 2n x 2n, got shape \(2, 4\)"),
-            (lambda: vacuum(0), "need at least one mode"),
+            (lambda: CovarianceMatrix(np.eye(3)), r"covariance matrix must be 2 x 2 or 4 x 4, got shape \(3, 3\)"),
+            (lambda: CovarianceMatrix(np.ones((2, 4))), r"covariance matrix must be 2 x 2 or 4 x 4, got shape \(2, 4\)"),
+            (lambda: vacuum(0), "need one or two modes, got 0"),
         ],
         ids=["odd-square", "not-square", "vacuum-no-modes"],
     )
     def test_rejects_shapes_without_whole_modes(self, make, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            make()
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: CovarianceMatrix(np.eye(6)), r"covariance matrix must be 2 x 2 or 4 x 4, got shape \(6, 6\)"),
+            (lambda: CovarianceMatrix(np.eye(2)[0]), r"covariance matrix must be 2 x 2 or 4 x 4, got shape \(2,\)"),
+            (lambda: vacuum(3), "need one or two modes, got 3"),
+            (
+                lambda: CovarianceMatrix(np.diag([2.0, 3.0, 2.0, 2.0])),
+                r"two-mode covariance matrix must have blocks a I, b I and diag\(c, -c\)",
+            ),
+            (
+                lambda: CovarianceMatrix(np.array([[2.0, 0, 1, 0], [0, 2, 0, 1], [1, 0, 2, 0], [0, 1, 0, 2]])),
+                r"two-mode covariance matrix must have blocks a I, b I and diag\(c, -c\)",
+            ),
+            (
+                lambda: CovarianceMatrix(np.array([[2.0, 0.1, 0, 0], [0.1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])),
+                r"two-mode covariance matrix must have blocks a I, b I and diag\(c, -c\)",
+            ),
+        ],
+        ids=["three-modes", "vector", "vacuum-three-modes", "unequal-variances", "same-sign-c", "x-p-correlation"],
+    )
+    def test_rejects_states_outside_the_family(self, make, message):
+        # only the EPR-through-a-channel family and its one-mode blocks have a closed-form spectrum
         with pytest.raises(DomainError, match=f"^{message}$"):
             make()
 
@@ -181,43 +206,45 @@ class TestChannel:
         return CovarianceMatrix(m)
 
     def test_matches_ix_oracle_exactly(self):
+        # family states, a channel on either arm, then a second channel on either arm
         rng = np.random.default_rng(20261018)
-        for i in range(600):
+        for _ in range(600):
             v = float(10.0 ** rng.uniform(0.0, 6.0))
-            cm = apply_channel(tmsv(v), ChannelParams(float(rng.uniform(1e-3, 1.0)), 0.0), 1)
-            if i % 2:  # three modes, as the heterodyne protocols build them
-                cm = split_with_vacuum(cm, int(rng.integers(2)))
+            first = ChannelParams(float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, 0.5)))
+            cm = apply_channel(tmsv(v), first, int(rng.integers(2)))
             ch = ChannelParams(float(rng.uniform(1e-6, 1.0)), float(rng.uniform(0.0, 0.5)))
-            mode = int(rng.integers(cm.n_modes))
+            mode = int(rng.integers(2))
             got = apply_channel(cm, ch, mode).matrix
             assert np.array_equal(got, self.ix_oracle(cm, ch, mode).matrix)
 
 
 class TestBeamsplitter:
+    """The split-state reference that the heterodyne variances and records are checked against."""
+
     def test_vacuum_invariant(self):
-        out = split_with_vacuum(vacuum(1), 0)
-        assert np.allclose(out.matrix, np.eye(4), atol=1e-15)
+        out = split_with_vacuum(np.eye(2), 0)
+        assert np.allclose(out, np.eye(4), atol=1e-15)
 
     def test_single_mode_split(self):
-        out = split_with_vacuum(thermal(3.0), 0)
-        assert out.matrix[0, 0] == pytest.approx(2.0, abs=1e-15)  # (3+1)/2
-        assert out.matrix[2, 2] == pytest.approx(2.0, abs=1e-15)
-        assert out.matrix[0, 2] == pytest.approx(1.0, abs=1e-15)  # (3-1)/2
+        out = split_with_vacuum(np.diag([3.0, 3.0]), 0)  # a thermal mode
+        assert out[0, 0] == pytest.approx(2.0, abs=1e-15)  # (3+1)/2
+        assert out[2, 2] == pytest.approx(2.0, abs=1e-15)
+        assert out[0, 2] == pytest.approx(1.0, abs=1e-15)  # (3-1)/2
 
     def test_third_party_correlation_scaling(self):
-        out = split_with_vacuum(tmsv(2.0), 0)  # modes A1, B, A2
+        out = split_with_vacuum(tmsv(2.0).matrix, 0)  # modes A1, B, A2
         expected = math.sqrt(3.0) / math.sqrt(2.0)  # 1.224745
-        assert out.matrix[0, 2] == pytest.approx(expected, abs=1e-15)
+        assert out[0, 2] == pytest.approx(expected, abs=1e-15)
 
     def test_heterodyne_half_law(self):
         # V_{xA1|q} = (V_{xA|q} + 1)/2 for any third-party quadrature q
         for v, t, xi in [(2.0, 1.0, 0.0), (8.0, 0.4, 0.1), (30.0, 0.7, 0.3)]:
             cm = channelled_state(v, t, xi)
-            split = split_with_vacuum(cm, 0)  # A1=0, B=1, A2=2
+            split = split_with_vacuum(cm.matrix, 0)  # A1=0, B=1, A2=2
             for quad in (Quadrature.X, Quadrature.P):
                 q_full = ModeQuadrature(1, quad)
                 full = conditional_variance(cm, ModeQuadrature(0, quad), q_full)
-                half = conditional_variance(split, ModeQuadrature(0, quad), q_full)
+                half = schur_variance(split, ModeQuadrature(0, quad).index(), q_full.index())
                 assert abs(half - (full + 1.0) / 2.0) < 1e-10
 
 
@@ -279,24 +306,26 @@ class TestConditioning:
 
 class TestPhysicalityPreservation:
     def test_operations_keep_states_physical(self):
+        # a channel on either arm, then a homodyne of either quadrature of either mode
         rng = np.random.default_rng(13)
         for _ in range(100):
             v = float(rng.uniform(1.0, 50.0))
             t = float(rng.uniform(1e-3, 1.0))
             xi = float(rng.uniform(0.0, 0.5))
-            cm = channelled_state(v, t, xi)  # construction validates
-            split = split_with_vacuum(cm, int(rng.integers(0, 2)))
-            mq = ModeQuadrature(int(rng.integers(0, 3)), Quadrature.X)
-            rest, _ = condition_on_homodyne(split, mq)
+            cm = apply_channel(tmsv(v), ChannelParams(t, xi), int(rng.integers(0, 2)))  # validates
+            mq = ModeQuadrature(int(rng.integers(0, 2)), Quadrature.X if rng.integers(2) else Quadrature.P)
+            rest, _ = condition_on_homodyne(cm, mq)
             assert min(symplectic_eigenvalues(rest)) >= 1.0 - 1e-9
+            assert min(symplectic_eigenvalues(reduced_state(cm, [1 - mq.mode]))) >= 1.0 - 1e-9
 
 
 class TestSpectraAndEntropy:
     def test_vacuum_spectrum(self):
-        assert symplectic_eigenvalues(vacuum(3)) == [1.0, 1.0, 1.0]
+        assert symplectic_eigenvalues(vacuum(1)) == [1.0]
+        assert symplectic_eigenvalues(vacuum(2)) == [1.0, 1.0]
 
     def test_thermal_spectrum(self):
-        assert symplectic_eigenvalues(thermal(4.5)) == pytest.approx([4.5], abs=1e-12)
+        assert symplectic_eigenvalues(CovarianceMatrix(np.diag([4.5, 4.5]))) == pytest.approx([4.5], abs=1e-12)
 
     def test_pure_states_have_zero_entropy(self):
         assert von_neumann_entropy(tmsv(5.0)) == 0.0
@@ -304,7 +333,7 @@ class TestSpectraAndEntropy:
 
     def test_thermal_entropy_nu_3(self):
         # g(3) = 2*log2(2) - 1*log2(1) = 2 bits
-        assert von_neumann_entropy(thermal(3.0)) == pytest.approx(2.0, abs=1e-12)
+        assert von_neumann_entropy(CovarianceMatrix(np.diag([3.0, 3.0]))) == pytest.approx(2.0, abs=1e-12)
 
     def test_reduced_tmsv_entropy(self):
         # g(2) = 1.5*log2(1.5) + 0.5
@@ -370,11 +399,10 @@ def test_mode_out_of_range_raises_domain_error(call):
     [
         (lambda: vacuum(1.5), "mode count must be an integer, got 1.5"),
         (lambda: apply_channel(tmsv(2.0), ChannelParams(0.5), 1.0), "mode must be an integer, got 1.0"),
-        (lambda: split_with_vacuum(tmsv(2.0), 1.0), "mode must be an integer, got 1.0"),
         (lambda: reduced_state(tmsv(2.0), [0.5]), "mode must be an integer, got 0.5"),
         (lambda: reduced_state(tmsv(2.0), [0, "1"]), "mode must be an integer, got '1'"),
     ],
-    ids=["vacuum", "apply-channel", "split", "reduced-state", "reduced-state-str"],
+    ids=["vacuum", "apply-channel", "reduced-state", "reduced-state-str"],
 )
 def test_non_integer_mode_raises_domain_error(call, message):
     # numpy raised an untyped TypeError or IndexError for these
@@ -394,7 +422,7 @@ class TestSymmetrisationLimit:
         [
             lambda: CovarianceMatrix(np.diag([1e308, 1e308])),
             lambda: CovarianceMatrix(np.diag([2.0**1023, 1.0])),
-            lambda: thermal(1.7e308),
+            lambda: CovarianceMatrix(np.diag([1.7e308, 1.7e308])),
         ],
         ids=["diag-1e308", "diag-2^1023", "thermal"],
     )
@@ -405,7 +433,7 @@ class TestSymmetrisationLimit:
 
     def test_largest_entry_below_the_limit_validates(self):
         v = math.nextafter(2.0**1023, 0.0)
-        assert thermal(v).matrix[0, 0] == v
+        assert CovarianceMatrix(np.diag([v, v])).matrix[0, 0] == v
 
 
 def _exact_det(rows):
@@ -438,55 +466,42 @@ def mpmath_spectrum(m, mp):
         return [mp.sqrt(to_mp(det) / hi2), mp.sqrt(hi2)]
 
 
-def _tol(m):
-    return NU_TOLERANCE * max(1.0, float(np.max(np.abs(m))))
-
-
-def _old_route(m):
-    """The eigh/SVD route with the same snap and gate as the validation."""
-    tol = _tol(m)
-    nus = _eigh_spectrum(m, tol)
-    assert min(nus) >= 1.0 - tol
-    return [1.0 if nu < 1.0 + tol else nu for nu in nus]
-
-
 ORACLE_V = np.logspace(0.0, 7.0, 29).tolist()  # four points a decade over [1, 1e7]
 ORACLE_T = [1e-3, 0.1, 0.5, 0.9, 1.0]
 ORACLE_XI = [0.0, 1e-8, 1e-4, 0.01, 0.5]
 
 
+# the closed form's relative error bound in decade d of V, as symplectic_eigenvalues
+# states it: decade d holds V in [10^d, 10^(d+1)), and V = 1e7 joins d = 6
+DECADE_ERROR = [np.finfo(float).eps * 10.0 ** (d + 1) / 2.0 for d in range(7)]
+
+
 class TestClosedFormSpectrum:
     def test_routes(self):
+        # one route: the closed form takes every family matrix and refuses other two-mode forms
         assert _closed_form_spectrum(tmsv(30.0).matrix) is not None
         assert _closed_form_spectrum(channelled_state(30.0, 0.4, 0.1).matrix) is not None
-        assert _closed_form_spectrum(thermal(3.0).matrix) == (3.0,)
-        three_mode = split_with_vacuum(tmsv(3.0), 0).matrix
-        assert _closed_form_spectrum(three_mode) is None
-        conditioned, _ = condition_on_homodyne(split_with_vacuum(tmsv(3.0), 0), X_A)
-        assert _closed_form_spectrum(conditioned.matrix) is None  # two modes, not block form
+        assert _closed_form_spectrum(np.diag([3.0, 3.0])) == (3.0,)
+        conditioned, _ = condition_on_homodyne(channelled_state(30.0, 0.4, 0.1), X_A)
+        assert _closed_form_spectrum(conditioned.matrix) is not None
+        with pytest.raises(DomainError, match="blocks a I, b I"):
+            _closed_form_spectrum(np.diag([2.0, 3.0, 2.0, 2.0]))
 
     def test_against_mpmath_oracle(self):
         mp = pytest.importorskip("mpmath")
         states = [(v, tmsv(v)) for v in ORACLE_V] + [
             (v, channelled_state(v, t, xi)) for v in ORACLE_V for t in ORACLE_T for xi in ORACLE_XI
         ]
-        worst_closed, worst_eigh = {}, {}
+        worst = [0.0] * len(DECADE_ERROR)
         for v, cm in states:
             m = cm.matrix
             ref = mpmath_spectrum(m, mp)
             closed = _closed_form_spectrum(m)
-            assert closed is not None
-            eigh = _eigh_spectrum(m, _tol(m))
-            err_closed = max(float(abs(x - r) / r) for x, r in zip(closed, ref))
-            err_eigh = max(float(abs(x - r) / r) for x, r in zip(eigh, ref))
-            if v <= 1e5:
-                assert err_closed <= 1e-9, (v, m.tolist())
-            decade = min(int(math.log10(v)), 6)  # V = 1e7 joins the last decade
-            worst_closed[decade] = max(worst_closed.get(decade, 0.0), err_closed)
-            worst_eigh[decade] = max(worst_eigh.get(decade, 0.0), err_eigh)
-        assert sorted(worst_closed) == list(range(7))
-        for decade in worst_closed:
-            assert worst_closed[decade] <= worst_eigh[decade], decade
+            err = max(float(abs(x - r) / r) for x, r in zip(closed, ref))
+            decade = min(int(math.log10(v)), 6)
+            worst[decade] = max(worst[decade], err)
+            assert err <= DECADE_ERROR[decade], (v, m.tolist())
+        assert worst[0] > 0.0 and worst[-1] > DECADE_ERROR[-1] / 10.0, worst  # the bounds are tight
 
     def test_tmsv_is_exactly_pure_up_to_1e7(self):
         for v in ORACLE_V:
@@ -496,31 +511,22 @@ class TestClosedFormSpectrum:
     @given(
         nu=st.lists(st.one_of(st.just(1.0), st.floats(1.001, 20.0)), min_size=2, max_size=2),
         squeeze=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
-        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=10, max_size=10),
-        block_form=st.booleans(),
+        angle=st.floats(0.0, 2.0 * math.pi),
     )
-    def test_matches_old_route_on_random_states(self, nu, squeeze, angles, block_form):
-        # thermal states under random symplectic maps; values of nu either exactly 1 or
-        # well above the snap tolerance, so both routes snap the same values
+    def test_matches_exact_spectrum_on_random_states(self, nu, squeeze, angle):
+        # thermal states under two-mode squeezing (block form) and under a one-mode
+        # squeezer and rotation; values of nu either exactly 1 or well above the snap
         nu1, nu2 = nu
-        if block_form:  # two-mode squeezing keeps A = a I, B = b I, C = diag(c, -c)
-            ch, sh = math.cosh(squeeze[0]), math.sinh(squeeze[0])
-            a = nu1 * ch * ch + nu2 * sh * sh
-            b = nu1 * sh * sh + nu2 * ch * ch
-            c = (nu1 + nu2) * ch * sh
-            two_mode = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
-        else:
-            r1, r2 = squeeze
-            squeezer = np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
-            s = _passive(angles[:5]) @ squeezer @ _passive(angles[5:])
-            two_mode = s @ np.diag([nu1, nu1, nu2, nu2]) @ s.T
-        one_mode = nu1 * _rotation(angles[0]) @ np.diag(
+        ch, sh = math.cosh(squeeze[0]), math.sinh(squeeze[0])
+        a = nu1 * ch * ch + nu2 * sh * sh
+        b = nu1 * sh * sh + nu2 * ch * ch
+        c = (nu1 + nu2) * ch * sh
+        two_mode = _block_form(a, b, c)
+        one_mode = nu1 * _rotation(angle) @ np.diag(
             [math.exp(-2.0 * squeeze[1]), math.exp(2.0 * squeeze[1])]
-        ) @ _rotation(angles[0]).T
+        ) @ _rotation(angle).T
         for m, exact in ((one_mode, [nu1]), (two_mode, sorted(nu))):
-            cm = CovarianceMatrix(m)
-            assert symplectic_eigenvalues(cm) == pytest.approx(_old_route(cm.matrix), rel=1e-9)
-            assert symplectic_eigenvalues(cm) == pytest.approx(exact, rel=1e-9)
+            assert symplectic_eigenvalues(CovarianceMatrix(m)) == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize(
         "m",
@@ -537,21 +543,61 @@ class TestClosedFormSpectrum:
             CovarianceMatrix(m)
 
 
+def _block_form(a, b, c):
+    return np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+
+
+def _mpmath_smallest_eigenvalue(a, b, c):
+    """Smallest eigenvalue of the quadrature block [[a, c], [c, b]] of the stored doubles, 50 digits."""
+    with mpmath.workdps(50):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        return (a + b) / 2 - mpmath.sqrt(((a - b) / 2) ** 2 + c * c)
+
+
+def _declined_matrices(seed, n):
+    """Seeded one-mode and block-form matrices near det = 0, a < 0 included, as (matrix, a, b, c)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        a = float(10.0 ** rng.uniform(-4.0, 8.0)) * (1.0 if rng.random() < 0.8 else -1.0)
+        b = float(10.0 ** rng.uniform(-4.0, 8.0))
+        c = math.sqrt(abs(a * b)) * (1.0 + float(rng.uniform(-1e-9, 1e-9)))
+        if i % 2:
+            out.append((_block_form(a, b, -c if rng.random() < 0.5 else c), a, b, c))
+        else:
+            out.append((np.array([[a, c], [c, b]]), a, b, c))
+    v = 67982204.65969986  # TestEighFloor's tmsv whose stored ab - c^2 rounds to 0
+    c = math.sqrt(v * v - 1.0)
+    out.append((_block_form(v, v, c), v, v, c))
+    out.append((_block_form(2.0, 2.0, 2.0), 2.0, 2.0, 2.0))  # TestEighFloor's singular matrix
+    v = 7e7  # tmsv(7e7)'s stored matrix
+    c = math.sqrt(v * v - 1.0)
+    out.append((_block_form(v, v, c), v, v, c))
+    return out
+
+
+def test_declined_matrices_raise_by_the_sign_of_their_smallest_eigenvalue():
+    # where the closed form declines, UnphysicalStateError when the 50-digit smallest
+    # eigenvalue lies below -tol and PrecisionError (rounding floor) otherwise
+    classes = []
+    for m, a, b, c in _declined_matrices(20261019, 4000):
+        if _closed_form_spectrum(m) is not None:
+            continue
+        tol = NU_TOLERANCE * max(1.0, abs(a), abs(b), abs(c))
+        want = UnphysicalStateError if _mpmath_smallest_eigenvalue(a, b, c) < -tol else PrecisionError
+        with pytest.raises(CVQKDError) as raised:
+            CovarianceMatrix(m)
+        assert raised.type is want, (m.tolist(), raised.value)
+        classes.append(want)
+    assert classes.count(PrecisionError) >= 100 and classes.count(UnphysicalStateError) >= 100
+    assert classes[-3:] == [PrecisionError] * 3
+    with pytest.raises(PrecisionError, match="too large: the stored state is not pure"):
+        tmsv(7e7)
+
+
 def _rotation(theta):
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [-s, c]])
-
-
-def _passive(angles):
-    """Phase shifts, a beamsplitter of angle angles[0], phase shifts: orthogonal and symplectic."""
-    def phases(a, b):
-        out = np.zeros((4, 4))
-        out[:2, :2], out[2:, 2:] = _rotation(a), _rotation(b)
-        return out
-
-    c, s = math.cos(angles[0]), math.sin(angles[0])
-    splitter = np.block([[c * np.eye(2), s * np.eye(2)], [-s * np.eye(2), c * np.eye(2)]])
-    return phases(angles[1], angles[2]) @ splitter @ phases(angles[3], angles[4])
 
 
 @pytest.mark.parametrize(
@@ -573,24 +619,23 @@ def test_mode_quadrature_accepts_numpy_integer_modes():
 
 
 class TestEighFloor:
+    """Singular matrices that an eigh route once floored to spurious spectra."""
+
     def test_singular_matrix_raises_precision_error(self):
-        # c = v: the closed form declines the singular matrix, and eigh finds the
-        # eigenvalue 0 that it once floored to a spurious nu ~ 6e-8
+        # c = v: the closed form declines the singular matrix, whose smallest
+        # eigenvalue 0 was once floored to a spurious nu ~ 6e-8
         m = np.array([[2.0, 0, 2.0, 0], [0, 2.0, 0, -2.0], [2.0, 0, 2.0, 0], [0, -2.0, 0, 2.0]])
         with pytest.raises(PrecisionError, match="below its rounding floor"):
             CovarianceMatrix(m)
 
     def test_tmsv_whose_stored_matrix_is_singular_keeps_its_message(self):
-        # ab - c^2 rounds to 0 here; the floored eigh route once read the pure
+        # ab - c^2 rounds to 0 here; a floored eigh route once read the pure
         # state's spectrum as [2.026, 2.026]
         v = 67982204.65969986
-        c = math.sqrt(v * v - 1.0)
-        m = np.diag([v] * 4)
-        m[0, 2] = m[2, 0] = c
-        m[1, 3] = m[3, 1] = -c
+        m = _block_form(v, v, math.sqrt(v * v - 1.0))
         assert _closed_form_spectrum(m) is None
         with pytest.raises(PrecisionError, match="rounding floor"):
-            _eigh_spectrum(m, NU_TOLERANCE * v)
+            CovarianceMatrix(m)
         with pytest.raises(PrecisionError, match="too large: the stored state is not pure"):
             tmsv(v)
 
@@ -632,23 +677,6 @@ class TestScalarEntropies:
             assume(False)
         _assert_scalar_entropies_match_cm_route(cm)
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        nu=st.lists(st.one_of(st.just(1.0), st.floats(1.0, 1e3)), min_size=2, max_size=2),
-        squeeze=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2),
-        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=10, max_size=10),
-    )
-    def test_general_two_mode_states(self, nu, squeeze, angles):
-        # thermal states under random symplectic maps: passive, local squeezers, passive
-        r1, r2 = squeeze
-        squeezer = np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
-        s = _passive(angles[:5]) @ squeezer @ _passive(angles[5:])
-        try:
-            cm = CovarianceMatrix(s @ np.diag([nu[0], nu[0], nu[1], nu[1]]) @ s.T)
-        except (DomainError, UnphysicalStateError, PrecisionError):
-            assume(False)
-        _assert_scalar_entropies_match_cm_route(cm)
-
     @settings(max_examples=300, deadline=None)
     @given(entries=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3))
     @example(entries=[math.nan, 0.0, 1.0])
@@ -683,17 +711,19 @@ class TestPositiveDiagonal:
     @given(
         nu=st.lists(st.one_of(st.just(1.0), st.floats(1.0, 1e3)), min_size=2, max_size=2),
         squeeze=st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=2),
-        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=10, max_size=10),
+        angles=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=2, max_size=2),
     )
     def test_symplectic_maps_of_thermal_states(self, nu, squeeze, angles):
+        # a one-mode squeezer between rotations, and two-mode squeezing (block form)
         r1, r2 = squeeze
         one = _rotation(angles[0]) @ np.diag([math.exp(-r1), math.exp(r1)]) @ _rotation(angles[1])
-        squeezer = np.diag([math.exp(-r1), math.exp(r1), math.exp(-r2), math.exp(r2)])
-        two = _passive(angles[:5]) @ squeezer @ _passive(angles[5:])
+        ch, sh = math.cosh(r2), math.sinh(r2)
+        two = np.block([[ch * np.eye(2), sh * np.diag([1.0, -1.0])], [sh * np.diag([1.0, -1.0]), ch * np.eye(2)]])
         for s, thermal_nus in ((one, [nu[0]] * 2), (two, [nu[0], nu[0], nu[1], nu[1]])):
+            m = s @ np.diag(thermal_nus) @ s.T
             try:
-                cm = CovarianceMatrix(s @ np.diag(thermal_nus) @ s.T)
-            except (DomainError, UnphysicalStateError, PrecisionError):
+                cm = CovarianceMatrix(m)
+            except (UnphysicalStateError, PrecisionError):  # rounding of entries up to e^16 * 1e3
                 continue
             _assert_positive_diagonal(cm)
 
@@ -730,6 +760,6 @@ class TestPositiveDiagonal:
         d = (1.0 + excess + b * b) / a
         try:
             cm = CovarianceMatrix(np.array([[a, b], [b, d]]))
-        except (DomainError, UnphysicalStateError, PrecisionError):
+        except (UnphysicalStateError, PrecisionError):
             assume(False)
         _assert_positive_diagonal(cm)

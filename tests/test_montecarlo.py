@@ -143,7 +143,7 @@ class TestSampling:
         protocol = ProtocolSpec.parse(protocol)
         ch = ChannelParams(0.7, 0.05)
         rec = sample_quadratures(protocol, ch, 3.0, 10**6, seed=21)
-        cm, rows = split_protocol_state(protocol, ch, 3.0)
+        state, rows = split_protocol_state(protocol, ch, 3.0)
         pairs = 0
         for i, a in enumerate(COLUMNS):
             for b in COLUMNS[i:]:
@@ -151,7 +151,7 @@ class TestSampling:
                 m = int(both.sum())
                 if m == 0:  # x and p of one homodyning party
                     continue
-                va, vb, c = (cm.matrix[rows[j], rows[k]] for j, k in ((a, a), (b, b), (a, b)))
+                va, vb, c = (state[rows[j], rows[k]] for j, k in ((a, a), (b, b), (a, b)))
                 got = float(np.mean(rec.column(a)[both] * rec.column(b)[both]))
                 assert abs(got - c) < 5.0 * math.sqrt((va * vb + c * c) / m), (a, b, got, c)
                 pairs += 1
@@ -322,6 +322,12 @@ class TestEmpiricalEntropy:
         message = rf"^bin width {bin_width} needs .* bins, over 10000000$"
         with pytest.raises(DomainError, match=message):
             empirical_entropy(np.linspace(-1.0, 1.0, 2000), bin_width)
+
+    @pytest.mark.parametrize("scale", [1e300, math.inf])
+    def test_samples_too_large_to_bin_raise_domain_error(self, scale):
+        # np.var's "overflow encountered in square" RuntimeWarning once escaped for 1e300
+        with pytest.raises(DomainError, match="too large to bin"):
+            empirical_entropy(np.linspace(-1.0, 1.0, 2000) * scale, 0.1)
 
 
 class TestSimulateProtocolRun:

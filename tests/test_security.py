@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd.gaussian
-from conftest import split_protocol_state
+from conftest import schur_variance, split_protocol_state
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
@@ -20,12 +20,9 @@ from cvqkd import (
     DomainError,
     FibreModel,
     Measurement,
-    ModeQuadrature,
     ProtocolSpec,
-    Quadrature,
     Reconciliation,
     SweepConfig,
-    conditional_variance,
     devetak_winter_oracle,
     empirical_entropy,
     entropy_g,
@@ -37,7 +34,6 @@ from cvqkd import (
     optimize_modulation,
     sample_quadratures,
     security_region,
-    thermal,
     threshold_transmission,
     tmsv,
     vacuum,
@@ -150,14 +146,10 @@ VARIANCE_FIELDS = ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_giv
 
 def cm_oracle(protocol, ch, v):
     """The four conditional variances read off the assembled covariance matrix."""
-    cm, rows = split_protocol_state(protocol, ch, v)
-
-    def mq(column):
-        row = rows[column]  # (x1, p1, x2, p2, ...) ordering
-        return ModeQuadrature(row // 2, Quadrature.P if row % 2 else Quadrature.X)
+    m, rows = split_protocol_state(protocol, ch, v)
 
     def cv(target, given):
-        return conditional_variance(cm, mq(target), mq(given))
+        return schur_variance(m, rows[target], rows[given])
 
     return cv("x_b", "x_a"), cv("p_b", "p_a"), cv("x_a", "x_b"), cv("p_a", "p_b")
 
@@ -646,7 +638,7 @@ class TestBatchedSolver:
         lambda x: FibreModel(x),
         lambda x: threshold_transmission(RR_HOM_HOM, x),
         lambda x: max_excess_noise(RR_HOM_HOM, x),
-        thermal,
+        lambda x: CovarianceMatrix(np.diag([x, x])),
         lambda x: empirical_entropy(np.linspace(-1.0, 1.0, 2000), x),
     ],
     ids=[
@@ -674,7 +666,6 @@ def test_non_finite_parameters_raise_domain_error(make, bad):
         lambda: SweepConfig(t_min="0.1", t_max=1.0, steps=10),
         lambda: threshold_transmission(RR_HOM_HOM, "0"),
         lambda: tmsv(None),
-        lambda: thermal("2"),
         lambda: FibreModel("0.2"),
         lambda: empirical_entropy(np.linspace(-1.0, 1.0, 2000), None),
         lambda: key_rate_at(RR_HOM_HOM, ChannelParams(0.5), "3"),
@@ -702,7 +693,6 @@ def test_non_finite_parameters_raise_domain_error(make, bad):
         "sweep-t_min",
         "threshold-xi",
         "tmsv-v",
-        "thermal-v",
         "fibre-attenuation",
         "entropy-bin-width",
         "key-rate-v",
@@ -776,7 +766,10 @@ def test_all_is_exactly_the_exported_names():
     }
     assert sorted(namespace) == sorted(cvqkd.__all__) == sorted(public)
     assert all(namespace[name] is getattr(cvqkd, name) for name in cvqkd.__all__)
-    for removed in ("reduced_state", "condition_on_homodyne", "measured_conditional_vn_entropy"):
+    for removed in (
+        "reduced_state", "condition_on_homodyne", "measured_conditional_vn_entropy", "split_with_vacuum",
+        "thermal",
+    ):
         assert not hasattr(cvqkd, removed)
 
 
