@@ -5,6 +5,11 @@ the protocols (an EPR state through a loss-and-noise channel), entropic
 uncertainty-relation verification, the eight squeezed/coherent x
 homodyne/heterodyne x DR/RR key-rate bounds, channel-parameter security
 analysis and a seeded Monte Carlo validation path.
+
+numpy loads on first array use, not on import: ``import cvqkd``,
+``import cvqkd.cli``, ``cvqkd table`` and ``cvqkd keyrate`` never run its
+import, while covariance matrices, region sweeps, distances, ``verify-ur``
+and the Monte Carlo path load it when they first touch an array.
 """
 
 from .bounds import (

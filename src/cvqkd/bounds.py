@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, TagMismatchError, UnphysicalInferenceError, _typed
 from .gaussian import CovarianceMatrix, _mode_entropy, von_neumann_entropy
 
@@ -213,7 +211,7 @@ def infer_full_mode_variance(measured_half_conditional: float) -> float:
     except TypeError:
         _typed(measured_half_conditional, "half-mode conditional variance")
         raise
-    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+    if not (ok if ok.__class__ is bool else ok.all()):  # numpy input compares to numpy bools
         raise UnphysicalInferenceError(
             f"inferred variance 2*{measured_half_conditional} - 1 would be nonpositive"
         )
@@ -274,7 +272,9 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     DR rates use the A|B pair, RR rates the B|A pair; the conditioning
     side's p-variance is lifted to full mode with 2v - 1 where that side
     heterodynes. The rate may be negative; ``positive`` mirrors
-    key_rate > 0.
+    key_rate > 0. A conditioner's half of exactly 1/2 lifts to 0, the +inf
+    rate ``key_rate_at`` also gives on the identity channel; beside an
+    infinite x variance the rate is undefined (DomainError).
     """
     exp_ab, exp_ba = expected_kinds(protocol)
     if cv.kind_a_given_b is not exp_ab or cv.kind_b_given_a is not exp_ba:
@@ -291,6 +291,10 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     product = v_x * v_p
     if 0.0 < product < math.inf:
         rate = math.log2(2.0 / (math.e * math.sqrt(product)))
+    elif v_p == 0.0:  # only the 2v - 1 lift reaches 0; the four inputs are positive
+        if v_x == math.inf:
+            raise DomainError(f"key rate of {protocol.id} is undefined for variances inf and 0")
+        rate = math.inf
     else:  # the product under- or overflows (variances near 1e-160 or 1e160); its factors do not
         rate = math.log2(2.0 / math.e) - (math.log2(v_x) + math.log2(v_p)) / 2.0
     return KeyRateResult(

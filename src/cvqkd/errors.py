@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types, and the type-check and deferred-import helpers, shared across the package.
 
 Everything derives from ``CVQKDError`` so callers (notably the CLI) can
 distinguish numeric/domain failures from programming errors.
@@ -11,6 +11,7 @@ as None for a protocol, a channel or a covariance matrix, is a
 programming error outside the contract.
 """
 
+import importlib
 import numbers
 
 
@@ -55,3 +56,26 @@ def _typed(value, what: str, kind: str = "a real number") -> None:
     """
     if not isinstance(value, _KINDS[kind]) or value.__class__ is bool:
         raise DomainError(f"{what} must be {kind}, got {value!r}")
+
+
+class _Deferred:
+    """Stands in for a module and imports it on the first attribute read.
+
+    The package imports numpy this way, so ``import cvqkd``, ``import
+    cvqkd.cli``, ``cvqkd table`` and ``cvqkd keyrate`` never run numpy's
+    import; the first array operation runs it. Each attribute it reads is
+    then kept on the stand-in, so later reads cost what a module's do.
+    ``importlib.import_module`` makes a thread that reads while another one
+    imports wait for the import to finish. ``importlib.util.LazyLoader``
+    does not on Python 3.10 and 3.11: its module is readable while it
+    executes, and threads making their first array call at once read
+    "module 'numpy' has no attribute 'diag'".
+    """
+
+    def __init__(self, name: str):
+        self._module_name = name
+
+    def __getattr__(self, attr: str):
+        value = getattr(importlib.import_module(self._module_name), attr)
+        setattr(self, attr, value)
+        return value

@@ -20,12 +20,13 @@ quantity computed downstream depends only on second moments.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
+from .errors import DomainError, PrecisionError, UnphysicalStateError, _Deferred, _typed
 
-from .errors import DomainError, PrecisionError, UnphysicalStateError, _typed
+np = _Deferred("numpy")
 
 # Tolerances for the bona fide checks.
 SYMMETRY_RTOL = 1e-12
@@ -47,7 +48,7 @@ class ModeQuadrature:
     quadrature: Quadrature
 
     def __post_init__(self):  # a mode's range depends on the state and is checked where read
-        integer = isinstance(self.mode, (int, np.integer)) and self.mode.__class__ is not bool
+        integer = isinstance(self.mode, (int, numbers.Integral)) and self.mode.__class__ is not bool
         if not (integer and isinstance(self.quadrature, Quadrature)):
             raise DomainError(f"need (int, Quadrature), got ({self.mode!r}, {self.quadrature!r})")
 

@@ -12,6 +12,10 @@ drawn block by block, in order; each block of 65536 rows has its own
 generator derived from (seed, block index), so every whole block of a
 record is independent of the total length. A shorter last block draws
 its basis coins after its own rows, so its contents depend on its length.
+
+``RNG_STREAM`` names the generator and the numpy version a record was
+drawn with; numpy loads on first array use, and reading ``RNG_STREAM``
+loads it too.
 """
 
 from __future__ import annotations
@@ -20,19 +24,30 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .bounds import Measurement, ProtocolSpec, Reconciliation, _tagged, key_rate
-from .errors import DomainError, InsufficientDataError, _typed
+from .errors import DomainError, InsufficientDataError, _Deferred, _typed
 from .gaussian import ChannelParams, apply_channel, tmsv
 
+np = _Deferred("numpy")
+
 BLOCK_SIZE = 1 << 16
-RNG_STREAM = f"numpy.random.Philox(4x64-10), numpy {np.__version__}"
 
 CSV_HEADER = ["index", "basis_a", "basis_b", "x_a", "p_a", "x_b", "p_b"]
 COLUMNS = ("x_a", "p_a", "x_b", "p_b")
 MAX_ENTROPY_BINS = 10**7  # empirical_entropy's histogram: 80 MB of edges
 _CSV_CHUNK_ROWS = 2048
+
+
+def _rng_stream() -> str:
+    return f"numpy.random.Philox(4x64-10), numpy {np.__version__}"
+
+
+def __getattr__(name: str):
+    # RNG_STREAM names numpy's version, so each read builds it and the first loads numpy
+    if name == "RNG_STREAM":
+        return _rng_stream()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Vectorised "%.9g" for the quadrature cells. A cell is built in a 24-byte slot
 #     , - 0 . 0 0 0 D0 .D1 .D2 .D3 .D4 .D5 .D6 .D7 .D8
@@ -41,11 +56,11 @@ _CSV_CHUNK_ROWS = 2048
 # exponent e in -4..7, trailing zeros, sign) selects the bytes of the
 # cell's "%.9g" text; the last mask keeps only the comma, an empty cell.
 _EMPTY_CELL = 216
-_POW10 = 10.0 ** np.arange(14)
-_LETTERS = np.frombuffer(b"xp", np.uint8)
 
 
 class _Tables(NamedTuple):
+    pow10: np.ndarray  # 10.0 ** k for k = 0..13
+    letters: np.ndarray  # the basis letters "x" and "p" as bytes
     lead: np.ndarray  # uint64 lead word per leading digit
     groups: np.ndarray  # uint64 ".a.b.c.d" per 4-digit group
     trailing: np.ndarray  # trailing zeros per 4-digit group, 4 for 0000
@@ -83,6 +98,8 @@ def _tables() -> _Tables:
         | (p >= 7) & (p % 2 == 1) & (p <= 7 + 2 * last)  # D0..D_last
     )
     return _Tables(
+        pow10=10.0 ** np.arange(14),
+        letters=np.frombuffer(b"xp", np.uint8),
         lead=lead.view(np.uint64).ravel(),
         groups=groups.view(np.uint64).ravel(),
         trailing=(d * (1 + c * (1 + b * (1 + a)))).ravel(),
@@ -101,7 +118,7 @@ def _format_cells(x: np.ndarray, tables: _Tables, text: np.ndarray, keep: np.nda
     e = np.floor(np.log10(a)).astype(np.intp)
     # y is within half an ulp (< 1e-7) of |x| 10^(8-e); where log10 put a
     # value next to a power of ten in the wrong decade, y leaves [1e8, 1e9)
-    y = a * _POW10[8 - e]
+    y = a * tables.pow10[8 - e]
     z = y + 0.5  # exact in this range
     d = np.floor(z)
     fast &= (y >= 1e8) & (d < 1e9) & (np.abs(z - d - 0.5) <= 0.5 - 1e-6)
@@ -196,7 +213,7 @@ class MeasurementRecord:
                 text8[:, col] = ord(",")
                 col += 1
                 if b is not None:
-                    text8[:, col] = _LETTERS[b[start:stop]]
+                    text8[:, col] = tables.letters[b[start:stop]]
                     col += 1
             keep8[:, bases_at:col] = True
             values = np.stack([getattr(self, name)[start:stop] for name in COLUMNS], axis=1)
@@ -286,7 +303,7 @@ def sample_quadratures(
         modulation=v,
         n=n,
         seed=seed,
-        rng_stream=RNG_STREAM,
+        rng_stream=_rng_stream(),
         basis_a=cat([p[1] for p in pieces]) if alice_hom else None,
         basis_b=cat([p[2] for p in pieces]) if bob_hom else None,
         **columns,
@@ -306,6 +323,13 @@ def estimate_conditional_variance(
     residual of zero up to rounding, so it takes three sifted pairs. A
     column fits itself exactly, so target and given must differ.
     """
+    return _residual_pair(record, target, given)[0]
+
+
+def _residual_pair(
+    record: MeasurementRecord, target: str, given: str
+) -> tuple[EstimateWithError, EstimateWithError]:
+    # (target|given, given|target) from one 2 x 2 covariance of the sifted pairs
     t = record.column(target)
     g = record.column(given)
     if target == given:
@@ -314,9 +338,13 @@ def estimate_conditional_variance(
     m = int(mask.sum())
     if m < 3:
         raise InsufficientDataError(f"only {m} sifted pairs for {target}|{given}")
-    cov = np.cov(t[mask], g[mask], ddof=2)  # the residual over m - 2 degrees of freedom
-    value = float(cov[0, 0] - cov[0, 1] ** 2 / cov[1, 1])
-    return EstimateWithError(value=value, std_error=math.sqrt(2.0 / (m - 2)) * value, n=m)
+    cov = np.cov(t[mask], g[mask], ddof=2)  # the residuals over m - 2 degrees of freedom
+    (v_t, c), (_, v_g) = cov.tolist()
+    width = math.sqrt(2.0 / (m - 2))
+    return tuple(
+        EstimateWithError(value=v, std_error=width * v, n=m)
+        for v in (v_t - c**2 / v_g, v_g - c**2 / v_t)
+    )
 
 
 def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
@@ -363,20 +391,13 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     where a pair has fewer than three sifted symbols.
     """
     protocol = record.protocol
-    estimates = {
-        "v_x_b_given_a": estimate_conditional_variance(record, "x_b", "x_a"),
-        "v_p_b_given_a": estimate_conditional_variance(record, "p_b", "p_a"),
-        "v_x_a_given_b": estimate_conditional_variance(record, "x_a", "x_b"),
-        "v_p_a_given_b": estimate_conditional_variance(record, "p_a", "p_b"),
-    }
-    pairs = list(estimates.values())
-    values = [e.value for e in pairs]
-    cv = _tagged(protocol, values[:2], values[2:])
+    (x_ba, x_ab), (p_ba, p_ab) = (_residual_pair(record, f"{q}_b", f"{q}_a") for q in "xp")
+    cv = _tagged(protocol, (x_ba.value, p_ba.value), (x_ab.value, p_ab.value))
     result = key_rate(protocol, cv)
     if protocol.reconciliation is Reconciliation.RR:  # the rate reads B|A
-        (x_est, p_est), kind = pairs[:2], cv.kind_b_given_a
+        x_est, p_est, kind = x_ba, p_ba, cv.kind_b_given_a
     else:
-        (x_est, p_est), kind = pairs[2:], cv.kind_a_given_b
+        x_est, p_est, kind = x_ab, p_ab, cv.kind_a_given_b
     # K = const - (log2 vx)/2 - (log2 vp_eff)/2 with vp_eff = slope vp - (slope - 1):
     # slope 2 where vp enters through the 2 vp - 1 inference, else 1
     slope = 2.0 if kind.conditioner_is_half else 1.0
@@ -386,5 +407,7 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     sigma = math.hypot(dx, dp)
     return SimulatedKeyRate(
         key_rate=EstimateWithError(result.key_rate, sigma, min(x_est.n, p_est.n)),
-        variances=estimates,
+        variances={
+            "v_x_b_given_a": x_ba, "v_p_b_given_a": p_ba, "v_x_a_given_b": x_ab, "v_p_a_given_b": p_ab
+        },
     )

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import (
     KeyRateResult,
     Measurement,
@@ -41,8 +39,10 @@ from .bounds import (
     classify_1sdi,
     key_rate,
 )
-from .errors import DomainError, _typed
+from .errors import DomainError, _Deferred, _typed
 from .gaussian import ChannelParams
+
+np = _Deferred("numpy")
 
 # (c, k) of the law w <= c T^k, by (reconciliation, Alice's, Bob's measurement)
 _LAWS = {

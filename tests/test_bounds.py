@@ -128,6 +128,20 @@ class TestKeyRate:
         res = key_rate(RR_HOM_HOM, hom_hom_cv(v, v))
         assert res.key_rate == pytest.approx(math.log2(2.0 / math.e) - math.log2(v), rel=1e-12)
 
+    def test_conditioner_half_of_one_half_is_the_infinite_rate(self):
+        # 2 * 0.5 - 1 = 0 is a zero factor, the +inf rate key_rate_at gives at the identity channel
+        half = ConditionalVariances(0.5, 0.5, 0.5, 0.5, VarianceKind.BOTH_HALF, VarianceKind.BOTH_HALF)
+        res = key_rate(ProtocolSpec.parse("rr-hetA-hetB-eb"), half)
+        assert res.key_rate == math.inf
+        assert res.positive
+
+    def test_zero_factor_beside_an_infinite_one_is_undefined(self):
+        cv = ConditionalVariances(
+            math.inf, 0.5, 0.5, 0.5, VarianceKind.BOTH_HALF, VarianceKind.BOTH_HALF
+        )
+        with pytest.raises(DomainError, match="undefined"):
+            key_rate(ProtocolSpec.parse("rr-hetA-hetB-eb"), cv)
+
     def test_zero_rate_at_steering_threshold(self):
         boundary = (2.0 / math.e) ** 2
         res = key_rate(RR_HOM_HOM, hom_hom_cv(math.sqrt(boundary), math.sqrt(boundary)))

@@ -32,6 +32,16 @@ def stdout_sha256(capsys, argvs):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def fresh_python(*args):
+    """Run a new interpreter with these arguments; it imports cvqkd from this checkout."""
+    src = os.path.dirname(os.path.dirname(cvqkd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
+
 def report_value(text, key):
     for line in text.splitlines():
         if line.startswith(key + " "):
@@ -628,13 +638,7 @@ class TestModuleEntry:
         ids=["ok", "usage", "domain"],
     )
     def test_python_m_cvqkd_matches_main(self, capsys, argv, want):
-        src = os.path.dirname(os.path.dirname(cvqkd.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-m", "cvqkd", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh_python("-m", "cvqkd", *argv)
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -642,3 +646,48 @@ class TestModuleEntry:
         out = capsys.readouterr()
         assert proc.returncode == code == want
         assert (proc.stdout, proc.stderr) == (out.out, out.err)
+
+    def test_table_and_keyrate_never_import_numpy(self):
+        # a fresh interpreter: this suite imports numpy before any test runs
+        proc = fresh_python(
+            "-c",
+            "import contextlib, io, sys\n"
+            "import cvqkd, cvqkd.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cvqkd.cli.main(['table']) == 0\n"
+            "    for p in cvqkd.ProtocolSpec.all():\n"
+            "        point = ['--protocol', p.id, '--T', '0.9', '--xi', '0.01']\n"
+            "        assert cvqkd.cli.main(['keyrate', *point]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
+            "assert not loaded, loaded[:5]\n"
+            "assert cvqkd.tmsv(2.0).matrix[0, 2] == 3.0**0.5\n"
+            "import numpy\n"
+            "want = f'numpy.random.Philox(4x64-10), numpy {numpy.__version__}'\n"
+            "assert cvqkd.montecarlo.RNG_STREAM == want\n"
+            "from cvqkd.montecarlo import RNG_STREAM\n"
+            "assert RNG_STREAM == want\n"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_threads_making_the_first_array_call_at_once(self):
+        # each thread reads numpy attributes while another may still be importing it
+        proc = fresh_python(
+            "-c",
+            "import sys, threading\n"
+            "import cvqkd\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "errors = []\n"
+            "def build():\n"
+            "    try:\n"
+            "        cvqkd.apply_channel(cvqkd.tmsv(2.0), cvqkd.ChannelParams(0.5), mode=1)\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=build) for _ in range(4)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join(60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "assert not errors, errors\n"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")

@@ -347,6 +347,15 @@ class TestSimulateProtocolRun:
         assert sim.key_rate.std_error > 0.1
         assert abs(sim.key_rate.value - math.log2(4.0 / math.e)) < 5.0 * sim.key_rate.std_error
 
+    @pytest.mark.parametrize("protocol_id", ["rr-homA-homB-eb", "rr-hetA-hetB-eb"])
+    def test_variances_are_the_single_estimates(self, protocol_id):
+        # one covariance per sifted pair serves both directions, bit for bit
+        rec = sample_quadratures(ProtocolSpec.parse(protocol_id), ChannelParams(0.7, 0.02), 5.0, 5000, seed=4)
+        variances = estimate_key_rate(rec).variances
+        for name, estimate in variances.items():
+            target, given = f"{name[2]}_{name[4]}", f"{name[2]}_{name[-1]}"
+            assert estimate == estimate_conditional_variance(rec, target, given), name
+
     def test_variances_are_keyed_by_name(self):
         sim = estimate_key_rate(sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 2000, seed=1))
         assert set(sim.variances) == {
