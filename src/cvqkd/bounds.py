@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, TagMismatchError, UnphysicalInferenceError, _typed
-from .gaussian import CovarianceMatrix, _mode_entropy, von_neumann_entropy
+from .errors import DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _typed
+from .gaussian import CovarianceMatrix, _block_entries, _one_mode_entropy, von_neumann_entropy
 
 LOG2_4PI = math.log2(4.0 * math.pi)
 
@@ -72,21 +72,9 @@ class ProtocolSpec:
     @classmethod
     def parse(cls, protocol_id: str) -> "ProtocolSpec":
         _typed(protocol_id, "protocol id", "a string")
-        parts = protocol_id.split("-")
-        if len(parts) != 4:
+        if protocol_id not in _BY_ID:
             raise DomainError(f"unknown protocol id {protocol_id!r}")
-        rec, alice, bob, flavor = parts
-        try:
-            if not (alice.endswith("A") and bob.endswith("B")):
-                raise ValueError
-            return cls(
-                Reconciliation(rec),
-                Measurement(alice[:-1]),
-                Measurement(bob[:-1]),
-                Flavor(flavor),
-            )
-        except ValueError:
-            raise DomainError(f"unknown protocol id {protocol_id!r}") from None
+        return _BY_ID[protocol_id]
 
     @classmethod
     def all(cls) -> list["ProtocolSpec"]:
@@ -97,6 +85,9 @@ class ProtocolSpec:
             for bob in Measurement
             for flavor in Flavor
         ]
+
+
+_BY_ID = {p.id: p for p in ProtocolSpec.all()}  # parse inverts id by lookup
 
 
 class VarianceKind(Enum):
@@ -335,15 +326,14 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
 
     H(q_A) is the Shannon entropy of the Gaussian outcome distribution and
     S(B|q_A) the entropy of B's conditioned state, outcome independent for
-    Gaussian states. S_B and S(B|q_A) are read from the matrix entries
-    (``_mode_entropy``); S_AB is ``von_neumann_entropy(cm)``.
+    Gaussian states: on the blocks a I, b I, diag(c, -c), B given x_A is
+    diag(b - c^2/a, b) and given p_A its swap, so O_x = O_p bit for bit.
+    S_B is the entropy of diag(b, b), S_AB ``von_neumann_entropy(cm)``.
     """
-    if cm.n_modes != 2:
-        raise DomainError("uncertainty relations are checked on two-mode states")
-    rows = cm.matrix.tolist()
-    s_b = _mode_entropy(rows, 2)
-    o_x, o_p = (gaussian_shannon_entropy(rows[i][i]) + _mode_entropy(rows, 2, i) for i in (0, 1))
-    return (o_x - s_b) + (o_p - von_neumann_entropy(cm)) - LOG2_4PI
+    a, b, c = _block_entries(cm, "uncertainty relations are checked on two-mode states")
+    s_b = _one_mode_entropy(b, 0.0, b)
+    o = gaussian_shannon_entropy(a) + _one_mode_entropy(b - c * c / a, 0.0, b)
+    return (o - s_b) + (o - von_neumann_entropy(cm)) - LOG2_4PI
 
 
 def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> float:
@@ -356,18 +346,18 @@ def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> fl
     purification purity. Serves as the independent ceiling the entropic
     bound must stay below. Both parties read x: a ``tmsv`` state sent
     through ``apply_channel`` is phase symmetric, and on 2,000 such
-    states x and p gave bitwise-equal rates in both directions. The
-    conditional variance and the conditioned entropy are read from the
-    matrix entries (``_mode_entropy``).
+    states x and p gave bitwise-equal rates in both directions. With
+    (ref, other) = (b, a) for RR and (a, b) for DR on the blocks
+    a I, b I, diag(c, -c), I = 0.5*log2(ref / (ref - c^2/other)) and the
+    other party's conditioned state is diag(other - c^2/ref, other).
     """
-    if cm.n_modes != 2:
-        raise DomainError("Devetak-Winter oracle is defined on two-mode states")
+    a, b, c = _block_entries(cm, "Devetak-Winter oracle is defined on two-mode states")
     if not isinstance(direction, Reconciliation):
         raise DomainError(f"reconciliation direction must be a Reconciliation, got {direction!r}")
-    rows = cm.matrix.tolist()
-    i = 2 if direction is Reconciliation.RR else 0  # the reference's x row
-    k = 2 - i  # the other party's x row
-    v_ref, c = rows[i][i], rows[i][k]
-    mutual_info = 0.5 * math.log2(v_ref / (v_ref - c * c / rows[k][k]))
-    holevo = von_neumann_entropy(cm) - _mode_entropy(rows, k, i)
+    ref, other = (b, a) if direction is Reconciliation.RR else (a, b)
+    v_cond = ref - c * c / other  # rounds to 0 or below only on a state singular to rounding
+    if not v_cond > 0.0:
+        raise PrecisionError(f"conditional variance {v_cond} of the reference is not positive")
+    mutual_info = 0.5 * math.log2(ref / v_cond)
+    holevo = von_neumann_entropy(cm) - _one_mode_entropy(other - c * c / ref, 0.0, other)
     return mutual_info - holevo

@@ -7,9 +7,9 @@ objects. Only the table's grid comes laid out as text. Every value is
 one cell: 9 significant digits, "" for None, lower-case booleans; JSON
 carries the same rounded numbers, with null for inf and NaN.
 
-Exit codes: 0 on success (including "no security" and negative-key
-results), 2 on usage errors (including an --out path that cannot be
-written), 3 on numeric/domain errors.
+Exit codes: 0 on success (including "no security" and negative-key results),
+2 on usage errors (including an --out path that cannot be written), 3 on
+numeric/domain errors and on a failed allocation ("error: out of memory").
 """
 
 from __future__ import annotations
@@ -249,7 +249,6 @@ def cmd_table(args):
     protocols = ProtocolSpec.all()
     if args.json:
         return ["protocol", "classification"], [[p.id, classify_1sdi(p).value] for p in protocols]
-    columns = [("hom", "hom"), ("hom", "het"), ("het", "hom"), ("het", "het")]
     lines = [
         "alice        |   hom   |   hom   |   het   |   het   ",
         "bob          |   hom   |   het   |   hom   |   het   ",
@@ -257,11 +256,10 @@ def cmd_table(args):
     ]
     for rec in ("dr", "rr"):
         for flavor in ("pm", "eb"):
-            cells = []
-            for alice, bob in columns:
-                spec = ProtocolSpec.parse(f"{rec}-{alice}A-{bob}B-{flavor}")
-                cells.append(_MARK[classify_1sdi(spec)].center(9))
-            lines.append(f"{rec} {flavor}".ljust(13) + "|" + "|".join(cells))
+            # ProtocolSpec.all() runs alice-major, as the header's columns do
+            row = [p for p in protocols if (p.reconciliation.value, p.flavor.value) == (rec, flavor)]
+            cells = "|".join(_MARK[classify_1sdi(p)].center(9) for p in row)
+            lines.append(f"{rec} {flavor}".ljust(13) + "|" + cells)
     n_1sdi = sum(1 for p in protocols if classify_1sdi(p) is not OneSidedDI.NOT_1SDI)
     lines.append("")
     lines.append(f"{n_1sdi} of {len(protocols)} protocols are one-sided device independent")
@@ -290,6 +288,9 @@ def main(argv=None) -> int:
                 fh.write(text)
     except CVQKDError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except OSError as exc:  # the output could not be written
         target = exc.filename or out or "stdout"

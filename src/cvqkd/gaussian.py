@@ -31,8 +31,8 @@ np = _Deferred("numpy")
 # Tolerances for the bona fide checks.
 SYMMETRY_RTOL = 1e-12
 NU_TOLERANCE = 1e-9
-# an entry this large overflows CovarianceMatrix's symmetrisation (m + m.T) / 2
-_SYMMETRISE_LIMIT = 2.0**1023
+# below this entry limit the largest product of the spectra, (a + b)^2 - 4c^2, is finite
+_ENTRY_LIMIT = 2.0**510
 
 
 class Quadrature(Enum):
@@ -85,9 +85,9 @@ class CovarianceMatrix:
     and ``apply_channel`` build; any other shape or form raises DomainError.
     The matrix must be symmetric (to 1e-12 relative tolerance), positive
     definite and physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9.
-    An entry of magnitude 2^1023 or more, which (m + m^T) / 2 would
-    overflow, raises PrecisionError, and so does a matrix whose smallest
-    eigenvalue is rounding noise, since its spectrum cannot be resolved.
+    An entry of magnitude 2^510 (about 3.4e153) or more, where the closed-form
+    spectrum would overflow, raises PrecisionError, and so does a matrix whose
+    smallest eigenvalue is rounding noise, since its spectrum cannot be resolved.
     So every quadrature variance of a validated matrix is positive, and
     conditioning on any quadrature divides by it safely.
     """
@@ -102,8 +102,8 @@ class CovarianceMatrix:
         peak = float(np.abs(m).max())  # NaN if any entry is
         if not peak < math.inf:
             raise DomainError(f"covariance matrix entries must be finite, got max |m| = {peak}")
-        if peak >= _SYMMETRISE_LIMIT:
-            raise PrecisionError(f"covariance matrix entry {peak} overflows the symmetrisation")
+        if peak >= _ENTRY_LIMIT:
+            raise PrecisionError(f"covariance matrix entry {peak} reaches 2^510: spectra overflow")
         scale = max(1.0, peak)
         if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
             raise DomainError("covariance matrix is not symmetric")
@@ -293,28 +293,22 @@ def _one_mode_entropy(a: float, b: float, d: float) -> float:
     """von_neumann_entropy(CovarianceMatrix([[a, b], [b, d]])) without building it, bit for bit.
 
     PrecisionError where the closed form declines: a NaN or non-finite entry, an
-    entry of 2^1023 or more (its tolerance would snap nu = inf to purity), a <= 0
-    or ad - b^2 <= 0. A block of a validated state declines only through rounding.
+    entry of 2^510 or more (``CovarianceMatrix``'s limit, past which ad overflows),
+    a <= 0 or ad - b^2 <= 0. A block of a validated state declines only through rounding.
     """
     scale = max(1.0, abs(a), abs(b), abs(d))  # a NaN entry is declined by _one_mode_nu
-    nu = _one_mode_nu(a, b, d) if scale < _SYMMETRISE_LIMIT else None
+    nu = _one_mode_nu(a, b, d) if scale < _ENTRY_LIMIT else None
     if nu is None:
         raise PrecisionError(f"one-mode block [[{a}, {b}], [{b}, {d}]] is not positive definite")
     return entropy_g(_gate(nu, NU_TOLERANCE * scale))
 
 
-def _mode_entropy(rows: list[list[float]], k: int, i: int | None = None) -> float:
-    """Entropy of the mode whose x row is k, after a homodyne of quadrature row i if given.
-
-    ``rows`` is a validated matrix as nested lists. The conditioned block is
-    the Schur complement m_kl - s_k s_l / v (v = m_ii, s the column i),
-    rounded as np.outer(s, s) / v rounds it.
-    """
-    a, b, d = rows[k][k], rows[k][k + 1], rows[k + 1][k + 1]
-    if i is not None:
-        v, s0, s1 = rows[i][i], rows[k][i], rows[k + 1][i]
-        a, b, d = a - s0 * s0 / v, b - s0 * s1 / v, d - s1 * s1 / v
-    return _one_mode_entropy(a, b, d)
+def _block_entries(cm: CovarianceMatrix, message: str) -> tuple[float, float, float]:
+    """(a, b, c) of a two-mode state's blocks a I, b I, diag(c, -c), else DomainError(message)."""
+    if cm.n_modes != 2:
+        raise DomainError(message)
+    (a, _, c, _), _, (_, _, b, _), _ = cm.matrix.tolist()
+    return a, b, c
 
 
 def entropy_g(nu: float) -> float:

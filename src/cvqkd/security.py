@@ -39,7 +39,7 @@ from .bounds import (
     classify_1sdi,
     key_rate,
 )
-from .errors import DomainError, _Deferred, _typed
+from .errors import DomainError, PrecisionError, _Deferred, _typed
 from .gaussian import ChannelParams
 
 np = _Deferred("numpy")
@@ -68,10 +68,13 @@ class FibreModel:
             )
 
     def distance_km(self, transmission: float) -> float:
-        """Fibre length with this transmission, which must lie in (0, 1]."""
+        """Fibre length with this transmission, which must lie in (0, 1]; PrecisionError if inf."""
         ChannelParams(transmission)  # DomainError on NaN or T outside (0, 1]
         # abs gives 0, not -0, at T = 1
-        return abs(10.0 * math.log10(transmission)) / self.attenuation_db_per_km
+        km = abs(10.0 * math.log10(transmission)) / self.attenuation_db_per_km
+        if km == math.inf:  # a denormal attenuation: inf would read as "no security" in JSON
+            raise PrecisionError(f"distance overflows at attenuation {self.attenuation_db_per_km}")
+        return km
 
 
 @dataclass(frozen=True)

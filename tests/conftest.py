@@ -11,9 +11,12 @@ from cvqkd import (
     Measurement,
     ModeQuadrature,
     Quadrature,
+    Reconciliation,
     apply_channel,
     conditional_variance,
+    gaussian_shannon_entropy,
     tmsv,
+    von_neumann_entropy,
 )
 
 X_A = ModeQuadrature(0, Quadrature.X)
@@ -53,6 +56,31 @@ def condition_on_homodyne(cm, measured):
     sigma = cm.matrix[keep, measured.index()]
     rest = cm.matrix[np.ix_(keep, keep)] - np.outer(sigma, sigma) / v_meas
     return CovarianceMatrix(rest), v_meas
+
+
+def outcome_entropy(cm, measured):
+    """H(q) + S(rest|q): the measured quadrature's Shannon entropy plus the conditioned state's."""
+    conditioned, v = condition_on_homodyne(cm, measured)
+    return gaussian_shannon_entropy(v) + von_neumann_entropy(conditioned)
+
+
+def ur_slack_reference(cm):
+    """The tripartite UR slack (O_x - S_B) + (O_p - S_AB) - log2(4 pi) from the references.
+
+    Each entropy is a ``von_neumann_entropy`` of a ``reduced_state`` or a
+    ``condition_on_homodyne`` state, summed in ``verify_ur_tripartite``'s order.
+    """
+    s_b = von_neumann_entropy(reduced_state(cm, [1]))
+    o_x, o_p = outcome_entropy(cm, X_A), outcome_entropy(cm, P_A)
+    return (o_x - s_b) + (o_p - von_neumann_entropy(cm)) - math.log2(4.0 * math.pi)
+
+
+def dw_reference(cm, direction):
+    """The Devetak-Winter ceiling I(ref:other) - (S_AB - S(other|x_ref)) from the references."""
+    ref, other = (X_B, X_A) if direction is Reconciliation.RR else (X_A, X_B)
+    mutual_info = 0.5 * math.log2(cm.variance(ref) / conditional_variance(cm, ref, other))
+    conditioned, _ = condition_on_homodyne(cm, ref)
+    return mutual_info - (von_neumann_entropy(cm) - von_neumann_entropy(conditioned))
 
 
 def split_with_vacuum(m, mode):

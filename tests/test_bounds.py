@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     P_A,
     X_A,
     channelled_state,
-    condition_on_homodyne,
     full_mode_cv,
+    outcome_entropy,
     random_channelled_states,
     reduced_state,
     schur_variance,
@@ -42,10 +44,9 @@ from cvqkd import (
     verify_ur_tripartite,
     von_neumann_entropy,
 )
-from cvqkd.gaussian import _mode_entropy
-
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
+IDS = sorted(p.id for p in ProtocolSpec.all())
 DR_HOM_HOM = ProtocolSpec.parse("dr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
 
@@ -94,6 +95,27 @@ class TestProtocolSpec:
         for bad in ("bogus", "rr-homA-homB", "xx-homA-homB-eb", "rr-homB-homA-eb"):
             with pytest.raises(DomainError):
                 ProtocolSpec.parse(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.one_of(
+            st.sampled_from(IDS),
+            st.text(alphabet="-ABabdehmoprt ", max_size=18),
+            st.sampled_from(IDS).flatmap(
+                lambda i: st.integers(0, len(i)).map(lambda k: i[:k] + i[k + 1 :])
+            ),
+            st.sampled_from(IDS).map(str.upper),
+            st.sampled_from(IDS).map(lambda i: f" {i}"),
+        )
+    )
+    def test_a_string_parses_iff_it_is_one_of_the_16_ids(self, text):
+        try:
+            spec = ProtocolSpec.parse(text)
+        except DomainError as exc:
+            assert text not in IDS
+            assert str(exc) == f"unknown protocol id {text!r}"
+        else:
+            assert text in IDS and spec.id == text
 
 
 class TestKeyRate:
@@ -255,27 +277,26 @@ class TestInference:
             infer_full_mode_variance(0.49)
 
 
-def measured_conditional_entropy(cm, i):
-    # S(q_A|B) = H(q_A) + S(B|q_A) - S(B), q_A on row i, as verify_ur_tripartite assembles it
-    rows = cm.matrix.tolist()
-    return gaussian_shannon_entropy(rows[i][i]) + _mode_entropy(rows, 2, i) - _mode_entropy(rows, 2)
+def measured_conditional_entropy(cm, q):
+    # S(q_A|B) = H(q_A) + S(B|q_A) - S(B) from the conftest references
+    return outcome_entropy(cm, q) - von_neumann_entropy(reduced_state(cm, [1]))
 
 
 class TestMeasuredConditionalEntropy:
     def test_product_of_vacua(self):
-        got = measured_conditional_entropy(vacuum(2), 0)
+        got = measured_conditional_entropy(vacuum(2), X_A)
         assert got == pytest.approx(0.5 * math.log2(2.0 * math.pi * math.e), abs=1e-12)
 
     def test_tmsv_two(self):
         # H(x_A) = 0.5*log2(4 pi e); conditioned B is pure diag(0.5, 2); S(B) = g(2)
         expected = 0.5 * math.log2(4.0 * math.pi * math.e) - (1.5 * math.log2(1.5) + 0.5)
-        got = measured_conditional_entropy(tmsv(2.0), 0)
+        got = measured_conditional_entropy(tmsv(2.0), X_A)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_phase_symmetry(self):
         for v, t, xi, cm in random_channelled_states(20, seed=23):
-            s_x = measured_conditional_entropy(cm, 0)
-            s_p = measured_conditional_entropy(cm, 1)
+            s_x = measured_conditional_entropy(cm, X_A)
+            s_p = measured_conditional_entropy(cm, P_A)
             assert abs(s_x - s_p) < 1e-10
 
 
@@ -306,11 +327,6 @@ class TestUncertaintyRelations:
             for *_, cm in random_channelled_states(300, seed=61)
         ]
         log2_4pi = math.log2(4.0 * math.pi)
-
-        def outcome_entropy(cm, q):  # H(q_A) + S(B|q_A)
-            conditioned, v = condition_on_homodyne(cm, q)
-            return gaussian_shannon_entropy(v) + von_neumann_entropy(conditioned)
-
         for cm in states:
             s_ab = von_neumann_entropy(cm)
             s_b = von_neumann_entropy(reduced_state(cm, [1]))

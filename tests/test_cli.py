@@ -13,7 +13,7 @@ import pytest
 
 import cvqkd
 from cvqkd import ProtocolSpec, SweepConfig, security_region
-from cvqkd.cli import _json, main
+from cvqkd.cli import _COMMANDS, _json, main
 
 
 def run(capsys, *argv):
@@ -506,6 +506,9 @@ class TestRejectedInputs:
             ["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--V", "nan"],
             ["distance", "--protocol", "rr-homA-homB-eb", "--attenuation-db-per-km", "inf"],
             ["verify-ur", "--v-list", "nan"],
+            # these printed nan slacks and an inf distance (null in JSON) with exit 0
+            ["verify-ur", "--v-list", "2", "--xi-list", "1e160", "--t-min", "0.5", "--steps", "1"],
+            ["distance", "--protocol", "rr-homA-homB-eb", "--attenuation-db-per-km", "1e-320"],
         ],
         ids=[
             "keyrate-xi-inf",
@@ -514,6 +517,8 @@ class TestRejectedInputs:
             "keyrate-v-nan",
             "distance-att-inf",
             "verify-ur-v-nan",
+            "verify-ur-xi-1e160",
+            "distance-att-denormal",
         ],
     )
     def test_non_finite_input_exits_three(self, capsys, argv):
@@ -521,6 +526,22 @@ class TestRejectedInputs:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["region", "--protocol", "rr-homA-homB-eb", "--steps", "10000000000000"],
+     ["verify-ur", "--steps", "10000000000000"]],
+    ids=["region", "verify-ur"],
+)
+def test_out_of_memory_exits_three_without_traceback(capsys, monkeypatch, argv):
+    # a grid of 1e13 steps made numpy raise _ArrayMemoryError; the command is
+    # replaced by one that raises it, so nothing is allocated
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 72.8 TiB")
+
+    monkeypatch.setitem(_COMMANDS, argv[0], exhausted)
+    assert run(capsys, *argv) == (3, "", "error: out of memory\n")
 
 
 class TestUnwritableOut:

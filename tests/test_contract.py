@@ -66,6 +66,9 @@ CALLS = {
     "CovarianceMatrix": (CovarianceMatrix, {"matrix": np.eye(2)}),
     "FibreModel": (FibreModel, {"attenuation_db_per_km": 0.2}),
     "FibreModel.distance_km": (FibreModel().distance_km, {"transmission": 0.5}),
+    "FibreModel(attenuation).distance_km": (
+        lambda attenuation: FibreModel(attenuation).distance_km(0.5), {"attenuation": 0.2}
+    ),
     "MeasurementRecord.column": (RECORD.column, {"name": "x_a"}),
     "ModeQuadrature": (lambda mode: ModeQuadrature(mode, Quadrature.X), {"mode": 0}),
     "ProtocolSpec.parse": (ProtocolSpec.parse, {"protocol_id": "rr-homA-homB-eb"}),

@@ -17,10 +17,12 @@ from conftest import (
     X_B,
     channelled_state,
     condition_on_homodyne,
+    dw_reference,
     random_channelled_states,
     reduced_state,
     schur_variance,
     split_with_vacuum,
+    ur_slack_reference,
 )
 from cvqkd import (
     ChannelParams,
@@ -28,20 +30,23 @@ from cvqkd import (
     DomainError,
     ModeQuadrature,
     Quadrature,
+    Reconciliation,
     UnphysicalStateError,
     apply_channel,
     conditional_variance,
+    devetak_winter_oracle,
     entropy_g,
     symplectic_eigenvalues,
     tmsv,
     vacuum,
+    verify_ur_bipartite,
+    verify_ur_tripartite,
     von_neumann_entropy,
 )
 from cvqkd.errors import CVQKDError, PrecisionError
 from cvqkd.gaussian import (
     NU_TOLERANCE,
     _closed_form_spectrum,
-    _mode_entropy,
     _one_mode_entropy,
 )
 
@@ -417,23 +422,76 @@ def test_numpy_integer_mode_is_the_int_mode():
 
 
 class TestSymmetrisationLimit:
+    """The entry limit 2^510, below which the closed-form spectra cannot overflow.
+
+    It was 2^1023, where (m + m.T) / 2 overflows; between the two the
+    spectrum of diag(1e160, 1e160) read inf and a channel state's [1, inf].
+    """
+
     @pytest.mark.parametrize(
         "make",
         [
             lambda: CovarianceMatrix(np.diag([1e308, 1e308])),
             lambda: CovarianceMatrix(np.diag([2.0**1023, 1.0])),
             lambda: CovarianceMatrix(np.diag([1.7e308, 1.7e308])),
+            lambda: CovarianceMatrix(np.diag([2.0**510, 1.0])),
+            lambda: CovarianceMatrix(np.diag([1e160, 1e160])),
+            lambda: apply_channel(tmsv(2.0), ChannelParams(0.5, 1e160), mode=1),
         ],
-        ids=["diag-1e308", "diag-2^1023", "thermal"],
+        ids=["diag-1e308", "diag-2^1023", "thermal", "diag-2^510", "diag-1e160", "channel-xi-1e160"],
     )
     def test_entry_that_overflows_raises_precision_error(self, make):
-        # (m + m.T) / 2 overflowed to inf entries, which then validated
-        with pytest.raises(PrecisionError, match="overflows the symmetrisation"):
+        with pytest.raises(PrecisionError, match=r"reaches 2\^510: spectra overflow"):
             make()
 
     def test_largest_entry_below_the_limit_validates(self):
-        v = math.nextafter(2.0**1023, 0.0)
+        v = math.nextafter(2.0**510, 0.0)
         assert CovarianceMatrix(np.diag([v, v])).matrix[0, 0] == v
+        for m in (np.diag([v, v]), np.diag([v] * 4), _block_form(v, v, math.nextafter(v, 0.0))):
+            assert all(math.isfinite(nu) for nu in symplectic_eigenvalues(CovarianceMatrix(m)))
+
+    # blocks on which ref - c^2/other rounds to 0, a DW division by zero once
+    SINGULAR_DW = (3.956619672210185e108, 6.568557558880241e132, 5.097968620490957e120)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["channel", "both-arms", "blocks", "one-mode"]),
+        logs=st.lists(st.floats(0.0, 300.0), min_size=3, max_size=3),
+        fraction=st.floats(0.0, 1.0),
+    )
+    @example(kind="channel", logs=[37.5 * math.log10(2.0), math.log10(2.0), 160.0], fraction=0.5)
+    @example(kind="one-mode", logs=[160.0, 160.0, 0.0], fraction=0.0)
+    @example(
+        kind="blocks",
+        logs=[math.log10(SINGULAR_DW[0]), math.log10(SINGULAR_DW[1]), 0.0],
+        fraction=SINGULAR_DW[2] / (math.sqrt(SINGULAR_DW[0]) * math.sqrt(SINGULAR_DW[1])),
+    )
+    def test_entries_up_to_1e300_give_finite_values_or_typed_errors(self, kind, logs, fraction):
+        # entries log-uniform up to 1e300: every spectrum, entropy, UR slack and DW
+        # ceiling is finite or raises a CVQKDError; NaN and inf once came out silently
+        x, y, z = (10.0**u for u in logs)
+        try:
+            if kind in ("channel", "both-arms"):  # V to 1e8, T down to 1e-300, xi to 1e300
+                cm = channelled_state(10.0 ** (logs[0] / 37.5), 1.0 / y, z - 1.0)
+                if kind == "both-arms":
+                    cm = apply_channel(cm, ChannelParams(fraction or 1.0, z), mode=0)
+            elif kind == "blocks":
+                cm = CovarianceMatrix(_block_form(x, y, fraction * math.sqrt(x) * math.sqrt(y)))
+            else:
+                b = (2.0 * fraction - 1.0) * math.sqrt(x) * math.sqrt(y)
+                cm = CovarianceMatrix(np.array([[x, b], [b, y]]))
+        except CVQKDError:
+            return
+        calls = [lambda: symplectic_eigenvalues(cm), lambda: [von_neumann_entropy(cm)]]
+        if cm.n_modes == 2:
+            calls += [lambda: [verify_ur_bipartite(cm)], lambda: [verify_ur_tripartite(cm)]]
+            calls += [lambda d=d: [devetak_winter_oracle(cm, d)] for d in Reconciliation]
+        for call in calls:
+            try:
+                values = call()
+            except CVQKDError:
+                continue
+            assert all(math.isfinite(value) for value in values), (kind, logs, fraction, values)
 
 
 def _exact_det(rows):
@@ -640,27 +698,28 @@ class TestEighFloor:
             tmsv(v)
 
 
-def _entropy_or_error(f):
-    # a value's repr, or CVQKDError where f raises one
+def _entropy_or_error(f, errors=CVQKDError):
+    # a value's repr, or CVQKDError where f raises one of errors
     try:
         return repr(f())
-    except CVQKDError:
+    except errors:
         return CVQKDError
 
 
-def _assert_scalar_entropies_match_cm_route(cm):
-    # the entry-level entropies against the CovarianceMatrix references, bit for bit
-    rows = cm.matrix.tolist()
-    for mode in (0, 1):
-        assert _entropy_or_error(lambda: _mode_entropy(rows, 2 * mode)) == _entropy_or_error(
-            lambda: von_neumann_entropy(reduced_state(cm, [mode]))
-        ), (mode, cm.matrix.tolist())
-    for q in (X_A, P_A, X_B, P_B):
-        kept = 2 - 2 * q.mode  # the other mode's x row
-        got = _entropy_or_error(lambda: _mode_entropy(rows, kept, q.index()))
-        assert got == _entropy_or_error(
-            lambda: von_neumann_entropy(condition_on_homodyne(cm, q)[0])
-        ), (q, cm.matrix.tolist())
+def _assert_bounds_match_the_reference_assembly(cm):
+    # the UR slack and both DW ceilings, read from the blocks (a, b, c), against their
+    # assembly from the CovarianceMatrix references, bit for bit; where a reference
+    # raises, a division by a conditional variance rounded to 0 included, the public
+    # function raises a CVQKDError
+    reference_errors = (CVQKDError, ZeroDivisionError)
+    want = _entropy_or_error(lambda: ur_slack_reference(cm), reference_errors)
+    for ur in (verify_ur_bipartite, verify_ur_tripartite):
+        assert _entropy_or_error(lambda: ur(cm)) == want, (ur, cm.matrix.tolist())
+    for direction in Reconciliation:
+        got = _entropy_or_error(lambda: devetak_winter_oracle(cm, direction))
+        assert got == _entropy_or_error(lambda: dw_reference(cm, direction), reference_errors), (
+            direction, cm.matrix.tolist()
+        )
 
 
 class TestScalarEntropies:
@@ -675,7 +734,27 @@ class TestScalarEntropies:
             cm = channelled_state(v, t, xi)
         except PrecisionError:  # tmsv past its precision limit
             assume(False)
-        _assert_scalar_entropies_match_cm_route(cm)
+        _assert_bounds_match_the_reference_assembly(cm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        v=st.one_of(st.sampled_from([1.0, 1e5, 1e7, 3e7]), st.floats(1.0, 3e7)),
+        channels=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([1e-3, 1.0]), st.floats(1e-3, 1.0)),
+                st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+    )
+    def test_states_with_a_channel_on_both_arms(self, v, channels):
+        (t_b, xi_b), (t_a, xi_a) = channels
+        try:
+            cm = apply_channel(channelled_state(v, t_b, xi_b), ChannelParams(t_a, xi_a), mode=0)
+        except PrecisionError:  # tmsv past its precision limit
+            assume(False)
+        _assert_bounds_match_the_reference_assembly(cm)
 
     @settings(max_examples=300, deadline=None)
     @given(entries=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3))
