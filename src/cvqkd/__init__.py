@@ -1,15 +1,16 @@
 """Asymptotic one-sided device-independent key-rate bounds for Gaussian CVQKD.
 
-Covariance-matrix algebra for the one- and two-mode Gaussian states of
-the protocols (an EPR state through a loss-and-noise channel), entropic
+Two-mode Gaussian states of the protocols (an EPR state through a
+loss-and-noise channel, held as three block entries), entropic
 uncertainty-relation verification, the eight squeezed/coherent x
 homodyne/heterodyne x DR/RR key-rate bounds, channel-parameter security
 analysis and a seeded Monte Carlo validation path.
 
-numpy loads on first array use, not on import: ``import cvqkd``,
-``import cvqkd.cli``, ``cvqkd table`` and ``cvqkd keyrate`` never run its
-import, while covariance matrices, region sweeps, distances, ``verify-ur``
-and the Monte Carlo path load it when they first touch an array.
+numpy loads on first array use, not on import: ``import cvqkd.cli``,
+``cvqkd table``, ``cvqkd keyrate``, states, their spectra and entropies,
+the UR slacks and the Devetak-Winter ceilings never run its import.
+``CovarianceMatrix.matrix``, region sweeps, distances, ``verify-ur`` and
+the Monte Carlo path load it when they first touch an array.
 """
 
 from .bounds import (

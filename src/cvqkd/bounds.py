@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _typed
-from .gaussian import CovarianceMatrix, _block_entries, _one_mode_entropy, von_neumann_entropy
+from .gaussian import CovarianceMatrix, _one_mode_entropy, von_neumann_entropy
 
 LOG2_4PI = math.log2(4.0 * math.pi)
 
@@ -330,9 +330,9 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     diag(b - c^2/a, b) and given p_A its swap, so O_x = O_p bit for bit.
     S_B is the entropy of diag(b, b), S_AB ``von_neumann_entropy(cm)``.
     """
-    a, b, c = _block_entries(cm, "uncertainty relations are checked on two-mode states")
-    s_b = _one_mode_entropy(b, 0.0, b)
-    o = gaussian_shannon_entropy(a) + _one_mode_entropy(b - c * c / a, 0.0, b)
+    a, b, c = cm.a, cm.b, cm.c
+    s_b = _one_mode_entropy(b, b)
+    o = gaussian_shannon_entropy(a) + _one_mode_entropy(b - c * c / a, b)
     return (o - s_b) + (o - von_neumann_entropy(cm)) - LOG2_4PI
 
 
@@ -351,13 +351,12 @@ def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> fl
     a I, b I, diag(c, -c), I = 0.5*log2(ref / (ref - c^2/other)) and the
     other party's conditioned state is diag(other - c^2/ref, other).
     """
-    a, b, c = _block_entries(cm, "Devetak-Winter oracle is defined on two-mode states")
     if not isinstance(direction, Reconciliation):
         raise DomainError(f"reconciliation direction must be a Reconciliation, got {direction!r}")
-    ref, other = (b, a) if direction is Reconciliation.RR else (a, b)
-    v_cond = ref - c * c / other  # rounds to 0 or below only on a state singular to rounding
+    ref, other = (cm.b, cm.a) if direction is Reconciliation.RR else (cm.a, cm.b)
+    v_cond = ref - cm.c * cm.c / other  # rounds to 0 or below only on a state singular to rounding
     if not v_cond > 0.0:
         raise PrecisionError(f"conditional variance {v_cond} of the reference is not positive")
     mutual_info = 0.5 * math.log2(ref / v_cond)
-    holevo = von_neumann_entropy(cm) - _one_mode_entropy(other - c * c / ref, 0.0, other)
+    holevo = von_neumann_entropy(cm) - _one_mode_entropy(other - cm.c * cm.c / ref, other)
     return mutual_info - holevo

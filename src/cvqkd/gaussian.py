@@ -1,9 +1,12 @@
-"""Covariance-matrix algebra for the one- and two-mode Gaussian states of the protocols.
+"""Second-moment algebra for the two-mode Gaussian states of the protocols.
 
 Every state the package builds is an EPR state (two-mode squeezed
-vacuum) sent through a phase-insensitive loss-and-noise channel, or one
-mode of it: a 4 x 4 matrix with blocks a I, b I and diag(c, -c), or a
-2 x 2 matrix. Both have a closed-form symplectic spectrum.
+vacuum) sent through a phase-insensitive loss-and-noise channel: a
+covariance matrix with blocks a I, b I and diag(c, -c). The record
+``CovarianceMatrix(a, b, c)`` holds those three floats, and every
+operation here is scalar ``math`` code on them, so building a state,
+its spectrum and its entropies load no numpy. Only the ``matrix``
+property, the 4 x 4 array that the Monte Carlo sampler factors, does.
 
 Conventions (fixed throughout the package):
 
@@ -21,15 +24,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, PrecisionError, UnphysicalStateError, _Deferred, _typed
 
 np = _Deferred("numpy")
 
-# Tolerances for the bona fide checks.
-SYMMETRY_RTOL = 1e-12
+# Tolerance of the bona fide check.
 NU_TOLERANCE = 1e-9
 # below this entry limit the largest product of the spectra, (a + b)^2 - 4c^2, is finite
 _ENTRY_LIMIT = 2.0**510
@@ -79,54 +81,71 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Second-moment matrix of a one-mode state, or of a two-mode state in block form.
+    """A two-mode state of the family: blocks A = a I, B = b I and C = diag(c, -c).
 
-    Two modes take the form A = a I, B = b I, C = diag(c, -c) that ``tmsv``
-    and ``apply_channel`` build; any other shape or form raises DomainError.
-    The matrix must be symmetric (to 1e-12 relative tolerance), positive
-    definite and physical, i.e. every symplectic eigenvalue nu >= 1 - 1e-9.
-    An entry of magnitude 2^510 (about 3.4e153) or more, where the closed-form
-    spectrum would overflow, raises PrecisionError, and so does a matrix whose
-    smallest eigenvalue is rounding noise, since its spectrum cannot be resolved.
-    So every quadrature variance of a validated matrix is positive, and
-    conditioning on any quadrature divides by it safely.
+    Every state the package builds has this form (Weedbrook et al., Rev.
+    Mod. Phys. 84, 621, 2012), so the three entries are the whole state.
+    Each must be a finite real number (DomainError otherwise) and is
+    stored as a float. The state must be physical, every symplectic
+    eigenvalue nu >= 1 - 1e-9 (UnphysicalStateError otherwise; see
+    ``_gate``). An entry of magnitude 2^510 (about 3.4e153) or more, where
+    the closed-form spectrum would overflow, raises PrecisionError. So
+    does a quadrature block [[a, c], [c, b]] that is singular to rounding,
+    since its spectrum cannot be resolved: where the closed form declines,
+    the block's smallest eigenvalue below -tol raises UnphysicalStateError
+    instead. So a and b of a validated state are positive, and
+    conditioning on any quadrature divides by one of them safely.
     """
 
-    matrix: np.ndarray
-    n_modes: int = field(init=False)
+    a: float
+    b: float
+    c: float
+    n_modes = 2  # a class constant, not a field
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape not in ((2, 2), (4, 4)):
-            raise DomainError(f"covariance matrix must be 2 x 2 or 4 x 4, got shape {m.shape}")
-        peak = float(np.abs(m).max())  # NaN if any entry is
+        for name in ("a", "b", "c"):
+            value = getattr(self, name)
+            if value.__class__ is not float:
+                _typed(value, f"covariance matrix entry {name}")
+                object.__setattr__(self, name, float(value))
+        x, y, z = abs(self.a), abs(self.b), abs(self.c)
+        peak = max(x, y, z) if x + y + z == x + y + z else math.nan  # max() can drop a NaN
         if not peak < math.inf:
             raise DomainError(f"covariance matrix entries must be finite, got max |m| = {peak}")
         if peak >= _ENTRY_LIMIT:
             raise PrecisionError(f"covariance matrix entry {peak} reaches 2^510: spectra overflow")
         scale = max(1.0, peak)
-        if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
-            raise DomainError("covariance matrix is not symmetric")
-        m = (m + m.T) / 2.0
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "n_modes", m.shape[0] // 2)
-        # raises UnphysicalStateError when some nu < 1 - tolerance; the
-        # spectrum is cached since entropy calls need it again
-        object.__setattr__(self, "_nus", _symplectic_spectrum(m, scale))
+        nus = _closed_form_spectrum(self.a, self.b, self.c)
+        if nus is None:  # the quadrature block [[a, c], [c, b]] is not positive definite to rounding
+            low = (self.a + self.b) / 2.0 - math.hypot((self.a - self.b) / 2.0, self.c)
+            if low < -NU_TOLERANCE * scale:
+                raise UnphysicalStateError("covariance matrix is not positive definite")
+            raise PrecisionError(f"covariance matrix eigenvalue {low} is below its rounding floor")
+        # cached, since entropy calls need the spectrum again
+        object.__setattr__(self, "_nus", (_gate(nus[0], scale), _gate(nus[1], scale)))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The 4 x 4 array in the ordering (x1, p1, x2, p2)."""
+        a, b, c = self.a, self.b, self.c
+        return np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c], [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
 
     def variance(self, mq: ModeQuadrature) -> float:
         # compared inline: a _check_mode call on this hot path slows finite-V sweeps
         if not 0 <= mq.mode < self.n_modes:
             raise DomainError(f"mode {mq.mode} out of range for {self.n_modes}-mode state")
-        return float(self.matrix[mq.index(), mq.index()])
+        return self.b if mq.mode else self.a
 
     def covariance(self, a: ModeQuadrature, b: ModeQuadrature) -> float:
         if not (0 <= a.mode < self.n_modes and 0 <= b.mode < self.n_modes):
             raise DomainError(
                 f"modes {a.mode}, {b.mode} out of range for {self.n_modes}-mode state"
             )
-        return float(self.matrix[a.index(), b.index()])
+        if a.quadrature is not b.quadrature:
+            return 0.0
+        if a.mode == b.mode:
+            return self.b if a.mode else self.a
+        return self.c if a.quadrature is Quadrature.X else -self.c
 
     def _check_mode(self, mode: int):
         _typed(mode, "mode", "an integer")
@@ -134,22 +153,24 @@ class CovarianceMatrix:
             raise DomainError(f"mode {mode} out of range for {self.n_modes}-mode state")
 
 
-def vacuum(n_modes: int = 1) -> CovarianceMatrix:
-    """One or two uncorrelated vacuum modes (identity CM)."""
+def vacuum(n_modes: int = 2) -> CovarianceMatrix:
+    """Two uncorrelated vacuum modes: a = b = 1, c = 0.
+
+    ``n_modes`` takes only its default, 2; it stays for callers that pass it.
+    """
     _typed(n_modes, "mode count", "an integer")
-    if not 1 <= n_modes <= 2:
-        raise DomainError(f"need one or two modes, got {n_modes}")
-    return CovarianceMatrix(np.eye(2 * n_modes))
+    if n_modes != 2:
+        raise DomainError(f"need two modes, got {n_modes}")
+    return CovarianceMatrix(1.0, 1.0, 0.0)
 
 
 def tmsv(v: float) -> CovarianceMatrix:
     """Two-mode squeezed vacuum with quadrature variance v = cosh(2s).
 
-    Diagonal blocks v*I, off-diagonal block diag(+c, -c) with
-    c = sqrt(v^2 - 1); pure for every v >= 1, reducing to two vacua
-    at v = 1. The stored c carries an absolute error of about eps * v,
-    which from about v = 8.5e6 can exceed the purity gate. A v whose
-    stored matrix does not validate to the spectrum [1, 1] exactly
+    a = b = v and c = sqrt(v^2 - 1); pure for every v >= 1, reducing to
+    two vacua at v = 1. The stored c carries an absolute error of about
+    eps * v, which from about v = 8.5e6 can exceed the purity gate. A v
+    whose stored entries do not validate to the spectrum [1, 1] exactly
     raises PrecisionError, as does every v beyond about 9.49e7 (inf
     included), where v^2 - 1 rounds to v^2 and c to v.
     """
@@ -158,12 +179,8 @@ def tmsv(v: float) -> CovarianceMatrix:
         raise DomainError(f"EPR variance must be >= 1, got {v}")
     if v * v - 1.0 == v * v:
         raise PrecisionError(f"EPR variance {v} too large: v^2 - 1 rounds to v^2")
-    c = math.sqrt(v * v - 1.0)
-    m = np.diag([float(v)] * 4)
-    m[0, 2] = m[2, 0] = c
-    m[1, 3] = m[3, 1] = -c
     try:
-        cm = CovarianceMatrix(m)
+        cm = CovarianceMatrix(v, v, math.sqrt(v * v - 1.0))
         if cm._nus == (1.0, 1.0):
             return cm
     except (UnphysicalStateError, PrecisionError):
@@ -174,19 +191,17 @@ def tmsv(v: float) -> CovarianceMatrix:
 def apply_channel(cm: CovarianceMatrix, ch: ChannelParams, mode: int) -> CovarianceMatrix:
     """Send one mode through a Gaussian loss/noise channel.
 
-    On the target mode each quadrature variance maps to
-    T*V + (1 - T) + T*xi; every cross correlation involving the target
-    is scaled by sqrt(T); all other entries are untouched.
+    The target mode's variance maps to T*V + (1 - T) + T*xi and c to
+    sqrt(T)*c; the other mode's variance is untouched.
     """
     cm._check_mode(mode)
     t = ch.transmission
-    m = cm.matrix.copy()
-    sl = slice(2 * mode, 2 * mode + 2)
-    m[sl, :] *= math.sqrt(t)
-    m[:, sl] *= math.sqrt(t)
-    # the diagonal block, scaled twice above, is rebuilt from the unscaled one
-    m[sl, sl] = t * cm.matrix[sl, sl] + ((1.0 - t) + t * ch.excess_noise) * np.eye(2)
-    return CovarianceMatrix(m)
+    # float(): with a numpy-scalar T or xi, T*V + w would otherwise round in that precision
+    w = float((1.0 - t) + t * ch.excess_noise)
+    c = cm.c * math.sqrt(t)
+    if mode:
+        return CovarianceMatrix(cm.a, float(t) * cm.b + w, c)
+    return CovarianceMatrix(float(t) * cm.a + w, cm.b, c)
 
 
 def conditional_variance(
@@ -204,8 +219,8 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
     """Symplectic spectrum: |eig(i Omega Sigma)|, one value per mode, ascending.
 
     Computed once, in closed form, when the covariance matrix is validated
-    (see ``_symplectic_spectrum``). Measured against a 50-digit spectrum of
-    the same stored matrix on channel states with V in [1, 1e7], the
+    (see ``_closed_form_spectrum`` and ``_gate``). Measured against a 50-digit spectrum of
+    the same stored entries on channel states with V in [1, 1e7], the
     largest relative error in the decade 10^d <= V < 10^(d+1) (V = 1e7
     joins d = 6) runs from 4e-16 at d = 0 to 6.7e-10 at d = 6 and stays
     below eps * 10^(d+1) / 2: it grows like eps * V.
@@ -213,56 +228,29 @@ def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
     return list(cm._nus)
 
 
-def _symplectic_spectrum(m: np.ndarray, scale: float) -> tuple[float, ...]:
-    """Validated closed-form symplectic spectrum of a symmetric 2 x 2 or 4 x 4 matrix, ascending.
+def _gate(nu: float, scale: float) -> float:
+    """The one physicality gate: nu below 1 - tol raises, nu below 1 + tol snaps to 1.
 
-    ``scale`` is max(1, max |m_ij|). Where ``_closed_form_spectrum``
-    declines, the quadrature block [[a, c], [c, b]] is not positive
-    definite to rounding: its smallest eigenvalue
-    (a + b)/2 - hypot((a - b)/2, c) below -tol raises UnphysicalStateError,
-    and otherwise PrecisionError, since the spectrum of a matrix singular
-    to rounding cannot be resolved.
-
-    Values below 1 by less than the tolerance are snapped to 1 (two-mode
-    squeezed vacuum is analytically pure but numerically nu = 1 +- eps);
-    anything further below 1 raises an unphysical-state error. The 1e-9
-    tolerance is scaled by ``scale``: a stored CM with entries of size s
-    cannot represent purity more finely than s * machine epsilon, so a
-    fixed gate would spuriously reject pure states beyond V ~ 1e4. This
-    keeps ``tmsv(V)`` at [1, 1] up to V = 1e7.
+    Two-mode squeezed vacuum is analytically pure but numerically
+    nu = 1 +- eps, and anything further below 1 is unphysical
+    (UnphysicalStateError). The tolerance tol = 1e-9 * scale grows with
+    ``scale``, the largest entry or 1: stored entries of size s cannot
+    represent purity more finely than s * machine epsilon, so a fixed
+    gate would spuriously reject pure states beyond V ~ 1e4. This keeps
+    ``tmsv(V)`` at [1, 1] up to V = 1e7.
     """
     tol = NU_TOLERANCE * scale
-    nus = _closed_form_spectrum(m)
-    if nus is None:
-        (a, c), (_, b) = (m if m.shape == (2, 2) else m[::2, ::2]).tolist()
-        low = (a + b) / 2.0 - math.hypot((a - b) / 2.0, c)
-        if low < -tol:
-            raise UnphysicalStateError("covariance matrix is not positive definite")
-        raise PrecisionError(f"covariance matrix eigenvalue {low} is below its rounding floor")
-    return tuple(_gate(nu, tol) for nu in nus)
-
-
-def _gate(nu: float, tol: float) -> float:
-    # the one physicality gate: raise below 1 - tol, snap float noise around purity to 1
     if nu < 1.0 - tol:
         raise UnphysicalStateError(f"symplectic eigenvalue {nu} < 1 (unphysical state)")
     return 1.0 if nu < 1.0 + tol else nu
 
 
-def _one_mode_nu(a: float, b: float, d: float) -> float | None:
-    # unsnapped closed form nu = sqrt(ad - b^2) of [[a, b], [b, d]]; None unless a > 0 and det > 0
-    det = a * d - b * b
-    return math.sqrt(det) if a > 0.0 and det > 0.0 else None
+def _closed_form_spectrum(a: float, b: float, c: float) -> tuple[float, float] | None:
+    """Unsnapped closed-form spectrum of the blocks a I, b I, diag(c, -c), ascending, or None.
 
-
-def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
-    """Unsnapped closed-form spectrum, ascending, or None where it declines.
-
-    One mode: nu = sqrt(ad - b^2), for a > 0 and a positive determinant.
-    Two modes must be in block form A = a I, B = b I, C = diag(c, -c)
-    (exact float equality; DomainError otherwise). With c taken as |c|
-    and lo = (a - c) + (b - c), for a, b, lo and ab - c^2 positive
-    (Serafini, Illuminati and De Siena, J. Phys. B 37, L21, 2004):
+    With c taken as |c| and lo = (a - c) + (b - c), for a, b, lo and
+    ab - c^2 positive (Serafini, Illuminati and De Siena, J. Phys. B 37,
+    L21, 2004):
 
         nu+ = (sqrt(lo (a + b + 2c)) + |a - b|) / 2,
         nu- = (a (b - c) + c (a - c)) / nu+.
@@ -271,15 +259,8 @@ def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
     root of a cancelling difference, so degenerate pairs (a = b, as in
     the two-mode squeezed vacuum) lose no digits to the root. The sum in
     nu- still cancels where b < c, by a factor of about V on channel
-    states.
+    states. None where the conditions fail.
     """
-    if m.shape == (2, 2):
-        (a, b), (_, d) = m.tolist()
-        nu = _one_mode_nu(a, b, d)
-        return None if nu is None else (nu,)
-    (a, z1, c, z2), (_, a2, z3, c2), (_, _, b, z4), (_, _, _, b2) = m.tolist()
-    if not (a == a2 and b == b2 and c == -c2 and z1 == z2 == z3 == z4 == 0.0):
-        raise DomainError("two-mode covariance matrix must have blocks a I, b I and diag(c, -c)")
     c = abs(c)
     lo = (a - c) + (b - c)
     num = a * (b - c) + c * (a - c)  # ab - c^2 without cancelling products
@@ -289,26 +270,20 @@ def _closed_form_spectrum(m: np.ndarray) -> tuple[float, ...] | None:
     return (num / hi, hi)
 
 
-def _one_mode_entropy(a: float, b: float, d: float) -> float:
-    """von_neumann_entropy(CovarianceMatrix([[a, b], [b, d]])) without building it, bit for bit.
+def _one_mode_entropy(x: float, p: float) -> float:
+    """Entropy in bits of the one-mode state diag(x, p): g(sqrt(xp)) through ``_gate``.
 
-    PrecisionError where the closed form declines: a NaN or non-finite entry, an
-    entry of 2^510 or more (``CovarianceMatrix``'s limit, past which ad overflows),
-    a <= 0 or ad - b^2 <= 0. A block of a validated state declines only through rounding.
+    The gate's scale is max(1, |x|, |p|), as ``CovarianceMatrix`` takes
+    its own. PrecisionError where the closed form declines: a NaN
+    or non-finite entry, an entry of 2^510 or more (``CovarianceMatrix``'s
+    limit, past which xp overflows), x <= 0 or xp <= 0. A block of a
+    validated state declines only through rounding.
     """
-    scale = max(1.0, abs(a), abs(b), abs(d))  # a NaN entry is declined by _one_mode_nu
-    nu = _one_mode_nu(a, b, d) if scale < _ENTRY_LIMIT else None
-    if nu is None:
-        raise PrecisionError(f"one-mode block [[{a}, {b}], [{b}, {d}]] is not positive definite")
-    return entropy_g(_gate(nu, NU_TOLERANCE * scale))
-
-
-def _block_entries(cm: CovarianceMatrix, message: str) -> tuple[float, float, float]:
-    """(a, b, c) of a two-mode state's blocks a I, b I, diag(c, -c), else DomainError(message)."""
-    if cm.n_modes != 2:
-        raise DomainError(message)
-    (a, _, c, _), _, (_, _, b, _), _ = cm.matrix.tolist()
-    return a, b, c
+    scale = max(1.0, abs(x), abs(p))  # a NaN entry fails the tests below
+    det = x * p
+    if not (scale < _ENTRY_LIMIT and x > 0.0 and det > 0.0):
+        raise PrecisionError(f"one-mode block [[{x}, 0.0], [0.0, {p}]] is not positive definite")
+    return entropy_g(_gate(math.sqrt(det), scale))
 
 
 def entropy_g(nu: float) -> float:

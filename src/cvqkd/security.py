@@ -197,7 +197,7 @@ def optimize_modulation(
     negative.
     """
     _typed(v_max, "v_max")
-    if v_max < 1.0:
+    if not v_max >= 1.0:
         raise DomainError(f"v_max must be >= 1, got {v_max}")
     candidates = [(v, key_rate_at(protocol, ch, v).key_rate) for v in (1.0, v_max)]
     return max(candidates, key=lambda pair: pair[1])

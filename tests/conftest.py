@@ -6,8 +6,6 @@ import pytest
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
-    CovarianceMatrix,
-    DomainError,
     Measurement,
     ModeQuadrature,
     Quadrature,
@@ -18,6 +16,7 @@ from cvqkd import (
     tmsv,
     von_neumann_entropy,
 )
+from cvqkd.gaussian import _one_mode_entropy
 
 X_A = ModeQuadrature(0, Quadrature.X)
 P_A = ModeQuadrature(0, Quadrature.P)
@@ -31,15 +30,15 @@ def channelled_state(v, t, xi):
 
 
 def reduced_state(cm, modes):
-    """Partial trace down to the given modes (kept in the given order)."""
+    """Partial trace down to the given modes (kept in the given order), as an array."""
     for mode in modes:
         cm._check_mode(mode)
     idx = [2 * m + k for m in modes for k in range(2)]
-    return CovarianceMatrix(cm.matrix[np.ix_(idx, idx)])
+    return cm.matrix[np.ix_(idx, idx)]
 
 
 def condition_on_homodyne(cm, measured):
-    """State of the remaining modes after a homodyne measurement.
+    """The one-mode array of the other mode after a homodyne measurement.
 
     Returns the Schur complement Sigma_rest - sigma sigma^T / V_meas
     together with the variance of the measured quadrature. The
@@ -49,28 +48,33 @@ def condition_on_homodyne(cm, measured):
     checked against, bit for bit.
     """
     cm._check_mode(measured.mode)
-    if cm.n_modes < 2:
-        raise DomainError("conditioning needs at least one remaining mode")
     v_meas = cm.variance(measured)
-    keep = [i for i in range(2 * cm.n_modes) if i // 2 != measured.mode]
+    keep = [i for i in range(4) if i // 2 != measured.mode]
     sigma = cm.matrix[keep, measured.index()]
     rest = cm.matrix[np.ix_(keep, keep)] - np.outer(sigma, sigma) / v_meas
-    return CovarianceMatrix(rest), v_meas
+    return rest, v_meas
+
+
+def one_mode_entropy(m):
+    """Entropy of a diagonal one-mode array, through the package's one-mode route."""
+    assert m.shape == (2, 2) and m[0, 1] == m[1, 0] == 0.0, m.tolist()
+    return _one_mode_entropy(float(m[0, 0]), float(m[1, 1]))
 
 
 def outcome_entropy(cm, measured):
     """H(q) + S(rest|q): the measured quadrature's Shannon entropy plus the conditioned state's."""
     conditioned, v = condition_on_homodyne(cm, measured)
-    return gaussian_shannon_entropy(v) + von_neumann_entropy(conditioned)
+    return gaussian_shannon_entropy(v) + one_mode_entropy(conditioned)
 
 
 def ur_slack_reference(cm):
     """The tripartite UR slack (O_x - S_B) + (O_p - S_AB) - log2(4 pi) from the references.
 
-    Each entropy is a ``von_neumann_entropy`` of a ``reduced_state`` or a
-    ``condition_on_homodyne`` state, summed in ``verify_ur_tripartite``'s order.
+    Each entropy is ``von_neumann_entropy(cm)`` or a ``one_mode_entropy`` of a
+    ``reduced_state`` or a ``condition_on_homodyne`` array, summed in
+    ``verify_ur_tripartite``'s order.
     """
-    s_b = von_neumann_entropy(reduced_state(cm, [1]))
+    s_b = one_mode_entropy(reduced_state(cm, [1]))
     o_x, o_p = outcome_entropy(cm, X_A), outcome_entropy(cm, P_A)
     return (o_x - s_b) + (o_p - von_neumann_entropy(cm)) - math.log2(4.0 * math.pi)
 
@@ -80,7 +84,7 @@ def dw_reference(cm, direction):
     ref, other = (X_B, X_A) if direction is Reconciliation.RR else (X_A, X_B)
     mutual_info = 0.5 * math.log2(cm.variance(ref) / conditional_variance(cm, ref, other))
     conditioned, _ = condition_on_homodyne(cm, ref)
-    return mutual_info - (von_neumann_entropy(cm) - von_neumann_entropy(conditioned))
+    return mutual_info - (von_neumann_entropy(cm) - one_mode_entropy(conditioned))
 
 
 def split_with_vacuum(m, mode):

@@ -12,6 +12,7 @@ from conftest import (
     X_A,
     channelled_state,
     full_mode_cv,
+    one_mode_entropy,
     outcome_entropy,
     random_channelled_states,
     reduced_state,
@@ -279,7 +280,7 @@ class TestInference:
 
 def measured_conditional_entropy(cm, q):
     # S(q_A|B) = H(q_A) + S(B|q_A) - S(B) from the conftest references
-    return outcome_entropy(cm, q) - von_neumann_entropy(reduced_state(cm, [1]))
+    return outcome_entropy(cm, q) - one_mode_entropy(reduced_state(cm, [1]))
 
 
 class TestMeasuredConditionalEntropy:
@@ -329,7 +330,7 @@ class TestUncertaintyRelations:
         log2_4pi = math.log2(4.0 * math.pi)
         for cm in states:
             s_ab = von_neumann_entropy(cm)
-            s_b = von_neumann_entropy(reduced_state(cm, [1]))
+            s_b = one_mode_entropy(reduced_state(cm, [1]))
             s_x_given_b = outcome_entropy(cm, X_A) - s_b
             s_p_given_b = outcome_entropy(cm, P_A) - s_b
             tripartite = s_x_given_b + (outcome_entropy(cm, P_A) - s_ab) - log2_4pi
@@ -349,19 +350,6 @@ class TestUncertaintyRelations:
         assert np.all(np.isfinite(slack))
         assert np.max(np.abs(np.diff(slack, axis=0))) < 0.2
         assert np.max(np.abs(np.diff(slack, axis=1))) < 0.2
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (verify_ur_tripartite, "uncertainty relations are checked"),
-        (lambda cm: devetak_winter_oracle(cm, Reconciliation.RR), "Devetak-Winter oracle is defined"),
-    ],
-    ids=["ur-tripartite", "devetak-winter"],
-)
-def test_two_mode_functions_reject_a_one_mode_state(call, message):
-    with pytest.raises(DomainError, match=f"^{message} on two-mode states$"):
-        call(vacuum(1))
 
 
 class TestDevetakWinter:

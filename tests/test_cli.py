@@ -669,7 +669,8 @@ class TestModuleEntry:
         assert (proc.stdout, proc.stderr) == (out.out, out.err)
 
     def test_table_and_keyrate_never_import_numpy(self):
-        # a fresh interpreter: this suite imports numpy before any test runs
+        # a fresh interpreter: this suite imports numpy before any test runs; nor do
+        # a state, its spectrum, entropy, UR slacks, DW ceilings and conditional variances
         proc = fresh_python(
             "-c",
             "import contextlib, io, sys\n"
@@ -679,6 +680,13 @@ class TestModuleEntry:
             "    for p in cvqkd.ProtocolSpec.all():\n"
             "        point = ['--protocol', p.id, '--T', '0.9', '--xi', '0.01']\n"
             "        assert cvqkd.cli.main(['keyrate', *point]) == 0\n"
+            "cm = cvqkd.apply_channel(cvqkd.tmsv(5.0), cvqkd.ChannelParams(0.5, 0.01), mode=1)\n"
+            "values = [cvqkd.verify_ur_bipartite(cm), cvqkd.verify_ur_tripartite(cm)]\n"
+            "values += [cvqkd.devetak_winter_oracle(cm, d) for d in cvqkd.Reconciliation]\n"
+            "q = [cvqkd.ModeQuadrature(m, x) for m in (0, 1) for x in cvqkd.Quadrature]\n"
+            "values += [cvqkd.conditional_variance(cm, q[i], q[j]) for i, j in ((2, 0), (3, 1), (0, 2), (1, 3))]\n"
+            "values += [*cvqkd.symplectic_eigenvalues(cm), cvqkd.von_neumann_entropy(cm)]\n"
+            "assert all(v == v for v in values) and len(values) == 11, values\n"
             "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
             "assert not loaded, loaded[:5]\n"
             "assert cvqkd.tmsv(2.0).matrix[0, 2] == 3.0**0.5\n"
@@ -700,7 +708,7 @@ class TestModuleEntry:
             "errors = []\n"
             "def build():\n"
             "    try:\n"
-            "        cvqkd.apply_channel(cvqkd.tmsv(2.0), cvqkd.ChannelParams(0.5), mode=1)\n"
+            "        cvqkd.apply_channel(cvqkd.tmsv(2.0), cvqkd.ChannelParams(0.5), mode=1).matrix\n"
             "    except Exception as exc:\n"
             "        errors.append(repr(exc))\n"
             "threads = [threading.Thread(target=build) for _ in range(4)]\n"

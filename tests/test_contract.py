@@ -63,7 +63,7 @@ CALLS = {
     "ConditionalVariances": (ConditionalVariances, dict.fromkeys(
         ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"), 0.5
     )),
-    "CovarianceMatrix": (CovarianceMatrix, {"matrix": np.eye(2)}),
+    "CovarianceMatrix": (CovarianceMatrix, {"a": 2.0, "b": 1.5, "c": 1.0}),
     "FibreModel": (FibreModel, {"attenuation_db_per_km": 0.2}),
     "FibreModel.distance_km": (FibreModel().distance_km, {"transmission": 0.5}),
     "FibreModel(attenuation).distance_km": (
@@ -94,7 +94,7 @@ CALLS = {
     ),
     "threshold_transmission": (lambda xi: threshold_transmission(RR_HOM_HOM, xi), {"xi": 0.01}),
     "tmsv": (tmsv, {"v": 2.0}),
-    "vacuum": (vacuum, {"n_modes": 1}),
+    "vacuum": (vacuum, {"n_modes": 2}),
 }
 # public callables whose every argument is an object, an enum member or a record
 OBJECT_ARGUMENTS_ONLY = {

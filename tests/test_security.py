@@ -230,6 +230,9 @@ class TestOptimizeModulation:
     def test_v_max_below_one_rejected(self):
         with pytest.raises(DomainError, match="^v_max must be >= 1, got 0.5$"):
             optimize_modulation(RR_HOM_HOM, ChannelParams(0.5), 0.5)
+        # a NaN once passed v_max < 1 and failed inside key_rate_at, naming the modulation variance
+        with pytest.raises(DomainError, match="^v_max must be >= 1, got nan$"):
+            optimize_modulation(RR_HOM_HOM, ChannelParams(0.5), math.nan)
 
     def test_rate_increases_with_v_max(self):
         ch = ChannelParams(0.5, 0.0)
@@ -638,7 +641,7 @@ class TestBatchedSolver:
         lambda x: FibreModel(x),
         lambda x: threshold_transmission(RR_HOM_HOM, x),
         lambda x: max_excess_noise(RR_HOM_HOM, x),
-        lambda x: CovarianceMatrix(np.diag([x, x])),
+        lambda x: CovarianceMatrix(x, x, 0.0),
         lambda x: empirical_entropy(np.linspace(-1.0, 1.0, 2000), x),
     ],
     ids=[
@@ -733,8 +736,8 @@ def test_non_numeric_parameters_raise_domain_error(make):
         lambda: infer_full_mode_variance(math.nan),
         lambda: infer_full_mode_variance(np.array([1.0, math.nan])),
         lambda: entropy_g(math.nan),
-        lambda: CovarianceMatrix(np.array([[math.inf, 0.0], [0.0, 1.0]])),
-        lambda: CovarianceMatrix(np.array([[math.nan, 0.0], [0.0, 1.0]])),
+        lambda: CovarianceMatrix(math.inf, 1.0, 0.0),
+        lambda: CovarianceMatrix(1.0, 1.0, math.nan),
         lambda: empirical_entropy(np.full(2000, math.nan), 0.1),
     ],
     ids=[
