@@ -7,10 +7,13 @@ homodyne/heterodyne x DR/RR key-rate bounds, channel-parameter security
 analysis and a seeded Monte Carlo validation path.
 
 numpy loads on first array use, not on import: ``import cvqkd.cli``,
-``cvqkd table``, ``cvqkd keyrate``, states, their spectra and entropies,
-the UR slacks and the Devetak-Winter ceilings never run its import.
-``CovarianceMatrix.matrix``, region sweeps, distances, ``verify-ur`` and
-the Monte Carlo path load it when they first touch an array.
+``cvqkd table``, ``keyrate``, ``distance`` and ``verify-ur``, states,
+their spectra and entropies, the UR slacks, the Devetak-Winter ceilings,
+the sweep grid, loss thresholds and distances never run its import.
+``CovarianceMatrix.matrix``, the Monte Carlo path and, for a protocol
+with a secure law, ``max_excess_noise`` and the region sweep
+(``security_region``, ``cvqkd region``) load it when they first touch
+an array.
 """
 
 from .bounds import (

@@ -227,7 +227,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify_ur(args):
-    ts = SweepConfig(args.t_min, args.t_max, args.steps).t_values().tolist()
+    ts = SweepConfig(args.t_min, args.t_max, args.steps).t_values()
     rows = []
     for v in args.v_list:
         for t in ts:

@@ -62,9 +62,10 @@ class _Deferred:
     """Stands in for a module and imports it on the first attribute read.
 
     The package imports numpy this way, so ``import cvqkd``, ``import
-    cvqkd.cli``, ``cvqkd table`` and ``cvqkd keyrate`` never run numpy's
-    import; the first array operation runs it. Each attribute it reads is
-    then kept on the stand-in, so later reads cost what a module's do.
+    cvqkd.cli``, ``cvqkd table``, ``keyrate``, ``distance`` and
+    ``verify-ur`` never run numpy's import; the first array operation
+    runs it. Each attribute it reads is then kept on the stand-in, so
+    later reads cost what a module's do.
     ``importlib.import_module`` makes a thread that reads while another one
     imports wait for the import to finish. ``importlib.util.LazyLoader``
     does not on Python 3.10 and 3.11: its module is readable while it

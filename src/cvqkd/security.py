@@ -22,6 +22,16 @@ never secure. T* and xi_max lie within 1e-14 relative plus 1e-15 of
 holds, at most 3 ulps on about 10^5 sampled points. Within
 ``_LAW_MARGIN`` of a boundary, where law and float test can differ by a
 rounding, that test decides between a value and None.
+
+Two routes run that test, with the same arithmetic. T* is a scalar
+route: ``threshold_transmission`` (and so ``max_distance``) solves one
+float with ``math`` and loads no numpy. xi_max is an array route:
+``security_region`` solves its whole grid as one array in ``_xi_max``,
+where every open row steps once a pass, and ``max_excess_noise`` is its
+one-point grid. A float-only ``_xi_max``, one point at a time, made the
+region benchmark's pass 3x slower (``pass_ref`` 0.072 -> 0.236 on a
+2-core host). The eight protocols without a law return None rows before
+any array is built.
 """
 
 from __future__ import annotations
@@ -84,7 +94,9 @@ class SweepConfig:
     The grid is ``steps`` evenly spaced T from t_min to t_max, both ends
     exact, or [t_min] for one step. Each end must lie in (0, 1], t_min
     checked first, in ``ChannelParams``' words; ``steps`` is an integer
-    >= 1, and two or more steps need t_min < t_max.
+    >= 1, and two or more steps need t_min < t_max. ``t_values`` is a
+    list of floats and loads no numpy; ``security_region`` solves it as
+    one array, and ``verify-ur`` walks it point by point.
     """
 
     t_min: float
@@ -100,8 +112,33 @@ class SweepConfig:
         if self.steps > 1 and not self.t_min < self.t_max:
             raise DomainError(f"need t_min < t_max, got {self.t_min}, {self.t_max}")
 
-    def t_values(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.steps)
+    def t_values(self) -> list[float]:
+        """The grid as floats, equal to ``np.linspace(t_min, t_max, steps).tolist()``.
+
+        numpy's arithmetic in pure Python, so building the grid loads no
+        numpy: point i is i * step + t_min, or i / (steps - 1) * span + t_min
+        where step rounds to 0 (a denormal span), and the last point is
+        t_max. The ends are taken as floats, so the grid is float64 also
+        for numpy-scalar ends, where ``np.linspace`` of a float32 end gives
+        float32 under numpy 2. The list holds about 32 bytes a point
+        against an array's 8.
+        Its slots are allocated first, as many bytes as the array asked for,
+        so a grid far too large to hold raises MemoryError at once.
+        """
+        t_min, t_max = float(self.t_min), float(self.t_max)
+        ts = [t_min] * int(self.steps)  # point 0 is 0 * step + t_min
+        div = len(ts) - 1
+        if div:
+            span = t_max - t_min
+            step = span / div
+            if step == 0.0:
+                for i in range(1, div):
+                    ts[i] = i / div * span + t_min
+            else:
+                for i in range(1, div):
+                    ts[i] = i * step + t_min
+            ts[-1] = t_max
+        return ts
 
 
 def _cond_variances(
@@ -148,11 +185,15 @@ def _secure_at_infinite_v(
     or underflow, rate +inf or large) is secure and P = inf (overflow,
     rate negative) is not. Extreme (t, xi) can overflow numpy's arithmetic
     here; the solvers never pass them, since ``_xi_max`` divides only rows
-    at T > 1/4 and ``threshold_transmission`` tests only T* >= 0.26.
+    at T > 1/4 and ``threshold_transmission`` tests only T* >= 0.26. A
+    float takes ``math.sqrt``, so ``threshold_transmission`` loads no
+    numpy; an array takes ``np.sqrt``, which rounds alike.
     """
     a_given_b, b_given_a = _cond_variances(protocol, t, xi)
     v_x, v_p = _rate_pair(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))
-    return math.e * np.sqrt(v_x * v_p) <= 2.0
+    product = v_x * v_p
+    root = math.sqrt(product) if isinstance(product, float) else np.sqrt(product)
+    return math.e * root <= 2.0
 
 
 def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) -> KeyRateResult:
@@ -208,14 +249,14 @@ def _law(protocol: ProtocolSpec) -> tuple[float, int] | None:
     return _LAWS.get((protocol.reconciliation, protocol.alice_measurement, protocol.bob_measurement))
 
 
-def _nudged(secure, x: np.ndarray, toward: float) -> list[float | None]:
-    # step each x one ulp towards the secure end until the float sign test
-    # holds; None where it fails even at that end, or where x is NaN
-    ok = secure(x)
-    while (open_ := ~ok & (np.abs(x - toward) > 0.0)).any():
-        x = np.where(open_, np.nextafter(x, toward), x)
-        ok = secure(x)
-    return [v if s else None for v, s in zip(x.tolist(), ok.tolist())]
+def _nudged(secure, x: float, toward: float) -> float | None:
+    # step x one ulp at a time towards the secure end until the float sign
+    # test holds; None where it fails even at that end, or where x is NaN
+    while not secure(x):
+        if x == toward or x != x:
+            return None
+        x = math.nextafter(x, toward)
+    return x
 
 
 def threshold_transmission(protocol: ProtocolSpec, xi: float) -> float | None:
@@ -223,41 +264,54 @@ def threshold_transmission(protocol: ProtocolSpec, xi: float) -> float | None:
 
     T* = 1/(1 + c - xi) for a DR law, (1 - c)/(1 - xi) for an RR law; None (a
     result, not an error) without a law or where that denominator is <= 0 or T* > 1.
+    A numpy-scalar xi is solved as a float.
     """
-    xi = ChannelParams(1.0, xi).excess_noise  # DomainError on NaN, inf or xi < 0
+    xi = float(ChannelParams(1.0, xi).excess_noise)  # DomainError on NaN, inf or xi < 0
     if (law := _law(protocol)) is None:
         return None
     c, k = law
     num, den = (1.0, 1.0 + c - xi) if k else (1.0 - c, 1.0 - xi)
     if not den > 0.0 or num / den > 1.0 + _LAW_MARGIN:
         return None
-    t = np.array([min(num / den, 1.0)])
-    return _nudged(lambda t: _secure_at_infinite_v(protocol, t, xi), t, 1.0)[0]
+    return _nudged(lambda t: _secure_at_infinite_v(protocol, t, xi), min(num / den, 1.0), 1.0)
 
 
-def _xi_max(protocol: ProtocolSpec, ts: np.ndarray) -> list[float | None]:
-    # (c T^k - (1 - T))/T elementwise; rows more than _LAW_MARGIN below 0 stay
-    # NaN (None), so only T > 1/4 is divided and T = 5e-324 stays quiet
+def _xi_max(protocol: ProtocolSpec, ts: list[float]) -> list[float | None]:
+    # xi_max over a whole grid in one array pass: (c T^k - (1 - T))/T
+    # elementwise, rows more than _LAW_MARGIN below 0 NaN (None), so only
+    # T > 1/4 is divided and T = 5e-324 stays quiet; then every open row steps
+    # one ulp towards 0 per pass until the float sign test holds
     if (law := _law(protocol)) is None:
         return [None] * len(ts)
     c, k = law
-    num = c * ts**k - (1.0 - ts)
-    xi = np.divide(np.maximum(num, 0.0), ts, out=np.full_like(ts, np.nan), where=num >= -_LAW_MARGIN)
-    return _nudged(lambda xi: _secure_at_infinite_v(protocol, ts, xi), xi, 0.0)
+    t = np.array(ts)
+    num = c * t**k - (1.0 - t)
+    xi = np.divide(np.maximum(num, 0.0), t, out=np.full_like(t, np.nan), where=num >= -_LAW_MARGIN)
+    ok = _secure_at_infinite_v(protocol, t, xi)
+    while (open_ := ~ok & (xi > 0.0)).any():  # NaN rows are never open
+        xi = np.where(open_, np.nextafter(xi, 0.0), xi)
+        ok = _secure_at_infinite_v(protocol, t, xi)
+    return [x if s else None for x, s in zip(xi.tolist(), ok.tolist())]
 
 
 def max_excess_noise(protocol: ProtocolSpec, t: float) -> float | None:
-    """Largest xi with nonnegative key at transmission t (v -> inf): (c T^k - (1 - T))/T, or None."""
-    t = ChannelParams(t).transmission  # DomainError on NaN, inf or T outside (0, 1]
-    return _xi_max(protocol, np.array([t]))[0]
+    """Largest xi with nonnegative key at transmission t (v -> inf): (c T^k - (1 - T))/T, or None.
+
+    A one-point grid of ``_xi_max``; a numpy-scalar t is solved as a float.
+    """
+    t = float(ChannelParams(t).transmission)  # DomainError on NaN, inf or T outside (0, 1]
+    return _xi_max(protocol, [t])[0]
 
 
 def security_region(
     protocol: ProtocolSpec, config: SweepConfig
 ) -> list[tuple[float, float | None]]:
-    """(T, max_excess_noise(T)) rows over the grid in ascending T, in one array pass."""
+    """(T, max_excess_noise(T)) rows over the grid in ascending T, in one array pass.
+
+    Only protocols with a secure law load numpy; the other eight read None rows.
+    """
     ts = config.t_values()
-    return list(zip(ts.tolist(), _xi_max(protocol, ts)))
+    return list(zip(ts, _xi_max(protocol, ts)))
 
 
 def max_distance(

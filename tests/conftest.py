@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cvqkd
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
@@ -17,6 +21,17 @@ from cvqkd import (
     von_neumann_entropy,
 )
 from cvqkd.gaussian import _one_mode_entropy
+
+
+def fresh_python(*args):
+    """Run a new interpreter with these arguments; it imports cvqkd from this checkout."""
+    src = os.path.dirname(os.path.dirname(cvqkd.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+
 
 X_A = ModeQuadrature(0, Quadrature.X)
 P_A = ModeQuadrature(0, Quadrature.P)

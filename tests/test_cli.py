@@ -4,14 +4,12 @@ import hashlib
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 
 import mpmath
 import pytest
 
 import cvqkd
+from conftest import fresh_python
 from cvqkd import ProtocolSpec, SweepConfig, security_region
 from cvqkd.cli import _COMMANDS, _json, main
 
@@ -30,16 +28,6 @@ def stdout_sha256(capsys, argvs):
         assert (code, err) == (0, "")
         text += out
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def fresh_python(*args):
-    """Run a new interpreter with these arguments; it imports cvqkd from this checkout."""
-    src = os.path.dirname(os.path.dirname(cvqkd.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
-    )
 
 
 def report_value(text, key):
@@ -535,8 +523,8 @@ class TestRejectedInputs:
     ids=["region", "verify-ur"],
 )
 def test_out_of_memory_exits_three_without_traceback(capsys, monkeypatch, argv):
-    # a grid of 1e13 steps made numpy raise _ArrayMemoryError; the command is
-    # replaced by one that raises it, so nothing is allocated
+    # a grid of 1e13 steps raises MemoryError as its list is allocated; the
+    # command is replaced by one that raises it, so nothing is allocated
     def exhausted(args):
         raise MemoryError("Unable to allocate 72.8 TiB")
 
@@ -695,6 +683,28 @@ class TestModuleEntry:
             "assert cvqkd.montecarlo.RNG_STREAM == want\n"
             "from cvqkd.montecarlo import RNG_STREAM\n"
             "assert RNG_STREAM == want\n"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_distance_and_verify_ur_never_import_numpy(self):
+        # a fresh interpreter: the grid and the T* solver are float arithmetic, and
+        # a region of a protocol without a secure law needs no array either
+        proc = fresh_python(
+            "-c",
+            "import contextlib, io, sys\n"
+            "import cvqkd, cvqkd.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for p in cvqkd.ProtocolSpec.all():\n"
+            "        for xi in ('0', '0.002', '0.0237'):\n"
+            "            assert cvqkd.cli.main(['distance', '--protocol', p.id, '--xi', xi]) == 0\n"
+            "    assert cvqkd.cli.main(['verify-ur']) == 0\n"
+            "config = cvqkd.SweepConfig(0.05, 1.0, 200)\n"
+            "ts = config.t_values()\n"
+            "assert len(ts) == 200 and ts[-1] == 1.0 and type(ts[1]) is float, ts[:2]\n"
+            "rows = cvqkd.security_region(cvqkd.ProtocolSpec.parse('rr-hetA-hetB-eb'), config)\n"
+            "assert rows == [(t, None) for t in ts]\n"
+            "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
+            "assert not loaded, loaded[:5]\n"
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 

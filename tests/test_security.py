@@ -7,11 +7,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd.gaussian
-from conftest import schur_variance, split_protocol_state
+from conftest import fresh_python, schur_variance, split_protocol_state
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
@@ -38,7 +38,7 @@ from cvqkd import (
     tmsv,
     vacuum,
 )
-from cvqkd.security import _law, _secure_at_infinite_v
+from cvqkd.security import _law, _nudged, _secure_at_infinite_v
 
 E = math.e
 
@@ -46,6 +46,8 @@ RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 RR_BOB_HET = ProtocolSpec.parse("rr-homA-hetB-eb")
 DR_HOM_HOM = ProtocolSpec.parse("dr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
+# T log-uniform on [5e-324, 1]
+LOG_UNIFORM_T = st.floats(-323.3, 0.0).map(lambda e: max(10.0**e, 5e-324))
 
 
 # Closed-form oracles, derived by setting the large-V rate to zero by hand:
@@ -394,12 +396,30 @@ class TestSecurityRegion:
             SweepConfig(0.1, 1.0, steps)
 
     def test_one_step_grid_and_exact_ends(self):
-        assert SweepConfig(0.5, 1.0, 1).t_values().tolist() == [0.5]
+        assert SweepConfig(0.5, 1.0, 1).t_values() == [0.5]
         # (0.1, 1.0, 10) is verify-ur's default grid; t_min + i (t_max - t_min) / 9
         # ends it at 0.9999999999999999
         for t_min, steps in ((0.1, 10), (0.01, 100), (0.3, 8)):
             ts = SweepConfig(t_min, 1.0, steps).t_values()
             assert (ts[0], ts[-1]) == (t_min, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t_min=LOG_UNIFORM_T, t_max=st.just(1.0) | LOG_UNIFORM_T, steps=st.integers(1, 5000))
+    @example(t_min=5e-324, t_max=1e-323, steps=5)  # the step rounds to 0: numpy scales i / 4
+    @example(t_min=0.1, t_max=1.0, steps=10)  # verify-ur's default grid
+    def test_grid_is_numpys_linspace(self, t_min, t_max, steps):
+        if steps > 1:
+            t_min, t_max = min(t_min, t_max), max(t_min, t_max)
+            assume(t_min < t_max)
+        ts = SweepConfig(t_min, t_max, steps).t_values()
+        assert ts == np.linspace(t_min, t_max, steps).tolist()
+        assert all(type(t) is float for t in ts)
+        # float32 ends give the float64 grid of their values, where numpy 2's
+        # linspace would keep float32
+        lo, hi = float(np.float32(t_min)), float(np.float32(t_max))
+        if lo > 0.0 and hi > 0.0 and (steps == 1 or lo < hi):
+            ends32 = SweepConfig(np.float32(t_min), np.float32(t_max), steps).t_values()
+            assert ends32 == SweepConfig(lo, hi, steps).t_values()
 
 
 class TestMaxDistance:
@@ -472,6 +492,37 @@ class TestRootFinderProperties:
             return
         assert k(xi) >= 0.0
         assert k(xi + 2.0 * self.TOL) < 0.0
+
+    def test_nudge_stops_at_its_end_and_on_nan(self):
+        def never_secure(x):
+            seen.append(x)
+            assert len(seen) <= 4, "the nudge did not stop"
+            return False
+
+        for x, toward, steps in ((math.nan, 0.0, 1), (1.0, 1.0, 1), (math.nextafter(0.0, 1.0), 0.0, 2)):
+            seen = []
+            assert _nudged(never_secure, x, toward) is None
+            assert len(seen) == steps
+        assert _nudged(lambda x: x >= 1.0, 1.0 - 2.0**-52, 1.0) == 1.0
+
+
+class TestNumpyScalarInputs:
+    def test_point_solvers_solve_numpy_scalars_as_floats(self):
+        # left a float32, xi would keep the nudge's arithmetic in float32, where its
+        # float64 ulp steps change nothing; a fresh interpreter's timeout bounds a hang
+        proc = fresh_python(
+            "-c",
+            "import numpy as np\n"
+            "from cvqkd import ProtocolSpec, max_distance, max_excess_noise, threshold_transmission\n"
+            "for p in ProtocolSpec.all():\n"
+            "    for solve in (threshold_transmission, max_distance, max_excess_noise):\n"
+            "        for x in (0.002, 0.0237, 0.3, 0.5, 0.9, 1.0):\n"
+            "            for scalar in (np.float64(x), np.float32(x)):\n"
+            "                got, want = solve(p, scalar), solve(p, float(scalar))\n"
+            "                assert got == want and type(got) is type(want), (p.id, scalar, got)\n"
+            "            assert solve(p, np.float64(x)) == solve(p, x)\n",
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def mpmath_law(protocol):
@@ -603,7 +654,7 @@ class TestBatchedSolver:
         for protocol in ProtocolSpec.all():
             assert security_region(protocol, config) == [
                 (t, max_excess_noise(protocol, t))
-                for t in config.t_values().tolist()
+                for t in config.t_values()
             ]
 
     def test_region_is_pinned(self):
