@@ -10,7 +10,9 @@ enter, and whether the full-mode inference 2v - 1 is applied to the
 p-side quantity, depends on who homodynes and who heterodynes; the
 bookkeeping is made explicit through tags on ``ConditionalVariances``
 because silently mixing half-mode and full-mode quantities is the main
-foot-gun of these formulas.
+foot-gun of these formulas. It is resolved once per protocol, when its
+``ProtocolSpec`` is constructed: the rates, the tags and the 1sDI class
+read the facts the spec stores, not its enum members.
 """
 
 from __future__ import annotations
@@ -46,6 +48,26 @@ class OneSidedDI(Enum):
     NOT_1SDI = "not-1sdi"
 
 
+class VarianceKind(Enum):
+    """Tag recording which side of a conditional variance is a heterodyne half."""
+
+    FULL = "full"
+    TARGET_HALF = "target-half"
+    CONDITIONER_HALF = "conditioner-half"
+    BOTH_HALF = "both-half"
+
+    @property
+    def conditioner_is_half(self) -> bool:
+        return self in (VarianceKind.CONDITIONER_HALF, VarianceKind.BOTH_HALF)
+
+
+# the kind of X|Y, indexed [X heterodynes][Y heterodynes]
+_KIND = (
+    (VarianceKind.FULL, VarianceKind.CONDITIONER_HALF),
+    (VarianceKind.TARGET_HALF, VarianceKind.BOTH_HALF),
+)
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """One of the 16 protocol variants.
@@ -55,12 +77,53 @@ class ProtocolSpec:
     coherent-state protocol and homodyning the squeezed-state protocol,
     so the P&M/EB flavor never changes a key rate, only the
     device-independence classification.
+
+    Each field must be a member of its enum (DomainError otherwise). The
+    bookkeeping every rate reads is resolved at construction, once per
+    spec, into private attributes outside the dataclass fields (so
+    ``repr``, ``==``, ``hash`` and ``asdict`` see only the four fields):
+    the heterodyne flags ``_a_het``, ``_b_het``, the DR flag ``_dr``, the
+    (A|B, B|A) kinds ``_kinds``, whether the p-side of A|B and of B|A is
+    lifted by 2v - 1 (``_lift_ab``, ``_lift_ba``: where its conditioner
+    heterodynes) and the class ``_one_sided_di``.
     """
 
     reconciliation: Reconciliation
     alice_measurement: Measurement
     bob_measurement: Measurement
     flavor: Flavor = Flavor.EB
+
+    def __post_init__(self):
+        for name, enum in (
+            ("reconciliation", Reconciliation),
+            ("alice_measurement", Measurement),
+            ("bob_measurement", Measurement),
+            ("flavor", Flavor),
+        ):
+            value = getattr(self, name)
+            if value.__class__ is not enum:  # an enum member's class is its enum
+                raise DomainError(f"{name} must be a {enum.__name__} member, got {value!r}")
+        a_het = self.alice_measurement is Measurement.HET
+        b_het = self.bob_measurement is Measurement.HET
+        dr = self.reconciliation is Reconciliation.DR
+        kind_ab, kind_ba = _KIND[a_het][b_het], _KIND[b_het][a_het]
+        if dr and not b_het:
+            one_sided_di = OneSidedDI.INDEPENDENT_OF_BOB
+        elif not dr and not a_het and self.flavor is Flavor.EB:
+            one_sided_di = OneSidedDI.INDEPENDENT_OF_ALICE
+        else:
+            one_sided_di = OneSidedDI.NOT_1SDI
+        facts = {
+            "_a_het": a_het,
+            "_b_het": b_het,
+            "_dr": dr,
+            "_kinds": (kind_ab, kind_ba),
+            "_lift_ab": kind_ab.conditioner_is_half,
+            "_lift_ba": kind_ba.conditioner_is_half,
+            "_one_sided_di": one_sided_di,
+        }
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
     @property
     def id(self) -> str:
@@ -78,42 +141,30 @@ class ProtocolSpec:
 
     @classmethod
     def all(cls) -> list["ProtocolSpec"]:
-        return [
-            cls(rec, alice, bob, flavor)
-            for rec in Reconciliation
-            for alice in Measurement
-            for bob in Measurement
-            for flavor in Flavor
-        ]
+        """The 16 canonical specs, the ones ``parse`` returns, in a new list."""
+        return list(_BY_ID.values())
 
 
-_BY_ID = {p.id: p for p in ProtocolSpec.all()}  # parse inverts id by lookup
-
-
-class VarianceKind(Enum):
-    """Tag recording which side of a conditional variance is a heterodyne half."""
-
-    FULL = "full"
-    TARGET_HALF = "target-half"
-    CONDITIONER_HALF = "conditioner-half"
-    BOTH_HALF = "both-half"
-
-    @property
-    def conditioner_is_half(self) -> bool:
-        return self in (VarianceKind.CONDITIONER_HALF, VarianceKind.BOTH_HALF)
+# the canonical specs by id, reconciliation-major; parse inverts id by lookup
+_BY_ID = {
+    p.id: p
+    for p in (
+        ProtocolSpec(rec, alice, bob, flavor)
+        for rec in Reconciliation
+        for alice in Measurement
+        for bob in Measurement
+        for flavor in Flavor
+    )
+}
 
 
 def expected_kinds(protocol: ProtocolSpec) -> tuple[VarianceKind, VarianceKind]:
-    """(kind of the A|B pair, kind of the B|A pair) for a protocol's measurements."""
-    a_het = protocol.alice_measurement is Measurement.HET
-    b_het = protocol.bob_measurement is Measurement.HET
-    if a_het and b_het:
-        return VarianceKind.BOTH_HALF, VarianceKind.BOTH_HALF
-    if a_het:
-        return VarianceKind.TARGET_HALF, VarianceKind.CONDITIONER_HALF
-    if b_het:
-        return VarianceKind.CONDITIONER_HALF, VarianceKind.TARGET_HALF
-    return VarianceKind.FULL, VarianceKind.FULL
+    """(kind of the A|B pair, kind of the B|A pair) for a protocol's measurements.
+
+    A pair's target or conditioner is a half where that party
+    heterodynes; resolved when the spec is constructed.
+    """
+    return protocol._kinds
 
 
 @dataclass(frozen=True)
@@ -123,8 +174,9 @@ class ConditionalVariances:
     For homodyne measurements the quantities are full-mode; when a party
     heterodynes, the corresponding target or conditioner is the
     beamsplitter half that party actually measures, as recorded by the
-    kind tags (x and p of one direction always share a tag). Each must be
-    positive, inf included (DomainError otherwise).
+    kind tags (x and p of one direction always share a tag). Each variance
+    must be positive, inf included, and each tag a ``VarianceKind``
+    (DomainError otherwise).
     """
 
     v_x_b_given_a: float
@@ -144,11 +196,18 @@ class ConditionalVariances:
                 raise
             if not positive:
                 raise DomainError(f"{name} must be positive, got {value}")
+        if (
+            self.kind_b_given_a.__class__ is not VarianceKind
+            or self.kind_a_given_b.__class__ is not VarianceKind
+        ):  # as above, only a bad tag pays for finding which one it is
+            bad_b_given_a = self.kind_b_given_a.__class__ is not VarianceKind
+            name = "kind_b_given_a" if bad_b_given_a else "kind_a_given_b"
+            raise DomainError(f"{name} must be a VarianceKind member, got {getattr(self, name)!r}")
 
 
 def _tagged(protocol: ProtocolSpec, b_given_a, a_given_b) -> ConditionalVariances:
     # the (x, p) pairs of B|A and A|B, tagged with the protocol's expected kinds
-    kind_ab, kind_ba = expected_kinds(protocol)
+    kind_ab, kind_ba = protocol._kinds
     return ConditionalVariances(
         *b_given_a, *a_given_b, kind_b_given_a=kind_ba, kind_a_given_b=kind_ab
     )
@@ -218,43 +277,25 @@ def classify_1sdi(protocol: ProtocolSpec) -> OneSidedDI:
     only in the EB flavor with Alice homodyning; Bob may then homodyne
     or heterodyne. Heterodyne detection on the *untrusted* side breaks
     the argument because the bound leans on that beamsplitter. Exactly
-    6 of the 16 variants qualify.
+    6 of the 16 variants qualify. Resolved when the spec is constructed.
     """
-    if (
-        protocol.reconciliation is Reconciliation.DR
-        and protocol.bob_measurement is Measurement.HOM
-    ):
-        return OneSidedDI.INDEPENDENT_OF_BOB
-    if (
-        protocol.reconciliation is Reconciliation.RR
-        and protocol.flavor is Flavor.EB
-        and protocol.alice_measurement is Measurement.HOM
-    ):
-        return OneSidedDI.INDEPENDENT_OF_ALICE
-    return OneSidedDI.NOT_1SDI
-
-
-def _effective_pair(v_x: float, v_p: float, kind: VarianceKind) -> tuple[float, float]:
-    # The p-side quantity is replaced by 2v - 1 whenever the conditioning
-    # party heterodynes (its p-half is what was actually measured); the
-    # x-side quantity always enters as measured.
-    if kind.conditioner_is_half:
-        v_p = infer_full_mode_variance(v_p)
-    return v_x, v_p
+    return protocol._one_sided_di
 
 
 def _rate_pair(
     protocol: ProtocolSpec, b_given_a: tuple[float, float], a_given_b: tuple[float, float]
 ) -> tuple[float, float]:
-    """The (v_x, v_p) pair a protocol's rate reads, lifted by ``_effective_pair``.
+    """The (v_x, v_p) pair a protocol's rate reads, its v_p lifted to 2v - 1 where the spec says.
 
-    DR rates read the A|B pair and RR rates the B|A pair. Floats or
-    numpy arrays (elementwise); only the selected pair is lifted.
+    DR rates read the A|B pair and RR rates the B|A pair; the p-side is
+    lifted where that pair's conditioner heterodynes, and the x-side
+    always enters as measured. Floats or numpy arrays (elementwise).
     """
-    kind_ab, kind_ba = expected_kinds(protocol)
-    if protocol.reconciliation is Reconciliation.DR:
-        return _effective_pair(*a_given_b, kind_ab)
-    return _effective_pair(*b_given_a, kind_ba)
+    if protocol._dr:
+        (v_x, v_p), lift = a_given_b, protocol._lift_ab
+    else:
+        (v_x, v_p), lift = b_given_a, protocol._lift_ba
+    return v_x, infer_full_mode_variance(v_p) if lift else v_p
 
 
 def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
@@ -267,19 +308,23 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     rate ``key_rate_at`` also gives on the identity channel; beside an
     infinite x variance the rate is undefined (DomainError).
     """
-    exp_ab, exp_ba = expected_kinds(protocol)
+    exp_ab, exp_ba = protocol._kinds
     if cv.kind_a_given_b is not exp_ab or cv.kind_b_given_a is not exp_ba:
         raise TagMismatchError(
             f"protocol {protocol.id} expects tags ({exp_ab.value}, {exp_ba.value}), "
             f"got ({cv.kind_a_given_b.value}, {cv.kind_b_given_a.value})"
         )
-    b_given_a = (cv.v_x_b_given_a, cv.v_p_b_given_a)
-    a_given_b = (cv.v_x_a_given_b, cv.v_p_a_given_b)
-    pair_ab = _effective_pair(*b_given_a, exp_ba)
-    pair_ba = _effective_pair(*a_given_b, exp_ab)
-    steering_ab, steering_ba = pair_ab[0] * pair_ab[1], pair_ba[0] * pair_ba[1]
-    v_x, v_p = pair_ba if protocol.reconciliation is Reconciliation.DR else pair_ab
-    product = v_x * v_p
+    v_p_ba = cv.v_p_b_given_a
+    if protocol._lift_ba:
+        v_p_ba = infer_full_mode_variance(v_p_ba)
+    v_p_ab = cv.v_p_a_given_b
+    if protocol._lift_ab:
+        v_p_ab = infer_full_mode_variance(v_p_ab)
+    steering_ab, steering_ba = cv.v_x_b_given_a * v_p_ba, cv.v_x_a_given_b * v_p_ab
+    if protocol._dr:
+        v_x, v_p, product = cv.v_x_a_given_b, v_p_ab, steering_ba
+    else:
+        v_x, v_p, product = cv.v_x_b_given_a, v_p_ba, steering_ab
     if 0.0 < product < math.inf:
         rate = math.log2(2.0 / (math.e * math.sqrt(product)))
     elif v_p == 0.0:  # only the 2v - 1 lift reaches 0; the four inputs are positive
@@ -294,7 +339,7 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
         steering_ab=steering_ab,
         steering_ba=steering_ba,
         positive=rate > 0.0,
-        one_sided_di=classify_1sdi(protocol),
+        one_sided_di=protocol._one_sided_di,
         variances=cv,
     )
 

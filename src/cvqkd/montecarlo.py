@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bounds import Measurement, ProtocolSpec, Reconciliation, _tagged, key_rate
+from .bounds import ProtocolSpec, _tagged, key_rate
 from .errors import DomainError, InsufficientDataError, _Deferred, _typed
 from .gaussian import ChannelParams, apply_channel, tmsv
 
@@ -262,8 +262,7 @@ def sample_quadratures(
         raise DomainError("state construction needs a finite modulation variance")
     if not v >= 1.0:
         raise DomainError(f"modulation variance must be >= 1, got {v}")
-    alice_hom = protocol.alice_measurement is Measurement.HOM
-    bob_hom = protocol.bob_measurement is Measurement.HOM
+    alice_hom, bob_hom = not protocol._a_het, not protocol._b_het
     # normals to x_a, p_a, x_b, p_b; see above
     mix = np.linalg.cholesky(apply_channel(tmsv(v), ch, mode=1).matrix)
     r = 1.0 / math.sqrt(2.0)
@@ -394,13 +393,13 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     (x_ba, x_ab), (p_ba, p_ab) = (_residual_pair(record, f"{q}_b", f"{q}_a") for q in "xp")
     cv = _tagged(protocol, (x_ba.value, p_ba.value), (x_ab.value, p_ab.value))
     result = key_rate(protocol, cv)
-    if protocol.reconciliation is Reconciliation.RR:  # the rate reads B|A
-        x_est, p_est, kind = x_ba, p_ba, cv.kind_b_given_a
+    if protocol._dr:  # the rate reads A|B
+        x_est, p_est, lift = x_ab, p_ab, protocol._lift_ab
     else:
-        x_est, p_est, kind = x_ab, p_ab, cv.kind_a_given_b
+        x_est, p_est, lift = x_ba, p_ba, protocol._lift_ba
     # K = const - (log2 vx)/2 - (log2 vp_eff)/2 with vp_eff = slope vp - (slope - 1):
     # slope 2 where vp enters through the 2 vp - 1 inference, else 1
-    slope = 2.0 if kind.conditioner_is_half else 1.0
+    slope = 2.0 if lift else 1.0
     dx = x_est.std_error / (2.0 * math.log(2.0) * x_est.value)
     vp_eff = slope * p_est.value - (slope - 1.0)
     dp = slope * p_est.std_error / (2.0 * math.log(2.0) * vp_eff)

@@ -39,27 +39,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (
-    KeyRateResult,
-    Measurement,
-    ProtocolSpec,
-    Reconciliation,
-    _rate_pair,
-    _tagged,
-    classify_1sdi,
-    key_rate,
-)
+from .bounds import KeyRateResult, ProtocolSpec, _rate_pair, _tagged, key_rate
 from .errors import DomainError, PrecisionError, _Deferred, _typed
 from .gaussian import ChannelParams
 
 np = _Deferred("numpy")
 
-# (c, k) of the law w <= c T^k, by (reconciliation, Alice's, Bob's measurement)
+# (c, k) of the law w <= c T^k, by the spec's (DR, Alice heterodynes, Bob heterodynes)
 _LAWS = {
-    (Reconciliation.DR, Measurement.HOM, Measurement.HOM): (2.0 / math.e, 1),
-    (Reconciliation.RR, Measurement.HOM, Measurement.HOM): (2.0 / math.e, 0),
-    (Reconciliation.RR, Measurement.HOM, Measurement.HET): (4.0 / math.e - 1.0, 0),
-    (Reconciliation.DR, Measurement.HET, Measurement.HOM): (4.0 / math.e - 1.0, 1),
+    (True, False, False): (2.0 / math.e, 1),
+    (False, False, False): (2.0 / math.e, 0),
+    (False, False, True): (4.0 / math.e - 1.0, 0),
+    (True, True, False): (4.0 / math.e - 1.0, 1),
 }
 _LAW_MARGIN = 1e-12  # law and float sign test agree beyond this distance from a boundary
 
@@ -158,8 +149,7 @@ def _cond_variances(
     no more than the limits alone. Floats or numpy arrays (elementwise).
     """
     w = 1.0 - t + t * xi
-    a_het = protocol.alice_measurement is Measurement.HET
-    b_het = protocol.bob_measurement is Measurement.HET
+    a_het, b_het = protocol._a_het, protocol._b_het
     w_b = w + 1.0 if b_het else w
     if u == 0.0:
         a_given_b, b_given_a = w_b / t, w
@@ -219,7 +209,7 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
             steering_ab=0.0,
             steering_ba=0.0,
             positive=True,
-            one_sided_di=classify_1sdi(protocol),
+            one_sided_di=protocol._one_sided_di,
             variances=None,
         )
     return key_rate(protocol, _tagged(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b)))
@@ -246,7 +236,7 @@ def optimize_modulation(
 
 def _law(protocol: ProtocolSpec) -> tuple[float, int] | None:
     # (c, k) of the secure law w <= c T^k, or None where nothing is ever secure
-    return _LAWS.get((protocol.reconciliation, protocol.alice_measurement, protocol.bob_measurement))
+    return _LAWS.get((protocol._dr, protocol._a_het, protocol._b_het))
 
 
 def _nudged(secure, x: float, toward: float) -> float | None:

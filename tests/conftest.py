@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -32,6 +35,14 @@ def fresh_python(*args):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
 
+
+# a spec as built, and as each route that copies one returns it
+SPEC_COPIES = {
+    "built": lambda p: p,
+    "replace": dataclasses.replace,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+}
 
 X_A = ModeQuadrature(0, Quadrature.X)
 P_A = ModeQuadrature(0, Quadrature.P)

@@ -1,5 +1,6 @@
 """Entropy kernels, key-rate formulas, steering, UR slack and the DW oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     P_A,
+    SPEC_COPIES,
     X_A,
     channelled_state,
     full_mode_cv,
@@ -23,6 +25,7 @@ from cvqkd import (
     ChannelParams,
     ConditionalVariances,
     DomainError,
+    Flavor,
     Measurement,
     ModeQuadrature,
     OneSidedDI,
@@ -45,6 +48,7 @@ from cvqkd import (
     verify_ur_tripartite,
     von_neumann_entropy,
 )
+from cvqkd.bounds import expected_kinds
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 IDS = sorted(p.id for p in ProtocolSpec.all())
@@ -59,6 +63,32 @@ def hom_hom_cv(vx_ba, vp_ba, vx_ab=None, vp_ab=None):
         v_x_a_given_b=vx_ab if vx_ab is not None else vx_ba,
         v_p_a_given_b=vp_ab if vp_ab is not None else vp_ba,
     )
+
+
+def reference_kinds(p):
+    """(A|B, B|A) kinds by who heterodynes: a target or conditioner is a half where its party does."""
+    a_het = p.alice_measurement is Measurement.HET
+    b_het = p.bob_measurement is Measurement.HET
+    if a_het and b_het:
+        return VarianceKind.BOTH_HALF, VarianceKind.BOTH_HALF
+    if a_het:
+        return VarianceKind.TARGET_HALF, VarianceKind.CONDITIONER_HALF
+    if b_het:
+        return VarianceKind.CONDITIONER_HALF, VarianceKind.TARGET_HALF
+    return VarianceKind.FULL, VarianceKind.FULL
+
+
+def reference_1sdi(p):
+    """DR with Bob homodyning is independent of Bob; RR-EB with Alice homodyning of Alice."""
+    if p.reconciliation is Reconciliation.DR and p.bob_measurement is Measurement.HOM:
+        return OneSidedDI.INDEPENDENT_OF_BOB
+    if (
+        p.reconciliation is Reconciliation.RR
+        and p.flavor is Flavor.EB
+        and p.alice_measurement is Measurement.HOM
+    ):
+        return OneSidedDI.INDEPENDENT_OF_ALICE
+    return OneSidedDI.NOT_1SDI
 
 
 class TestShannonEntropy:
@@ -91,6 +121,40 @@ class TestProtocolSpec:
     def test_parse_round_trip(self):
         for p in ProtocolSpec.all():
             assert ProtocolSpec.parse(p.id) == p
+
+    @pytest.mark.parametrize("copy_of", SPEC_COPIES.values(), ids=list(SPEC_COPIES))
+    def test_stored_facts_follow_the_rules(self, copy_of):
+        for p in ProtocolSpec.all():
+            q = copy_of(p)
+            a_het = p.alice_measurement is Measurement.HET
+            b_het = p.bob_measurement is Measurement.HET
+            assert q == p and hash(q) == hash(p)
+            assert (q._a_het, q._b_het, q._dr) == (a_het, b_het, p.reconciliation is Reconciliation.DR)
+            assert q._kinds == expected_kinds(q) == reference_kinds(p), p.id
+            assert (q._lift_ab, q._lift_ba) == (b_het, a_het), p.id  # the conditioner heterodynes
+            assert q._one_sided_di is classify_1sdi(q) is reference_1sdi(p), p.id
+
+    def test_facts_are_not_fields(self):
+        p = ProtocolSpec.parse("dr-hetA-homB-pm")
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "reconciliation", "alice_measurement", "bob_measurement", "flavor"
+        ]
+        assert repr(p) == (
+            "ProtocolSpec(reconciliation=<Reconciliation.DR: 'dr'>, "
+            "alice_measurement=<Measurement.HET: 'het'>, "
+            "bob_measurement=<Measurement.HOM: 'hom'>, flavor=<Flavor.PM: 'pm'>)"
+        )
+
+    def test_all_returns_the_parsed_specs(self):
+        specs = ProtocolSpec.all()
+        assert all(ProtocolSpec.parse(p.id) is p for p in specs)
+        assert specs is not ProtocolSpec.all()  # a new list each call
+
+    def test_fields_must_be_enum_members(self):
+        with pytest.raises(DomainError, match="reconciliation must be a Reconciliation member"):
+            ProtocolSpec("dr", Measurement.HOM, Measurement.HOM)
+        with pytest.raises(DomainError, match="flavor must be a Flavor member"):
+            ProtocolSpec(Reconciliation.DR, Measurement.HOM, Measurement.HOM, Measurement.HOM)
 
     def test_parse_rejects_unknown(self):
         for bad in ("bogus", "rr-homA-homB", "xx-homA-homB-eb", "rr-homB-homA-eb"):

@@ -24,10 +24,14 @@ from cvqkd import (
     CovarianceMatrix,
     CVQKDError,
     FibreModel,
+    Flavor,
+    Measurement,
     ModeQuadrature,
     ProtocolSpec,
     Quadrature,
+    Reconciliation,
     SweepConfig,
+    VarianceKind,
     apply_channel,
     empirical_entropy,
     entropy_g,
@@ -60,9 +64,10 @@ RECORD = sample_quadratures(RR_HET_HET, ChannelParams(0.9, 0.01), 3.0, 200, seed
 # name -> (call, valid keyword arguments: each is replaced in turn)
 CALLS = {
     "ChannelParams": (ChannelParams, {"transmission": 0.5, "excess_noise": 0.01}),
-    "ConditionalVariances": (ConditionalVariances, dict.fromkeys(
-        ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"), 0.5
-    )),
+    "ConditionalVariances": (ConditionalVariances, {
+        **dict.fromkeys(("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"), 0.5),
+        "kind_b_given_a": VarianceKind.FULL, "kind_a_given_b": VarianceKind.FULL,
+    }),
     "CovarianceMatrix": (CovarianceMatrix, {"a": 2.0, "b": 1.5, "c": 1.0}),
     "FibreModel": (FibreModel, {"attenuation_db_per_km": 0.2}),
     "FibreModel.distance_km": (FibreModel().distance_km, {"transmission": 0.5}),
@@ -71,6 +76,10 @@ CALLS = {
     ),
     "MeasurementRecord.column": (RECORD.column, {"name": "x_a"}),
     "ModeQuadrature": (lambda mode: ModeQuadrature(mode, Quadrature.X), {"mode": 0}),
+    "ProtocolSpec": (ProtocolSpec, {
+        "reconciliation": Reconciliation.RR, "alice_measurement": Measurement.HOM,
+        "bob_measurement": Measurement.HOM, "flavor": Flavor.EB,
+    }),
     "ProtocolSpec.parse": (ProtocolSpec.parse, {"protocol_id": "rr-homA-homB-eb"}),
     "SweepConfig": (SweepConfig, {"t_min": 0.1, "t_max": 1.0, "steps": 3}),
     "apply_channel": (lambda mode: apply_channel(tmsv(2.0), ChannelParams(0.5), mode), {"mode": 1}),
@@ -98,7 +107,7 @@ CALLS = {
 }
 # public callables whose every argument is an object, an enum member or a record
 OBJECT_ARGUMENTS_ONLY = {
-    "KeyRateResult", "ProtocolSpec", "EstimateWithError", "MeasurementRecord", "SimulatedKeyRate",
+    "KeyRateResult", "EstimateWithError", "MeasurementRecord", "SimulatedKeyRate",
     "classify_1sdi", "devetak_winter_oracle", "key_rate", "verify_ur_bipartite",
     "verify_ur_tripartite", "conditional_variance", "symplectic_eigenvalues",
     "von_neumann_entropy", "estimate_key_rate", "security_region",

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import math
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd.gaussian
-from conftest import fresh_python, schur_variance, split_protocol_state
+from conftest import SPEC_COPIES, fresh_python, schur_variance, split_protocol_state
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
@@ -587,8 +588,14 @@ class TestClosedFormLaws:
                         self.assert_close(got, want)
 
     def test_laws_are_the_private_table(self):
-        for protocol in ProtocolSpec.all():
-            law, want = _law(protocol), mpmath_law(protocol)
+        # the four laws of the module docstring, by id without the flavor; None elsewhere
+        docstring = {
+            "dr-homA-homB": (2.0 / E, 1), "rr-homA-homB": (2.0 / E, 0),
+            "rr-homA-hetB": (4.0 / E - 1.0, 0), "dr-hetA-homB": (4.0 / E - 1.0, 1),
+        }
+        for protocol, copy_of in itertools.product(ProtocolSpec.all(), SPEC_COPIES.values()):
+            law, want = _law(copy_of(protocol)), mpmath_law(protocol)
+            assert law == docstring.get(protocol.id[:-3]), protocol.id
             assert (law is None) is (want is None)
             if law is not None:
                 assert law[0] == pytest.approx(float(want[0]), rel=1e-15)
