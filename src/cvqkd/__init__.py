@@ -10,10 +10,9 @@ numpy loads on first array use, not on import: ``import cvqkd.cli``,
 ``cvqkd table``, ``keyrate``, ``distance`` and ``verify-ur``, states,
 their spectra and entropies, the UR slacks, the Devetak-Winter ceilings,
 the sweep grid, loss thresholds and distances never run its import.
-``CovarianceMatrix.matrix``, the Monte Carlo path and, for a protocol
-with a secure law, ``max_excess_noise`` and the region sweep
-(``security_region``, ``cvqkd region``) load it when they first touch
-an array.
+The Monte Carlo path and, for a protocol with a secure law,
+``max_excess_noise`` and the region sweep (``security_region``,
+``cvqkd region``) load it when they first touch an array.
 """
 
 from .bounds import (

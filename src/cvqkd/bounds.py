@@ -56,10 +56,6 @@ class VarianceKind(Enum):
     CONDITIONER_HALF = "conditioner-half"
     BOTH_HALF = "both-half"
 
-    @property
-    def conditioner_is_half(self) -> bool:
-        return self in (VarianceKind.CONDITIONER_HALF, VarianceKind.BOTH_HALF)
-
 
 # the kind of X|Y, indexed [X heterodynes][Y heterodynes]
 _KIND = (
@@ -83,9 +79,9 @@ class ProtocolSpec:
     spec, into private attributes outside the dataclass fields (so
     ``repr``, ``==``, ``hash`` and ``asdict`` see only the four fields):
     the heterodyne flags ``_a_het``, ``_b_het``, the DR flag ``_dr``, the
-    (A|B, B|A) kinds ``_kinds``, whether the p-side of A|B and of B|A is
-    lifted by 2v - 1 (``_lift_ab``, ``_lift_ba``: where its conditioner
-    heterodynes) and the class ``_one_sided_di``.
+    (A|B, B|A) kinds ``_kinds`` and the class ``_one_sided_di``. The p-side
+    of a pair is lifted by 2v - 1 where its conditioner heterodynes, so
+    A|B's lift is ``_b_het`` and B|A's is ``_a_het``.
     """
 
     reconciliation: Reconciliation
@@ -118,8 +114,6 @@ class ProtocolSpec:
             "_b_het": b_het,
             "_dr": dr,
             "_kinds": (kind_ab, kind_ba),
-            "_lift_ab": kind_ab.conditioner_is_half,
-            "_lift_ba": kind_ba.conditioner_is_half,
             "_one_sided_di": one_sided_di,
         }
         for name, value in facts.items():
@@ -291,10 +285,11 @@ def _rate_pair(
     lifted where that pair's conditioner heterodynes, and the x-side
     always enters as measured. Floats or numpy arrays (elementwise).
     """
+    # a pair's p-side is lifted where its conditioner heterodynes: Bob for A|B, Alice for B|A
     if protocol._dr:
-        (v_x, v_p), lift = a_given_b, protocol._lift_ab
+        (v_x, v_p), lift = a_given_b, protocol._b_het
     else:
-        (v_x, v_p), lift = b_given_a, protocol._lift_ba
+        (v_x, v_p), lift = b_given_a, protocol._a_het
     return v_x, infer_full_mode_variance(v_p) if lift else v_p
 
 
@@ -315,10 +310,10 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
             f"got ({cv.kind_a_given_b.value}, {cv.kind_b_given_a.value})"
         )
     v_p_ba = cv.v_p_b_given_a
-    if protocol._lift_ba:
+    if protocol._a_het:  # B|A's conditioner is Alice, A|B's is Bob
         v_p_ba = infer_full_mode_variance(v_p_ba)
     v_p_ab = cv.v_p_a_given_b
-    if protocol._lift_ab:
+    if protocol._b_het:
         v_p_ab = infer_full_mode_variance(v_p_ab)
     steering_ab, steering_ba = cv.v_x_b_given_a * v_p_ba, cv.v_x_a_given_b * v_p_ab
     if protocol._dr:

@@ -4,9 +4,8 @@ Every state the package builds is an EPR state (two-mode squeezed
 vacuum) sent through a phase-insensitive loss-and-noise channel: a
 covariance matrix with blocks a I, b I and diag(c, -c). The record
 ``CovarianceMatrix(a, b, c)`` holds those three floats, and every
-operation here is scalar ``math`` code on them, so building a state,
-its spectrum and its entropies load no numpy. Only the ``matrix``
-property, the 4 x 4 array that the Monte Carlo sampler factors, does.
+operation here is scalar ``math`` code on them, so the module uses no
+numpy: building a state, its spectrum and its entropies never load it.
 
 Conventions (fixed throughout the package):
 
@@ -27,9 +26,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, PrecisionError, UnphysicalStateError, _Deferred, _typed
-
-np = _Deferred("numpy")
+from .errors import DomainError, PrecisionError, UnphysicalStateError, _typed
 
 # Tolerance of the bona fide check.
 NU_TOLERANCE = 1e-9
@@ -44,19 +41,21 @@ class Quadrature(Enum):
 
 @dataclass(frozen=True)
 class ModeQuadrature:
-    """A single quadrature of a single mode, e.g. (mode 1, P)."""
+    """A single quadrature of a single mode, e.g. (mode 1, P).
+
+    The mode must be 0 (Alice) or 1 (Bob), DomainError otherwise: it is
+    checked here, once, and not again where a state reads it.
+    """
 
     mode: int
     quadrature: Quadrature
 
-    def __post_init__(self):  # a mode's range depends on the state and is checked where read
+    def __post_init__(self):
         integer = isinstance(self.mode, (int, numbers.Integral)) and self.mode.__class__ is not bool
         if not (integer and isinstance(self.quadrature, Quadrature)):
             raise DomainError(f"need (int, Quadrature), got ({self.mode!r}, {self.quadrature!r})")
-
-    def index(self) -> int:
-        """Row/column index in the (x1, p1, x2, p2, ...) ordering."""
-        return 2 * self.mode + (0 if self.quadrature is Quadrature.X else 1)
+        if self.mode not in (0, 1):
+            raise DomainError(f"mode {self.mode} out of range for a two-mode state")
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ class CovarianceMatrix:
     a: float
     b: float
     c: float
-    n_modes = 2  # a class constant, not a field
+    n_modes = 2  # a class constant, not a field; only bench/spans.py reads it
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
@@ -124,33 +123,15 @@ class CovarianceMatrix:
         # cached, since entropy calls need the spectrum again
         object.__setattr__(self, "_nus", (_gate(nus[0], scale), _gate(nus[1], scale)))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 4 x 4 array in the ordering (x1, p1, x2, p2)."""
-        a, b, c = self.a, self.b, self.c
-        return np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c], [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
-
     def variance(self, mq: ModeQuadrature) -> float:
-        # compared inline: a _check_mode call on this hot path slows finite-V sweeps
-        if not 0 <= mq.mode < self.n_modes:
-            raise DomainError(f"mode {mq.mode} out of range for {self.n_modes}-mode state")
         return self.b if mq.mode else self.a
 
     def covariance(self, a: ModeQuadrature, b: ModeQuadrature) -> float:
-        if not (0 <= a.mode < self.n_modes and 0 <= b.mode < self.n_modes):
-            raise DomainError(
-                f"modes {a.mode}, {b.mode} out of range for {self.n_modes}-mode state"
-            )
         if a.quadrature is not b.quadrature:
             return 0.0
         if a.mode == b.mode:
             return self.b if a.mode else self.a
         return self.c if a.quadrature is Quadrature.X else -self.c
-
-    def _check_mode(self, mode: int):
-        _typed(mode, "mode", "an integer")
-        if not 0 <= mode < self.n_modes:
-            raise DomainError(f"mode {mode} out of range for {self.n_modes}-mode state")
 
 
 def vacuum(n_modes: int = 2) -> CovarianceMatrix:
@@ -194,7 +175,9 @@ def apply_channel(cm: CovarianceMatrix, ch: ChannelParams, mode: int) -> Covaria
     The target mode's variance maps to T*V + (1 - T) + T*xi and c to
     sqrt(T)*c; the other mode's variance is untouched.
     """
-    cm._check_mode(mode)
+    _typed(mode, "mode", "an integer")
+    if mode not in (0, 1):
+        raise DomainError(f"mode {mode} out of range for a two-mode state")
     t = ch.transmission
     # float(): with a numpy-scalar T or xi, T*V + w would otherwise round in that precision
     w = float((1.0 - t) + t * ch.excess_noise)

@@ -5,13 +5,14 @@ exports it, and ``estimate_key_rate(record)`` estimates its protocol's
 key rate from it; a record too short to estimate from can still be written.
 
 Gaussian states admit exact classical sampling: one linear map of
-standard normals, built from the Cholesky factor of the two-mode
-post-channel state, draws all four columns, and a heterodyning party's
-beamsplitter halves mix in vacuum normals of their own. Records are
-drawn block by block, in order; each block of 65536 rows has its own
-generator derived from (seed, block index), so every whole block of a
-record is independent of the total length. A shorter last block draws
-its basis coins after its own rows, so its contents depend on its length.
+standard normals, the Cholesky factor of the two-mode post-channel state
+written in closed form from its entries (a, b, c), draws all four
+columns, and a heterodyning party's beamsplitter halves mix in vacuum
+normals of their own; no LAPACK call is made. Records are drawn block by
+block, in order; each block of 65536 rows has its own generator derived
+from (seed, block index), so every whole block of a record is
+independent of the total length. A shorter last block draws its basis
+coins after its own rows, so its contents depend on its length.
 
 ``RNG_STREAM`` names the generator and the numpy version a record was
 drawn with; numpy loads on first array use, and reading ``RNG_STREAM``
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bounds import ProtocolSpec, _tagged, key_rate
-from .errors import DomainError, InsufficientDataError, _Deferred, _typed
-from .gaussian import ChannelParams, apply_channel, tmsv
+from .errors import DomainError, InsufficientDataError, PrecisionError, _Deferred, _typed
+from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
 
 np = _Deferred("numpy")
 
@@ -234,6 +235,17 @@ def _block_seed(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
+def _cholesky(cm: CovarianceMatrix) -> np.ndarray:
+    """The state's lower Cholesky factor in closed form, as ``sample_quadratures`` states it."""
+    s = math.sqrt(cm.a)
+    ell = cm.c * (1.0 / s)  # LAPACK's reciprocal pivot; c / s differs in the last bit
+    pivot = cm.b - ell * ell
+    if not pivot > 0.0:
+        raise PrecisionError(f"cannot sample the state: its Cholesky pivot {pivot} is not positive")
+    d = math.sqrt(pivot)
+    return np.array([[s, 0, 0, 0], [0, s, 0, 0], [ell, 0, d, 0], [0, -ell, 0, d]], dtype=float)
+
+
 def sample_quadratures(
     protocol: ProtocolSpec, ch: ChannelParams, v: float, n: int, seed: int
 ) -> MeasurementRecord:
@@ -244,10 +256,19 @@ def sample_quadratures(
     halves every symbol: heterodyne is a balanced beamsplitter with
     vacuum and a homodyne on each port (Weedbrook et al., Rev. Mod. Phys.
     84, 621, 2012). A block of m rows is ``standard_normal((m, 4 + 2h)) @
-    mix.T``, h the number of heterodyning parties. ``mix`` is the Cholesky
-    factor of the 4 x 4 state, with a heterodyning party's rows scaled by
-    1/sqrt(2) and given +1/sqrt(2) (x port, (in + vac)/sqrt(2)) and
-    -1/sqrt(2) (p port, (in - vac)/sqrt(2)) on its own two vacuum normals.
+    mix.T``, h the number of heterodyning parties. ``mix`` starts as the
+    lower Cholesky factor of the state (a, b, c) in the ordering
+    (x_a, p_a, x_b, p_b), written in closed form with s = sqrt(a),
+    l = c * (1/s) and d = sqrt(b - l^2): its rows are [s, 0, 0, 0],
+    [0, s, 0, 0], [l, 0, d, 0] and [0, -l, 0, d]. That is LAPACK's order,
+    a reciprocal pivot times the entry, so the factor equals
+    ``numpy.linalg.cholesky`` of the 4 x 4 array bit for bit wherever that
+    succeeds. Where b - l^2 rounds to 0 or below, as it can on a validated
+    state at T = 1, xi ~ 0 and V from about 5.9e7 up to ``tmsv``'s limit,
+    PrecisionError is raised, exactly where LAPACK raised. A heterodyning
+    party's rows are then scaled by 1/sqrt(2) and given +1/sqrt(2) (x
+    port, (in + vac)/sqrt(2)) and -1/sqrt(2) (p port, (in - vac)/sqrt(2))
+    on its own two vacuum normals.
     Identical (parameters, seed) reproduce the record bit for bit. The
     seed is a non-negative integer, as ``numpy.random.SeedSequence`` takes
     it, and v a finite real >= 1 (DomainError otherwise).
@@ -263,8 +284,7 @@ def sample_quadratures(
     if not v >= 1.0:
         raise DomainError(f"modulation variance must be >= 1, got {v}")
     alice_hom, bob_hom = not protocol._a_het, not protocol._b_het
-    # normals to x_a, p_a, x_b, p_b; see above
-    mix = np.linalg.cholesky(apply_channel(tmsv(v), ch, mode=1).matrix)
+    mix = _cholesky(apply_channel(tmsv(v), ch, mode=1))  # normals to x_a, p_a, x_b, p_b
     r = 1.0 / math.sqrt(2.0)
     for party, hom in enumerate((alice_hom, bob_hom)):
         if not hom:  # (q + v_x)/sqrt(2) on the x port, (q - v_p)/sqrt(2) on the p port
@@ -393,10 +413,11 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     (x_ba, x_ab), (p_ba, p_ab) = (_residual_pair(record, f"{q}_b", f"{q}_a") for q in "xp")
     cv = _tagged(protocol, (x_ba.value, p_ba.value), (x_ab.value, p_ab.value))
     result = key_rate(protocol, cv)
-    if protocol._dr:  # the rate reads A|B
-        x_est, p_est, lift = x_ab, p_ab, protocol._lift_ab
+    # the rate reads A|B for DR and B|A for RR, its p-side lifted where the conditioner heterodynes
+    if protocol._dr:
+        x_est, p_est, lift = x_ab, p_ab, protocol._b_het
     else:
-        x_est, p_est, lift = x_ba, p_ba, protocol._lift_ba
+        x_est, p_est, lift = x_ba, p_ba, protocol._a_het
     # K = const - (log2 vx)/2 - (log2 vp_eff)/2 with vp_eff = slope vp - (slope - 1):
     # slope 2 where vp enters through the 2 vp - 1 inference, else 1
     slope = 2.0 if lift else 1.0

@@ -23,6 +23,7 @@ from cvqkd import (
     tmsv,
     von_neumann_entropy,
 )
+from cvqkd.errors import DomainError, _typed
 from cvqkd.gaussian import _one_mode_entropy
 
 
@@ -55,12 +56,29 @@ def channelled_state(v, t, xi):
     return apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
 
 
+def as_array(cm):
+    """The 4 x 4 array of the state (a, b, c) in the ordering (x1, p1, x2, p2).
+
+    The package keeps no such array; the array-based references below, and
+    the LAPACK factor the sampler's closed form is checked against, read it.
+    """
+    a, b, c = cm.a, cm.b, cm.c
+    return np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c], [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])
+
+
+def row(mq):
+    """A quadrature's row/column in the ordering of ``as_array``."""
+    return 2 * mq.mode + (0 if mq.quadrature is Quadrature.X else 1)
+
+
 def reduced_state(cm, modes):
     """Partial trace down to the given modes (kept in the given order), as an array."""
     for mode in modes:
-        cm._check_mode(mode)
+        _typed(mode, "mode", "an integer")
+        if mode not in (0, 1):
+            raise DomainError(f"mode {mode} out of range for a two-mode state")
     idx = [2 * m + k for m in modes for k in range(2)]
-    return cm.matrix[np.ix_(idx, idx)]
+    return as_array(cm)[np.ix_(idx, idx)]
 
 
 def condition_on_homodyne(cm, measured):
@@ -73,11 +91,11 @@ def condition_on_homodyne(cm, measured):
     the entry-level entropies of the UR slack and the DW ceiling are
     checked against, bit for bit.
     """
-    cm._check_mode(measured.mode)
     v_meas = cm.variance(measured)
     keep = [i for i in range(4) if i // 2 != measured.mode]
-    sigma = cm.matrix[keep, measured.index()]
-    rest = cm.matrix[np.ix_(keep, keep)] - np.outer(sigma, sigma) / v_meas
+    m = as_array(cm)
+    sigma = m[keep, row(measured)]
+    rest = m[np.ix_(keep, keep)] - np.outer(sigma, sigma) / v_meas
     return rest, v_meas
 
 
@@ -149,7 +167,7 @@ def split_protocol_state(protocol, ch, v):
     conditional variances and for the sampled records. Returns the array
     and the row in it of each record column.
     """
-    m = channelled_state(v, ch.transmission, ch.excess_noise).matrix
+    m = as_array(channelled_state(v, ch.transmission, ch.excess_noise))
     rows = {"x_a": 0, "p_a": 1, "x_b": 2, "p_b": 3}
     if protocol.alice_measurement is Measurement.HET:
         m = split_with_vacuum(m, 0)  # modes: A1, B, A2; p_a is A2's p

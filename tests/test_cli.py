@@ -433,6 +433,16 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err.startswith("error: EPR variance 30000000.0 too large")
 
+    def test_state_below_the_factors_rounding_exits_three(self, capsys):
+        # the state validates, but its Cholesky pivot b - c^2/a = 1/V rounds below
+        # zero; LAPACK's factor raised an untyped LinAlgError here, a traceback
+        code, out, err = run(
+            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--xi", "0",
+            "--V", "66502965.66699864", "--samples", "10",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
     def test_infinite_v_rejected(self, capsys):
         # no record can be sampled in the V -> inf limit; the library's DomainError says so
         code, out, err = run(
@@ -677,7 +687,9 @@ class TestModuleEntry:
             "assert all(v == v for v in values) and len(values) == 11, values\n"
             "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
             "assert not loaded, loaded[:5]\n"
-            "assert cvqkd.tmsv(2.0).matrix[0, 2] == 3.0**0.5\n"
+            "rec = cvqkd.sample_quadratures(cvqkd.ProtocolSpec.parse('rr-homA-homB-eb'),\n"
+            "                                cvqkd.ChannelParams(0.5), 2.0, 4, 0)\n"
+            "assert rec.n == 4 and 'numpy' in sys.modules\n"
             "import numpy\n"
             "want = f'numpy.random.Philox(4x64-10), numpy {numpy.__version__}'\n"
             "assert cvqkd.montecarlo.RNG_STREAM == want\n"
@@ -715,10 +727,11 @@ class TestModuleEntry:
             "import sys, threading\n"
             "import cvqkd\n"
             "sys.setswitchinterval(1e-5)\n"
+            "protocol = cvqkd.ProtocolSpec.parse('rr-homA-homB-eb')\n"
             "errors = []\n"
             "def build():\n"
             "    try:\n"
-            "        cvqkd.apply_channel(cvqkd.tmsv(2.0), cvqkd.ChannelParams(0.5), mode=1).matrix\n"
+            "        cvqkd.sample_quadratures(protocol, cvqkd.ChannelParams(0.5), 2.0, 4, 0)\n"
             "    except Exception as exc:\n"
             "        errors.append(repr(exc))\n"
             "threads = [threading.Thread(target=build) for _ in range(4)]\n"

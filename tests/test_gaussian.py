@@ -15,12 +15,14 @@ from conftest import (
     P_B,
     X_A,
     X_B,
+    as_array,
     channelled_state,
     condition_on_homodyne,
     dw_reference,
     one_mode_entropy,
     random_channelled_states,
     reduced_state,
+    row,
     schur_variance,
     split_with_vacuum,
     ur_slack_reference,
@@ -54,21 +56,22 @@ from cvqkd.gaussian import (
 
 class TestConstruction:
     def test_tmsv_zero_squeezing_is_two_vacua(self):
-        assert np.allclose(tmsv(1.0).matrix, np.eye(4), atol=0)
+        assert np.allclose(as_array(tmsv(1.0)), np.eye(4), atol=0)
 
     def test_tmsv_off_diagonal_is_sqrt_v2_minus_1(self):
         cm = tmsv(2.0)
         c = math.sqrt(2.0**2 - 1.0)  # sqrt(3)
         assert (cm.a, cm.b, cm.c) == (2.0, 2.0, c)
-        assert cm.matrix[0, 2] == pytest.approx(c, abs=1e-15)
-        assert cm.matrix[1, 3] == pytest.approx(-c, abs=1e-15)
-        assert cm.matrix[0, 0] == cm.matrix[2, 2] == 2.0
+        m = as_array(cm)
+        assert m[0, 2] == pytest.approx(c, abs=1e-15)
+        assert m[1, 3] == pytest.approx(-c, abs=1e-15)
+        assert m[0, 0] == m[2, 2] == 2.0
 
     def test_tmsv_squeezing_parameter_round_trip(self):
         # V = cosh(2s) with s = 0.15 recovers s through arccosh(V)/2
         v = math.cosh(0.3)
         assert v == pytest.approx(1.04534, abs=1e-5)
-        assert math.acosh(tmsv(v).matrix[0, 0]) / 2.0 == pytest.approx(0.15, abs=1e-12)
+        assert math.acosh(as_array(tmsv(v))[0, 0]) / 2.0 == pytest.approx(0.15, abs=1e-12)
 
     def test_tmsv_is_pure_for_any_variance(self):
         for v in (1.0, 1.5, 7.0, 50.0):
@@ -162,17 +165,17 @@ class TestChannel:
     def test_identity_channel_leaves_state_unchanged(self):
         cm = tmsv(3.0)
         out = apply_channel(cm, ChannelParams(1.0, 0.0), mode=1)
-        assert np.allclose(out.matrix, cm.matrix, atol=0)
+        assert np.allclose(as_array(out), as_array(cm), atol=0)
 
     def test_vacuum_picks_up_t_xi(self):
         out = apply_channel(vacuum(), ChannelParams(0.3, 0.05), mode=0)
-        assert out.matrix[0, 0] == pytest.approx(1.0 + 0.3 * 0.05, abs=1e-15)  # 1.015
+        assert as_array(out)[0, 0] == pytest.approx(1.0 + 0.3 * 0.05, abs=1e-15)  # 1.015
 
     def test_tmsv_through_channel(self):
-        out = apply_channel(tmsv(2.0), ChannelParams(0.5, 0.1), mode=1)
-        assert out.matrix[2, 2] == pytest.approx(0.5 * 2.0 + 0.5 + 0.05, abs=1e-15)  # 1.55
-        assert out.matrix[0, 2] == pytest.approx(math.sqrt(0.5) * math.sqrt(3.0), abs=1e-15)
-        assert out.matrix[0, 0] == 2.0  # Alice's arm untouched
+        out = as_array(apply_channel(tmsv(2.0), ChannelParams(0.5, 0.1), mode=1))
+        assert out[2, 2] == pytest.approx(0.5 * 2.0 + 0.5 + 0.05, abs=1e-15)  # 1.55
+        assert out[0, 2] == pytest.approx(math.sqrt(0.5) * math.sqrt(3.0), abs=1e-15)
+        assert out[0, 0] == 2.0  # Alice's arm untouched
 
     def test_channel_composition(self):
         rng = np.random.default_rng(7)
@@ -183,7 +186,7 @@ class TestChannel:
                 apply_channel(tmsv(v), ChannelParams(t1, 0.0), 1), ChannelParams(t2, 0.0), 1
             )
             combined = apply_channel(tmsv(v), ChannelParams(t1 * t2, 0.0), 1)
-            assert np.max(np.abs(once.matrix - combined.matrix)) < 1e-10
+            assert np.max(np.abs(as_array(once) - as_array(combined))) < 1e-10
 
     def test_mode_out_of_range(self):
         with pytest.raises(DomainError):
@@ -196,7 +199,7 @@ class TestChannel:
         Cross terms are scaled through two np.ix_ grids.
         """
         t = ch.transmission
-        m = cm.matrix.copy()
+        m = as_array(cm).copy()
         sl = slice(2 * mode, 2 * mode + 2)
         rest = np.ones(2 * cm.n_modes, dtype=bool)
         rest[sl] = False
@@ -220,11 +223,11 @@ class TestChannel:
             mode = int(rng.integers(2))
             out = apply_channel(cm, ch, mode)
             want = self.ix_oracle(cm, ch, mode)
-            assert out.matrix.tobytes() == want.tobytes()
+            assert as_array(out).tobytes() == want.tobytes()
             for p in quadratures:
-                assert repr(out.variance(p)) == repr(float(want[p.index(), p.index()]))
+                assert repr(out.variance(p)) == repr(float(want[row(p), row(p)]))
                 for q in quadratures:
-                    assert repr(out.covariance(p, q)) == repr(float(want[p.index(), q.index()])), (p, q)
+                    assert repr(out.covariance(p, q)) == repr(float(want[row(p), row(q)])), (p, q)
 
 
 class TestBeamsplitter:
@@ -241,7 +244,7 @@ class TestBeamsplitter:
         assert out[0, 2] == pytest.approx(1.0, abs=1e-15)  # (3-1)/2
 
     def test_third_party_correlation_scaling(self):
-        out = split_with_vacuum(tmsv(2.0).matrix, 0)  # modes A1, B, A2
+        out = split_with_vacuum(as_array(tmsv(2.0)), 0)  # modes A1, B, A2
         expected = math.sqrt(3.0) / math.sqrt(2.0)  # 1.224745
         assert out[0, 2] == pytest.approx(expected, abs=1e-15)
 
@@ -249,11 +252,11 @@ class TestBeamsplitter:
         # V_{xA1|q} = (V_{xA|q} + 1)/2 for any third-party quadrature q
         for v, t, xi in [(2.0, 1.0, 0.0), (8.0, 0.4, 0.1), (30.0, 0.7, 0.3)]:
             cm = channelled_state(v, t, xi)
-            split = split_with_vacuum(cm.matrix, 0)  # A1=0, B=1, A2=2
+            split = split_with_vacuum(as_array(cm), 0)  # A1=0, B=1, A2=2
             for quad in (Quadrature.X, Quadrature.P):
                 q_full = ModeQuadrature(1, quad)
                 full = conditional_variance(cm, ModeQuadrature(0, quad), q_full)
-                half = schur_variance(split, ModeQuadrature(0, quad).index(), q_full.index())
+                half = schur_variance(split, row(ModeQuadrature(0, quad)), row(q_full))
                 assert abs(half - (full + 1.0) / 2.0) < 1e-10
 
 
@@ -370,7 +373,7 @@ class TestReducedState:
     def test_reduce_keeps_block(self):
         cm = channelled_state(4.0, 0.6, 0.2)
         sub = reduced_state(cm, [1])
-        assert np.array_equal(sub, cm.matrix[2:, 2:])
+        assert np.array_equal(sub, as_array(cm)[2:, 2:])
 
     def test_reduce_bad_mode(self):
         with pytest.raises(DomainError):
@@ -398,9 +401,11 @@ class TestReducedState:
 )
 def test_mode_out_of_range_raises_domain_error(call):
     # a negative mode once indexed from the end (mode -1 read mode 1's
-    # variance) and a mode past the last raised an untyped IndexError
+    # variance) and a mode past the last raised an untyped IndexError; the
+    # ModeQuadrature in each call now rejects its mode when it is built
+    cm = channelled_state(5.0, 0.7, 0.1)
     with pytest.raises(DomainError, match="out of range"):
-        call(channelled_state(5.0, 0.7, 0.1))
+        call(cm)
 
 
 @pytest.mark.parametrize(
@@ -450,7 +455,7 @@ class TestSymmetrisationLimit:
 
     def test_largest_entry_below_the_limit_validates(self):
         v = math.nextafter(2.0**510, 0.0)
-        assert CovarianceMatrix(v, v, 0.0).matrix[0, 0] == v
+        assert as_array(CovarianceMatrix(v, v, 0.0))[0, 0] == v
         for entries in ((v, v, 0.0), (v, 1.0, 0.0), (v, v, math.nextafter(v, 0.0))):
             assert all(math.isfinite(nu) for nu in symplectic_eigenvalues(CovarianceMatrix(*entries)))
 
@@ -548,7 +553,7 @@ class TestClosedFormSpectrum:
         ]
         worst = [0.0] * len(DECADE_ERROR)
         for v, cm in states:
-            m = cm.matrix
+            m = as_array(cm)
             ref = mpmath_spectrum(m, mp)
             closed = _closed_form_spectrum(cm.a, cm.b, cm.c)
             err = max(float(abs(x - r) / r) for x, r in zip(closed, ref))
@@ -688,11 +693,11 @@ def _assert_bounds_match_the_reference_assembly(cm):
     reference_errors = (CVQKDError, ZeroDivisionError)
     want = _entropy_or_error(lambda: ur_slack_reference(cm), reference_errors)
     for ur in (verify_ur_bipartite, verify_ur_tripartite):
-        assert _entropy_or_error(lambda: ur(cm)) == want, (ur, cm.matrix.tolist())
+        assert _entropy_or_error(lambda: ur(cm)) == want, (ur, as_array(cm).tolist())
     for direction in Reconciliation:
         got = _entropy_or_error(lambda: devetak_winter_oracle(cm, direction))
         assert got == _entropy_or_error(lambda: dw_reference(cm, direction), reference_errors), (
-            direction, cm.matrix.tolist()
+            direction, as_array(cm).tolist()
         )
 
 

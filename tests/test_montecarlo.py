@@ -8,16 +8,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import cvqkd.gaussian
-from conftest import split_protocol_state
+from conftest import as_array, channelled_state, split_protocol_state
 from cvqkd import (
     ChannelParams,
+    CVQKDError,
     DomainError,
     InsufficientDataError,
     Measurement,
+    PrecisionError,
     ProtocolSpec,
     empirical_entropy,
     estimate_conditional_variance,
@@ -25,7 +26,7 @@ from cvqkd import (
     key_rate_at,
     sample_quadratures,
 )
-from cvqkd.montecarlo import _CSV_CHUNK_ROWS, COLUMNS
+from cvqkd.montecarlo import _CSV_CHUNK_ROWS, COLUMNS, _cholesky
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
@@ -122,19 +123,33 @@ class TestSampling:
         frac = float(np.mean(rec.basis_a == rec.basis_b))
         assert abs(frac - 0.5) < 5.0 * math.sqrt(0.25 / n)
 
-    def test_builds_no_state_beyond_two_modes(self, monkeypatch):
-        # heterodyne halves come from vacuum normals, not from a split 3- or 4-mode state
-        shapes = []
-        validate = cvqkd.gaussian.CovarianceMatrix.__post_init__
+    def test_samples_every_protocol_without_lapack(self, monkeypatch):
+        # the factor is written from (a, b, c), and heterodyne halves come from
+        # vacuum normals, so no protocol reaches a numerical factorisation
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky was called")
 
-        def spy(self):
-            shapes.append(np.shape(self.matrix))
-            validate(self)
-
-        monkeypatch.setattr(cvqkd.gaussian.CovarianceMatrix, "__post_init__", spy)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
         for protocol in ProtocolSpec.all():
-            sample_quadratures(protocol, ChannelParams(0.7, 0.05), 3.0, 10, seed=1)
-        assert shapes and max(shapes) == (4, 4)
+            rec = sample_quadratures(protocol, ChannelParams(0.7, 0.05), 3.0, 10, seed=1)
+            assert rec.n == 10
+
+    @pytest.mark.parametrize("xi", [0.0, 1e-12])
+    def test_near_limit_states_sample_or_raise_precision_error(self, xi):
+        # at T = 1 the factor's pivot b - c^2/a is 1/V, which rounds to 0 or below
+        # on some states from V ~ 5.9e7 up to tmsv's limit; LAPACK raised an
+        # untyped LinAlgError on 16 of these 200 seeded V, for either xi
+        rng = np.random.default_rng(24)
+        outcomes = set()
+        for v in 10.0 ** rng.uniform(math.log10(5.9e7), math.log10(9.49e7), 200):
+            try:
+                rec = sample_quadratures(RR_HOM_HOM, ChannelParams(1.0, xi), float(v), 4, seed=0)
+            except PrecisionError:
+                outcomes.add("raised")
+                continue
+            assert rec.n == 4 and np.isfinite(rec.x_b).sum() + np.isfinite(rec.p_b).sum() == 4
+            outcomes.add("sampled")
+        assert outcomes == {"raised", "sampled"}
 
     @pytest.mark.parametrize("protocol", ["rr-hetA-homB-eb", "rr-homA-hetB-eb", "rr-hetA-hetB-eb"])
     def test_second_moments_match_the_split_state(self, protocol):
@@ -207,6 +222,61 @@ class TestSampling:
         r1 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=11)
         r2 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=np.uint32(11))
         assert record_equal(r1, r2)
+
+
+def _lapack_or_none(cm):
+    try:
+        return np.linalg.cholesky(as_array(cm))
+    except np.linalg.LinAlgError:
+        return None
+
+
+class TestFactor:
+    def test_equals_lapack_bit_for_bit(self):
+        # seeded channel states, a quarter at T = 1, xi = 0 near tmsv's limit
+        # where LAPACK fails; the reciprocal pivot c * (1/s) is LAPACK's order,
+        # and c / s differs in the last bit on about a quarter of the states
+        rng = np.random.default_rng(20261019)
+        raised = 0
+        for i in range(2000):
+            if i % 4:
+                v = 10.0 ** rng.uniform(0.0, math.log10(9.49e7))
+                ch = ChannelParams(rng.uniform(1e-6, 1.0), rng.uniform(0.0, 0.5))
+            else:
+                v, ch = 10.0 ** rng.uniform(7.5, math.log10(9.49e7)), PERFECT
+            try:
+                cm = channelled_state(float(v), ch.transmission, ch.excess_noise)
+            except PrecisionError:  # tmsv's own limit
+                continue
+            want = _lapack_or_none(cm)
+            if want is None:
+                raised += 1
+                with pytest.raises(PrecisionError, match="Cholesky pivot .* is not positive"):
+                    _cholesky(cm)
+            else:
+                assert _cholesky(cm).tobytes() == want.tobytes(), (cm.a, cm.b, cm.c)
+        assert raised > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, math.log10(9.49e7)),
+        st.floats(1e-6, 1.0) | st.just(1.0),
+        st.floats(0.0, 0.5) | st.just(0.0),
+    )
+    def test_factor_reproduces_the_state(self, log_v, t, xi):
+        # s^2 = a, s l = c and l^2 + d^2 = b, each relative to its entry; over
+        # 186,495 seeded channel states the worst were 1.0, 1.13 and 1.95 eps
+        try:
+            cm = channelled_state(10.0**log_v, t, xi)
+            factor = _cholesky(cm)
+        except CVQKDError:
+            assume(False)
+        s, ell, d = (float(factor[i, j]) for i, j in ((0, 0), (2, 0), (2, 2)))
+        assert factor.tolist() == [[s, 0, 0, 0], [0, s, 0, 0], [ell, 0, d, 0], [0, -ell, 0, d]]
+        eps = 2.0**-52
+        assert abs(s * s - cm.a) <= 2.0 * eps * cm.a
+        assert abs(s * ell - cm.c) <= 2.0 * eps * cm.c
+        assert abs(ell * ell + d * d - cm.b) <= 3.0 * eps * cm.b
 
 
 class TestConditionalVarianceEstimate:
