@@ -152,15 +152,6 @@ _BY_ID = {
 }
 
 
-def expected_kinds(protocol: ProtocolSpec) -> tuple[VarianceKind, VarianceKind]:
-    """(kind of the A|B pair, kind of the B|A pair) for a protocol's measurements.
-
-    A pair's target or conditioner is a half where that party
-    heterodynes; resolved when the spec is constructed.
-    """
-    return protocol._kinds
-
-
 @dataclass(frozen=True)
 class ConditionalVariances:
     """The four conditional variances feeding a key-rate formula.
@@ -169,7 +160,8 @@ class ConditionalVariances:
     heterodynes, the corresponding target or conditioner is the
     beamsplitter half that party actually measures, as recorded by the
     kind tags (x and p of one direction always share a tag). Each variance
-    must be positive, inf included, and each tag a ``VarianceKind``
+    must be nonnegative, inf included; 0 is the V -> inf identity-channel
+    limit of a homodyne pair. Each tag must be a ``VarianceKind``
     (DomainError otherwise).
     """
 
@@ -184,12 +176,12 @@ class ConditionalVariances:
         for name in ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"):
             value = getattr(self, name)
             try:  # on this hot path only a failed comparison pays for the type check
-                positive = value > 0.0  # NaN fails too
+                nonnegative = value >= 0.0  # NaN fails too
             except TypeError:
                 _typed(value, name)
                 raise
-            if not positive:
-                raise DomainError(f"{name} must be positive, got {value}")
+            if not nonnegative:
+                raise DomainError(f"{name} must be nonnegative, got {value}")
         if (
             self.kind_b_given_a.__class__ is not VarianceKind
             or self.kind_a_given_b.__class__ is not VarianceKind
@@ -220,9 +212,9 @@ class KeyRateResult:
     the Gaussian steering parameters E_ab = V_{xB|xA} V_{pB|pA} and its
     reverse (>= 1 iff not steerable). Positivity of the key therefore
     coincides with the product dropping below (2/e)^2 by the very same
-    arithmetic. ``variances`` are the inputs the rate was computed from;
-    None in the identity-channel V -> inf limit of the homodyne-homodyne
-    protocols, where all four vanish.
+    arithmetic. ``variances`` are the inputs the rate was computed from,
+    never None: in the identity-channel V -> inf limit of the
+    homodyne-homodyne protocols all four are 0 and the rate is +inf.
     """
 
     protocol: ProtocolSpec
@@ -231,7 +223,7 @@ class KeyRateResult:
     steering_ba: float
     positive: bool
     one_sided_di: OneSidedDI
-    variances: ConditionalVariances | None
+    variances: ConditionalVariances
 
 
 def gaussian_shannon_entropy(v: float) -> float:
@@ -276,21 +268,18 @@ def classify_1sdi(protocol: ProtocolSpec) -> OneSidedDI:
     return protocol._one_sided_di
 
 
-def _rate_pair(
-    protocol: ProtocolSpec, b_given_a: tuple[float, float], a_given_b: tuple[float, float]
-) -> tuple[float, float]:
-    """The (v_x, v_p) pair a protocol's rate reads, its v_p lifted to 2v - 1 where the spec says.
+def _rate_pair(protocol: ProtocolSpec, b_given_a: tuple, a_given_b: tuple) -> tuple[tuple, bool]:
+    """The (v_x, v_p) pair a protocol's rate reads, and whether its v_p enters as 2v - 1.
 
     DR rates read the A|B pair and RR rates the B|A pair; the p-side is
-    lifted where that pair's conditioner heterodynes, and the x-side
-    always enters as measured. Floats or numpy arrays (elementwise).
+    lifted where that pair's conditioner heterodynes (Bob for A|B, Alice
+    for B|A), and the x-side always enters as measured. The pairs may hold
+    anything: floats, numpy arrays or estimates. ``key_rate`` states the
+    same rule inline, on its hot path.
     """
-    # a pair's p-side is lifted where its conditioner heterodynes: Bob for A|B, Alice for B|A
     if protocol._dr:
-        (v_x, v_p), lift = a_given_b, protocol._b_het
-    else:
-        (v_x, v_p), lift = b_given_a, protocol._a_het
-    return v_x, infer_full_mode_variance(v_p) if lift else v_p
+        return a_given_b, protocol._b_het
+    return b_given_a, protocol._a_het
 
 
 def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
@@ -299,9 +288,11 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     DR rates use the A|B pair, RR rates the B|A pair; the conditioning
     side's p-variance is lifted to full mode with 2v - 1 where that side
     heterodynes. The rate may be negative; ``positive`` mirrors
-    key_rate > 0. A conditioner's half of exactly 1/2 lifts to 0, the +inf
-    rate ``key_rate_at`` also gives on the identity channel; beside an
-    infinite x variance the rate is undefined (DomainError).
+    key_rate > 0. A zero factor, x or p, gives the rate +inf: a homodyne
+    variance of 0 (the identity channel at V -> inf, as ``key_rate_at``
+    passes it) or a conditioner's half of exactly 1/2, which lifts to 0.
+    Beside an infinite factor the rate is undefined (DomainError). The
+    only builder of a ``KeyRateResult``.
     """
     exp_ab, exp_ba = protocol._kinds
     if cv.kind_a_given_b is not exp_ab or cv.kind_b_given_a is not exp_ba:
@@ -322,8 +313,8 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
         v_x, v_p, product = cv.v_x_b_given_a, v_p_ba, steering_ab
     if 0.0 < product < math.inf:
         rate = math.log2(2.0 / (math.e * math.sqrt(product)))
-    elif v_p == 0.0:  # only the 2v - 1 lift reaches 0; the four inputs are positive
-        if v_x == math.inf:
+    elif v_x == 0.0 or v_p == 0.0:  # the V -> inf identity channel, or a half of 1/2 lifted
+        if v_x == math.inf or v_p == math.inf:
             raise DomainError(f"key rate of {protocol.id} is undefined for variances inf and 0")
         rate = math.inf
     else:  # the product under- or overflows (variances near 1e-160 or 1e160); its factors do not

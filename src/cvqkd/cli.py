@@ -24,7 +24,6 @@ from .bounds import (
     OneSidedDI,
     ProtocolSpec,
     classify_1sdi,
-    expected_kinds,
     verify_ur_tripartite,
 )
 from .errors import CVQKDError
@@ -153,13 +152,10 @@ def _channel(args) -> tuple[ChannelParams, dict]:
 def cmd_keyrate(args):
     ch, record = _channel(args)
     result = key_rate_at(args.protocol, ch, args.modulation)
-    kind_ab, kind_ba = expected_kinds(args.protocol)
-    kinds = {"b_given_a": kind_ba.value, "a_given_b": kind_ab.value}
-    cv = result.variances  # None where all four vanish: identity channel, V -> inf
-    variances = {
-        name: 0.0 if cv is None else getattr(cv, name)
-        for name in ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b")
-    }
+    cv = result.variances
+    kinds = {"b_given_a": cv.kind_b_given_a.value, "a_given_b": cv.kind_a_given_b.value}
+    names = ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b")
+    variances = {name: getattr(cv, name) for name in names}
     record |= {
         "key_rate_bits": result.key_rate,
         "positive": result.positive,

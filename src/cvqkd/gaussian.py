@@ -11,8 +11,8 @@ Conventions (fixed throughout the package):
 
 * shot-noise units with hbar = 2, i.e. x = a + a^dag, p = i(a^dag - a),
   so the vacuum has quadrature variance 1;
-* quadrature ordering (x1, p1, x2, p2), making every single-mode
-  operation a 2x2 block update;
+* quadrature ordering (x1, p1, x2, p2), so a I is mode 1's block,
+  b I mode 2's and diag(c, -c) their correlation block;
 * all logarithms base 2, entropies in bits.
 
 States are zero-mean; first moments are never tracked because every

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bounds import ProtocolSpec, _tagged, key_rate
+from .bounds import ProtocolSpec, _rate_pair, _tagged, infer_full_mode_variance, key_rate
 from .errors import DomainError, InsufficientDataError, PrecisionError, _Deferred, _typed
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
 
@@ -411,23 +411,21 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     """
     protocol = record.protocol
     (x_ba, x_ab), (p_ba, p_ab) = (_residual_pair(record, f"{q}_b", f"{q}_a") for q in "xp")
+    variances = {
+        "v_x_b_given_a": x_ba, "v_p_b_given_a": p_ba, "v_x_a_given_b": x_ab, "v_p_a_given_b": p_ab
+    }
+    for name, e in variances.items():  # 0 is the analytic V -> inf limit, never an estimate
+        if not e.value > 0.0:
+            raise DomainError(f"{name} must be positive, got {e.value}")
     cv = _tagged(protocol, (x_ba.value, p_ba.value), (x_ab.value, p_ab.value))
     result = key_rate(protocol, cv)
-    # the rate reads A|B for DR and B|A for RR, its p-side lifted where the conditioner heterodynes
-    if protocol._dr:
-        x_est, p_est, lift = x_ab, p_ab, protocol._b_het
-    else:
-        x_est, p_est, lift = x_ba, p_ba, protocol._a_het
-    # K = const - (log2 vx)/2 - (log2 vp_eff)/2 with vp_eff = slope vp - (slope - 1):
-    # slope 2 where vp enters through the 2 vp - 1 inference, else 1
-    slope = 2.0 if lift else 1.0
+    # K = const - (log2 vx)/2 - (log2 vp)/2, vp entering as 2 vp - 1 where lifted: slope 2
+    (x_est, p_est), lift = _rate_pair(protocol, (x_ba, p_ba), (x_ab, p_ab))
     dx = x_est.std_error / (2.0 * math.log(2.0) * x_est.value)
-    vp_eff = slope * p_est.value - (slope - 1.0)
-    dp = slope * p_est.std_error / (2.0 * math.log(2.0) * vp_eff)
+    vp_eff = infer_full_mode_variance(p_est.value) if lift else p_est.value
+    dp = (2.0 if lift else 1.0) * p_est.std_error / (2.0 * math.log(2.0) * vp_eff)
     sigma = math.hypot(dx, dp)
     return SimulatedKeyRate(
         key_rate=EstimateWithError(result.key_rate, sigma, min(x_est.n, p_est.n)),
-        variances={
-            "v_x_b_given_a": x_ba, "v_p_b_given_a": p_ba, "v_x_a_given_b": x_ab, "v_p_a_given_b": p_ab
-        },
+        variances=variances,
     )

@@ -39,7 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import KeyRateResult, ProtocolSpec, _rate_pair, _tagged, key_rate
+from .bounds import (
+    KeyRateResult,
+    ProtocolSpec,
+    _rate_pair,
+    _tagged,
+    infer_full_mode_variance,
+    key_rate,
+)
 from .errors import DomainError, PrecisionError, _Deferred, _typed
 from .gaussian import ChannelParams
 
@@ -180,8 +187,8 @@ def _secure_at_infinite_v(
     numpy; an array takes ``np.sqrt``, which rounds alike.
     """
     a_given_b, b_given_a = _cond_variances(protocol, t, xi)
-    v_x, v_p = _rate_pair(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))
-    product = v_x * v_p
+    (v_x, v_p), lift = _rate_pair(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))
+    product = v_x * (infer_full_mode_variance(v_p) if lift else v_p)
     root = math.sqrt(product) if isinstance(product, float) else np.sqrt(product)
     return math.e * root <= 2.0
 
@@ -193,25 +200,15 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
     (``.variances``) and to both steering products (``.steering_ab``,
     ``.steering_ba``). Any v in [1, inf] is valid (DomainError for v < 1
     or NaN); the variances are within 1e-15 relative, and the rate within
-    1e-14 bits, of a 60-digit reference on V in [1, 1e10]. Only
-    homodyne-homodyne protocols on the identity channel at v = inf
-    (w = u = 0) have no variances: all four vanish, ``variances`` is None
-    and the rate is +inf.
+    1e-14 bits, of a 60-digit reference on V in [1, 1e10]. On the
+    identity channel at v = inf (w = u = 0) the four variances of a
+    homodyne-homodyne protocol are 0, and ``key_rate`` gives them the
+    rate +inf.
     """
     _typed(v, "modulation variance")
     if not v >= 1.0:
         raise DomainError(f"modulation variance must be >= 1, got {v}")
     a_given_b, b_given_a = _cond_variances(protocol, ch.transmission, ch.excess_noise, 1.0 / v)
-    if b_given_a == 0.0:  # V_{B|A} = w + T u for hom-hom; every heterodyne one is >= 1/2
-        return KeyRateResult(
-            protocol=protocol,
-            key_rate=math.inf,
-            steering_ab=0.0,
-            steering_ba=0.0,
-            positive=True,
-            one_sided_di=protocol._one_sided_di,
-            variances=None,
-        )
     return key_rate(protocol, _tagged(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b)))
 
 

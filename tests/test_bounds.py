@@ -43,18 +43,22 @@ from cvqkd import (
     gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate,
+    key_rate_at,
     tmsv,
     vacuum,
     verify_ur_bipartite,
     verify_ur_tripartite,
     von_neumann_entropy,
 )
-from cvqkd.bounds import expected_kinds
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 IDS = sorted(p.id for p in ProtocolSpec.all())
 DR_HOM_HOM = ProtocolSpec.parse("dr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
+HOM_HOM = [
+    p for p in ProtocolSpec.all()
+    if p.alice_measurement is Measurement.HOM and p.bob_measurement is Measurement.HOM
+]
 
 
 def hom_hom_cv(vx_ba, vp_ba, vx_ab=None, vp_ab=None):
@@ -131,7 +135,7 @@ class TestProtocolSpec:
             b_het = p.bob_measurement is Measurement.HET
             assert q == p and hash(q) == hash(p)
             assert (q._a_het, q._b_het, q._dr) == (a_het, b_het, p.reconciliation is Reconciliation.DR)
-            assert q._kinds == expected_kinds(q) == reference_kinds(p), p.id
+            assert q._kinds == reference_kinds(p), p.id
             assert q._one_sided_di is classify_1sdi(q) is reference_1sdi(p), p.id
 
     def test_facts_are_not_fields(self):
@@ -245,9 +249,39 @@ class TestKeyRate:
         with pytest.raises(TagMismatchError):
             key_rate(DR_COHERENT, hom_hom_cv(0.5, 0.5))
 
-    def test_nonpositive_variance_rejected(self):
-        with pytest.raises(DomainError):
-            hom_hom_cv(0.0, 0.5)
+    @pytest.mark.parametrize("bad", [-0.5, math.nan])
+    def test_negative_or_nan_variance_rejected(self, bad):
+        # 0 is the identity-channel limit and passes; below it, or NaN, nothing does
+        for i in range(4):
+            values = [0.5] * 4
+            values[i] = bad
+            with pytest.raises(DomainError, match="must be nonnegative"):
+                ConditionalVariances(*values)
+
+    @pytest.mark.parametrize("pid", [p.id for p in HOM_HOM])
+    def test_identity_channel_is_key_rate_on_zero_variances(self, pid):
+        # key_rate_at on T = 1, xi = 0, V -> inf is key_rate on four zeros, field for field
+        protocol = ProtocolSpec.parse(pid)
+        got = key_rate_at(protocol, ChannelParams(1.0, 0.0))
+        assert got == key_rate(protocol, ConditionalVariances(0.0, 0.0, 0.0, 0.0))
+        assert got.key_rate == math.inf and got.positive
+        assert (got.steering_ab, got.steering_ba) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("zero_x", [True, False])
+    def test_lone_zero_factor_is_the_infinite_rate(self, zero_x):
+        # a zero x or a zero p in the pair the rate reads, the other factor and pair positive
+        pair = (0.0, 0.7) if zero_x else (0.7, 0.0)
+        rr = key_rate(RR_HOM_HOM, ConditionalVariances(*pair, 0.6, 0.8))
+        dr = key_rate(DR_HOM_HOM, ConditionalVariances(0.6, 0.8, *pair))
+        for res in (rr, dr):
+            assert res.key_rate == math.inf and res.positive
+
+    @pytest.mark.parametrize("pair", [(0.0, math.inf), (math.inf, 0.0)])
+    def test_zero_beside_inf_is_undefined_in_both_directions(self, pair):
+        with pytest.raises(DomainError, match="undefined for variances inf and 0"):
+            key_rate(RR_HOM_HOM, ConditionalVariances(*pair, 0.6, 0.8))
+        with pytest.raises(DomainError, match="undefined for variances inf and 0"):
+            key_rate(DR_HOM_HOM, ConditionalVariances(0.6, 0.8, *pair))
 
 
 class TestEqTenEquivalence:

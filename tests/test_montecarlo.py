@@ -426,6 +426,18 @@ class TestSimulateProtocolRun:
             target, given = f"{name[2]}_{name[4]}", f"{name[2]}_{name[-1]}"
             assert estimate == estimate_conditional_variance(rec, target, given), name
 
+    def test_zero_residual_is_rejected_before_the_rate(self):
+        # x_b equals x_a on the sifted pairs, so x_b|x_a is exactly 0.0: the analytic
+        # V -> inf limit, which an estimate never is (its rate error would divide by 0)
+        rec = sample_quadratures(RR_HOM_HOM, ChannelParams(0.9, 0.01), 5.0, 6, seed=1)
+        x = np.array([-1.0, 0.0, 1.0, math.nan, math.nan, math.nan])
+        p_a = np.array([math.nan, math.nan, math.nan, -1.0, 0.0, 1.0])
+        p_b = np.array([math.nan, math.nan, math.nan, 1.0, 0.0, 0.0])
+        rec = dataclasses.replace(rec, x_a=x, x_b=x.copy(), p_a=p_a, p_b=p_b)
+        assert estimate_conditional_variance(rec, "x_b", "x_a").value == 0.0
+        with pytest.raises(DomainError, match=r"^v_x_b_given_a must be positive, got 0\.0$"):
+            estimate_key_rate(rec)
+
     def test_variances_are_keyed_by_name(self):
         sim = estimate_key_rate(sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 2000, seed=1))
         assert set(sim.variances) == {

@@ -683,9 +683,11 @@ class TestBatchedSolver:
             assert rows[0] == (5e-324, None)
             assert rows == [(t, max_excess_noise(protocol, t)) for t, _ in rows]
 
-    def test_identity_channel_limit_has_no_variances(self):
-        # all four vanish; the rate diverges (TestKeyRateAt) and the CLI prints zeros
-        assert key_rate_at(RR_HOM_HOM, ChannelParams(1.0, 0.0), math.inf).variances is None
+    def test_identity_channel_limit_has_zero_variances(self):
+        # all four vanish; key_rate gives the +inf rate (TestKeyRateAt) and the CLI prints zeros
+        res = key_rate_at(RR_HOM_HOM, ChannelParams(1.0, 0.0), math.inf)
+        assert res.variances == ConditionalVariances(0.0, 0.0, 0.0, 0.0)
+        assert (res.key_rate, res.steering_ab, res.steering_ba) == (math.inf, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
