@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .bounds import ProtocolSpec, _rate_pair, _tagged, infer_full_mode_variance, key_rate
-from .errors import DomainError, InsufficientDataError, PrecisionError, _Deferred, _typed
+from .errors import (
+    DomainError,
+    InsufficientDataError,
+    PrecisionError,
+    UnphysicalInferenceError,
+    _Deferred,
+    _typed,
+)
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
 
 np = _Deferred("numpy")
@@ -340,7 +347,8 @@ def estimate_conditional_variance(
     variance; the standard error is the chi-square width
     sqrt(2/(m-2)) * value. A line fits two points exactly, leaving a
     residual of zero up to rounding, so it takes three sifted pairs. A
-    column fits itself exactly, so target and given must differ.
+    column fits itself exactly, so target and given must differ, and
+    DomainError names a column that is constant over the sifted pairs.
     """
     return _residual_pair(record, target, given)[0]
 
@@ -359,6 +367,9 @@ def _residual_pair(
         raise InsufficientDataError(f"only {m} sifted pairs for {target}|{given}")
     cov = np.cov(t[mask], g[mask], ddof=2)  # the residuals over m - 2 degrees of freedom
     (v_t, c), (_, v_g) = cov.tolist()
+    for name, v in ((target, v_t), (given, v_g)):
+        if v == 0.0:  # each direction divides by the other column's variance
+            raise DomainError(f"{name} is constant over the {m} sifted pairs of {target}|{given}")
     width = math.sqrt(2.0 / (m - 2))
     return tuple(
         EstimateWithError(value=v, std_error=width * v, n=m)
@@ -407,7 +418,8 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     The propagated standard error combines the per-variance errors
     through the log-derivative of the rate, doubling the weight of a
     slot that enters through the 2v - 1 inference. InsufficientDataError
-    where a pair has fewer than three sifted symbols.
+    where a pair has fewer than three sifted symbols; UnphysicalInferenceError
+    where a lifted half is exactly 1/2, whose inferred variance is 0.
     """
     protocol = record.protocol
     (x_ba, x_ab), (p_ba, p_ab) = (_residual_pair(record, f"{q}_b", f"{q}_a") for q in "xp")
@@ -423,6 +435,10 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     (x_est, p_est), lift = _rate_pair(protocol, (x_ba, p_ba), (x_ab, p_ab))
     dx = x_est.std_error / (2.0 * math.log(2.0) * x_est.value)
     vp_eff = infer_full_mode_variance(p_est.value) if lift else p_est.value
+    if not vp_eff > 0.0:  # a half of exactly 1/2 lifts to the V -> inf limit 0
+        raise UnphysicalInferenceError(
+            f"inferred variance 2*{p_est.value} - 1 would be nonpositive"
+        )
     dp = (2.0 if lift else 1.0) * p_est.std_error / (2.0 * math.log(2.0) * vp_eff)
     sigma = math.hypot(dx, dp)
     return SimulatedKeyRate(

@@ -20,6 +20,7 @@ from cvqkd import (
     Measurement,
     PrecisionError,
     ProtocolSpec,
+    UnphysicalInferenceError,
     empirical_entropy,
     estimate_conditional_variance,
     estimate_key_rate,
@@ -436,6 +437,33 @@ class TestSimulateProtocolRun:
         rec = dataclasses.replace(rec, x_a=x, x_b=x.copy(), p_a=p_a, p_b=p_b)
         assert estimate_conditional_variance(rec, "x_b", "x_a").value == 0.0
         with pytest.raises(DomainError, match=r"^v_x_b_given_a must be positive, got 0\.0$"):
+            estimate_key_rate(rec)
+
+    def test_half_of_one_half_is_rejected_before_the_error(self):
+        # p_b|p_a is exactly 0.5, which Alice's heterodyne lifts to 0: the rate's
+        # error propagation would divide by it
+        het_hom = ProtocolSpec.parse("rr-hetA-homB-eb")
+        rec = sample_quadratures(het_hom, ChannelParams(0.9, 0.01), 5.0, 8, seed=1)
+        nan = [math.nan] * 4
+        rec = dataclasses.replace(
+            rec,
+            basis_b=np.array([0] * 4 + [1] * 4, dtype=np.uint8),
+            x_a=np.array([-1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0]),
+            p_a=np.array([0.0, 0.0, 0.0, 0.0, -1.0, -1.0, 1.0, 1.0]),
+            x_b=np.array([1.0, 0.0, 2.0, 1.0, *nan]),
+            p_b=np.array([*nan, -0.5, -1.5, 0.5, 1.5]),
+        )
+        assert estimate_conditional_variance(rec, "p_b", "p_a").value == 0.5
+        with pytest.raises(
+            UnphysicalInferenceError, match=r"^inferred variance 2\*0\.5 - 1 would be nonpositive$"
+        ):
+            estimate_key_rate(rec)
+
+    def test_constant_given_column_is_rejected(self):
+        het_het = ProtocolSpec.parse("rr-hetA-hetB-eb")
+        rec = sample_quadratures(het_het, ChannelParams(0.9, 0.01), 5.0, 8, seed=1)
+        rec = dataclasses.replace(rec, x_a=np.ones(8))
+        with pytest.raises(DomainError, match=r"^x_a is constant over the 8 sifted pairs of x_b\|x_a$"):
             estimate_key_rate(rec)
 
     def test_variances_are_keyed_by_name(self):
