@@ -18,10 +18,11 @@ read the facts the spec stores, not its enum members.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _typed
+from .errors import (
+    DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _record, _typed
+)
 from .gaussian import CovarianceMatrix, _one_mode_entropy, von_neumann_entropy
 
 LOG2_4PI = math.log2(4.0 * math.pi)
@@ -64,8 +65,9 @@ _KIND = (
 )
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(
+    _record("ProtocolSpec", "reconciliation alice_measurement bob_measurement flavor")
+):
     """One of the 16 protocol variants.
 
     Canonical id: "{dr|rr}-{hom|het}A-{hom|het}B-{pm|eb}". In the
@@ -76,36 +78,31 @@ class ProtocolSpec:
 
     Each field must be a member of its enum (DomainError otherwise). The
     bookkeeping every rate reads is resolved at construction, once per
-    spec, into private attributes outside the dataclass fields (so
-    ``repr``, ``==``, ``hash`` and ``asdict`` see only the four fields):
-    the heterodyne flags ``_a_het``, ``_b_het``, the DR flag ``_dr``, the
-    (A|B, B|A) kinds ``_kinds`` and the class ``_one_sided_di``. The p-side
-    of a pair is lifted by 2v - 1 where its conditioner heterodynes, so
-    A|B's lift is ``_b_het`` and B|A's is ``_a_het``.
+    spec, into private attributes that are not fields (so ``repr``,
+    ``==``, ``hash``, ``len``, iteration and ``_asdict`` see only the four
+    fields): the heterodyne flags ``_a_het``, ``_b_het``, the DR flag
+    ``_dr``, the (A|B, B|A) kinds ``_kinds`` and the class
+    ``_one_sided_di``. The p-side of a pair is lifted by 2v - 1 where its
+    conditioner heterodynes, so A|B's lift is ``_b_het`` and B|A's is
+    ``_a_het``.
     """
 
-    reconciliation: Reconciliation
-    alice_measurement: Measurement
-    bob_measurement: Measurement
-    flavor: Flavor = Flavor.EB
-
-    def __post_init__(self):
-        for name, enum in (
-            ("reconciliation", Reconciliation),
-            ("alice_measurement", Measurement),
-            ("bob_measurement", Measurement),
-            ("flavor", Flavor),
-        ):
-            value = getattr(self, name)
+    def __new__(
+        cls, reconciliation: Reconciliation, alice_measurement: Measurement,
+        bob_measurement: Measurement, flavor: Flavor = Flavor.EB
+    ):
+        self = tuple.__new__(cls, (reconciliation, alice_measurement, bob_measurement, flavor))
+        enums = (Reconciliation, Measurement, Measurement, Flavor)
+        for name, value, enum in zip(cls._fields, self, enums):
             if value.__class__ is not enum:  # an enum member's class is its enum
                 raise DomainError(f"{name} must be a {enum.__name__} member, got {value!r}")
-        a_het = self.alice_measurement is Measurement.HET
-        b_het = self.bob_measurement is Measurement.HET
-        dr = self.reconciliation is Reconciliation.DR
+        a_het = alice_measurement is Measurement.HET
+        b_het = bob_measurement is Measurement.HET
+        dr = reconciliation is Reconciliation.DR
         kind_ab, kind_ba = _KIND[a_het][b_het], _KIND[b_het][a_het]
         if dr and not b_het:
             one_sided_di = OneSidedDI.INDEPENDENT_OF_BOB
-        elif not dr and not a_het and self.flavor is Flavor.EB:
+        elif not dr and not a_het and flavor is Flavor.EB:
             one_sided_di = OneSidedDI.INDEPENDENT_OF_ALICE
         else:
             one_sided_di = OneSidedDI.NOT_1SDI
@@ -117,7 +114,8 @@ class ProtocolSpec:
             "_one_sided_di": one_sided_di,
         }
         for name, value in facts.items():
-            object.__setattr__(self, name, value)  # the dataclass is frozen
+            object.__setattr__(self, name, value)  # the record is immutable
+        return self
 
     @property
     def id(self) -> str:
@@ -152,8 +150,8 @@ _BY_ID = {
 }
 
 
-@dataclass(frozen=True)
-class ConditionalVariances:
+class ConditionalVariances(_record("ConditionalVariances", "v_x_b_given_a v_p_b_given_a "
+                                  "v_x_a_given_b v_p_a_given_b kind_b_given_a kind_a_given_b")):
     """The four conditional variances feeding a key-rate formula.
 
     For homodyne measurements the quantities are full-mode; when a party
@@ -165,16 +163,14 @@ class ConditionalVariances:
     (DomainError otherwise).
     """
 
-    v_x_b_given_a: float
-    v_p_b_given_a: float
-    v_x_a_given_b: float
-    v_p_a_given_b: float
-    kind_b_given_a: VarianceKind = VarianceKind.FULL
-    kind_a_given_b: VarianceKind = VarianceKind.FULL
-
-    def __post_init__(self):
-        for name in ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"):
-            value = getattr(self, name)
+    def __new__(
+        cls, v_x_b_given_a: float, v_p_b_given_a: float, v_x_a_given_b: float,
+        v_p_a_given_b: float, kind_b_given_a: VarianceKind = VarianceKind.FULL,
+        kind_a_given_b: VarianceKind = VarianceKind.FULL
+    ):
+        self = tuple.__new__(cls, (v_x_b_given_a, v_p_b_given_a, v_x_a_given_b, v_p_a_given_b,
+                                   kind_b_given_a, kind_a_given_b))
+        for name, value in zip(cls._fields, self[:4]):
             try:  # on this hot path only a failed comparison pays for the type check
                 nonnegative = value >= 0.0  # NaN fails too
             except TypeError:
@@ -182,25 +178,23 @@ class ConditionalVariances:
                 raise
             if not nonnegative:
                 raise DomainError(f"{name} must be nonnegative, got {value}")
-        if (
-            self.kind_b_given_a.__class__ is not VarianceKind
-            or self.kind_a_given_b.__class__ is not VarianceKind
-        ):  # as above, only a bad tag pays for finding which one it is
-            bad_b_given_a = self.kind_b_given_a.__class__ is not VarianceKind
-            name = "kind_b_given_a" if bad_b_given_a else "kind_a_given_b"
-            raise DomainError(f"{name} must be a VarianceKind member, got {getattr(self, name)!r}")
+        if kind_b_given_a.__class__ is not VarianceKind or kind_a_given_b.__class__ is not VarianceKind:
+            # as above, only a bad tag pays for finding which one it is
+            for name, tag in zip(cls._fields[4:], self[4:]):
+                if tag.__class__ is not VarianceKind:
+                    raise DomainError(f"{name} must be a VarianceKind member, got {tag!r}")
+        return self
 
 
 def _tagged(protocol: ProtocolSpec, b_given_a, a_given_b) -> ConditionalVariances:
-    # the (x, p) pairs of B|A and A|B, tagged with the protocol's expected kinds
+    # the (x, p) pairs of B|A and A|B, tagged with the protocol's expected kinds;
+    # positional, as a keyword call costs about twice as much
     kind_ab, kind_ba = protocol._kinds
-    return ConditionalVariances(
-        *b_given_a, *a_given_b, kind_b_given_a=kind_ba, kind_a_given_b=kind_ab
-    )
+    return ConditionalVariances(*b_given_a, *a_given_b, kind_ba, kind_ab)
 
 
-@dataclass(frozen=True)
-class KeyRateResult:
+class KeyRateResult(_record("KeyRateResult", "protocol key_rate steering_ab steering_ba "
+                                           "positive one_sided_di variances")):
     """Key rate in bits per retained symbol plus the steering diagnostics.
 
     The public route to the four conditional variances (``variances``)
@@ -216,14 +210,6 @@ class KeyRateResult:
     never None: in the identity-channel V -> inf limit of the
     homodyne-homodyne protocols all four are 0 and the rate is +inf.
     """
-
-    protocol: ProtocolSpec
-    key_rate: float
-    steering_ab: float
-    steering_ba: float
-    positive: bool
-    one_sided_di: OneSidedDI
-    variances: ConditionalVariances
 
 
 def gaussian_shannon_entropy(v: float) -> float:
@@ -319,14 +305,9 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
         rate = math.inf
     else:  # the product under- or overflows (variances near 1e-160 or 1e160); its factors do not
         rate = math.log2(2.0 / math.e) - (math.log2(v_x) + math.log2(v_p)) / 2.0
+    # positional, in field order, as a keyword call costs about twice as much
     return KeyRateResult(
-        protocol=protocol,
-        key_rate=rate,
-        steering_ab=steering_ab,
-        steering_ba=steering_ba,
-        positive=rate > 0.0,
-        one_sided_di=protocol._one_sided_di,
-        variances=cv,
+        protocol, rate, steering_ab, steering_ba, rate > 0.0, protocol._one_sided_di, cv
     )
 
 

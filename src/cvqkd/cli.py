@@ -15,7 +15,7 @@ numeric/domain errors and on a failed allocation ("error: out of memory").
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import math
 import sys
@@ -88,6 +88,7 @@ def _render(record, as_json: bool) -> str:
     return "".join(f"{k.ljust(width)}  {_cell(v)}\n" for k, v in record.items())
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was built
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cvqkd", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -213,7 +214,7 @@ def cmd_simulate(args):
             "key_rate_bits": rate.value,
             "key_rate_std_error": rate.std_error,
             "analytic_key_rate_bits": analytic.key_rate,
-            "variances": {name: dataclasses.asdict(e) for name, e in variances.items()},
+            "variances": {name: e._asdict() for name, e in variances.items()},
         }
     record["key_rate_bits"] = f"{_cell(rate.value)} +- {_cell(rate.std_error)}"
     record["analytic_key_rate_bits"] = analytic.key_rate

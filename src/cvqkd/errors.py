@@ -1,4 +1,4 @@
-"""Exception types, and the type-check and deferred-import helpers, shared across the package.
+"""Exception types, and the type-check, record and deferred-import helpers of the package.
 
 Everything derives from ``CVQKDError`` so callers (notably the CLI) can
 distinguish numeric/domain failures from programming errors.
@@ -13,6 +13,7 @@ programming error outside the contract.
 
 import importlib
 import numbers
+from collections import namedtuple
 
 
 class CVQKDError(ValueError):
@@ -56,6 +57,25 @@ def _typed(value, what: str, kind: str = "a real number") -> None:
     """
     if not isinstance(value, _KINDS[kind]) or value.__class__ is bool:
         raise DomainError(f"{what} must be {kind}, got {value!r}")
+
+
+def _immutable(record, *args):
+    raise AttributeError(f"{record.__class__.__name__} is immutable")
+
+
+def _record(name: str, fields: str):
+    """A ``namedtuple`` base for a frozen record class, whose ``__new__`` runs its checks.
+
+    ``_make``, and so ``_replace``, ``copy`` and ``pickle`` rebuild a record by
+    calling its class, never with ``tuple.__new__`` or from a saved ``__dict__``:
+    each re-runs the checks and recomputes what ``__new__`` derives and stores
+    with ``object.__setattr__``, since assignment raises.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base.__reduce__ = lambda record: (record.__class__, tuple(record))
+    base.__setattr__ = base.__delattr__ = _immutable
+    return base
 
 
 class _Deferred:

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, PrecisionError, UnphysicalStateError, _typed
+from .errors import DomainError, PrecisionError, UnphysicalStateError, _record, _typed
 
 # Tolerance of the bona fide check.
 NU_TOLERANCE = 1e-9
@@ -39,47 +38,40 @@ class Quadrature(Enum):
     P = "p"
 
 
-@dataclass(frozen=True)
-class ModeQuadrature:
+class ModeQuadrature(_record("ModeQuadrature", "mode quadrature")):
     """A single quadrature of a single mode, e.g. (mode 1, P).
 
     The mode must be 0 (Alice) or 1 (Bob), DomainError otherwise: it is
     checked here, once, and not again where a state reads it.
     """
 
-    mode: int
-    quadrature: Quadrature
-
-    def __post_init__(self):
-        integer = isinstance(self.mode, (int, numbers.Integral)) and self.mode.__class__ is not bool
-        if not (integer and isinstance(self.quadrature, Quadrature)):
-            raise DomainError(f"need (int, Quadrature), got ({self.mode!r}, {self.quadrature!r})")
-        if self.mode not in (0, 1):
-            raise DomainError(f"mode {self.mode} out of range for a two-mode state")
+    def __new__(cls, mode: int, quadrature: Quadrature):
+        integer = isinstance(mode, (int, numbers.Integral)) and mode.__class__ is not bool
+        if not (integer and isinstance(quadrature, Quadrature)):
+            raise DomainError(f"need (int, Quadrature), got ({mode!r}, {quadrature!r})")
+        if mode not in (0, 1):
+            raise DomainError(f"mode {mode} out of range for a two-mode state")
+        return tuple.__new__(cls, (mode, quadrature))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class ChannelParams(_record("ChannelParams", "transmission excess_noise")):
     """Gaussian channel with transmission T and excess noise xi (SNU, input-referred).
 
     A pure state of unit variance acquires variance 1 + T*xi after the
     channel, on top of the loss-induced mixing with vacuum.
     """
 
-    transmission: float
-    excess_noise: float = 0.0
-
-    def __post_init__(self):
-        _typed(self.transmission, "transmission")
-        _typed(self.excess_noise, "excess noise")
-        if not 0.0 < self.transmission <= 1.0:
-            raise DomainError(f"transmission must lie in (0, 1], got {self.transmission}")
-        if not 0.0 <= self.excess_noise < math.inf:
-            raise DomainError(f"excess noise must be finite and >= 0, got {self.excess_noise}")
+    def __new__(cls, transmission: float, excess_noise: float = 0.0):
+        _typed(transmission, "transmission")
+        _typed(excess_noise, "excess noise")
+        if not 0.0 < transmission <= 1.0:
+            raise DomainError(f"transmission must lie in (0, 1], got {transmission}")
+        if not 0.0 <= excess_noise < math.inf:
+            raise DomainError(f"excess noise must be finite and >= 0, got {excess_noise}")
+        return tuple.__new__(cls, (transmission, excess_noise))
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
+class CovarianceMatrix(_record("CovarianceMatrix", "a b c")):
     """A two-mode state of the family: blocks A = a I, B = b I and C = diag(c, -c).
 
     Every state the package builds has this form (Weedbrook et al., Rev.
@@ -96,27 +88,31 @@ class CovarianceMatrix:
     conditioning on any quadrature divides by one of them safely.
     """
 
-    a: float
-    b: float
-    c: float
     n_modes = 2  # a class constant, not a field; only bench/spans.py reads it
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            if value.__class__ is not float:
+    def __new__(cls, a: float, b: float, c: float):
+        entries = (a, b, c)
+        if not a.__class__ is b.__class__ is c.__class__ is float:  # only others pay for checks
+            for name, value in zip(cls._fields, entries):
                 _typed(value, f"covariance matrix entry {name}")
-                object.__setattr__(self, name, float(value))
-        x, y, z = abs(self.a), abs(self.b), abs(self.c)
+            entries = tuple(map(float, entries))
+        self = tuple.__new__(cls, entries)
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):
+        # the checks on the float entries; bench/spans.py times and counts this method
+        a, b, c = self
+        x, y, z = abs(a), abs(b), abs(c)
         peak = max(x, y, z) if x + y + z == x + y + z else math.nan  # max() can drop a NaN
         if not peak < math.inf:
             raise DomainError(f"covariance matrix entries must be finite, got max |m| = {peak}")
         if peak >= _ENTRY_LIMIT:
             raise PrecisionError(f"covariance matrix entry {peak} reaches 2^510: spectra overflow")
         scale = max(1.0, peak)
-        nus = _closed_form_spectrum(self.a, self.b, self.c)
+        nus = _closed_form_spectrum(a, b, c)
         if nus is None:  # the quadrature block [[a, c], [c, b]] is not positive definite to rounding
-            low = (self.a + self.b) / 2.0 - math.hypot((self.a - self.b) / 2.0, self.c)
+            low = (a + b) / 2.0 - math.hypot((a - b) / 2.0, c)
             if low < -NU_TOLERANCE * scale:
                 raise UnphysicalStateError("covariance matrix is not positive definite")
             raise PrecisionError(f"covariance matrix eigenvalue {low} is below its rounding floor")

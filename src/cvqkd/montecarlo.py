@@ -22,8 +22,7 @@ loads it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bounds import ProtocolSpec, _rate_pair, _tagged, infer_full_mode_variance, key_rate
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
     PrecisionError,
     UnphysicalInferenceError,
     _Deferred,
+    _record,
     _typed,
 )
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
@@ -66,13 +66,11 @@ def __getattr__(name: str):
 _EMPTY_CELL = 216
 
 
-class _Tables(NamedTuple):
-    pow10: np.ndarray  # 10.0 ** k for k = 0..13
-    letters: np.ndarray  # the basis letters "x" and "p" as bytes
-    lead: np.ndarray  # uint64 lead word per leading digit
-    groups: np.ndarray  # uint64 ".a.b.c.d" per 4-digit group
-    trailing: np.ndarray  # trailing zeros per 4-digit group, 4 for 0000
-    masks: np.ndarray  # (217, 3) uint64 keep masks
+# the formatter's arrays: pow10, 10.0 ** k for k = 0..13; letters, the basis
+# letters "x" and "p" as bytes; lead, the uint64 lead word per leading digit;
+# groups, the uint64 ".a.b.c.d" per 4-digit group; trailing, the trailing zeros
+# per 4-digit group, 4 for 0000; masks, the (217, 3) uint64 keep masks
+_Tables = namedtuple("_Tables", "pow10 letters lead groups trailing masks")
 
 
 def _tables() -> _Tables:
@@ -149,8 +147,12 @@ def _format_cells(x: np.ndarray, tables: _Tables, text: np.ndarray, keep: np.nda
         keep[i] = (np.arange(24) < len(cell)).view(np.uint64)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
+class MeasurementRecord(
+    _record(
+        "MeasurementRecord",
+        "protocol channel modulation n seed rng_stream basis_a basis_b x_a p_a x_b p_b",
+    )
+):
     """Per-symbol measurement outcomes in SNU; NaN marks an unmeasured cell.
 
     For a homodyning party the basis array holds 0 (x) or 1 (p) per
@@ -158,19 +160,6 @@ class MeasurementRecord:
     heterodyning party has no basis array and both columns filled (the
     two beamsplitter halves).
     """
-
-    protocol: ProtocolSpec
-    channel: ChannelParams
-    modulation: float
-    n: int
-    seed: int
-    rng_stream: str
-    basis_a: np.ndarray | None
-    basis_b: np.ndarray | None
-    x_a: np.ndarray
-    p_a: np.ndarray
-    x_b: np.ndarray
-    p_b: np.ndarray
 
     def column(self, name: str) -> np.ndarray:
         if name not in COLUMNS:
@@ -231,11 +220,8 @@ class MeasurementRecord:
         stream.write("\n")
 
 
-@dataclass(frozen=True)
-class EstimateWithError:
-    value: float
-    std_error: float
-    n: int
+class EstimateWithError(_record("EstimateWithError", "value std_error n")):
+    """An estimate, its standard error and the number of sifted symbols it was formed from."""
 
 
 def _block_seed(seed: int, block: int) -> np.random.Generator:
@@ -403,12 +389,11 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     return float(-(p * np.log2(p)).sum() + math.log2(bin_width))
 
 
-@dataclass(frozen=True)
-class SimulatedKeyRate:
-    """Empirical key-rate evaluation with propagated statistical error."""
+class SimulatedKeyRate(_record("SimulatedKeyRate", "key_rate variances")):
+    """Empirical key-rate evaluation with propagated statistical error.
 
-    key_rate: EstimateWithError
-    variances: dict[str, EstimateWithError]
+    ``variances`` maps each conditional-variance name to its ``EstimateWithError``.
+    """
 
 
 def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:

@@ -37,7 +37,6 @@ any array is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bounds import (
     KeyRateResult,
@@ -47,7 +46,7 @@ from .bounds import (
     infer_full_mode_variance,
     key_rate,
 )
-from .errors import DomainError, PrecisionError, _Deferred, _typed
+from .errors import DomainError, PrecisionError, _Deferred, _record, _typed
 from .gaussian import ChannelParams
 
 np = _Deferred("numpy")
@@ -62,18 +61,14 @@ _LAWS = {
 _LAW_MARGIN = 1e-12  # law and float sign test agree beyond this distance from a boundary
 
 
-@dataclass(frozen=True)
-class FibreModel:
+class FibreModel(_record("FibreModel", "attenuation_db_per_km")):
     """Standard fibre: T = 10^(-attenuation * d / 10), default 0.2 dB/km."""
 
-    attenuation_db_per_km: float = 0.2
-
-    def __post_init__(self):
-        _typed(self.attenuation_db_per_km, "attenuation")
-        if not 0.0 < self.attenuation_db_per_km < math.inf:
-            raise DomainError(
-                f"attenuation must be finite and positive, got {self.attenuation_db_per_km}"
-            )
+    def __new__(cls, attenuation_db_per_km: float = 0.2):
+        _typed(attenuation_db_per_km, "attenuation")
+        if not 0.0 < attenuation_db_per_km < math.inf:
+            raise DomainError(f"attenuation must be finite and positive, got {attenuation_db_per_km}")
+        return tuple.__new__(cls, (attenuation_db_per_km,))
 
     def distance_km(self, transmission: float) -> float:
         """Fibre length with this transmission, which must lie in (0, 1]; PrecisionError if inf."""
@@ -85,8 +80,7 @@ class FibreModel:
         return km
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(_record("SweepConfig", "t_min t_max steps")):
     """Transmission grid for region sweeps.
 
     The grid is ``steps`` evenly spaced T from t_min to t_max, both ends
@@ -97,18 +91,15 @@ class SweepConfig:
     one array, and ``verify-ur`` walks it point by point.
     """
 
-    t_min: float
-    t_max: float
-    steps: int
-
-    def __post_init__(self):
-        ChannelParams(self.t_min)  # DomainError on NaN, inf or T outside (0, 1]
-        ChannelParams(self.t_max)
-        _typed(self.steps, "grid steps", "an integer")
-        if self.steps < 1:
-            raise DomainError(f"grid needs at least 1 step, got {self.steps}")
-        if self.steps > 1 and not self.t_min < self.t_max:
-            raise DomainError(f"need t_min < t_max, got {self.t_min}, {self.t_max}")
+    def __new__(cls, t_min: float, t_max: float, steps: int):
+        ChannelParams(t_min)  # DomainError on NaN, inf or T outside (0, 1]
+        ChannelParams(t_max)
+        _typed(steps, "grid steps", "an integer")
+        if steps < 1:
+            raise DomainError(f"grid needs at least 1 step, got {steps}")
+        if steps > 1 and not t_min < t_max:
+            raise DomainError(f"need t_min < t_max, got {t_min}, {t_max}")
+        return tuple.__new__(cls, (t_min, t_max, steps))
 
     def t_values(self) -> list[float]:
         """The grid as floats, equal to ``np.linspace(t_min, t_max, steps).tolist()``.

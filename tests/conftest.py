@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import os
 import pickle
@@ -37,13 +36,15 @@ def fresh_python(*args):
     )
 
 
-# a spec as built, and as each route that copies one returns it
-SPEC_COPIES = {
-    "built": lambda p: p,
-    "replace": dataclasses.replace,
+# the routes that copy a record: each builds the copy through the record's class
+COPY_ROUTES = {
+    "replace": lambda record: record._replace(),
+    "copy": copy.copy,
     "deepcopy": copy.deepcopy,
-    "pickle": lambda p: pickle.loads(pickle.dumps(p)),
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
 }
+# a spec as built, and as each route that copies one returns it
+SPEC_COPIES = {"built": lambda p: p, **COPY_ROUTES}
 
 X_A = ModeQuadrature(0, Quadrature.X)
 P_A = ModeQuadrature(0, Quadrature.P)

@@ -1,6 +1,5 @@
 """Entropy kernels, key-rate formulas, steering, UR slack and the DW oracle."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -140,9 +139,12 @@ class TestProtocolSpec:
 
     def test_facts_are_not_fields(self):
         p = ProtocolSpec.parse("dr-hetA-homB-pm")
-        assert [f.name for f in dataclasses.fields(p)] == [
+        assert p._fields == (
             "reconciliation", "alice_measurement", "bob_measurement", "flavor"
-        ]
+        )
+        assert len(p) == 4 and tuple(p) == (
+            Reconciliation.DR, Measurement.HET, Measurement.HOM, Flavor.PM
+        )
         assert repr(p) == (
             "ProtocolSpec(reconciliation=<Reconciliation.DR: 'dr'>, "
             "alice_measurement=<Measurement.HET: 'het'>, "

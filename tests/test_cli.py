@@ -11,7 +11,7 @@ import pytest
 import cvqkd
 from conftest import fresh_python
 from cvqkd import ProtocolSpec, SweepConfig, security_region
-from cvqkd.cli import _COMMANDS, _json, main
+from cvqkd.cli import _COMMANDS, _json, build_parser, main
 
 
 def run(capsys, *argv):
@@ -560,6 +560,10 @@ class TestModuleEntry:
         assert proc.returncode == code == want
         assert (proc.stdout, proc.stderr) == (out.out, out.err)
 
+    def test_parser_is_built_once_per_process(self, capsys):
+        assert main(["table"]) == main(["table"]) == 0
+        assert build_parser() is build_parser() and build_parser.cache_info().misses == 1
+
     def test_table_and_keyrate_never_import_numpy(self):
         # a fresh interpreter: this suite imports numpy before any test runs; nor do
         # a state, its spectrum, entropy, UR slacks, DW ceilings and conditional variances
@@ -611,6 +615,19 @@ class TestModuleEntry:
             "assert rows == [(t, None) for t in ts]\n"
             "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
             "assert not loaded, loaded[:5]\n"
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_table_loads_neither_dataclasses_nor_inspect(self):
+        # a fresh interpreter: the records are namedtuples, and dataclasses imports inspect
+        proc = fresh_python(
+            "-c",
+            "import contextlib, io, sys\n"
+            "import cvqkd.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cvqkd.cli.main(['table']) == 0\n"
+            "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
         assert (proc.returncode, proc.stderr) == (0, "")
 

@@ -6,10 +6,11 @@ call must return finite numbers (an infinity only where the callable
 documents one, None where it documents one) or raise a ``CVQKDError``:
 never NaN and never an untyped exception. Arguments of object type (a
 protocol, a channel, a covariance matrix, a record) are outside the
-contract, as the ``errors`` module states.
+contract, as the ``errors`` module states. The records themselves are
+namedtuples: their semantics, and that every route copying one runs its
+checks again, are pinned at the end.
 """
 
-import dataclasses
 import enum
 import inspect
 import math
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import cvqkd
+from conftest import COPY_ROUTES
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
@@ -25,8 +27,10 @@ from cvqkd import (
     CVQKDError,
     FibreModel,
     Flavor,
+    KeyRateResult,
     Measurement,
     ModeQuadrature,
+    OneSidedDI,
     ProtocolSpec,
     Quadrature,
     Reconciliation,
@@ -36,6 +40,7 @@ from cvqkd import (
     empirical_entropy,
     entropy_g,
     estimate_conditional_variance,
+    estimate_key_rate,
     gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate_at,
@@ -122,12 +127,12 @@ DOCUMENTED_INF = {
 def _numbers(result):
     """Every scalar number reachable from a result, through records, tuples, lists and dicts.
 
-    Arrays are skipped: a NaN cell of a record column marks an unmeasured quadrature.
+    Records are tuples, so the tuple branch walks their fields. Arrays are
+    skipped: a NaN cell of a record column marks an unmeasured quadrature.
     """
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        for f in dataclasses.fields(result):
-            yield from _numbers(getattr(result, f.name))
-    elif isinstance(result, (tuple, list)):
+    if type(result).__module__.startswith("cvqkd"):  # a record, or an enum member
+        assert isinstance(result, (tuple, enum.Enum)), f"the walk cannot enter {result!r}"
+    if isinstance(result, (tuple, list)):
         for item in result:
             yield from _numbers(item)
     elif isinstance(result, dict):
@@ -169,3 +174,101 @@ def test_odd_arguments_return_finite_values_or_raise_typed_errors(name, argument
                 violations.append(f"{label}: returned {result!r}")
                 break
     assert not violations, violations
+
+
+RATE = key_rate_at(RR_HOM_HOM, ChannelParams(0.5, 0.01), 5.0)
+# each record that checks its fields: a valid one, and a field value its checks reject
+CHECKED = {
+    "ChannelParams": (ChannelParams(0.5, 0.01), "transmission", 2.0, "transmission must lie in"),
+    "ModeQuadrature": (ModeQuadrature(1, Quadrature.P), "mode", 2, "mode 2 out of range"),
+    "CovarianceMatrix": (tmsv(2.0), "c", 5.0, "not positive definite"),
+    "ProtocolSpec": (RR_HOM_HOM, "flavor", "pm", "flavor must be a Flavor member"),
+    "ConditionalVariances": (RATE.variances, "kind_a_given_b", "full", "kind_a_given_b must be"),
+    "FibreModel": (FibreModel(), "attenuation_db_per_km", 0.0, "attenuation must be finite"),
+    "SweepConfig": (SweepConfig(0.1, 1.0, 5), "steps", 0, "grid needs at least 1 step"),
+}
+UNCHECKED = {
+    "KeyRateResult": RATE,
+    "MeasurementRecord": RECORD,
+    "EstimateWithError": estimate_conditional_variance(RECORD, "x_b", "x_a"),
+    "SimulatedKeyRate": estimate_key_rate(RECORD),
+}
+
+
+def test_records_are_tuples():
+    # every record is a namedtuple: equal to, hashed and ordered as the tuple of its fields
+    records = {
+        name for name in cvqkd.__all__
+        if isinstance(getattr(cvqkd, name), type) and issubclass(getattr(cvqkd, name), tuple)
+    }
+    assert records == set(CHECKED) | set(UNCHECKED)
+    assert not any(hasattr(getattr(cvqkd, name), "__dataclass_fields__") for name in records)
+    ch = ChannelParams(0.5, 0.01)
+    assert ch == (0.5, 0.01) and hash(ch) == hash((0.5, 0.01)) and ChannelParams(0.4) < ch
+    assert len(ch) == 2 and list(ch) == [0.5, 0.01] and ch[1] == 0.01
+    assert ch._asdict() == {"transmission": 0.5, "excess_noise": 0.01}
+    assert SweepConfig(t_min=0.5, t_max=1.0, steps=1) == (0.5, 1.0, 1)
+    cv = ConditionalVariances(v_x_b_given_a=1, v_p_b_given_a=2, v_x_a_given_b=3, v_p_a_given_b=4)
+    assert cv == (1, 2, 3, 4, VarianceKind.FULL, VarianceKind.FULL)
+    assert isinstance(RATE, KeyRateResult) and RATE[-1] is RATE.variances
+
+
+@pytest.mark.parametrize(
+    "record, name", [(ChannelParams(0.5), "transmission"), (ChannelParams(0.5), "extra"),
+                     (tmsv(2.0), "_nus"), (RR_HOM_HOM, "_kinds")],
+    ids=["field", "new", "spectrum", "fact"],
+)
+def test_records_are_immutable(record, name):
+    # as the frozen records were: no field, derived fact or new attribute is set or deleted
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError, match="is immutable"):
+        delattr(record, name)
+
+
+@pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=list(COPY_ROUTES))
+@pytest.mark.parametrize("name", list(CHECKED))
+def test_copy_routes_rerun_the_checks(name, route):
+    record, field, bad, message = CHECKED[name]
+    copied = route(record)
+    assert type(copied) is type(record) and copied == record
+    with pytest.raises(CVQKDError, match=message):
+        record._replace(**{field: bad})
+    # the same fields put together without the checks, as namedtuple's own _make does
+    unchecked = tuple.__new__(type(record), (record._asdict() | {field: bad}).values())
+    with pytest.raises(CVQKDError, match=message):
+        route(unchecked)
+
+
+@pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=list(COPY_ROUTES))
+def test_copy_routes_recompute_the_derived_facts(route):
+    # each route derives a copy's facts from its fields, and never carries over the original's
+    facts = [(tmsv(2.0), ["_nus"]), (RR_HOM_HOM, ["_a_het", "_b_het", "_dr", "_kinds", "_one_sided_di"])]
+    for record, names in facts:
+        stale = tuple.__new__(type(record), record)
+        for name in names:
+            object.__setattr__(stale, name, None)
+        copied = route(stale)
+        assert [getattr(copied, n) for n in names] == [getattr(record, n) for n in names]
+
+
+def test_replace_derives_the_facts_of_the_new_fields():
+    pm = RR_HOM_HOM._replace(flavor=Flavor.PM)
+    assert pm == ProtocolSpec.parse("rr-homA-homB-pm")
+    assert RR_HOM_HOM._one_sided_di is OneSidedDI.INDEPENDENT_OF_ALICE
+    assert pm._one_sided_di is OneSidedDI.NOT_1SDI
+    cm = tmsv(2.0)._replace(b=3.0)
+    assert cm._nus == CovarianceMatrix(2.0, 3.0, cm.c)._nus and cm._nus != tmsv(2.0)._nus
+
+
+@pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=list(COPY_ROUTES))
+@pytest.mark.parametrize("name", list(UNCHECKED))
+def test_copy_routes_keep_unchecked_records(name, route):
+    record = UNCHECKED[name]
+    copied = route(record)
+    assert type(copied) is type(record) and len(copied) == len(record)
+    for got, want in zip(copied, record):
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want

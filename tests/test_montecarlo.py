@@ -1,7 +1,6 @@
 """Sampling determinism, estimator consistency and entropy estimation."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import math
@@ -63,7 +62,7 @@ def holding(protocol, values):
     """A record of len(values) rows whose four columns are rotations of values."""
     rec = sample_quadratures(protocol, PERFECT, 2.0, len(values), seed=1)
     columns = {name: np.roll(values, k) for k, name in enumerate(("x_a", "p_a", "x_b", "p_b"))}
-    return dataclasses.replace(rec, **columns)
+    return rec._replace(**columns)
 
 
 def near_ties():
@@ -434,7 +433,7 @@ class TestSimulateProtocolRun:
         x = np.array([-1.0, 0.0, 1.0, math.nan, math.nan, math.nan])
         p_a = np.array([math.nan, math.nan, math.nan, -1.0, 0.0, 1.0])
         p_b = np.array([math.nan, math.nan, math.nan, 1.0, 0.0, 0.0])
-        rec = dataclasses.replace(rec, x_a=x, x_b=x.copy(), p_a=p_a, p_b=p_b)
+        rec = rec._replace(x_a=x, x_b=x.copy(), p_a=p_a, p_b=p_b)
         assert estimate_conditional_variance(rec, "x_b", "x_a").value == 0.0
         with pytest.raises(DomainError, match=r"^v_x_b_given_a must be positive, got 0\.0$"):
             estimate_key_rate(rec)
@@ -445,8 +444,7 @@ class TestSimulateProtocolRun:
         het_hom = ProtocolSpec.parse("rr-hetA-homB-eb")
         rec = sample_quadratures(het_hom, ChannelParams(0.9, 0.01), 5.0, 8, seed=1)
         nan = [math.nan] * 4
-        rec = dataclasses.replace(
-            rec,
+        rec = rec._replace(
             basis_b=np.array([0] * 4 + [1] * 4, dtype=np.uint8),
             x_a=np.array([-1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0]),
             p_a=np.array([0.0, 0.0, 0.0, 0.0, -1.0, -1.0, 1.0, 1.0]),
@@ -462,7 +460,7 @@ class TestSimulateProtocolRun:
     def test_constant_given_column_is_rejected(self):
         het_het = ProtocolSpec.parse("rr-hetA-hetB-eb")
         rec = sample_quadratures(het_het, ChannelParams(0.9, 0.01), 5.0, 8, seed=1)
-        rec = dataclasses.replace(rec, x_a=np.ones(8))
+        rec = rec._replace(x_a=np.ones(8))
         with pytest.raises(DomainError, match=r"^x_a is constant over the 8 sifted pairs of x_b\|x_a$"):
             estimate_key_rate(rec)
 
@@ -522,7 +520,7 @@ class TestCsvExport:
         n = len(values)
         rec = sample_quadratures(protocol, PERFECT, 2.0, n, seed=1)
         columns = {name: np.roll(values, k) for k, name in enumerate(("x_a", "p_a", "x_b", "p_b"))}
-        rec = dataclasses.replace(rec, **columns)
+        rec = rec._replace(**columns)
         text = csv_text(rec)
         assert text == oracle_csv(rec)
         first = text.split("\n")[1].split(",")
@@ -563,7 +561,7 @@ class TestCsvExport:
         het_het = ProtocolSpec.parse("rr-hetA-hetB-eb")
         rec = sample_quadratures(het_het, PERFECT, 2.0, 1, seed=1)
         cells = np.full(n, 1.5)
-        rec = dataclasses.replace(rec, n=n, x_a=cells, p_a=cells, x_b=cells, p_b=cells)
+        rec = rec._replace(n=n, x_a=cells, p_a=cells, x_b=cells, p_b=cells)
         lines = io.StringIO(csv_text(rec))
         assert next(lines) == "index,basis_a,basis_b,x_a,p_a,x_b,p_b\n"
         for i, line in enumerate(lines):
