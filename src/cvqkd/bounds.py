@@ -254,20 +254,6 @@ def classify_1sdi(protocol: ProtocolSpec) -> OneSidedDI:
     return protocol._one_sided_di
 
 
-def _rate_pair(protocol: ProtocolSpec, b_given_a: tuple, a_given_b: tuple) -> tuple[tuple, bool]:
-    """The (v_x, v_p) pair a protocol's rate reads, and whether its v_p enters as 2v - 1.
-
-    DR rates read the A|B pair and RR rates the B|A pair; the p-side is
-    lifted where that pair's conditioner heterodynes (Bob for A|B, Alice
-    for B|A), and the x-side always enters as measured. The pairs may hold
-    anything: floats, numpy arrays or estimates. ``key_rate`` states the
-    same rule inline, on its hot path.
-    """
-    if protocol._dr:
-        return a_given_b, protocol._b_het
-    return b_given_a, protocol._a_het
-
-
 def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     """Evaluate the protocol's entropic key-rate bound on given variances.
 

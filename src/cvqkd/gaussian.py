@@ -88,7 +88,7 @@ class CovarianceMatrix(_record("CovarianceMatrix", "a b c")):
     conditioning on any quadrature divides by one of them safely.
     """
 
-    n_modes = 2  # a class constant, not a field; only bench/spans.py reads it
+    n_modes = 2  # a class constant, not a field; bench/spans.py and the tests read it
 
     def __new__(cls, a: float, b: float, c: float):
         entries = (a, b, c)

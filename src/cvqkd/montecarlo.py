@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .bounds import ProtocolSpec, _rate_pair, _tagged, infer_full_mode_variance, key_rate
+from .bounds import ProtocolSpec, _tagged, infer_full_mode_variance, key_rate
 from .errors import (
     DomainError,
     InsufficientDataError,
@@ -417,7 +417,10 @@ def estimate_key_rate(record: MeasurementRecord) -> SimulatedKeyRate:
     cv = _tagged(protocol, (x_ba.value, p_ba.value), (x_ab.value, p_ab.value))
     result = key_rate(protocol, cv)
     # K = const - (log2 vx)/2 - (log2 vp)/2, vp entering as 2 vp - 1 where lifted: slope 2
-    (x_est, p_est), lift = _rate_pair(protocol, (x_ba, p_ba), (x_ab, p_ab))
+    if protocol._dr:  # A|B, whose conditioner is Bob; RR reads B|A, conditioned on Alice
+        x_est, p_est, lift = x_ab, p_ab, protocol._b_het
+    else:
+        x_est, p_est, lift = x_ba, p_ba, protocol._a_het
     dx = x_est.std_error / (2.0 * math.log(2.0) * x_est.value)
     vp_eff = infer_full_mode_variance(p_est.value) if lift else p_est.value
     if not vp_eff > 0.0:  # a half of exactly 1/2 lifts to the V -> inf limit 0

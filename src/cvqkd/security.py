@@ -4,48 +4,42 @@ Every protocol's conditional variances come from one closed form in
 u = 1/V (``_cond_variances``), so no covariance matrix is built at any
 modulation. u = 0 is the V -> inf limit, the most favorable one, where
 all the figure-of-merit numbers quoted for these protocols live, and
-where the solvers work in closed form. With w = 1 - T + T xi, the rate
-log2(2/(e sqrt P)) on the variance ``_rate_pair`` reads (A|B for DR, B|A
-for RR) is nonnegative iff e sqrt P <= 2, which is one law w <= c T^k
-with xi_max(T) = (c T^k - (1 - T))/T:
+where the solvers work in closed form. There x and p share one
+conditional variance v of the pair the rate reads (A|B for DR, B|A for
+RR), and the rate log2(2/(e sqrt(Vx Vp))) is nonnegative iff e v <= 2.
+With w = 1 - T + T xi that is one law w <= c T^k with
+xi_max(T) = (c T^k - (1 - T))/T:
 
-    dr homA-homB   w/T           w <= (2/e) T       T* = 1/(1 + 2/e - xi)
-    rr homA-homB   w             w <= 2/e           T* = (1 - 2/e)/(1 - xi)
-    rr homA-hetB   (w + 1)/2     w <= 4/e - 1       T* = (2 - 4/e)/(1 - xi)
-    dr hetA-homB   (w/T + 1)/2   w <= (4/e - 1) T   T* = 1/(4/e - xi)
+    dr homA-homB   v = w/T           w <= (2/e) T       T* = 1/(1 + 2/e - xi)
+    rr homA-homB   v = w             w <= 2/e           T* = (1 - 2/e)/(1 - xi)
+    rr homA-hetB   v = (w + 1)/2     w <= 4/e - 1       T* = (2 - 4/e)/(1 - xi)
+    dr hetA-homB   v = (w/T + 1)/2   w <= (4/e - 1) T   T* = 1/(4/e - xi)
 
-A heterodyning conditioner (Bob for DR, Alice for RR) makes the rate read
-v and 2v - 1 with v >= 1, a product >= 1 > 4/e^2: the other eight are
-never secure. T* and xi_max lie within 1e-14 relative plus 1e-15 of
-60-digit mpmath, then step by nextafter towards the secure side until
-``_secure_at_infinite_v`` (exactly ``key_rate_at(...).key_rate >= 0``)
-holds, at most 3 ulps on about 10^5 sampled points. Within
-``_LAW_MARGIN`` of a boundary, where law and float test can differ by a
-rounding, that test decides between a value and None.
+A heterodyning conditioner (Bob for DR, Alice for RR) adds vacuum, so
+v >= 1 and e v > 2: the other eight are never secure. T* and xi_max
+lie within 1e-14 relative plus 1e-15 of 60-digit mpmath, then step by
+nextafter towards the secure side until ``_secure_at_infinite_v``
+(exactly ``key_rate_at(...).key_rate >= 0``) holds, at most 3 ulps on
+about 10^5 sampled points. Within ``_LAW_MARGIN`` of a boundary, where
+law and float test can differ by a rounding, that test decides between
+a value and None.
 
-Two routes run that test, with the same arithmetic. T* is a scalar
-route: ``threshold_transmission`` (and so ``max_distance``) solves one
-float with ``math`` and loads no numpy. xi_max is an array route:
-``security_region`` solves its whole grid as one array in ``_xi_max``,
-where every open row steps once a pass, and ``max_excess_noise`` is its
-one-point grid. A float-only ``_xi_max``, one point at a time, made the
-region benchmark's pass 3x slower (``pass_ref`` 0.072 -> 0.236 on a
-2-core host). The eight protocols without a law return None rows before
-any array is built.
+Two routes run that test. T* is a scalar route:
+``threshold_transmission`` (and so ``max_distance``) solves one float
+and loads no numpy. xi_max is an array route: ``security_region``
+solves its whole grid as one array in ``_xi_max``, where every open row
+steps once a pass, and ``max_excess_noise`` is its one-point grid. A
+float-only ``_xi_max``, one point at a time, made the region
+benchmark's pass 3x slower (``pass_ref`` 0.072 -> 0.236 on a 2-core
+host). The eight protocols without a law return None rows before any
+array is built.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bounds import (
-    KeyRateResult,
-    ProtocolSpec,
-    _rate_pair,
-    _tagged,
-    infer_full_mode_variance,
-    key_rate,
-)
+from .bounds import KeyRateResult, ProtocolSpec, _tagged, key_rate
 from .errors import DomainError, PrecisionError, _Deferred, _record, _typed
 from .gaussian import ChannelParams
 
@@ -164,24 +158,20 @@ def _cond_variances(
 def _secure_at_infinite_v(
     protocol: ProtocolSpec, t: float | np.ndarray, xi: float | np.ndarray
 ) -> bool | np.ndarray:
-    """Elementwise ``key_rate_at(protocol, ChannelParams(t, xi)).key_rate >= 0.0``.
+    """Elementwise ``key_rate_at(protocol, ChannelParams(t, xi)).key_rate >= 0.0``: e v <= 2.
 
-    With P the product of the rate's variance pair, the rate
-    log2(2/(e sqrt P)) is >= 0 exactly when fl(e sqrt P) <= 2, since
-    rounding is monotone and log2 keeps its sign around 1. The test also
-    holds where ``key_rate`` leaves that formula: P = 0 (identity channel
-    or underflow, rate +inf or large) is secure and P = inf (overflow,
-    rate negative) is not. Extreme (t, xi) can overflow numpy's arithmetic
-    here; the solvers never pass them, since ``_xi_max`` divides only rows
-    at T > 1/4 and ``threshold_transmission`` tests only T* >= 0.26. A
-    float takes ``math.sqrt``, so ``threshold_transmission`` loads no
-    numpy; an array takes ``np.sqrt``, which rounds alike.
+    v is the variance the rate reads for both x and p, so its product is
+    v v, or v (2v - 1) where the conditioner heterodynes. There v >= 1 and
+    both tests read insecure. Otherwise sqrt(fl(v v)) = v in binary64
+    round-to-nearest (S. Boldo, ENTCS 317, 2015); where v v overflows
+    both read insecure, and where it underflows (v < 1.5e-154) both read
+    secure, as ``key_rate`` gives the rate +inf or takes its logs apart.
+    Extreme (t, xi) can overflow numpy's arithmetic here; the solvers
+    never pass them, since ``_xi_max`` divides only rows at T > 1/4 and
+    ``threshold_transmission`` tests only T* >= 0.26.
     """
     a_given_b, b_given_a = _cond_variances(protocol, t, xi)
-    (v_x, v_p), lift = _rate_pair(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b))
-    product = v_x * (infer_full_mode_variance(v_p) if lift else v_p)
-    root = math.sqrt(product) if isinstance(product, float) else np.sqrt(product)
-    return math.e * root <= 2.0
+    return math.e * (a_given_b if protocol._dr else b_given_a) <= 2.0
 
 
 def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) -> KeyRateResult:

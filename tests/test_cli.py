@@ -566,7 +566,8 @@ class TestModuleEntry:
 
     def test_table_and_keyrate_never_import_numpy(self):
         # a fresh interpreter: this suite imports numpy before any test runs; nor do
-        # a state, its spectrum, entropy, UR slacks, DW ceilings and conditional variances
+        # a state, its spectrum, entropy, UR slacks, DW ceilings and conditional variances,
+        # finite-V and identity-channel key rates and the 1sDI classes
         proc = fresh_python(
             "-c",
             "import contextlib, io, sys\n"
@@ -583,6 +584,12 @@ class TestModuleEntry:
             "values += [cvqkd.conditional_variance(cm, q[i], q[j]) for i, j in ((2, 0), (3, 1), (0, 2), (1, 3))]\n"
             "values += [*cvqkd.symplectic_eigenvalues(cm), cvqkd.von_neumann_entropy(cm)]\n"
             "assert all(v == v for v in values) and len(values) == 11, values\n"
+            "for p in cvqkd.ProtocolSpec.all():\n"
+            "    finite = cvqkd.key_rate_at(p, cvqkd.ChannelParams(0.5, 0.01), 5.0).key_rate\n"
+            "    identity = cvqkd.key_rate_at(p, cvqkd.ChannelParams(1.0)).key_rate\n"
+            "    assert finite == finite and identity == identity, p.id\n"
+            "assert sum(cvqkd.classify_1sdi(p) is not cvqkd.OneSidedDI.NOT_1SDI\n"
+            "           for p in cvqkd.ProtocolSpec.all()) == 6\n"
             "loaded = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('numpy.'))\n"
             "assert not loaded, loaded[:5]\n"
             "rec = cvqkd.sample_quadratures(cvqkd.ProtocolSpec.parse('rr-homA-homB-eb'),\n"

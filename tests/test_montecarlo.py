@@ -31,6 +31,12 @@ from cvqkd.montecarlo import _CSV_CHUNK_ROWS, COLUMNS, _cholesky
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
 PERFECT = ChannelParams(1.0, 0.0)
+# one protocol per record layout, keyed by who heterodynes
+CSV_LAYOUTS = {
+    (p.alice_measurement, p.bob_measurement): p
+    for p in map(ProtocolSpec.parse, ("rr-homA-homB-eb", "rr-hetA-homB-eb",
+                                      "rr-homA-hetB-eb", "rr-hetA-hetB-eb"))
+}
 
 
 def oracle_csv(record):
@@ -506,12 +512,24 @@ class TestCsvExport:
                 else:
                     assert float(cell) == pytest.approx(value, rel=1e-8)
 
-    @pytest.mark.parametrize("protocol", ProtocolSpec.all(), ids=lambda p: p.id)
+    @pytest.mark.parametrize("protocol", CSV_LAYOUTS.values(), ids=lambda p: p.id)
     def test_matches_row_by_row_oracle(self, protocol):
         ch = ChannelParams(0.7, 0.05)
         for n in (1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1, 65_537):
             rec = sample_quadratures(protocol, ch, 3.0, n, seed=n)
             assert csv_text(rec) == oracle_csv(rec), n
+
+    def test_csv_depends_only_on_who_heterodynes(self):
+        # what lets the oracle run once per layout cover all 16 protocols
+        ch = ChannelParams(0.7, 0.05)
+        layout_csv = {
+            key: csv_text(sample_quadratures(rep, ch, 3.0, 1000, seed=5))
+            for key, rep in CSV_LAYOUTS.items()
+        }
+        for protocol in ProtocolSpec.all():
+            rec = sample_quadratures(protocol, ch, 3.0, 1000, seed=5)
+            key = protocol.alice_measurement, protocol.bob_measurement
+            assert csv_text(rec) == layout_csv[key], protocol.id
 
     @pytest.mark.parametrize("protocol", [RR_HOM_HOM, ProtocolSpec.parse("rr-hetA-hetB-eb")])
     def test_extreme_values_match_oracle(self, protocol):

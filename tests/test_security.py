@@ -638,6 +638,8 @@ class TestBatchedSolver:
     )
     @example(protocol=RR_HOM_HOM, t=1.0, xi=1e-200)  # the product underflows
     @example(protocol=DR_HOM_HOM, t=1.0, xi=1e-200)
+    @example(protocol=RR_HOM_HOM, t=1.0, xi=1e-160)  # v v = 1e-320 is subnormal: sqrt inexact
+    @example(protocol=DR_HOM_HOM, t=1.0, xi=1e-160)
     @example(protocol=RR_HOM_HOM, t=1.0, xi=0.0)  # identity channel: rate inf
     @example(protocol=DR_HOM_HOM, t=1.0, xi=0.0)
     @example(protocol=RR_BOB_HET, t=1.0, xi=0.0)
