@@ -519,17 +519,13 @@ class TestCsvExport:
             rec = sample_quadratures(protocol, ch, 3.0, n, seed=n)
             assert csv_text(rec) == oracle_csv(rec), n
 
-    def test_csv_depends_only_on_who_heterodynes(self):
+    @pytest.mark.parametrize("protocol", ProtocolSpec.all(), ids=lambda p: p.id)
+    def test_csv_depends_only_on_who_heterodynes(self, protocol):
         # what lets the oracle run once per layout cover all 16 protocols
         ch = ChannelParams(0.7, 0.05)
-        layout_csv = {
-            key: csv_text(sample_quadratures(rep, ch, 3.0, 1000, seed=5))
-            for key, rep in CSV_LAYOUTS.items()
-        }
-        for protocol in ProtocolSpec.all():
-            rec = sample_quadratures(protocol, ch, 3.0, 1000, seed=5)
-            key = protocol.alice_measurement, protocol.bob_measurement
-            assert csv_text(rec) == layout_csv[key], protocol.id
+        rep = CSV_LAYOUTS[protocol.alice_measurement, protocol.bob_measurement]
+        csv = lambda p: csv_text(sample_quadratures(p, ch, 3.0, 1000, seed=5))
+        assert csv(protocol) == csv(rep)
 
     @pytest.mark.parametrize("protocol", [RR_HOM_HOM, ProtocolSpec.parse("rr-hetA-hetB-eb")])
     def test_extreme_values_match_oracle(self, protocol):
