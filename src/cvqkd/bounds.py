@@ -26,6 +26,7 @@ from .errors import (
 from .gaussian import CovarianceMatrix, _one_mode_entropy, von_neumann_entropy
 
 LOG2_4PI = math.log2(4.0 * math.pi)
+_TWO_PI_E = 2.0 * math.pi * math.e
 
 
 class Reconciliation(Enum):
@@ -158,9 +159,9 @@ class ConditionalVariances(_record("ConditionalVariances", "v_x_b_given_a v_p_b_
     heterodynes, the corresponding target or conditioner is the
     beamsplitter half that party actually measures, as recorded by the
     kind tags (x and p of one direction always share a tag). Each variance
-    must be nonnegative, inf included; 0 is the V -> inf identity-channel
-    limit of a homodyne pair. Each tag must be a ``VarianceKind``
-    (DomainError otherwise).
+    must be a nonnegative real number, inf included, and not a bool; 0 is
+    the V -> inf identity-channel limit of a homodyne pair. Each tag must
+    be a ``VarianceKind`` (DomainError otherwise).
     """
 
     def __new__(
@@ -170,14 +171,15 @@ class ConditionalVariances(_record("ConditionalVariances", "v_x_b_given_a v_p_b_
     ):
         self = tuple.__new__(cls, (v_x_b_given_a, v_p_b_given_a, v_x_a_given_b, v_p_a_given_b,
                                    kind_b_given_a, kind_a_given_b))
-        for name, value in zip(cls._fields, self[:4]):
-            try:  # on this hot path only a failed comparison pays for the type check
-                nonnegative = value >= 0.0  # NaN fails too
-            except TypeError:
-                _typed(value, name)
-                raise
-            if not nonnegative:
-                raise DomainError(f"{name} must be nonnegative, got {value}")
+        if not (
+            v_x_b_given_a.__class__ is v_p_b_given_a.__class__ is v_x_a_given_b.__class__
+            is v_p_a_given_b.__class__ is float and v_x_b_given_a >= 0.0 and v_p_b_given_a >= 0.0
+            and v_x_a_given_b >= 0.0 and v_p_a_given_b >= 0.0  # NaN fails too
+        ):  # on this hot path only other types, or a failed comparison, pay for the walk
+            for name, value in zip(cls._fields, self[:4]):
+                _typed(value, name)  # a bool compares as 0 or 1, but is no variance
+                if not value >= 0.0:
+                    raise DomainError(f"{name} must be nonnegative, got {value}")
         if kind_b_given_a.__class__ is not VarianceKind or kind_a_given_b.__class__ is not VarianceKind:
             # as above, only a bad tag pays for finding which one it is
             for name, tag in zip(cls._fields[4:], self[4:]):
@@ -217,7 +219,7 @@ def gaussian_shannon_entropy(v: float) -> float:
     _typed(v, "variance")
     if not v > 0.0:
         raise DomainError(f"variance must be positive, got {v}")
-    return 0.5 * math.log2(2.0 * math.pi * math.e * v)
+    return 0.5 * math.log2(_TWO_PI_E * v)
 
 
 def infer_full_mode_variance(measured_half_conditional: float) -> float:
@@ -228,6 +230,8 @@ def infer_full_mode_variance(measured_half_conditional: float) -> float:
     elementwise to an array, raising if any element is below 1/2 or NaN.
     A half of inf, or above about 9e307 where 2v - 1 overflows, gives inf.
     """
+    if measured_half_conditional.__class__ is bool:  # compares as 0 or 1, but is no variance
+        _typed(measured_half_conditional, "half-mode conditional variance")
     try:  # on this hot path only a failed comparison pays for the type check
         ok = measured_half_conditional >= 0.5
     except TypeError:
@@ -326,11 +330,13 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     S(B|q_A) the entropy of B's conditioned state, outcome independent for
     Gaussian states: on the blocks a I, b I, diag(c, -c), B given x_A is
     diag(b - c^2/a, b) and given p_A its swap, so O_x = O_p bit for bit.
-    S_B is the entropy of diag(b, b), S_AB ``von_neumann_entropy(cm)``.
+    H(x_A) is ``gaussian_shannon_entropy(a)`` without its checks, as a
+    validated a is finite and positive. S_B is the entropy of diag(b, b),
+    S_AB ``von_neumann_entropy(cm)``, stored with the state's spectrum.
     """
     a, b, c = cm.a, cm.b, cm.c
     s_b = _one_mode_entropy(b, b)
-    o = gaussian_shannon_entropy(a) + _one_mode_entropy(b - c * c / a, b)
+    o = 0.5 * math.log2(_TWO_PI_E * a) + _one_mode_entropy(b - c * c / a, b)
     return (o - s_b) + (o - von_neumann_entropy(cm)) - LOG2_4PI
 
 

@@ -31,6 +31,7 @@ from .errors import DomainError, PrecisionError, UnphysicalStateError, _record, 
 NU_TOLERANCE = 1e-9
 # below this entry limit the largest product of the spectra, (a + b)^2 - 4c^2, is finite
 _ENTRY_LIMIT = 2.0**510
+_LN2 = math.log(2.0)
 
 
 class Quadrature(Enum):
@@ -86,6 +87,12 @@ class CovarianceMatrix(_record("CovarianceMatrix", "a b c")):
     the block's smallest eigenvalue below -tol raises UnphysicalStateError
     instead. So a and b of a validated state are positive, and
     conditioning on any quadrature divides by one of them safely.
+
+    Validation stores two derived facts beside the fields: the gated
+    spectrum ``_nus`` (nu-, nu+), which ``symplectic_eigenvalues`` returns,
+    and the joint entropy ``_s_ab`` = g(nu-) + g(nu+), which
+    ``von_neumann_entropy`` returns. Every route that copies a state
+    validates it again, so neither fact is ever carried over.
     """
 
     n_modes = 2  # a class constant, not a field; bench/spans.py and the tests read it
@@ -116,8 +123,10 @@ class CovarianceMatrix(_record("CovarianceMatrix", "a b c")):
             if low < -NU_TOLERANCE * scale:
                 raise UnphysicalStateError("covariance matrix is not positive definite")
             raise PrecisionError(f"covariance matrix eigenvalue {low} is below its rounding floor")
-        # cached, since entropy calls need the spectrum again
-        object.__setattr__(self, "_nus", (_gate(nus[0], scale), _gate(nus[1], scale)))
+        # stored, since the UR slack and both DW ceilings read S(AB) again
+        nu_minus, nu_plus = _gate(nus[0], scale), _gate(nus[1], scale)
+        object.__setattr__(self, "_nus", (nu_minus, nu_plus))
+        object.__setattr__(self, "_s_ab", entropy_g(nu_minus) + entropy_g(nu_plus))
 
     def variance(self, mq: ModeQuadrature) -> float:
         return self.b if mq.mode else self.a
@@ -273,6 +282,8 @@ def entropy_g(nu: float) -> float:
         _typed(nu, "symplectic eigenvalue")
         raise
     if low:
+        if nu.__class__ is not float:  # a bool compares as 0 or 1, but is no eigenvalue
+            _typed(nu, "symplectic eigenvalue")
         if math.isnan(nu):
             raise DomainError("symplectic eigenvalue is NaN")
         return 0.0
@@ -280,9 +291,13 @@ def entropy_g(nu: float) -> float:
         return math.inf
     # up log2 up - dn log2 dn with up = dn + 1, without cancelling the two terms
     up, dn = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
-    return math.log2(up) + dn * math.log1p(1.0 / dn) / math.log(2.0)
+    return math.log2(up) + dn * math.log1p(1.0 / dn) / _LN2
 
 
 def von_neumann_entropy(cm: CovarianceMatrix) -> float:
-    """von Neumann entropy in bits, summed over the symplectic spectrum."""
-    return sum(entropy_g(nu) for nu in symplectic_eigenvalues(cm))
+    """von Neumann entropy in bits, g(nu-) + g(nu+) over the symplectic spectrum.
+
+    The sum is taken once, when the state is validated, and stored with its
+    spectrum (``CovarianceMatrix``); this returns the stored value.
+    """
+    return cm._s_ab

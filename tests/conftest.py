@@ -18,9 +18,10 @@ from cvqkd import (
     Reconciliation,
     apply_channel,
     conditional_variance,
+    entropy_g,
     gaussian_shannon_entropy,
+    symplectic_eigenvalues,
     tmsv,
-    von_neumann_entropy,
 )
 from cvqkd.gaussian import _one_mode_entropy
 
@@ -107,16 +108,21 @@ def outcome_entropy(cm, measured):
     return gaussian_shannon_entropy(v) + one_mode_entropy(conditioned)
 
 
+def joint_entropy(cm):
+    """S(AB) summed here over the spectrum, not read from the value the state stores."""
+    return sum(entropy_g(nu) for nu in symplectic_eigenvalues(cm))
+
+
 def ur_slack_reference(cm):
     """The tripartite UR slack (O_x - S_B) + (O_p - S_AB) - log2(4 pi) from the references.
 
-    Each entropy is ``von_neumann_entropy(cm)`` or a ``one_mode_entropy`` of a
+    Each entropy is ``joint_entropy(cm)`` or a ``one_mode_entropy`` of a
     ``reduced_state`` or a ``condition_on_homodyne`` array, summed in
     ``verify_ur_tripartite``'s order.
     """
     s_b = one_mode_entropy(reduced_state(cm, [1]))
     o_x, o_p = outcome_entropy(cm, X_A), outcome_entropy(cm, P_A)
-    return (o_x - s_b) + (o_p - von_neumann_entropy(cm)) - math.log2(4.0 * math.pi)
+    return (o_x - s_b) + (o_p - joint_entropy(cm)) - math.log2(4.0 * math.pi)
 
 
 def dw_reference(cm, direction):
@@ -124,7 +130,7 @@ def dw_reference(cm, direction):
     ref, other = (X_B, X_A) if direction is Reconciliation.RR else (X_A, X_B)
     mutual_info = 0.5 * math.log2(cm.variance(ref) / conditional_variance(cm, ref, other))
     conditioned, _ = condition_on_homodyne(cm, ref)
-    return mutual_info - (von_neumann_entropy(cm) - one_mode_entropy(conditioned))
+    return mutual_info - (joint_entropy(cm) - one_mode_entropy(conditioned))
 
 
 def split_with_vacuum(m, mode):

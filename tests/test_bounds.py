@@ -14,6 +14,7 @@ from conftest import (
     as_array,
     channelled_state,
     full_mode_cv,
+    joint_entropy,
     one_mode_entropy,
     outcome_entropy,
     random_channelled_states,
@@ -49,6 +50,7 @@ from cvqkd import (
     verify_ur_tripartite,
     von_neumann_entropy,
 )
+from cvqkd import gaussian
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 IDS = sorted(p.id for p in ProtocolSpec.all())
@@ -429,7 +431,7 @@ class TestUncertaintyRelations:
         ]
         log2_4pi = math.log2(4.0 * math.pi)
         for cm in states:
-            s_ab = von_neumann_entropy(cm)
+            s_ab = joint_entropy(cm)
             s_b = one_mode_entropy(reduced_state(cm, [1]))
             s_x_given_b = outcome_entropy(cm, X_A) - s_b
             s_p_given_b = outcome_entropy(cm, P_A) - s_b
@@ -439,6 +441,19 @@ class TestUncertaintyRelations:
             for got in (verify_ur_bipartite(cm), verify_ur_tripartite(cm)):
                 assert abs(got - tripartite) <= 2e-15, as_array(cm).tolist()
                 assert abs(got - bipartite) <= 2e-15, as_array(cm).tolist()
+
+    def test_each_state_sums_its_joint_entropy_once(self, monkeypatch):
+        # S(AB) is summed when the state is validated: reading it calls no kernel, and the
+        # slack and both DW ceilings call it only for their one-mode blocks (10 calls before)
+        cm = channelled_state(20.0, 0.5, 0.05)
+        kernel, calls = gaussian.entropy_g, []
+        monkeypatch.setattr(gaussian, "entropy_g", lambda nu: calls.append(nu) or kernel(nu))
+        assert von_neumann_entropy(cm) == joint_entropy(cm) > 0.0
+        assert calls == []
+        verify_ur_tripartite(cm)
+        for direction in Reconciliation:
+            devetak_winter_oracle(cm, direction)
+        assert len(calls) <= 4, calls
 
     def test_slack_continuous_on_grid(self):
         # neighbouring grid points never jump: no discontinuities observed

@@ -25,6 +25,7 @@ from cvqkd import (
     ConditionalVariances,
     CovarianceMatrix,
     CVQKDError,
+    DomainError,
     FibreModel,
     Flavor,
     KeyRateResult,
@@ -176,6 +177,18 @@ def test_odd_arguments_return_finite_values_or_raise_typed_errors(name, argument
     assert not violations, violations
 
 
+@pytest.mark.parametrize(
+    "name, argument",
+    [(name, arg) for name, (_, kwargs) in CALLS.items() for arg, value in kwargs.items()
+     if isinstance(value, (int, float)) and value.__class__ is not bool],
+)
+def test_a_bool_is_no_number(name, argument):
+    # True compares as 1, yet no numeric argument takes it: each rejects it as _typed does
+    call, valid = CALLS[name]
+    with pytest.raises(DomainError, match="True"):
+        call(**{**valid, argument: True})
+
+
 RATE = key_rate_at(RR_HOM_HOM, ChannelParams(0.5, 0.01), 5.0)
 # each record that checks its fields: a valid one, and a field value its checks reject
 CHECKED = {
@@ -215,8 +228,8 @@ def test_records_are_tuples():
 
 @pytest.mark.parametrize(
     "record, name", [(ChannelParams(0.5), "transmission"), (ChannelParams(0.5), "extra"),
-                     (tmsv(2.0), "_nus"), (RR_HOM_HOM, "_kinds")],
-    ids=["field", "new", "spectrum", "fact"],
+                     (tmsv(2.0), "_nus"), (tmsv(2.0), "_s_ab"), (RR_HOM_HOM, "_kinds")],
+    ids=["field", "new", "spectrum", "entropy", "fact"],
 )
 def test_records_are_immutable(record, name):
     # as the frozen records were: no field, derived fact or new attribute is set or deleted
@@ -243,7 +256,10 @@ def test_copy_routes_rerun_the_checks(name, route):
 @pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=list(COPY_ROUTES))
 def test_copy_routes_recompute_the_derived_facts(route):
     # each route derives a copy's facts from its fields, and never carries over the original's
-    facts = [(tmsv(2.0), ["_nus"]), (RR_HOM_HOM, ["_a_het", "_b_het", "_dr", "_kinds", "_one_sided_di"])]
+    facts = [
+        (tmsv(2.0), ["_nus", "_s_ab"]), (CovarianceMatrix(2.0, 1.5, 1.0), ["_nus", "_s_ab"]),
+        (RR_HOM_HOM, ["_a_het", "_b_het", "_dr", "_kinds", "_one_sided_di"]),
+    ]
     for record, names in facts:
         stale = tuple.__new__(type(record), record)
         for name in names:
@@ -259,6 +275,7 @@ def test_replace_derives_the_facts_of_the_new_fields():
     assert pm._one_sided_di is OneSidedDI.NOT_1SDI
     cm = tmsv(2.0)._replace(b=3.0)
     assert cm._nus == CovarianceMatrix(2.0, 3.0, cm.c)._nus and cm._nus != tmsv(2.0)._nus
+    assert cm._s_ab == CovarianceMatrix(2.0, 3.0, cm.c)._s_ab and cm._s_ab > tmsv(2.0)._s_ab == 0.0
 
 
 @pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=list(COPY_ROUTES))

@@ -19,6 +19,7 @@ from conftest import (
     channelled_state,
     condition_on_homodyne,
     dw_reference,
+    joint_entropy,
     one_mode_entropy,
     random_channelled_states,
     reduced_state,
@@ -342,6 +343,13 @@ class TestSpectraAndEntropy:
     def test_pure_states_have_zero_entropy(self):
         assert von_neumann_entropy(tmsv(5.0)) == 0.0
         assert von_neumann_entropy(vacuum(2)) == 0.0
+
+    def test_stored_entropy_is_the_sum_over_the_spectrum(self):
+        # S(AB), stored at validation, bit for bit the sum the reference takes on each read
+        states = [cm for *_, cm in random_channelled_states(200, seed=67)]
+        states += [apply_channel(cm, ChannelParams(0.3, 0.2), mode=0) for cm in states[:100]]
+        for cm in states + [tmsv(5.0), vacuum(), CovarianceMatrix(3.0, 1.0, 0.0)]:
+            assert von_neumann_entropy(cm) == joint_entropy(cm), as_array(cm).tolist()
 
     def test_thermal_entropy_nu_3(self):
         # a thermal mode beside a vacuum: g(3) + g(1) = 2*log2(2) - 1*log2(1) = 2 bits
