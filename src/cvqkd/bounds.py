@@ -21,7 +21,7 @@ import math
 from enum import Enum
 
 from .errors import (
-    DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _record, _typed
+    DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _real, _record
 )
 from .gaussian import CovarianceMatrix, _one_mode_entropy, von_neumann_entropy
 
@@ -127,7 +127,8 @@ class ProtocolSpec(
 
     @classmethod
     def parse(cls, protocol_id: str) -> "ProtocolSpec":
-        _typed(protocol_id, "protocol id", "a string")
+        if not isinstance(protocol_id, str):
+            raise DomainError(f"protocol id must be a string, got {protocol_id!r}")
         if protocol_id not in _BY_ID:
             raise DomainError(f"unknown protocol id {protocol_id!r}")
         return _BY_ID[protocol_id]
@@ -159,9 +160,9 @@ class ConditionalVariances(_record("ConditionalVariances", "v_x_b_given_a v_p_b_
     heterodynes, the corresponding target or conditioner is the
     beamsplitter half that party actually measures, as recorded by the
     kind tags (x and p of one direction always share a tag). Each variance
-    must be a nonnegative real number, inf included, and not a bool; 0 is
-    the V -> inf identity-channel limit of a homodyne pair. Each tag must
-    be a ``VarianceKind`` (DomainError otherwise).
+    must be a nonnegative real number, inf included, and not a bool, and is
+    stored as a float; 0 is the V -> inf identity-channel limit of a
+    homodyne pair. Each tag must be a ``VarianceKind`` (DomainError otherwise).
     """
 
     def __new__(
@@ -169,23 +170,26 @@ class ConditionalVariances(_record("ConditionalVariances", "v_x_b_given_a v_p_b_
         v_p_a_given_b: float, kind_b_given_a: VarianceKind = VarianceKind.FULL,
         kind_a_given_b: VarianceKind = VarianceKind.FULL
     ):
-        self = tuple.__new__(cls, (v_x_b_given_a, v_p_b_given_a, v_x_a_given_b, v_p_a_given_b,
-                                   kind_b_given_a, kind_a_given_b))
         if not (
             v_x_b_given_a.__class__ is v_p_b_given_a.__class__ is v_x_a_given_b.__class__
             is v_p_a_given_b.__class__ is float and v_x_b_given_a >= 0.0 and v_p_b_given_a >= 0.0
             and v_x_a_given_b >= 0.0 and v_p_a_given_b >= 0.0  # NaN fails too
         ):  # on this hot path only other types, or a failed comparison, pay for the walk
-            for name, value in zip(cls._fields, self[:4]):
-                _typed(value, name)  # a bool compares as 0 or 1, but is no variance
+            checked = []
+            for name, value in zip(cls._fields, (v_x_b_given_a, v_p_b_given_a, v_x_a_given_b,
+                                                 v_p_a_given_b)):
+                value = _real(value, name)
                 if not value >= 0.0:
                     raise DomainError(f"{name} must be nonnegative, got {value}")
+                checked.append(value)
+            v_x_b_given_a, v_p_b_given_a, v_x_a_given_b, v_p_a_given_b = checked
         if kind_b_given_a.__class__ is not VarianceKind or kind_a_given_b.__class__ is not VarianceKind:
             # as above, only a bad tag pays for finding which one it is
-            for name, tag in zip(cls._fields[4:], self[4:]):
+            for name, tag in zip(cls._fields[4:], (kind_b_given_a, kind_a_given_b)):
                 if tag.__class__ is not VarianceKind:
                     raise DomainError(f"{name} must be a VarianceKind member, got {tag!r}")
-        return self
+        return tuple.__new__(cls, (v_x_b_given_a, v_p_b_given_a, v_x_a_given_b, v_p_a_given_b,
+                                   kind_b_given_a, kind_a_given_b))
 
 
 def _tagged(protocol: ProtocolSpec, b_given_a, a_given_b) -> ConditionalVariances:
@@ -216,7 +220,7 @@ class KeyRateResult(_record("KeyRateResult", "protocol key_rate steering_ab stee
 
 def gaussian_shannon_entropy(v: float) -> float:
     """Differential entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v), inf at v = inf."""
-    _typed(v, "variance")
+    v = _real(v, "variance")
     if not v > 0.0:
         raise DomainError(f"variance must be positive, got {v}")
     return 0.5 * math.log2(_TWO_PI_E * v)
@@ -225,23 +229,16 @@ def gaussian_shannon_entropy(v: float) -> float:
 def infer_full_mode_variance(measured_half_conditional: float) -> float:
     """Full-mode conditional variance 2v - 1 inferred from a heterodyne half.
 
-    Inverse of the heterodyne-half law V_half = (V_full + 1)/2; the
-    trusted party's beamsplitter is what licenses the inference. Applies
-    elementwise to an array, raising if any element is below 1/2 or NaN.
-    A half of inf, or above about 9e307 where 2v - 1 overflows, gives inf.
+    Inverse of the heterodyne-half law V_half = (V_full + 1)/2, licensed by the
+    trusted party's beamsplitter. A half below 1/2 or NaN raises; one of inf,
+    or above about 9e307 where 2v - 1 overflows, gives inf.
     """
-    if measured_half_conditional.__class__ is bool:  # compares as 0 or 1, but is no variance
-        _typed(measured_half_conditional, "half-mode conditional variance")
-    try:  # on this hot path only a failed comparison pays for the type check
-        ok = measured_half_conditional >= 0.5
-    except TypeError:
-        _typed(measured_half_conditional, "half-mode conditional variance")
-        raise
-    if not (ok if ok.__class__ is bool else ok.all()):  # numpy input compares to numpy bools
-        raise UnphysicalInferenceError(
-            f"inferred variance 2*{measured_half_conditional} - 1 would be nonpositive"
-        )
-    return 2.0 * measured_half_conditional - 1.0
+    v = measured_half_conditional
+    if v.__class__ is not float:  # on this hot path only other types pay for the check
+        v = _real(v, "half-mode conditional variance")
+    if not v >= 0.5:
+        raise UnphysicalInferenceError(f"inferred variance 2*{v} - 1 would be nonpositive")
+    return 2.0 * v - 1.0
 
 
 def classify_1sdi(protocol: ProtocolSpec) -> OneSidedDI:

@@ -1,4 +1,4 @@
-"""Exception types, and the type-check, record and deferred-import helpers of the package.
+"""Exception types, and the number-check, record and deferred-import helpers of the package.
 
 Everything derives from ``CVQKDError`` so callers (notably the CLI) can
 distinguish numeric/domain failures from programming errors.
@@ -9,6 +9,10 @@ number is due) raises ``DomainError``, or ``PrecisionError`` where it lies
 beyond what floats resolve. An argument of the wrong object type, such
 as None for a protocol, a channel or a covariance matrix, is a
 programming error outside the contract.
+
+Numbers enter once: ``_real`` checks each real argument, which is then
+used and stored as a Python float, and ``_integer`` each count, used and
+stored as an int. An int beyond the float range raises ``PrecisionError``.
 """
 
 import importlib
@@ -44,19 +48,23 @@ class InsufficientDataError(CVQKDError):
     """Too few samples to form the requested estimate."""
 
 
-# float and int first: the abstract-class check alone costs about 0.4 us a call
-_KINDS = {
-    "a real number": (float, numbers.Real), "an integer": (int, numbers.Integral), "a string": str
-}
+def _real(value, what: str) -> float:
+    """The float of a real number; DomainError for a bool or a non-real, PrecisionError past floats."""
+    if value.__class__ is float:  # the abstract-class check alone costs about 0.4 us a call
+        return value
+    if not isinstance(value, numbers.Real) or value.__class__ is bool:
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int
+        raise PrecisionError(f"{what} is an integer beyond the float range") from None
 
 
-def _typed(value, what: str, kind: str = "a real number") -> None:
-    """DomainError "<what> must be <kind>, got <value!r>" where a range test would raise TypeError.
-
-    A bool is an int to Python but no count, mode or real parameter here, so it is rejected too.
-    """
-    if not isinstance(value, _KINDS[kind]) or value.__class__ is bool:
-        raise DomainError(f"{what} must be {kind}, got {value!r}")
+def _integer(value, what: str) -> int:
+    """The int of an integer; DomainError for a bool or a non-integer."""
+    if not isinstance(value, (int, numbers.Integral)) or value.__class__ is bool:  # int first
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _immutable(record, *args):

@@ -22,10 +22,9 @@ quantity computed downstream depends only on second moments.
 from __future__ import annotations
 
 import math
-import numbers
 from enum import Enum
 
-from .errors import DomainError, PrecisionError, UnphysicalStateError, _record, _typed
+from .errors import DomainError, PrecisionError, UnphysicalStateError, _integer, _real, _record
 
 # Tolerance of the bona fide check.
 NU_TOLERANCE = 1e-9
@@ -40,31 +39,34 @@ class Quadrature(Enum):
 
 
 class ModeQuadrature(_record("ModeQuadrature", "mode quadrature")):
-    """A single quadrature of a single mode, e.g. (mode 1, P).
+    """A single quadrature of a single mode, e.g. (mode 1, P): an int and a ``Quadrature``.
 
     The mode must be 0 (Alice) or 1 (Bob), DomainError otherwise: it is
     checked here, once, and not again where a state reads it.
     """
 
     def __new__(cls, mode: int, quadrature: Quadrature):
-        integer = isinstance(mode, (int, numbers.Integral)) and mode.__class__ is not bool
-        if not (integer and isinstance(quadrature, Quadrature)):
+        try:
+            index = _integer(mode, "mode")
+        except DomainError:
+            index = None
+        if index is None or not isinstance(quadrature, Quadrature):
             raise DomainError(f"need (int, Quadrature), got ({mode!r}, {quadrature!r})")
-        if mode not in (0, 1):
-            raise DomainError(f"mode {mode} out of range for a two-mode state")
-        return tuple.__new__(cls, (mode, quadrature))
+        if index not in (0, 1):
+            raise DomainError(f"mode {index} out of range for a two-mode state")
+        return tuple.__new__(cls, (index, quadrature))
 
 
 class ChannelParams(_record("ChannelParams", "transmission excess_noise")):
-    """Gaussian channel with transmission T and excess noise xi (SNU, input-referred).
+    """Gaussian channel with transmission T and excess noise xi (SNU, input-referred), two floats.
 
     A pure state of unit variance acquires variance 1 + T*xi after the
     channel, on top of the loss-induced mixing with vacuum.
     """
 
     def __new__(cls, transmission: float, excess_noise: float = 0.0):
-        _typed(transmission, "transmission")
-        _typed(excess_noise, "excess noise")
+        transmission = _real(transmission, "transmission")
+        excess_noise = _real(excess_noise, "excess noise")
         if not 0.0 < transmission <= 1.0:
             raise DomainError(f"transmission must lie in (0, 1], got {transmission}")
         if not 0.0 <= excess_noise < math.inf:
@@ -100,9 +102,7 @@ class CovarianceMatrix(_record("CovarianceMatrix", "a b c")):
     def __new__(cls, a: float, b: float, c: float):
         entries = (a, b, c)
         if not a.__class__ is b.__class__ is c.__class__ is float:  # only others pay for checks
-            for name, value in zip(cls._fields, entries):
-                _typed(value, f"covariance matrix entry {name}")
-            entries = tuple(map(float, entries))
+            entries = [_real(x, f"covariance matrix entry {n}") for n, x in zip(cls._fields, entries)]
         self = tuple.__new__(cls, entries)
         self.__post_init__()
         return self
@@ -144,8 +144,7 @@ def vacuum(n_modes: int = 2) -> CovarianceMatrix:
 
     ``n_modes`` takes only its default, 2; it stays for callers that pass it.
     """
-    _typed(n_modes, "mode count", "an integer")
-    if n_modes != 2:
+    if _integer(n_modes, "mode count") != 2:
         raise DomainError(f"need two modes, got {n_modes}")
     return CovarianceMatrix(1.0, 1.0, 0.0)
 
@@ -160,7 +159,7 @@ def tmsv(v: float) -> CovarianceMatrix:
     raises PrecisionError, as does every v beyond about 9.49e7 (inf
     included), where v^2 - 1 rounds to v^2 and c to v.
     """
-    _typed(v, "EPR variance")
+    v = _real(v, "EPR variance")
     if not v >= 1.0:
         raise DomainError(f"EPR variance must be >= 1, got {v}")
     if v * v - 1.0 == v * v:
@@ -180,16 +179,15 @@ def apply_channel(cm: CovarianceMatrix, ch: ChannelParams, mode: int) -> Covaria
     The target mode's variance maps to T*V + (1 - T) + T*xi and c to
     sqrt(T)*c; the other mode's variance is untouched.
     """
-    _typed(mode, "mode", "an integer")
+    mode = _integer(mode, "mode")
     if mode not in (0, 1):
         raise DomainError(f"mode {mode} out of range for a two-mode state")
     t = ch.transmission
-    # float(): with a numpy-scalar T or xi, T*V + w would otherwise round in that precision
-    w = float((1.0 - t) + t * ch.excess_noise)
+    w = (1.0 - t) + t * ch.excess_noise
     c = cm.c * math.sqrt(t)
     if mode:
-        return CovarianceMatrix(cm.a, float(t) * cm.b + w, c)
-    return CovarianceMatrix(float(t) * cm.a + w, cm.b, c)
+        return CovarianceMatrix(cm.a, t * cm.b + w, c)
+    return CovarianceMatrix(t * cm.a + w, cm.b, c)
 
 
 def conditional_variance(
@@ -276,14 +274,9 @@ def _one_mode_entropy(x: float, p: float) -> float:
 
 def entropy_g(nu: float) -> float:
     """Bosonic entropy kernel g(nu) in bits, vanishing at nu = 1; g(inf) = inf, NaN raises."""
-    try:  # on this hot path only a failed comparison pays for the type check
-        low = not nu > 1.0
-    except TypeError:
-        _typed(nu, "symplectic eigenvalue")
-        raise
-    if low:
-        if nu.__class__ is not float:  # a bool compares as 0 or 1, but is no eigenvalue
-            _typed(nu, "symplectic eigenvalue")
+    if nu.__class__ is not float:  # on this hot path only other types pay for the check
+        nu = _real(nu, "symplectic eigenvalue")
+    if not nu > 1.0:
         if math.isnan(nu):
             raise DomainError("symplectic eigenvalue is NaN")
         return 0.0

@@ -31,8 +31,9 @@ from .errors import (
     PrecisionError,
     UnphysicalInferenceError,
     _Deferred,
+    _integer,
+    _real,
     _record,
-    _typed,
 )
 from .gaussian import ChannelParams, CovarianceMatrix, apply_channel, tmsv
 
@@ -266,12 +267,12 @@ def sample_quadratures(
     seed is a non-negative integer, as ``numpy.random.SeedSequence`` takes
     it, and v a finite real >= 1 (DomainError otherwise).
     """
-    _typed(n, "sample count", "an integer")
+    n = _integer(n, "sample count")
     if n < 1:
         raise DomainError(f"sample count must be >= 1, got {n}")
     if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
-    _typed(v, "modulation variance")
+    v = _real(v, "modulation variance")
     if math.isinf(v):
         raise DomainError("state construction needs a finite modulation variance")
     if not v >= 1.0:
@@ -370,7 +371,7 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     is -sum p log2 p + log2(bin_width). DomainError where that takes more
     than MAX_ENTROPY_BINS bins.
     """
-    _typed(bin_width, "bin width")
+    bin_width = _real(bin_width, "bin width")
     if not 0.0 < bin_width < math.inf:
         raise DomainError(f"bin width must be positive and finite, got {bin_width}")
     samples = np.asarray(samples, dtype=float)

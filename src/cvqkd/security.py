@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 
 from .bounds import KeyRateResult, ProtocolSpec, _tagged, key_rate
-from .errors import DomainError, PrecisionError, _Deferred, _record, _typed
+from .errors import DomainError, PrecisionError, _Deferred, _integer, _real, _record
 from .gaussian import ChannelParams
 
 np = _Deferred("numpy")
@@ -56,17 +56,17 @@ _LAW_MARGIN = 1e-12  # law and float sign test agree beyond this distance from a
 
 
 class FibreModel(_record("FibreModel", "attenuation_db_per_km")):
-    """Standard fibre: T = 10^(-attenuation * d / 10), default 0.2 dB/km."""
+    """Standard fibre: T = 10^(-attenuation * d / 10), default 0.2 dB/km, a float."""
 
     def __new__(cls, attenuation_db_per_km: float = 0.2):
-        _typed(attenuation_db_per_km, "attenuation")
+        attenuation_db_per_km = _real(attenuation_db_per_km, "attenuation")
         if not 0.0 < attenuation_db_per_km < math.inf:
             raise DomainError(f"attenuation must be finite and positive, got {attenuation_db_per_km}")
         return tuple.__new__(cls, (attenuation_db_per_km,))
 
     def distance_km(self, transmission: float) -> float:
         """Fibre length with this transmission, which must lie in (0, 1]; PrecisionError if inf."""
-        ChannelParams(transmission)  # DomainError on NaN or T outside (0, 1]
+        transmission = ChannelParams(transmission).transmission  # DomainError outside (0, 1]
         # abs gives 0, not -0, at T = 1
         km = abs(10.0 * math.log10(transmission)) / self.attenuation_db_per_km
         if km == math.inf:  # a denormal attenuation: inf would read as "no security" in JSON
@@ -79,16 +79,16 @@ class SweepConfig(_record("SweepConfig", "t_min t_max steps")):
 
     The grid is ``steps`` evenly spaced T from t_min to t_max, both ends
     exact, or [t_min] for one step. Each end must lie in (0, 1], t_min
-    checked first, in ``ChannelParams``' words; ``steps`` is an integer
-    >= 1, and two or more steps need t_min < t_max. ``t_values`` is a
-    list of floats and loads no numpy; ``security_region`` solves it as
-    one array, and ``verify-ur`` walks it point by point.
+    checked first, in ``ChannelParams``' words, and is stored as a float;
+    ``steps`` is an int >= 1, and two or more steps need t_min < t_max.
+    ``t_values`` is a list of floats and loads no numpy; ``security_region``
+    solves it as one array, and ``verify-ur`` walks it point by point.
     """
 
     def __new__(cls, t_min: float, t_max: float, steps: int):
-        ChannelParams(t_min)  # DomainError on NaN, inf or T outside (0, 1]
-        ChannelParams(t_max)
-        _typed(steps, "grid steps", "an integer")
+        t_min = ChannelParams(t_min).transmission  # DomainError on NaN, inf or T outside (0, 1]
+        t_max = ChannelParams(t_max).transmission
+        steps = _integer(steps, "grid steps")
         if steps < 1:
             raise DomainError(f"grid needs at least 1 step, got {steps}")
         if steps > 1 and not t_min < t_max:
@@ -101,15 +101,15 @@ class SweepConfig(_record("SweepConfig", "t_min t_max steps")):
         numpy's arithmetic in pure Python, so building the grid loads no
         numpy: point i is i * step + t_min, or i / (steps - 1) * span + t_min
         where step rounds to 0 (a denormal span), and the last point is
-        t_max. The ends are taken as floats, so the grid is float64 also
-        for numpy-scalar ends, where ``np.linspace`` of a float32 end gives
-        float32 under numpy 2. The list holds about 32 bytes a point
-        against an array's 8.
+        t_max. The list holds about 32 bytes a point against an array's 8.
         Its slots are allocated first, as many bytes as the array asked for,
-        so a grid far too large to hold raises MemoryError at once.
+        so a grid far too large to hold or to index raises MemoryError at once.
         """
-        t_min, t_max = float(self.t_min), float(self.t_max)
-        ts = [t_min] * int(self.steps)  # point 0 is 0 * step + t_min
+        t_min, t_max = self.t_min, self.t_max
+        try:
+            ts = [t_min] * self.steps  # point 0 is 0 * step + t_min
+        except OverflowError:
+            raise MemoryError("more grid points than a list can index") from None
         div = len(ts) - 1
         if div:
             span = t_max - t_min
@@ -186,7 +186,7 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
     homodyne-homodyne protocol are 0, and ``key_rate`` gives them the
     rate +inf.
     """
-    _typed(v, "modulation variance")
+    v = _real(v, "modulation variance")
     if not v >= 1.0:
         raise DomainError(f"modulation variance must be >= 1, got {v}")
     a_given_b, b_given_a = _cond_variances(protocol, ch.transmission, ch.excess_noise, 1.0 / v)
@@ -205,7 +205,7 @@ def optimize_modulation(
     the large-modulation limit. Returns (v_star, k_star); k_star may be
     negative.
     """
-    _typed(v_max, "v_max")
+    v_max = _real(v_max, "v_max")
     if not v_max >= 1.0:
         raise DomainError(f"v_max must be >= 1, got {v_max}")
     candidates = [(v, key_rate_at(protocol, ch, v).key_rate) for v in (1.0, v_max)]
@@ -232,9 +232,8 @@ def threshold_transmission(protocol: ProtocolSpec, xi: float) -> float | None:
 
     T* = 1/(1 + c - xi) for a DR law, (1 - c)/(1 - xi) for an RR law; None (a
     result, not an error) without a law or where that denominator is <= 0 or T* > 1.
-    A numpy-scalar xi is solved as a float.
     """
-    xi = float(ChannelParams(1.0, xi).excess_noise)  # DomainError on NaN, inf or xi < 0
+    xi = ChannelParams(1.0, xi).excess_noise  # DomainError on NaN, inf or xi < 0
     if (law := _law(protocol)) is None:
         return None
     c, k = law
@@ -265,9 +264,9 @@ def _xi_max(protocol: ProtocolSpec, ts: list[float]) -> list[float | None]:
 def max_excess_noise(protocol: ProtocolSpec, t: float) -> float | None:
     """Largest xi with nonnegative key at transmission t (v -> inf): (c T^k - (1 - T))/T, or None.
 
-    A one-point grid of ``_xi_max``; a numpy-scalar t is solved as a float.
+    A one-point grid of ``_xi_max``.
     """
-    t = float(ChannelParams(t).transmission)  # DomainError on NaN, inf or T outside (0, 1]
+    t = ChannelParams(t).transmission  # DomainError on NaN, inf or T outside (0, 1]
     return _xi_max(protocol, [t])[0]
 
 

@@ -4,9 +4,11 @@ Each public callable that takes a number or a string is called with each
 value of ``ODD_VALUES`` in each such argument, the others held valid. The
 call must return finite numbers (an infinity only where the callable
 documents one, None where it documents one) or raise a ``CVQKDError``:
-never NaN and never an untyped exception. Arguments of object type (a
-protocol, a channel, a covariance matrix, a record) are outside the
-contract, as the ``errors`` module states. The records themselves are
+never NaN and never an untyped exception. Each float argument also takes
+an int beyond the float range, and a float32, whose result must be the
+float64 result of its value, in types as in values. Arguments of object
+type (a protocol, a channel, a covariance matrix, a record) are outside
+the contract, as the ``errors`` module states. The records themselves are
 namedtuples: their semantics, and that every route copying one runs its
 checks again, are pinned at the end.
 """
@@ -14,6 +16,8 @@ checks again, are pinned at the end.
 import enum
 import inspect
 import math
+import numbers
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +48,7 @@ from cvqkd import (
     estimate_key_rate,
     gaussian_shannon_entropy,
     infer_full_mode_variance,
+    key_rate,
     key_rate_at,
     max_distance,
     max_excess_noise,
@@ -65,6 +70,7 @@ ODD_IDS = [
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 RR_HET_HET = ProtocolSpec.parse("rr-hetA-hetB-eb")
+RR_HOM_HET = ProtocolSpec.parse("rr-homA-hetB-eb")
 RECORD = sample_quadratures(RR_HET_HET, ChannelParams(0.9, 0.01), 3.0, 200, seed=1)
 
 # name -> (call, valid keyword arguments: each is replaced in turn)
@@ -118,6 +124,11 @@ OBJECT_ARGUMENTS_ONLY = {
     "verify_ur_tripartite", "conditional_variance", "symplectic_eigenvalues",
     "von_neumann_entropy", "estimate_key_rate", "security_region",
 }
+# the arguments whose valid value is a float: each takes any real number and computes in float64
+FLOAT_ARGUMENTS = [
+    (name, arg) for name, (_, kwargs) in CALLS.items() for arg, value in kwargs.items()
+    if value.__class__ is float
+]
 # callables that document an infinite result for some argument
 DOCUMENTED_INF = {
     "ConditionalVariances", "entropy_g", "gaussian_shannon_entropy", "infer_full_mode_variance",
@@ -126,10 +137,11 @@ DOCUMENTED_INF = {
 
 
 def _numbers(result):
-    """Every scalar number reachable from a result, through records, tuples, lists and dicts.
+    """Every real scalar of a result, as a float, through records, tuples, lists and dicts.
 
     Records are tuples, so the tuple branch walks their fields. Arrays are
     skipped: a NaN cell of a record column marks an unmeasured quadrature.
+    An int beyond the float range raises OverflowError.
     """
     if type(result).__module__.startswith("cvqkd"):  # a record, or an enum member
         assert isinstance(result, (tuple, enum.Enum)), f"the walk cannot enter {result!r}"
@@ -139,7 +151,7 @@ def _numbers(result):
     elif isinstance(result, dict):
         for item in result.values():
             yield from _numbers(item)
-    elif isinstance(result, (float, np.floating)):
+    elif isinstance(result, numbers.Real):
         yield float(result)
 
 
@@ -177,16 +189,65 @@ def test_odd_arguments_return_finite_values_or_raise_typed_errors(name, argument
     assert not violations, violations
 
 
+@pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "numpy-bool"])
 @pytest.mark.parametrize(
     "name, argument",
     [(name, arg) for name, (_, kwargs) in CALLS.items() for arg, value in kwargs.items()
      if isinstance(value, (int, float)) and value.__class__ is not bool],
 )
-def test_a_bool_is_no_number(name, argument):
-    # True compares as 1, yet no numeric argument takes it: each rejects it as _typed does
+def test_a_bool_is_no_number(name, argument, true):
+    # True compares as 1, yet no numeric argument takes it, a numpy bool neither
     call, valid = CALLS[name]
-    with pytest.raises(DomainError, match="True"):
-        call(**{**valid, argument: True})
+    kinds = r"must be (a real number|an integer|a non-negative integer)|need \(int, Quadrature\)"
+    with pytest.raises(DomainError, match=rf"({kinds}), got \(?{re.escape(repr(true))}\b"):
+        call(**{**valid, argument: true})
+
+
+@pytest.mark.parametrize("name, argument", FLOAT_ARGUMENTS)
+def test_an_integer_beyond_the_float_range_is_no_float(name, argument):
+    # 10**400 compares as a number, but no float holds it: a typed error, or a finite result
+    call, valid = CALLS[name]
+    try:
+        result = call(**{**valid, argument: 10**400})
+    except CVQKDError:
+        return
+    assert all(math.isfinite(x) for x in _numbers(result)), result
+
+
+def _leaves(result):
+    # the scalars reachable from a result with their types, and each array as its dtype and bytes
+    if isinstance(result, np.ndarray):
+        yield result.dtype, result.tobytes()
+    elif isinstance(result, (tuple, list)):
+        for item in result:
+            yield from _leaves(item)
+    elif isinstance(result, dict):
+        for item in result.values():
+            yield from _leaves(item)
+    else:
+        yield type(result), repr(result)
+
+
+# results read further: a channel through the functions that compute with it, and the
+# variances through the key rate computed from them
+THROUGH = {
+    "ChannelParams": lambda ch: (
+        ch, apply_channel(tmsv(5.0), ch, 1), key_rate_at(RR_HOM_HET, ch, 5.0),
+        optimize_modulation(RR_HOM_HET, ch, 10.0),
+    ),
+    "ConditionalVariances": lambda cv: (cv, key_rate(RR_HOM_HOM, cv)),
+}
+
+
+@pytest.mark.parametrize("name, argument", FLOAT_ARGUMENTS)
+def test_a_float32_is_its_value(name, argument):
+    # a float32 argument is computed in float64, as the float of its value is
+    call, valid = CALLS[name]
+    through = THROUGH.get(name, lambda result: result)
+    x = np.float32(valid[argument])
+    got = through(call(**{**valid, argument: x}))
+    want = through(call(**{**valid, argument: float(x)}))
+    assert list(_leaves(got)) == list(_leaves(want))
 
 
 RATE = key_rate_at(RR_HOM_HOM, ChannelParams(0.5, 0.01), 5.0)

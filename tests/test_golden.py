@@ -66,6 +66,8 @@ CASES = {
     ],
     "region": _with_json(["region", "--protocol", p] for p in _IDS) + [
         ["region", "--protocol", "rr-homA-homB-eb", "--steps", "3"],
+        # more grid points than a list can index: out of memory, not a traceback
+        ["region", "--protocol", "rr-homA-homB-eb", "--steps", "100000000000000000000"],
     ],
     "distance": _with_json(
         ["distance", "--protocol", p, "--xi", xi] for p in _IDS for xi in ("0", "0.002", "0.05")
@@ -98,6 +100,7 @@ CASES = {
         # 0.44105271 is 4.59e-5 bits above its 60-digit value
         ["verify-ur", "--v-list", "7495", "--t-min", "0.0404", "--t-max", "0.0404", "--steps",
          "1", "--xi-list", "1.08e-4"],
+        ["verify-ur", "--steps", "100000000000000000000"],
     ],
     "table": _with_json([["table"]]),
 }
