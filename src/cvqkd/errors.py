@@ -60,10 +60,10 @@ def _real(value, what: str) -> float:
         raise PrecisionError(f"{what} is an integer beyond the float range") from None
 
 
-def _integer(value, what: str) -> int:
-    """The int of an integer; DomainError for a bool or a non-integer."""
+def _integer(value, what: str, kind: str = "an integer") -> int:
+    """The int of an integer; DomainError ("<what> must be <kind>") for a bool or a non-integer."""
     if not isinstance(value, (int, numbers.Integral)) or value.__class__ is bool:  # int first
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be {kind}, got {value!r}")
     return int(value)
 
 

@@ -60,8 +60,7 @@ def channelled_state(v, t, xi):
 def as_array(cm):
     """The 4 x 4 array of the state (a, b, c) in the ordering (x1, p1, x2, p2).
 
-    The package keeps no such array; the array-based references below, and
-    the LAPACK factor the sampler's closed form is checked against, read it.
+    The package keeps no such array; the array-based references below read it.
     """
     a, b, c = cm.a, cm.b, cm.c
     return np.array([[a, 0.0, c, 0.0], [0.0, a, 0.0, -c], [c, 0.0, b, 0.0], [0.0, -c, 0.0, b]])

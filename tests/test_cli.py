@@ -341,23 +341,28 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", *argv)
         assert (code, out, err) == (3, "", "error: only 2 sifted pairs for x_b|x_a\n")
 
-    def test_modulation_beyond_tmsv_precision_exits_three(self, capsys):
+    @pytest.mark.parametrize(
+        "t, v", [("0.9", "3e7"), ("1", "66502965.66699864")], ids=["past-tmsv", "past-pivot"]
+    )
+    def test_modulation_past_the_matrix_limits_samples(self, capsys, t, v):
+        # both exited 3 while the sampler built a covariance matrix: tmsv refused
+        # 3e7, and the factor's pivot b - c^2/a = 1/V rounded below zero at the other
         code, out, err = run(
-            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9", "--V", "3e7",
-            "--samples", "100",
+            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", t, "--xi", "0",
+            "--V", v, "--samples", "20000", "--seed", "1", "--json",
         )
-        assert (code, out) == (3, "")
-        assert err.startswith("error: EPR variance 30000000.0 too large")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        off = payload["key_rate_bits"] - payload["analytic_key_rate_bits"]
+        assert abs(off) < 5.0 * payload["key_rate_std_error"]
 
-    def test_state_below_the_factors_rounding_exits_three(self, capsys):
-        # the state validates, but its Cholesky pivot b - c^2/a = 1/V rounds below
-        # zero; LAPACK's factor raised an untyped LinAlgError here, a traceback
+    def test_modulation_above_the_cap_exits_three(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--xi", "0",
-            "--V", "66502965.66699864", "--samples", "10",
+            "--V", "1.0000000000001e12", "--samples", "10",
         )
         assert (code, out) == (3, "")
-        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith("error: modulation variance ") and err.count("\n") == 1, err
 
     def test_infinite_v_rejected(self, capsys):
         # no record can be sampled in the V -> inf limit; the library's DomainError says so

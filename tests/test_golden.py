@@ -81,13 +81,21 @@ CASES = {
         for p in ("rr-homA-homB-eb", "rr-hetA-hetB-eb")
     ) + [
         ["simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9", "--V", "5", "--seed", "-1"],
+        # exited 3 while the factor came from the covariance matrix, whose pivot
+        # b - c^2/a = 1/V rounded below zero here
         ["simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--xi", "0", "--V",
          "66502965.66699864", "--samples", "10"],
         ["simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9"],
-        # ROADMAP item 3, wrong today: 22.6995 +- 0.0091 bits against an analytic
-        # 22.6588, +4.5 sigma, from the sampling factor and estimator at large V
+        # 22.6754 +- 0.0091 bits against an analytic 22.6588, +1.8 sigma; the
+        # covariance-matrix factor and np.cov estimate read 22.6995, +4.5 sigma
         ["simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--xi", "0", "--V", "9e6",
          "--samples", "100000", "--seed", "3"],
+        # just above MAX_SAMPLED_V = 1e12
+        ["simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--xi", "0", "--V",
+         "1.0000000000001e12", "--samples", "10"],
+        # over MAX_SAMPLE_ROWS: refused before any column is allocated
+        ["simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9", "--V", "5", "--samples",
+         "10000000000"],
     ],
     "verify-ur": _with_json([["verify-ur"], ["verify-ur", "--steps", "2"]]) + [
         ["verify-ur", "--v-list", "1", "--xi-list", "0", "--t-min", "1", "--t-max", "1",

@@ -4,16 +4,20 @@ import csv
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_array, channelled_state, split_protocol_state
+from conftest import split_protocol_state
 from cvqkd import (
     ChannelParams,
-    CVQKDError,
     DomainError,
     InsufficientDataError,
     Measurement,
@@ -26,7 +30,7 @@ from cvqkd import (
     key_rate_at,
     sample_quadratures,
 )
-from cvqkd.montecarlo import _CSV_CHUNK_ROWS, COLUMNS, _cholesky
+from cvqkd.montecarlo import _CSV_CHUNK_ROWS, COLUMNS, MAX_SAMPLE_ROWS, MAX_SAMPLED_V, _factor
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
@@ -130,7 +134,7 @@ class TestSampling:
         assert abs(frac - 0.5) < 5.0 * math.sqrt(0.25 / n)
 
     def test_samples_every_protocol_without_lapack(self, monkeypatch):
-        # the factor is written from (a, b, c), and heterodyne halves come from
+        # the factor is written from (V, T, xi), and heterodyne halves come from
         # vacuum normals, so no protocol reaches a numerical factorisation
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.cholesky was called")
@@ -141,21 +145,45 @@ class TestSampling:
             assert rec.n == 10
 
     @pytest.mark.parametrize("xi", [0.0, 1e-12])
-    def test_near_limit_states_sample_or_raise_precision_error(self, xi):
-        # at T = 1 the factor's pivot b - c^2/a is 1/V, which rounds to 0 or below
-        # on some states from V ~ 5.9e7 up to tmsv's limit; LAPACK raised an
-        # untyped LinAlgError on 16 of these 200 seeded V, for either xi
+    def test_near_limit_states_sample(self, xi):
+        # 16 of these 200 seeded V raised PrecisionError when the factor was
+        # taken from the covariance matrix: its pivot b - c^2/a = 1/V rounded to 0
+        # or below; from (V, T, xi) every one samples
         rng = np.random.default_rng(24)
-        outcomes = set()
         for v in 10.0 ** rng.uniform(math.log10(5.9e7), math.log10(9.49e7), 200):
-            try:
-                rec = sample_quadratures(RR_HOM_HOM, ChannelParams(1.0, xi), float(v), 4, seed=0)
-            except PrecisionError:
-                outcomes.add("raised")
-                continue
+            rec = sample_quadratures(RR_HOM_HOM, ChannelParams(1.0, xi), float(v), 4, seed=0)
             assert rec.n == 4 and np.isfinite(rec.x_b).sum() + np.isfinite(rec.p_b).sum() == 4
-            outcomes.add("sampled")
-        assert outcomes == {"raised", "sampled"}
+
+    def test_modulation_cap(self):
+        rec = sample_quadratures(RR_HOM_HOM, PERFECT, MAX_SAMPLED_V, 4, seed=0)
+        assert rec.modulation == MAX_SAMPLED_V == 1e12
+        above = math.nextafter(MAX_SAMPLED_V, math.inf)
+        message = r"^modulation variance 1000000000000\.0001 is above the sampling limit 1e\+12, "
+        with pytest.raises(PrecisionError, match=message):
+            sample_quadratures(RR_HOM_HOM, PERFECT, above, 4, seed=0)
+
+    def test_row_budget_is_checked_before_allocating(self):
+        # in a child process whose address space is capped, so that a missing
+        # check fails fast instead of taking the host's memory; tracemalloc sees
+        # numpy's allocations, and a refusal up front allocates no column
+        script = textwrap.dedent(f"""
+            import resource, tracemalloc
+            resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))
+            import cvqkd
+            args = (cvqkd.ProtocolSpec.parse("rr-homA-homB-eb"), cvqkd.ChannelParams(1.0), 2.0)
+            cvqkd.sample_quadratures(*args, 10, 0)  # numpy's own import and caches
+            tracemalloc.start()
+            try:
+                cvqkd.sample_quadratures(*args, {MAX_SAMPLE_ROWS + 1}, 0)
+            except MemoryError as exc:
+                print(exc, tracemalloc.get_traced_memory()[1])
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        message, _, peak = done.stdout.rpartition(" ")
+        assert message == f"{MAX_SAMPLE_ROWS + 1} samples exceed the budget of {MAX_SAMPLE_ROWS} rows"
+        assert int(peak) < 10_000
 
     @pytest.mark.parametrize("protocol", ["rr-hetA-homB-eb", "rr-homA-hetB-eb", "rr-hetA-hetB-eb"])
     def test_second_moments_match_the_split_state(self, protocol):
@@ -228,61 +256,32 @@ class TestSampling:
         r1 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=11)
         r2 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=np.uint32(11))
         assert record_equal(r1, r2)
-
-
-def _lapack_or_none(cm):
-    try:
-        return np.linalg.cholesky(as_array(cm))
-    except np.linalg.LinAlgError:
-        return None
+        assert type(r2.seed) is int and r2.seed == 11  # it was stored as numpy.uint32
 
 
 class TestFactor:
-    def test_equals_lapack_bit_for_bit(self):
-        # seeded channel states, a quarter at T = 1, xi = 0 near tmsv's limit
-        # where LAPACK fails; the reciprocal pivot c * (1/s) is LAPACK's order,
-        # and c / s differs in the last bit on about a quarter of the states
-        rng = np.random.default_rng(20261019)
-        raised = 0
-        for i in range(2000):
-            if i % 4:
-                v = 10.0 ** rng.uniform(0.0, math.log10(9.49e7))
-                ch = ChannelParams(rng.uniform(1e-6, 1.0), rng.uniform(0.0, 0.5))
-            else:
-                v, ch = 10.0 ** rng.uniform(7.5, math.log10(9.49e7)), PERFECT
-            try:
-                cm = channelled_state(float(v), ch.transmission, ch.excess_noise)
-            except PrecisionError:  # tmsv's own limit
-                continue
-            want = _lapack_or_none(cm)
-            if want is None:
-                raised += 1
-                with pytest.raises(PrecisionError, match="Cholesky pivot .* is not positive"):
-                    _cholesky(cm)
-            else:
-                assert _cholesky(cm).tobytes() == want.tobytes(), (cm.a, cm.b, cm.c)
-        assert raised > 0
-
     @settings(max_examples=300, deadline=None)
     @given(
-        st.floats(0.0, math.log10(9.49e7)),
+        st.floats(0.0, math.log10(MAX_SAMPLED_V)),
         st.floats(1e-6, 1.0) | st.just(1.0),
         st.floats(0.0, 0.5) | st.just(0.0),
     )
     def test_factor_reproduces_the_state(self, log_v, t, xi):
-        # s^2 = a, s l = c and l^2 + d^2 = b, each relative to its entry; over
-        # 186,495 seeded channel states the worst were 1.0, 1.13 and 1.95 eps
-        try:
-            cm = channelled_state(10.0**log_v, t, xi)
-            factor = _cholesky(cm)
-        except CVQKDError:
-            assume(False)
+        # sqrt(V), l = sqrt(T (V^2 - 1)/V) and d = sqrt(1 - T + T xi + T/V), each
+        # against 60 digits; over 20,000 seeded states, a quarter of them at T = 1,
+        # xi = 0, the worst were 1.1e-16, 2.22e-16 and 1.92e-16 (relative)
+        v = 10.0**log_v
+        factor = _factor(ChannelParams(t, xi), v)
         s, ell, d = (float(factor[i, j]) for i, j in ((0, 0), (2, 0), (2, 2)))
         assert factor.tolist() == [[s, 0, 0, 0], [0, s, 0, 0], [ell, 0, d, 0], [0, -ell, 0, d]]
-        eps = 2.0**-52
-        assert abs(s * s - cm.a) <= 2.0 * eps * cm.a
-        assert abs(s * ell - cm.c) <= 2.0 * eps * cm.c
-        assert abs(ell * ell + d * d - cm.b) <= 3.0 * eps * cm.b
+        with mpmath.workdps(60):
+            v, t, xi = map(mpmath.mpf, (v, t, xi))
+            for got, want in (
+                (s, mpmath.sqrt(v)),
+                (ell, mpmath.sqrt(t * (v * v - 1) / v)),
+                (d, mpmath.sqrt(1 - t + t * xi + t / v)),
+            ):
+                assert abs(got - want) <= 2.0**-52 * want, (got, want)
 
 
 class TestConditionalVarianceEstimate:
@@ -350,6 +349,48 @@ class TestConditionalVarianceEstimate:
         rec = sample_quadratures(RR_HOM_HOM, ChannelParams(0.9, 0.01), 5.0, 100, seed=0)
         with pytest.raises(DomainError, match="target and given columns must differ"):
             estimate_conditional_variance(rec, column, column)
+
+
+class TestCalibration:
+    def test_large_v_conditional_variances_are_unbiased(self):
+        # T = 1, xi = 0, where V_{B|A} = 1/V is smallest against the columns' V;
+        # with the factor and the np.cov estimate taken from the covariance matrix
+        # the ratio read 0.87 at V = 5e6 and 8.05 at 9e7, and V above about 9.49e7
+        # raised. Band: each of the 120 ratios within 5 standard errors
+        # sqrt(2/(m - 2)) of 1, and their mean pull within 4/sqrt(120)
+        rng = np.random.default_rng(31)
+        pulls = []
+        for seed, log_v in enumerate(rng.uniform(0.0, math.log10(MAX_SAMPLED_V), 60)):
+            v = 10.0**log_v
+            rec = sample_quadratures(RR_HOM_HOM, PERFECT, v, 8000, seed)
+            analytic = key_rate_at(RR_HOM_HOM, PERFECT, v).variances
+            for q in "xp":
+                est = estimate_conditional_variance(rec, f"{q}_b", f"{q}_a")
+                ratio = est.value / getattr(analytic, f"v_{q}_b_given_a")
+                pulls.append((ratio - 1.0) / math.sqrt(2.0 / (est.n - 2)))
+        assert max(map(abs, pulls)) < 5.0, pulls
+        assert abs(np.mean(pulls)) < 4.0 / math.sqrt(len(pulls))
+
+    @pytest.mark.parametrize("v", [5.0, MAX_SAMPLED_V])
+    @pytest.mark.parametrize(
+        "protocol",
+        ["rr-homA-homB-eb", "dr-homA-homB-eb", "rr-homA-hetB-eb", "dr-homA-hetB-eb",
+         "rr-hetA-homB-eb", "dr-hetA-hetB-eb"],
+    )
+    def test_key_rate_pull_is_calibrated(self, protocol, v):
+        # both directions and every layout, lifted (2v - 1) halves and plain ones:
+        # 200 seeded records of 2,000 rows; the pull's mean has sd 0.07 and a
+        # small-n bias up to about +0.1, and its sd has sd 0.05. Measured: means
+        # -0.05 to +0.11 and sds 0.92 to 1.06 over the 12 cases
+        protocol = ProtocolSpec.parse(protocol)
+        ch = ChannelParams(0.6, 0.02)
+        analytic = key_rate_at(protocol, ch, v).key_rate
+        pulls = []
+        for seed in range(200):
+            rate = estimate_key_rate(sample_quadratures(protocol, ch, v, 2000, seed)).key_rate
+            pulls.append((rate.value - analytic) / rate.std_error)
+        assert abs(np.mean(pulls)) < 0.35
+        assert 0.75 < np.std(pulls, ddof=1) < 1.25
 
 
 class TestEmpiricalEntropy:
@@ -425,7 +466,7 @@ class TestSimulateProtocolRun:
 
     @pytest.mark.parametrize("protocol_id", ["rr-homA-homB-eb", "rr-hetA-hetB-eb"])
     def test_variances_are_the_single_estimates(self, protocol_id):
-        # one covariance per sifted pair serves both directions, bit for bit
+        # one fit per sifted pair serves both directions, bit for bit
         rec = sample_quadratures(ProtocolSpec.parse(protocol_id), ChannelParams(0.7, 0.02), 5.0, 5000, seed=4)
         variances = estimate_key_rate(rec).variances
         for name, estimate in variances.items():
@@ -560,7 +601,7 @@ class TestCsvExport:
         "protocol, digest",
         [
             ("rr-homA-homB-eb", "aed3cdd9a759eb74e657086607937fbd1a1229b44c664a30cbccbec96e28ae12"),
-            ("rr-hetA-hetB-eb", "f7406842513dfd84d09c08a6a7e877dac8ff84c230f93fbe00aa0b04acfbacd1"),
+            ("rr-hetA-hetB-eb", "148cc27f7bdf322937c69764d90f5302947489ea9986f2344d30fbd9c2f79e83"),
         ],
     )
     def test_bytes_are_pinned(self, protocol, digest):
