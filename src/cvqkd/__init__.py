@@ -1,7 +1,8 @@
 """Asymptotic one-sided device-independent key-rate bounds for Gaussian CVQKD.
 
-Two-mode Gaussian states of the protocols (an EPR state through a
-loss-and-noise channel, held as three block entries), entropic
+Two-mode Gaussian states of the protocols (an EPR state of modulation V
+through a loss-and-noise channel (T, xi) on Bob's arm, held as those
+three numbers, with closed-form spectra and entropies), entropic
 uncertainty-relation verification, the eight squeezed/coherent x
 homodyne/heterodyne x DR/RR key-rate bounds, channel-parameter security
 analysis and a seeded Monte Carlo validation path.
@@ -39,7 +40,6 @@ from .errors import (
     PrecisionError,
     TagMismatchError,
     UnphysicalInferenceError,
-    UnphysicalStateError,
 )
 from .gaussian import (
     ChannelParams,
@@ -81,7 +81,7 @@ __all__ = [
     "gaussian_shannon_entropy", "infer_full_mode_variance", "key_rate", "verify_ur_bipartite",
     "verify_ur_tripartite",
     "CVQKDError", "DomainError", "InsufficientDataError", "PrecisionError", "TagMismatchError",
-    "UnphysicalInferenceError", "UnphysicalStateError",
+    "UnphysicalInferenceError",
     "ChannelParams", "CovarianceMatrix", "ModeQuadrature", "Quadrature", "apply_channel",
     "conditional_variance", "entropy_g", "symplectic_eigenvalues", "tmsv", "vacuum",
     "von_neumann_entropy",

@@ -1,7 +1,9 @@
 """Exception types, and the number-check, record and deferred-import helpers of the package.
 
 Everything derives from ``CVQKDError`` so callers (notably the CLI) can
-distinguish numeric/domain failures from programming errors.
+distinguish numeric/domain failures from programming errors. No state
+can be unphysical: a two-mode state is built from its modulation and
+channel, so an argument that would make one is a ``DomainError``.
 
 The input contract of the public API: a numeric or string argument
 outside an operation's domain (a NaN, a bool, None or a str where a
@@ -26,10 +28,6 @@ class CVQKDError(ValueError):
 
 class DomainError(CVQKDError):
     """An argument lies outside the mathematical domain of an operation."""
-
-
-class UnphysicalStateError(CVQKDError):
-    """A covariance matrix violates the bona fide condition (some nu < 1)."""
 
 
 class PrecisionError(CVQKDError):

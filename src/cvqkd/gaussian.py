@@ -1,11 +1,18 @@
-"""Second-moment algebra for the two-mode Gaussian states of the protocols.
+"""The two-mode Gaussian states of the protocols, held as the three numbers that fix them.
 
 Every state the package builds is an EPR state (two-mode squeezed
-vacuum) sent through a phase-insensitive loss-and-noise channel: a
-covariance matrix with blocks a I, b I and diag(c, -c). The record
-``CovarianceMatrix(a, b, c)`` holds those three floats, and every
-operation here is scalar ``math`` code on them, so the module uses no
-numpy: building a state, its spectrum and its entropies never load it.
+vacuum) of modulation V on Alice's arm, whose other arm, Bob's, went
+through one phase-insensitive loss-and-noise channel (T, xi). The record
+``CovarianceMatrix(modulation, transmission, excess_noise)`` holds those
+three floats. Its covariance matrix has blocks a I, b I and diag(c, -c)
+with, for w = 1 - T + T xi the noise Bob's arm carries,
+
+    a = V,    b = T V + w,    c^2 = T (V^2 - 1),    ab - c^2 = V w + T,
+
+and every quantity is computed from (V, T, xi) in forms that carry no
+cancellation, so they hold at any V a float holds. Everything is scalar
+``math`` code, so the module uses no numpy: building a state, its
+spectrum and its entropies never load it.
 
 Conventions (fixed throughout the package):
 
@@ -24,12 +31,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import DomainError, PrecisionError, UnphysicalStateError, _integer, _real, _record
+from .errors import DomainError, PrecisionError, _integer, _real, _record
 
-# Tolerance of the bona fide check.
-NU_TOLERANCE = 1e-9
-# below this entry limit the largest product of the spectra, (a + b)^2 - 4c^2, is finite
-_ENTRY_LIMIT = 2.0**510
 _LN2 = math.log(2.0)
 
 
@@ -74,59 +77,52 @@ class ChannelParams(_record("ChannelParams", "transmission excess_noise")):
         return tuple.__new__(cls, (transmission, excess_noise))
 
 
-class CovarianceMatrix(_record("CovarianceMatrix", "a b c")):
-    """A two-mode state of the family: blocks A = a I, B = b I and C = diag(c, -c).
+class CovarianceMatrix(_record("CovarianceMatrix", "modulation transmission excess_noise")):
+    """An EPR state of modulation V whose arm B went through the channel (T, xi): three floats.
 
-    Every state the package builds has this form (Weedbrook et al., Rev.
-    Mod. Phys. 84, 621, 2012), so the three entries are the whole state.
-    Each must be a finite real number (DomainError otherwise) and is
-    stored as a float. The state must be physical, every symplectic
-    eigenvalue nu >= 1 - 1e-9 (UnphysicalStateError otherwise; see
-    ``_gate``). An entry of magnitude 2^510 (about 3.4e153) or more, where
-    the closed-form spectrum would overflow, raises PrecisionError. So
-    does a quadrature block [[a, c], [c, b]] that is singular to rounding,
-    since its spectrum cannot be resolved: where the closed form declines,
-    the block's smallest eigenvalue below -tol raises UnphysicalStateError
-    instead. So a and b of a validated state are positive, and
-    conditioning on any quadrature divides by one of them safely.
+    V must be a finite real >= 1 ("EPR variance", DomainError otherwise),
+    and (T, xi) a channel as ``ChannelParams`` checks it. A state whose
+    b, ab - c^2 or larger symplectic eigenvalue overflows raises
+    PrecisionError.
 
-    Validation stores two derived facts beside the fields: the gated
-    spectrum ``_nus`` (nu-, nu+), which ``symplectic_eigenvalues`` returns,
-    and the joint entropy ``_s_ab`` = g(nu-) + g(nu+), which
-    ``von_neumann_entropy`` returns. Every route that copies a state
-    validates it again, so neither fact is ever carried over.
+    Validation stores the derived facts beside the fields, as attributes
+    that are not fields: the blocks ``a``, ``b`` and ``c`` (see the module
+    docstring), ``_det`` = ab - c^2 = V w + T, the spectrum ``_nus`` =
+    (nu-, nu+), which ``symplectic_eigenvalues`` returns, and the joint
+    entropy ``_s_ab`` = g(nu-) + g(nu+), which ``von_neumann_entropy``
+    returns. Every route that copies a state validates it again, so none
+    of them is ever carried over.
     """
 
     n_modes = 2  # a class constant, not a field; bench/spans.py and the tests read it
 
-    def __new__(cls, a: float, b: float, c: float):
-        entries = (a, b, c)
-        if not a.__class__ is b.__class__ is c.__class__ is float:  # only others pay for checks
-            entries = [_real(x, f"covariance matrix entry {n}") for n, x in zip(cls._fields, entries)]
-        self = tuple.__new__(cls, entries)
+    def __new__(cls, modulation: float, transmission: float = 1.0, excess_noise: float = 0.0):
+        v = _real(modulation, "EPR variance")
+        if not 1.0 <= v < math.inf:
+            raise DomainError(f"EPR variance must be finite and >= 1, got {v}")
+        self = tuple.__new__(cls, (v, *ChannelParams(transmission, excess_noise)))
         self.__post_init__()
         return self
 
     def __post_init__(self):
-        # the checks on the float entries; bench/spans.py times and counts this method
-        a, b, c = self
-        x, y, z = abs(a), abs(b), abs(c)
-        peak = max(x, y, z) if x + y + z == x + y + z else math.nan  # max() can drop a NaN
-        if not peak < math.inf:
-            raise DomainError(f"covariance matrix entries must be finite, got max |m| = {peak}")
-        if peak >= _ENTRY_LIMIT:
-            raise PrecisionError(f"covariance matrix entry {peak} reaches 2^510: spectra overflow")
-        scale = max(1.0, peak)
-        nus = _closed_form_spectrum(a, b, c)
-        if nus is None:  # the quadrature block [[a, c], [c, b]] is not positive definite to rounding
-            low = (a + b) / 2.0 - math.hypot((a - b) / 2.0, c)
-            if low < -NU_TOLERANCE * scale:
-                raise UnphysicalStateError("covariance matrix is not positive definite")
-            raise PrecisionError(f"covariance matrix eigenvalue {low} is below its rounding floor")
-        # stored, since the UR slack and both DW ceilings read S(AB) again
-        nu_minus, nu_plus = _gate(nus[0], scale), _gate(nus[1], scale)
-        object.__setattr__(self, "_nus", (nu_minus, nu_plus))
-        object.__setattr__(self, "_s_ab", entropy_g(nu_minus) + entropy_g(nu_plus))
+        # the derived facts of the checked fields; bench/spans.py times and counts this method
+        v, t, xi = self
+        w = (1.0 - t) + t * xi
+        det = v * w + t
+        b = t * v + w
+        # nu+ = (hypot(a - b, 2 sqrt(det)) + |a - b|) / 2 (Serafini, Illuminati and De Siena,
+        # J. Phys. B 37, L21, 2004), with a - b = (V - 1)(1 - T) - T xi: that difference of
+        # rounded a and b would cancel to an error of eps V where T is near 1
+        half_gap = abs((v - 1.0) * (1.0 - t) - t * xi) / 2.0
+        nu_plus = math.hypot(half_gap, math.sqrt(det)) + half_gap
+        if not (b < math.inf and nu_plus < math.inf):  # nu+ is inf where det is
+            raise PrecisionError(f"state (V, T, xi) = ({v}, {t}, {xi}) overflows: b = {b}, det = {det}")
+        nu_minus = det / nu_plus
+        c = math.sqrt(v - 1.0) * math.sqrt(v + 1.0) * math.sqrt(t)
+        facts = {"a": v, "b": b, "c": c, "_det": det, "_nus": (nu_minus, nu_plus),
+                 "_s_ab": entropy_g(nu_minus) + entropy_g(nu_plus)}
+        for name, value in facts.items():
+            object.__setattr__(self, name, value)  # the record is immutable
 
     def variance(self, mq: ModeQuadrature) -> float:
         return self.b if mq.mode else self.a
@@ -140,136 +136,74 @@ class CovarianceMatrix(_record("CovarianceMatrix", "a b c")):
 
 
 def vacuum(n_modes: int = 2) -> CovarianceMatrix:
-    """Two uncorrelated vacuum modes: a = b = 1, c = 0.
+    """Two uncorrelated vacuum modes: the state (V, T, xi) = (1, 1, 0).
 
     ``n_modes`` takes only its default, 2; it stays for callers that pass it.
     """
     if _integer(n_modes, "mode count") != 2:
         raise DomainError(f"need two modes, got {n_modes}")
-    return CovarianceMatrix(1.0, 1.0, 0.0)
+    return CovarianceMatrix(1.0)
 
 
 def tmsv(v: float) -> CovarianceMatrix:
-    """Two-mode squeezed vacuum with quadrature variance v = cosh(2s).
+    """Two-mode squeezed vacuum with quadrature variance v = cosh(2s): the state (v, 1, 0).
 
-    a = b = v and c = sqrt(v^2 - 1); pure for every v >= 1, reducing to
-    two vacua at v = 1. The stored c carries an absolute error of about
-    eps * v, which from about v = 8.5e6 can exceed the purity gate. A v
-    whose stored entries do not validate to the spectrum [1, 1] exactly
-    raises PrecisionError, as does every v beyond about 9.49e7 (inf
-    included), where v^2 - 1 rounds to v^2 and c to v.
+    a = b = v and c = sqrt(v^2 - 1), two vacua at v = 1. Pure for every
+    finite v >= 1, in every decade of v: ab - c^2 = V w + T = 1 holds
+    exactly, so the spectrum is [1, 1] and the joint entropy 0, the
+    oracle's values with no error. inf raises DomainError.
     """
-    v = _real(v, "EPR variance")
-    if not v >= 1.0:
-        raise DomainError(f"EPR variance must be >= 1, got {v}")
-    if v * v - 1.0 == v * v:
-        raise PrecisionError(f"EPR variance {v} too large: v^2 - 1 rounds to v^2")
-    try:
-        cm = CovarianceMatrix(v, v, math.sqrt(v * v - 1.0))
-        if cm._nus == (1.0, 1.0):
-            return cm
-    except (UnphysicalStateError, PrecisionError):
-        pass
-    raise PrecisionError(f"EPR variance {v} too large: the stored state is not pure")
+    return CovarianceMatrix(v)
 
 
 def apply_channel(cm: CovarianceMatrix, ch: ChannelParams, mode: int) -> CovarianceMatrix:
-    """Send one mode through a Gaussian loss/noise channel.
+    """Send Bob's mode (mode 1) through a further Gaussian loss/noise channel.
 
-    The target mode's variance maps to T*V + (1 - T) + T*xi and c to
-    sqrt(T)*c; the other mode's variance is untouched.
+    The channels compose: T' = T T_ch and xi' = xi + xi_ch / T, which
+    maps b to T_ch b + (1 - T_ch) + T_ch xi_ch and c to sqrt(T_ch) c. A
+    T' that underflows or a xi' that overflows raises PrecisionError.
+    Mode 0 raises DomainError: no state of the family has a channel on
+    Alice's arm.
     """
     mode = _integer(mode, "mode")
-    if mode not in (0, 1):
-        raise DomainError(f"mode {mode} out of range for a two-mode state")
-    t = ch.transmission
-    w = (1.0 - t) + t * ch.excess_noise
-    c = cm.c * math.sqrt(t)
-    if mode:
-        return CovarianceMatrix(cm.a, t * cm.b + w, c)
-    return CovarianceMatrix(t * cm.a + w, cm.b, c)
+    if mode != 1:
+        where = "on Alice's arm" if mode == 0 else "out of range for a two-mode state"
+        raise DomainError(f"mode {mode} {where}: channels act on Bob's arm, mode 1")
+    v, t, xi = cm
+    t, xi = t * ch.transmission, xi + ch.excess_noise / t
+    if not (t > 0.0 and xi < math.inf):
+        raise PrecisionError(f"composed channel (T, xi) = ({t}, {xi}) overflows the float range")
+    return CovarianceMatrix(v, t, xi)
 
 
 def conditional_variance(
     cm: CovarianceMatrix, target: ModeQuadrature, given: ModeQuadrature
 ) -> float:
-    """Optimal-linear-estimator conditional variance V_t - C^2 / V_g."""
+    """Optimal-linear-estimator conditional variance V_t - C^2 / V_g.
+
+    Of a correlated pair (the same quadrature of both modes) that is
+    (ab - c^2) / V_g, which carries no cancellation; any other pair is
+    uncorrelated, and the target keeps its variance.
+    """
     if target == given:
         raise DomainError("target and given quadratures must differ")
-    v_g = cm.variance(given)
-    c = cm.covariance(target, given)
-    return cm.variance(target) - c * c / v_g
+    if target.quadrature is given.quadrature:
+        return cm._det / cm.variance(given)
+    return cm.variance(target)
 
 
 def symplectic_eigenvalues(cm: CovarianceMatrix) -> list[float]:
-    """Symplectic spectrum: |eig(i Omega Sigma)|, one value per mode, ascending.
+    """Symplectic spectrum [nu-, nu+], ascending, stored when the state is validated.
 
-    Computed once, in closed form, when the covariance matrix is validated
-    (see ``_closed_form_spectrum`` and ``_gate``). Measured against a 50-digit spectrum of
-    the same stored entries on channel states with V in [1, 1e7], the
-    largest relative error in the decade 10^d <= V < 10^(d+1) (V = 1e7
-    joins d = 6) runs from 4e-16 at d = 0 to 6.7e-10 at d = 6 and stays
-    below eps * 10^(d+1) / 2: it grows like eps * V.
+    nu+ = hypot(d/2, sqrt(det)) + |d|/2 with d = (V - 1)(1 - T) - T xi
+    and det = V w + T, and nu- = det/nu+. Against a 60-digit spectrum of
+    (V, T, xi) (``tests/oracle.py``) on 6,000 random states with V from 1
+    to 1e12, T from 1e-4 to 1 and xi from 0 to 1, the largest relative
+    error in the decades [1, 10), [10, 100), ..., [1e11, 1e12] was 1.4,
+    1.9, 1.8, 1.7, 1.4, 1.8, 2.0, 1.7, 1.9, 1.6, 2.1 and 1.6 eps: it does
+    not grow with V.
     """
     return list(cm._nus)
-
-
-def _gate(nu: float, scale: float) -> float:
-    """The one physicality gate: nu below 1 - tol raises, nu below 1 + tol snaps to 1.
-
-    Two-mode squeezed vacuum is analytically pure but numerically
-    nu = 1 +- eps, and anything further below 1 is unphysical
-    (UnphysicalStateError). The tolerance tol = 1e-9 * scale grows with
-    ``scale``, the largest entry or 1: stored entries of size s cannot
-    represent purity more finely than s * machine epsilon, so a fixed
-    gate would spuriously reject pure states beyond V ~ 1e4. This keeps
-    ``tmsv(V)`` at [1, 1] up to V = 1e7.
-    """
-    tol = NU_TOLERANCE * scale
-    if nu < 1.0 - tol:
-        raise UnphysicalStateError(f"symplectic eigenvalue {nu} < 1 (unphysical state)")
-    return 1.0 if nu < 1.0 + tol else nu
-
-
-def _closed_form_spectrum(a: float, b: float, c: float) -> tuple[float, float] | None:
-    """Unsnapped closed-form spectrum of the blocks a I, b I, diag(c, -c), ascending, or None.
-
-    With c taken as |c| and lo = (a - c) + (b - c), for a, b, lo and
-    ab - c^2 positive (Serafini, Illuminati and De Siena, J. Phys. B 37,
-    L21, 2004):
-
-        nu+ = (sqrt(lo (a + b + 2c)) + |a - b|) / 2,
-        nu- = (a (b - c) + c (a - c)) / nu+.
-
-    Unlike (Delta +- sqrt(Delta^2 - 4 det Sigma)) / 2 this never takes a
-    root of a cancelling difference, so degenerate pairs (a = b, as in
-    the two-mode squeezed vacuum) lose no digits to the root. The sum in
-    nu- still cancels where b < c, by a factor of about V on channel
-    states. None where the conditions fail.
-    """
-    c = abs(c)
-    lo = (a - c) + (b - c)
-    num = a * (b - c) + c * (a - c)  # ab - c^2 without cancelling products
-    if not (a > 0.0 and b > 0.0 and lo > 0.0 and num > 0.0):
-        return None
-    hi = (math.sqrt(lo * (a + b + 2.0 * c)) + abs(a - b)) / 2.0
-    return (num / hi, hi)
-
-
-def _one_mode_entropy(x: float, p: float) -> float:
-    """Entropy in bits of the one-mode state diag(x, p): g(sqrt(xp)) through ``_gate``.
-
-    The gate's scale is max(1, |x|, |p|), as ``CovarianceMatrix`` takes
-    its own. PrecisionError where the closed form declines: a NaN
-    or non-finite entry, an entry of 2^510 or more (``CovarianceMatrix``'s
-    limit, past which xp overflows), x <= 0 or xp <= 0. A block of a
-    validated state declines only through rounding.
-    """
-    scale = max(1.0, abs(x), abs(p))  # a NaN entry fails the tests below
-    det = x * p
-    if not (scale < _ENTRY_LIMIT and x > 0.0 and det > 0.0):
-        raise PrecisionError(f"one-mode block [[{x}, 0.0], [0.0, {p}]] is not positive definite")
-    return entropy_g(_gate(math.sqrt(det), scale))
 
 
 def entropy_g(nu: float) -> float:
@@ -291,6 +225,8 @@ def von_neumann_entropy(cm: CovarianceMatrix) -> float:
     """von Neumann entropy in bits, g(nu-) + g(nu+) over the symplectic spectrum.
 
     The sum is taken once, when the state is validated, and stored with its
-    spectrum (``CovarianceMatrix``); this returns the stored value.
+    spectrum (``CovarianceMatrix``); this returns the stored value. On the
+    states of ``symplectic_eigenvalues``, the largest error per decade of
+    V against the oracle ran from 5.3e-15 to 1.4e-14 bits.
     """
     return cm._s_ab

@@ -53,6 +53,10 @@ _LAWS = {
     (True, True, False): (4.0 / math.e - 1.0, 1),
 }
 _LAW_MARGIN = 1e-12  # law and float sign test agree beyond this distance from a boundary
+# The most points a grid may have. Traced with tracemalloc over 200,000 rows, verify-ur
+# peaked at about 256 bytes a row and region at about 240, output included, so the
+# budget is about 1.3 GB, as the sampler's MAX_SAMPLE_ROWS is.
+MAX_GRID_POINTS = 5_000_000
 
 
 class FibreModel(_record("FibreModel", "attenuation_db_per_km")):
@@ -81,8 +85,10 @@ class SweepConfig(_record("SweepConfig", "t_min t_max steps")):
     exact, or [t_min] for one step. Each end must lie in (0, 1], t_min
     checked first, in ``ChannelParams``' words, and is stored as a float;
     ``steps`` is an int >= 1, and two or more steps need t_min < t_max.
-    ``t_values`` is a list of floats and loads no numpy; ``security_region``
-    solves it as one array, and ``verify-ur`` walks it point by point.
+    More than ``MAX_GRID_POINTS`` steps raise MemoryError here, before
+    any grid is allocated. ``t_values`` is a list of floats and loads no
+    numpy; ``security_region`` solves it as one array, and ``verify-ur``
+    walks it point by point.
     """
 
     def __new__(cls, t_min: float, t_max: float, steps: int):
@@ -93,6 +99,8 @@ class SweepConfig(_record("SweepConfig", "t_min t_max steps")):
             raise DomainError(f"grid needs at least 1 step, got {steps}")
         if steps > 1 and not t_min < t_max:
             raise DomainError(f"need t_min < t_max, got {t_min}, {t_max}")
+        if steps > MAX_GRID_POINTS:  # refused before any grid is allocated
+            raise MemoryError(f"{steps} grid points exceed the budget of {MAX_GRID_POINTS}")
         return tuple.__new__(cls, (t_min, t_max, steps))
 
     def t_values(self) -> list[float]:
@@ -101,15 +109,10 @@ class SweepConfig(_record("SweepConfig", "t_min t_max steps")):
         numpy's arithmetic in pure Python, so building the grid loads no
         numpy: point i is i * step + t_min, or i / (steps - 1) * span + t_min
         where step rounds to 0 (a denormal span), and the last point is
-        t_max. The list holds about 32 bytes a point against an array's 8.
-        Its slots are allocated first, as many bytes as the array asked for,
-        so a grid far too large to hold or to index raises MemoryError at once.
+        t_max.
         """
         t_min, t_max = self.t_min, self.t_max
-        try:
-            ts = [t_min] * self.steps  # point 0 is 0 * step + t_min
-        except OverflowError:
-            raise MemoryError("more grid points than a list can index") from None
+        ts = [t_min] * self.steps  # point 0 is 0 * step + t_min
         div = len(ts) - 1
         if div:
             span = t_max - t_min
@@ -184,12 +187,23 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
     1e-14 bits, of a 60-digit reference on V in [1, 1e10]. On the
     identity channel at v = inf (w = u = 0) the four variances of a
     homodyne-homodyne protocol are 0, and ``key_rate`` gives them the
-    rate +inf.
+    rate +inf; that is the only infinite rate. A variance that overflows,
+    or whose 2v - 1 lift does where its conditioner heterodynes (T near
+    5e-324, or xi near 1e308), raises PrecisionError: the record could
+    not report it, and the rate would read -inf.
     """
     v = _real(v, "modulation variance")
     if not v >= 1.0:
         raise DomainError(f"modulation variance must be >= 1, got {v}")
-    a_given_b, b_given_a = _cond_variances(protocol, ch.transmission, ch.excess_noise, 1.0 / v)
+    t, xi = ch
+    a_given_b, b_given_a = _cond_variances(protocol, t, xi, 1.0 / v)
+    if (2.0 * a_given_b if protocol._b_het else a_given_b) == math.inf or (
+        2.0 * b_given_a if protocol._a_het else b_given_a
+    ) == math.inf:
+        raise PrecisionError(
+            f"conditional variances ({a_given_b}, {b_given_a}) of {protocol.id} overflow "
+            f"at T = {t}, xi = {xi}"
+        )
     return key_rate(protocol, _tagged(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b)))
 
 

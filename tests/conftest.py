@@ -15,7 +15,6 @@ from cvqkd import (
     Measurement,
     ModeQuadrature,
     Quadrature,
-    Reconciliation,
     apply_channel,
     conditional_variance,
     entropy_g,
@@ -23,7 +22,6 @@ from cvqkd import (
     symplectic_eigenvalues,
     tmsv,
 )
-from cvqkd.gaussian import _one_mode_entropy
 
 
 def fresh_python(*args):
@@ -83,9 +81,7 @@ def condition_on_homodyne(cm, measured):
     Returns the Schur complement Sigma_rest - sigma sigma^T / V_meas
     together with the variance of the measured quadrature. The
     conjugate quadrature of the measured mode is discarded with the
-    mode, and the result is outcome independent. The reference that
-    the entry-level entropies of the UR slack and the DW ceiling are
-    checked against, bit for bit.
+    mode, and the result is outcome independent.
     """
     v_meas = cm.variance(measured)
     keep = [i for i in range(4) if i // 2 != measured.mode]
@@ -95,41 +91,20 @@ def condition_on_homodyne(cm, measured):
     return rest, v_meas
 
 
-def one_mode_entropy(m):
-    """Entropy of a diagonal one-mode array, through the package's one-mode route."""
-    assert m.shape == (2, 2) and m[0, 1] == m[1, 0] == 0.0, m.tolist()
-    return _one_mode_entropy(float(m[0, 0]), float(m[1, 1]))
-
-
 def outcome_entropy(cm, measured):
-    """H(q) + S(rest|q): the measured quadrature's Shannon entropy plus the conditioned state's."""
+    """H(q) + S(rest|q): the measured quadrature's Shannon entropy plus the conditioned state's.
+
+    The conditioned state is diagonal, so its entropy is g(sqrt(xp)).
+    """
     conditioned, v = condition_on_homodyne(cm, measured)
-    return gaussian_shannon_entropy(v) + one_mode_entropy(conditioned)
+    assert conditioned[0, 1] == conditioned[1, 0] == 0.0, conditioned.tolist()
+    nu = math.sqrt(conditioned[0, 0] * conditioned[1, 1])
+    return gaussian_shannon_entropy(v) + entropy_g(nu)
 
 
 def joint_entropy(cm):
     """S(AB) summed here over the spectrum, not read from the value the state stores."""
     return sum(entropy_g(nu) for nu in symplectic_eigenvalues(cm))
-
-
-def ur_slack_reference(cm):
-    """The tripartite UR slack (O_x - S_B) + (O_p - S_AB) - log2(4 pi) from the references.
-
-    Each entropy is ``joint_entropy(cm)`` or a ``one_mode_entropy`` of a
-    ``reduced_state`` or a ``condition_on_homodyne`` array, summed in
-    ``verify_ur_tripartite``'s order.
-    """
-    s_b = one_mode_entropy(reduced_state(cm, [1]))
-    o_x, o_p = outcome_entropy(cm, X_A), outcome_entropy(cm, P_A)
-    return (o_x - s_b) + (o_p - joint_entropy(cm)) - math.log2(4.0 * math.pi)
-
-
-def dw_reference(cm, direction):
-    """The Devetak-Winter ceiling I(ref:other) - (S_AB - S(other|x_ref)) from the references."""
-    ref, other = (X_B, X_A) if direction is Reconciliation.RR else (X_A, X_B)
-    mutual_info = 0.5 * math.log2(cm.variance(ref) / conditional_variance(cm, ref, other))
-    conditioned, _ = condition_on_homodyne(cm, ref)
-    return mutual_info - (joint_entropy(cm) - one_mode_entropy(conditioned))
 
 
 def split_with_vacuum(m, mode):

@@ -427,8 +427,9 @@ class TestRejectedInputs:
             ["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--V", "nan"],
             ["distance", "--protocol", "rr-homA-homB-eb", "--attenuation-db-per-km", "inf"],
             ["verify-ur", "--v-list", "nan"],
-            # these printed nan slacks and an inf distance (null in JSON) with exit 0
-            ["verify-ur", "--v-list", "2", "--xi-list", "1e160", "--t-min", "0.5", "--steps", "1"],
+            # these printed nan slacks and an inf distance (null in JSON) with exit 0; the
+            # state (1e160, 0.5, 1e160) has ab - c^2 = 5e319 (V = 2 is finite: golden/verify-ur)
+            ["verify-ur", "--v-list", "1e160", "--xi-list", "1e160", "--t-min", "0.5", "--steps", "1"],
             ["distance", "--protocol", "rr-homA-homB-eb", "--attenuation-db-per-km", "1e-320"],
         ],
         ids=[
@@ -456,7 +457,7 @@ class TestRejectedInputs:
     ids=["region", "verify-ur"],
 )
 def test_out_of_memory_exits_three_without_traceback(capsys, monkeypatch, argv):
-    # a grid of 1e13 steps raises MemoryError as its list is allocated; the
+    # any MemoryError a command raises, as a grid over MAX_GRID_POINTS does; the
     # command is replaced by one that raises it, so nothing is allocated
     def exhausted(args):
         raise MemoryError("Unable to allocate 72.8 TiB")
@@ -488,9 +489,11 @@ class TestUnwritableOut:
 
 class TestVerifyUr:
     def test_modulation_beyond_tmsv_precision_exits_three(self, capsys):
+        # 1e400 parses as inf, which no state has; 1e8 once exited 3 here too
+        code, out, err = run(capsys, "verify-ur", "--v-list", "1e400")
+        assert (code, out, err) == (3, "", "error: EPR variance must be finite and >= 1, got inf\n")
         code, out, err = run(capsys, "verify-ur", "--v-list", "1e8")
-        assert (code, out) == (3, "")
-        assert err.startswith("error: EPR variance 100000000.0 too large")
+        assert (code, err) == (0, "") and len(out.splitlines()) == 1 + 10 * 4
 
     def test_vacuum_point(self, capsys):
         code, out, _ = run(

@@ -80,7 +80,8 @@ CALLS = {
         **dict.fromkeys(("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b"), 0.5),
         "kind_b_given_a": VarianceKind.FULL, "kind_a_given_b": VarianceKind.FULL,
     }),
-    "CovarianceMatrix": (CovarianceMatrix, {"a": 2.0, "b": 1.5, "c": 1.0}),
+    # its three fields by position, a = V, then T and xi
+    "CovarianceMatrix": (lambda a, b, c: CovarianceMatrix(a, b, c), {"a": 2.0, "b": 0.5, "c": 0.1}),
     "FibreModel": (FibreModel, {"attenuation_db_per_km": 0.2}),
     "FibreModel.distance_km": (FibreModel().distance_km, {"transmission": 0.5}),
     "FibreModel(attenuation).distance_km": (
@@ -255,7 +256,7 @@ RATE = key_rate_at(RR_HOM_HOM, ChannelParams(0.5, 0.01), 5.0)
 CHECKED = {
     "ChannelParams": (ChannelParams(0.5, 0.01), "transmission", 2.0, "transmission must lie in"),
     "ModeQuadrature": (ModeQuadrature(1, Quadrature.P), "mode", 2, "mode 2 out of range"),
-    "CovarianceMatrix": (tmsv(2.0), "c", 5.0, "not positive definite"),
+    "CovarianceMatrix": (tmsv(2.0), "transmission", 2.0, "transmission must lie in"),
     "ProtocolSpec": (RR_HOM_HOM, "flavor", "pm", "flavor must be a Flavor member"),
     "ConditionalVariances": (RATE.variances, "kind_a_given_b", "full", "kind_a_given_b must be"),
     "FibreModel": (FibreModel(), "attenuation_db_per_km", 0.0, "attenuation must be finite"),
@@ -318,7 +319,7 @@ def test_copy_routes_rerun_the_checks(name, route):
 def test_copy_routes_recompute_the_derived_facts(route):
     # each route derives a copy's facts from its fields, and never carries over the original's
     facts = [
-        (tmsv(2.0), ["_nus", "_s_ab"]), (CovarianceMatrix(2.0, 1.5, 1.0), ["_nus", "_s_ab"]),
+        *((cm, ["a", "b", "c", "_det", "_nus", "_s_ab"]) for cm in (tmsv(2.0), CovarianceMatrix(2.0, 0.5, 1.0))),
         (RR_HOM_HOM, ["_a_het", "_b_het", "_dr", "_kinds", "_one_sided_di"]),
     ]
     for record, names in facts:
@@ -334,9 +335,9 @@ def test_replace_derives_the_facts_of_the_new_fields():
     assert pm == ProtocolSpec.parse("rr-homA-homB-pm")
     assert RR_HOM_HOM._one_sided_di is OneSidedDI.INDEPENDENT_OF_ALICE
     assert pm._one_sided_di is OneSidedDI.NOT_1SDI
-    cm = tmsv(2.0)._replace(b=3.0)
-    assert cm._nus == CovarianceMatrix(2.0, 3.0, cm.c)._nus and cm._nus != tmsv(2.0)._nus
-    assert cm._s_ab == CovarianceMatrix(2.0, 3.0, cm.c)._s_ab and cm._s_ab > tmsv(2.0)._s_ab == 0.0
+    cm = tmsv(2.0)._replace(transmission=0.5)
+    assert cm._nus == CovarianceMatrix(2.0, 0.5)._nus and cm._nus != tmsv(2.0)._nus
+    assert cm._s_ab == CovarianceMatrix(2.0, 0.5)._s_ab and cm._s_ab > tmsv(2.0)._s_ab == 0.0
 
 
 @pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=list(COPY_ROUTES))

@@ -29,6 +29,9 @@ import difflib
 import io
 import os
 import shlex
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -48,6 +51,19 @@ def _with_json(argvs):
     return [argv for plain in argvs for argv in (plain, [*plain, "--json"])]
 
 
+# requests over MAX_GRID_POINTS: each exits 3 with "error: out of memory" before it
+# allocates its grid. Past what a list can index, far past the budget, and just past it:
+# 5,000,001 steps, and 4 x 400,000 x 4 = 6.4e6 verify-ur rows
+BUDGET_CASES = {
+    "region": [
+        ["region", "--protocol", "rr-homA-homB-eb", "--steps", steps]
+        for steps in ("100000000000000000000", "1000000000", "5000001")
+    ],
+    "verify-ur": [
+        ["verify-ur", "--steps", steps] for steps in ("100000000000000000000", "1000000000", "400000")
+    ],
+}
+
 CASES = {
     "keyrate": _with_json(
         ["keyrate", "--protocol", p, "--T", t, "--xi", xi, "--V", v]
@@ -59,15 +75,14 @@ CASES = {
         ["keyrate", "--protocol", "dr-homA-homB-eb", "--T", "1"],
         ["keyrate", "--protocol", "bogus", "--T", "1"],
         ["keyrate", "--protocol", "rr-homA-homB-eb"],
-        # ROADMAP item 6, wrong today: both print key_rate_bits -inf and exit 0,
-        # where the rate is finite (about -1074 and -1024 bits)
+        # a variance that overflows (w/T), and a lift 2v - 1 that does: the rate once
+        # printed -inf with exit 0, where it is finite (about -1074 and -1024 bits)
         ["keyrate", "--protocol", "dr-homA-homB-eb", "--T", "5e-324"],
         ["keyrate", "--protocol", "rr-hetA-homB-eb", "--T", "1", "--xi", "1e308"],
     ],
     "region": _with_json(["region", "--protocol", p] for p in _IDS) + [
         ["region", "--protocol", "rr-homA-homB-eb", "--steps", "3"],
-        # more grid points than a list can index: out of memory, not a traceback
-        ["region", "--protocol", "rr-homA-homB-eb", "--steps", "100000000000000000000"],
+        *BUDGET_CASES["region"],
     ],
     "distance": _with_json(
         ["distance", "--protocol", p, "--xi", xi] for p in _IDS for xi in ("0", "0.002", "0.05")
@@ -104,11 +119,10 @@ CASES = {
          "--steps", "1"],
         ["verify-ur", "--v-list", "2", "--xi-list", "1e160", "--t-min", "0.5", "--t-max", "1",
          "--steps", "1"],
-        # ROADMAP item 2, wrong today: the gate snaps nu- to 1, so the slack
-        # 0.44105271 is 4.59e-5 bits above its 60-digit value
+        # a stored-entry route snapped nu- = 1 + 4.5e-6 to 1 here and printed 0.44105271
         ["verify-ur", "--v-list", "7495", "--t-min", "0.0404", "--t-max", "0.0404", "--steps",
          "1", "--xi-list", "1.08e-4"],
-        ["verify-ur", "--steps", "100000000000000000000"],
+        *BUDGET_CASES["verify-ur"],
     ],
     "table": _with_json([["table"]]),
 }
@@ -167,6 +181,32 @@ def test_usage_is_wrapped_at_80_columns_whatever_the_terminal(monkeypatch):
     case = render([["keyrate", "--protocol", "rr-homA-homB-eb"]])
     assert case in golden_path("keyrate").read_bytes().decode()
     assert os.environ["COLUMNS"] == "200"
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argvs in BUDGET_CASES.values() for argv in argvs], ids=shlex.join
+)
+def test_budget_cases_refuse_before_allocating(argv):
+    # in a child process whose address space is capped, so that a missing check fails
+    # fast instead of taking the host's memory; tracemalloc sees every allocation the
+    # command makes, and a refusal up front makes none of a grid's size
+    script = textwrap.dedent(f"""
+        import contextlib, io, resource, tracemalloc
+        resource.setrlimit(resource.RLIMIT_AS, ({1 << 30}, {1 << 30}))
+        from cvqkd.cli import build_parser, main
+        build_parser()  # the cached parser, built before the trace starts
+        err = io.StringIO()
+        tracemalloc.start()
+        with contextlib.redirect_stderr(err):
+            code = main({argv!r})
+        print(code, tracemalloc.get_traced_memory()[1], repr(err.getvalue()))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, peak, err = done.stdout.split(" ", 2)
+    assert (code, err) == ("3", repr("error: out of memory\n") + "\n")
+    assert int(peak) < 100_000, peak
 
 
 def test_no_two_outputs_render_alike():
