@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import DomainError, TagMismatchError, UnphysicalInferenceError, _real, _record
+from .errors import DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _real, _record
 from .gaussian import CovarianceMatrix, entropy_g
 
 LOG2_4PI = math.log2(4.0 * math.pi)
-_TWO_PI_E = 2.0 * math.pi * math.e
-_LOG2_TWO_PI_E = math.log2(_TWO_PI_E)
+_LOG2_TWO_PI_E = math.log2(2.0 * math.pi * math.e)
 
 
 class Reconciliation(Enum):
@@ -218,11 +217,15 @@ class KeyRateResult(_record("KeyRateResult", "protocol key_rate steering_ab stee
 
 
 def gaussian_shannon_entropy(v: float) -> float:
-    """Differential entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v), inf at v = inf."""
+    """Differential entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v), inf at v = inf.
+
+    The logs are summed, log2(v) + log2(2 pi e), so the product never
+    overflows: about 514 bits at v = 1e308.
+    """
     v = _real(v, "variance")
     if not v > 0.0:
         raise DomainError(f"variance must be positive, got {v}")
-    return 0.5 * math.log2(_TWO_PI_E * v)
+    return 0.5 * (math.log2(v) + _LOG2_TWO_PI_E)
 
 
 def infer_full_mode_variance(measured_half_conditional: float) -> float:
@@ -263,8 +266,10 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     key_rate > 0. A zero factor, x or p, gives the rate +inf: a homodyne
     variance of 0 (the identity channel at V -> inf, as ``key_rate_at``
     passes it) or a conditioner's half of exactly 1/2, which lifts to 0.
-    Beside an infinite factor the rate is undefined (DomainError). The
-    only builder of a ``KeyRateResult``.
+    Beside an infinite factor the rate is undefined (DomainError); an inf
+    factor beside a nonzero one (given, or a half of 9e307 or more lifted)
+    raises PrecisionError, as the rate would read -inf. The only builder
+    of a ``KeyRateResult``.
     """
     exp_ab, exp_ba = protocol._kinds
     if cv.kind_a_given_b is not exp_ab or cv.kind_b_given_a is not exp_ba:
@@ -289,7 +294,9 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
         if v_x == math.inf or v_p == math.inf:
             raise DomainError(f"key rate of {protocol.id} is undefined for variances inf and 0")
         rate = math.inf
-    else:  # the product under- or overflows (variances near 1e-160 or 1e160); its factors do not
+    else:  # the product under- or overflows (variances near 1e-160 or 1e160)
+        if v_x == math.inf or v_p == math.inf:
+            raise PrecisionError(f"key rate of {protocol.id} overflows at variances ({v_x}, {v_p})")
         rate = math.log2(2.0 / math.e) - (math.log2(v_x) + math.log2(v_p)) / 2.0
     # positional, in field order, as a keyword call costs about twice as much
     return KeyRateResult(

@@ -127,13 +127,6 @@ class CovarianceMatrix(_record("CovarianceMatrix", "modulation transmission exce
     def variance(self, mq: ModeQuadrature) -> float:
         return self.b if mq.mode else self.a
 
-    def covariance(self, a: ModeQuadrature, b: ModeQuadrature) -> float:
-        if a.quadrature is not b.quadrature:
-            return 0.0
-        if a.mode == b.mode:
-            return self.b if a.mode else self.a
-        return self.c if a.quadrature is Quadrature.X else -self.c
-
 
 def vacuum(n_modes: int = 2) -> CovarianceMatrix:
     """Two uncorrelated vacuum modes: the state (V, T, xi) = (1, 1, 0).

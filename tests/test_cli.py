@@ -4,14 +4,19 @@ import hashlib
 import io
 import json
 import math
+import re
 
-import mpmath
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import cvqkd
+import oracle
 from conftest import fresh_python
 from cvqkd import ProtocolSpec, SweepConfig, security_region
 from cvqkd.cli import _COMMANDS, _json, build_parser, main
+from cvqkd.montecarlo import MAX_SAMPLE_ROWS
+from cvqkd.security import MAX_GRID_POINTS
 
 
 def run(capsys, *argv):
@@ -101,16 +106,13 @@ class TestKeyrate:
         assert (code, err) == (0, "")
         assert float(report_value(out, "key_rate_bits")) > 0.0
 
-    def test_large_modulation_rate_matches_mpmath(self, capsys):
+    def test_large_modulation_rate_matches_the_oracle(self, capsys):
         code, out, _ = run(
             capsys, "keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--xi", "0.01",
             "--V", "1e10",
         )
         assert code == 0
-        with mpmath.workdps(60):
-            t, xi, v = mpmath.mpf(0.5), mpmath.mpf(0.01), mpmath.mpf(1e10)
-            v_b_given_a = 1 - t + t * xi + t / v  # RR hom-hom reads V_{B|A} twice
-            want = float(mpmath.log(2 / (mpmath.e * v_b_given_a), 2))
+        want = float(oracle.key_rate(ProtocolSpec.parse("rr-homA-homB-eb"), 0.5, 0.01, 1e10))
         assert abs(float(report_value(out, "key_rate_bits")) - want) <= 1e-9
 
 class TestJsonOutput:
@@ -488,7 +490,7 @@ class TestUnwritableOut:
 
 
 class TestVerifyUr:
-    def test_modulation_beyond_tmsv_precision_exits_three(self, capsys):
+    def test_infinite_modulation_exits_three(self, capsys):
         # 1e400 parses as inf, which no state has; 1e8 once exited 3 here too
         code, out, err = run(capsys, "verify-ur", "--v-list", "1e400")
         assert (code, out, err) == (3, "", "error: EPR variance must be finite and >= 1, got inf\n")
@@ -669,3 +671,60 @@ class TestModuleEntry:
             "assert not errors, errors\n"
         )
         assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# argv drawn as a user might mistype it: non-finite, out-of-range, denormal, hex and empty
+# values, and unknown ids. Counts and list lengths stay at 1e3 or below, or lie above the
+# budgets, which refuse them before anything is allocated.
+NUMBER = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "5e-324", "-5e-324", "1e308", "1.7e308",
+    "0x10", "0x1p-3", "", "0", "-0", "-1", "0.5", "1", "2", "abc",
+]) | st.one_of(st.floats(), st.floats(0.0, 1.0), st.floats(1.0, 1e12)).map(repr)
+NUMBERS = st.lists(NUMBER.filter(bool), max_size=3).map(",".join)
+STEPS = st.integers(-2, 20).map(str) | st.sampled_from([str(MAX_GRID_POINTS + 1), str(10**20), "1e3", "0x10", ""])
+SAMPLES = st.integers(-2, 1000).map(str) | st.sampled_from([str(MAX_SAMPLE_ROWS + 1), str(10**20), "1e3", ""])
+PROTOCOL = st.sampled_from([p.id for p in ProtocolSpec.all()] + ["unknown", "", "RR-HOMA-HOMB-EB"])
+POINT = {"--protocol": PROTOCOL, "--T": NUMBER, "--xi": NUMBER, "--V": NUMBER}
+OPTIONS = {
+    "keyrate": POINT,
+    "region": {"--protocol": PROTOCOL, "--t-min": NUMBER, "--t-max": NUMBER, "--steps": STEPS},
+    "distance": {"--protocol": PROTOCOL, "--xi": NUMBER, "--attenuation-db-per-km": NUMBER},
+    "simulate": POINT | {"--samples": SAMPLES, "--seed": st.integers(-2, 2**64).map(str) | NUMBER},
+    "verify-ur": {
+        "--v-list": NUMBERS, "--xi-list": NUMBERS, "--t-min": NUMBER, "--t-max": NUMBER,
+        "--steps": STEPS,
+    },
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for flag, values in OPTIONS[command].items():
+        if draw(st.integers(0, 3)):  # each option, required ones too, is left out a quarter of the time
+            argv.append(f"{flag}={draw(values)}")  # "=" keeps a value such as -inf a value
+    return argv + draw(st.sampled_from([[], ["--json"], ["--out"], ["--json", "--out"]]))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+@example(argv=["keyrate", "--protocol=dr-homA-homB-eb", "--T=5e-324"])  # once printed -inf
+@example(argv=["keyrate", "--protocol=rr-hetA-homB-eb", "--T=1", "--xi=1e308"])  # so did this
+@example(argv=["verify-ur", "--v-list=1e400"])
+@example(argv=["simulate", "--protocol=rr-homA-hetB-eb", "--T=0.9", "--V=5", "--samples=200", "--out"])
+def test_fuzzed_argv_exits_cleanly(argv, capsys, tmp_path):
+    # exit 0, 2 or 3, no traceback, and no nan or -inf in what is written
+    path = tmp_path / "out.txt"
+    argv = [f"--out={path}" if arg == "--out" else arg for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    if path.exists():
+        out += path.read_text()
+        path.unlink()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert not re.search(r"\bnan\b|-inf\b", out, re.IGNORECASE), (argv, out)

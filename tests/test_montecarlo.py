@@ -9,13 +9,12 @@ import subprocess
 import sys
 import textwrap
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import split_protocol_state
+import oracle
 from cvqkd import (
     ChannelParams,
     DomainError,
@@ -190,17 +189,16 @@ class TestSampling:
         # every pair of columns measured together, against the state in which
         # each heterodyning party's beamsplitter ports are modes of their own
         protocol = ProtocolSpec.parse(protocol)
-        ch = ChannelParams(0.7, 0.05)
-        rec = sample_quadratures(protocol, ch, 3.0, 10**6, seed=21)
-        state, rows = split_protocol_state(protocol, ch, 3.0)
+        rec = sample_quadratures(protocol, ChannelParams(0.7, 0.05), 3.0, 10**6, seed=21)
+        state = oracle.measured_moments(protocol, 0.7, 0.05, 3.0)
         pairs = 0
         for i, a in enumerate(COLUMNS):
-            for b in COLUMNS[i:]:
+            for j, b in enumerate(COLUMNS[i:], i):
                 both = np.isfinite(rec.column(a)) & np.isfinite(rec.column(b))
                 m = int(both.sum())
                 if m == 0:  # x and p of one homodyning party
                     continue
-                va, vb, c = (state[rows[j], rows[k]] for j, k in ((a, a), (b, b), (a, b)))
+                va, vb, c = (float(state[k, n]) for k, n in ((i, i), (j, j), (i, j)))
                 got = float(np.mean(rec.column(a)[both] * rec.column(b)[both]))
                 assert abs(got - c) < 5.0 * math.sqrt((va * vb + c * c) / m), (a, b, got, c)
                 pairs += 1
@@ -268,20 +266,14 @@ class TestFactor:
     )
     def test_factor_reproduces_the_state(self, log_v, t, xi):
         # sqrt(V), l = sqrt(T (V^2 - 1)/V) and d = sqrt(1 - T + T xi + T/V), each
-        # against 60 digits; over 20,000 seeded states, a quarter of them at T = 1,
-        # xi = 0, the worst were 1.1e-16, 2.22e-16 and 1.92e-16 (relative)
+        # against the oracle's Cholesky factor; over 20,000 seeded states, a quarter of
+        # them at T = 1, xi = 0, the worst were 1.1e-16, 2.22e-16 and 1.92e-16 (relative)
         v = 10.0**log_v
         factor = _factor(ChannelParams(t, xi), v)
         s, ell, d = (float(factor[i, j]) for i, j in ((0, 0), (2, 0), (2, 2)))
         assert factor.tolist() == [[s, 0, 0, 0], [0, s, 0, 0], [ell, 0, d, 0], [0, -ell, 0, d]]
-        with mpmath.workdps(60):
-            v, t, xi = map(mpmath.mpf, (v, t, xi))
-            for got, want in (
-                (s, mpmath.sqrt(v)),
-                (ell, mpmath.sqrt(t * (v * v - 1) / v)),
-                (d, mpmath.sqrt(1 - t + t * xi + t / v)),
-            ):
-                assert abs(got - want) <= 2.0**-52 * want, (got, want)
+        for got, want in zip((s, ell, d), oracle.factor(v, t, xi)):
+            assert abs(got - want) <= 2.0**-52 * want, (got, want)
 
 
 class TestConditionalVarianceEstimate:

@@ -5,14 +5,14 @@ import inspect
 import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cvqkd.gaussian
-from conftest import SPEC_COPIES, fresh_python, schur_variance, split_protocol_state
+import oracle
+from conftest import SPEC_COPIES, fresh_python
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
@@ -20,10 +20,8 @@ from cvqkd import (
     CVQKDError,
     DomainError,
     FibreModel,
-    Measurement,
     PrecisionError,
     ProtocolSpec,
-    Reconciliation,
     SweepConfig,
     devetak_winter_oracle,
     empirical_entropy,
@@ -49,37 +47,6 @@ DR_HOM_HOM = ProtocolSpec.parse("dr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
 # T log-uniform on [5e-324, 1]
 LOG_UNIFORM_T = st.floats(-323.3, 0.0).map(lambda e: max(10.0**e, 5e-324))
-
-
-# Closed-form oracles, derived by setting the large-V rate to zero by hand:
-#   rr hom-hom:  1 - T + T xi          = 2/e
-#   rr Bob-het:  (2 - T + T xi)/2      = 2/e
-#   dr hom-hom:  (1 - T + T xi)/T      = 2/e
-#   dr coherent: ((1 - T + T xi)/T + 1)/2 = 2/e
-
-
-def t_star_oracle(protocol, xi):
-    if protocol is RR_HOM_HOM:
-        return (1.0 - 2.0 / E) / (1.0 - xi)
-    if protocol is RR_BOB_HET:
-        return (2.0 - 4.0 / E) / (1.0 - xi)
-    if protocol is DR_HOM_HOM:
-        return 1.0 / (1.0 + 2.0 / E - xi)
-    if protocol is DR_COHERENT:
-        return 1.0 / (4.0 / E - xi)
-    raise AssertionError(protocol)
-
-
-def xi_max_oracle(protocol, t):
-    if protocol is RR_HOM_HOM:
-        return (2.0 / E - 1.0 + t) / t
-    if protocol is RR_BOB_HET:
-        return (4.0 / E - 2.0 + t) / t
-    if protocol is DR_HOM_HOM:
-        return 2.0 / E - (1.0 - t) / t
-    if protocol is DR_COHERENT:
-        return (4.0 / E - 1.0) - (1.0 - t) / t
-    raise AssertionError(protocol)
 
 
 class TestProtocolCondVariances:
@@ -165,32 +132,6 @@ class TestKeyRateAt:
 VARIANCE_FIELDS = ("v_x_b_given_a", "v_p_b_given_a", "v_x_a_given_b", "v_p_a_given_b")
 
 
-def cm_oracle(protocol, ch, v):
-    """The four conditional variances read off the assembled covariance matrix."""
-    m, rows = split_protocol_state(protocol, ch, v)
-
-    def cv(target, given):
-        return schur_variance(m, rows[target], rows[given])
-
-    return cv("x_b", "x_a"), cv("p_b", "p_a"), cv("x_a", "x_b"), cv("p_a", "p_b")
-
-
-def mpmath_variances(protocol, t, xi, v):
-    """(V_{A|B}, V_{B|A}) as 60-digit Schur complements of the measured modes' moments.
-
-    A heterodyned mode's half has variance (V + 1)/2 and carries 1/sqrt(2)
-    of its correlation.
-    """
-    with mpmath.workdps(60):
-        t, xi, v = mpmath.mpf(t), mpmath.mpf(xi), mpmath.mpf(v)
-        v_a, v_b, c2 = v, t * v + 1 - t + t * xi, t * (v * v - 1)
-        if protocol.alice_measurement is Measurement.HET:
-            v_a, c2 = (v_a + 1) / 2, c2 / 2
-        if protocol.bob_measurement is Measurement.HET:
-            v_b, c2 = (v_b + 1) / 2, c2 / 2
-        return v_a - c2 / v_b, v_b - c2 / v_a
-
-
 class TestClosedForm:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -200,30 +141,21 @@ class TestClosedForm:
         xi=st.floats(0.0, 0.5),
     )
     @example(protocol=RR_HOM_HOM, log_v=5.0, t=1.0, xi=0.0)  # w = 0: V_{B|A} = 1/V
-    def test_matches_covariance_matrix_oracle(self, protocol, log_v, t, xi):
-        # The oracle's Schur complements cancel entries of size T V, so it
-        # cannot resolve a variance more finely than a few eps * V; that
-        # floor only binds where w = 1 - T + T xi is near 0.
+    def test_matches_the_oracle(self, protocol, log_v, t, xi):
+        # the Schur complements of the measured columns, every heterodyne port a mode
+        # of its own, at 60 digits
         v = 10.0**log_v
-        ch = ChannelParams(t, xi)
-        cv = key_rate_at(protocol, ch, v).variances
-        floor = 8.0 * np.finfo(float).eps * v
-        for name, want in zip(VARIANCE_FIELDS, cm_oracle(protocol, ch, v)):
-            assert getattr(cv, name) == pytest.approx(want, rel=1e-9, abs=floor), name
+        cv = key_rate_at(protocol, ChannelParams(t, xi), v).variances
+        for name, want in zip(VARIANCE_FIELDS, oracle.conditional_variances(protocol, t, xi, v)):
+            assert abs(getattr(cv, name) - want) <= 1e-14 * want, name
 
-    def test_matches_mpmath_at_large_v(self):
+    def test_matches_the_oracle_at_large_v(self):
         rng = np.random.default_rng(6)
         for v in np.logspace(5.0, 10.0, 11).tolist():
             for protocol in ProtocolSpec.all():
                 t, xi = float(rng.uniform(1e-3, 1.0)), float(rng.uniform(0.0, 0.5))
                 cv = key_rate_at(protocol, ChannelParams(t, xi), v).variances
-                a_given_b, b_given_a = mpmath_variances(protocol, t, xi, v)
-                for got, want in (
-                    (cv.v_x_a_given_b, a_given_b),
-                    (cv.v_p_a_given_b, a_given_b),
-                    (cv.v_x_b_given_a, b_given_a),
-                    (cv.v_p_b_given_a, b_given_a),
-                ):
+                for got, want in zip(cv[:4], oracle.conditional_variances(protocol, t, xi, v)):
                     assert abs(got - want) <= 1e-14 * want, (protocol.id, v, t, xi)
 
     def test_infinite_v_is_the_limit(self):
@@ -318,17 +250,6 @@ class TestThresholdTransmission:
         got = threshold_transmission(RR_BOB_HET, 0.0)
         assert got == pytest.approx(2.0 - 4.0 / E, rel=1e-15, abs=0.0)
 
-    def test_matches_oracle_across_noise(self):
-        for protocol in (RR_HOM_HOM, RR_BOB_HET, DR_HOM_HOM, DR_COHERENT):
-            for xi in (0.0, 0.05, 0.1, 0.2):
-                oracle = t_star_oracle(protocol, xi)
-                if oracle > 1.0:
-                    assert threshold_transmission(protocol, xi) is None
-                else:
-                    assert threshold_transmission(protocol, xi) == pytest.approx(
-                        oracle, abs=1e-6
-                    )
-
     def test_threshold_ordering_at_low_noise(self):
         for xi in (0.0, 0.005, 0.01):
             ts = [
@@ -356,16 +277,6 @@ class TestSecurityRegion:
     def test_xi_max_at_full_transmission(self):
         assert max_excess_noise(RR_HOM_HOM, 1.0) == pytest.approx(2.0 / E, abs=1e-6)
 
-    def test_agrees_with_closed_forms(self):
-        cfg = SweepConfig(t_min=0.05, t_max=1.0, steps=40)
-        for protocol in (RR_HOM_HOM, RR_BOB_HET, DR_HOM_HOM, DR_COHERENT):
-            for t, xi in security_region(protocol, cfg):
-                oracle = xi_max_oracle(protocol, t)
-                if oracle < 0.0:
-                    assert xi is None
-                else:
-                    assert xi == pytest.approx(oracle, abs=1e-6)
-
     def test_no_security_below_threshold(self):
         assert max_excess_noise(DR_COHERENT, 0.5) is None  # T < e/4
 
@@ -386,8 +297,8 @@ class TestSecurityRegion:
     def test_curve_crossing_dr_hom_hom_vs_rr_bob_het(self):
         # equate the closed forms: 2T/e = 4/e - 1  =>  T = 2 - e/2
         t_cross = 2.0 - E / 2.0
-        xi_cross = xi_max_oracle(DR_HOM_HOM, t_cross)
-        assert xi_cross == pytest.approx(xi_max_oracle(RR_BOB_HET, t_cross), abs=1e-12)
+        xi_cross = oracle.xi_max(DR_HOM_HOM, t_cross)
+        assert abs(xi_cross - oracle.xi_max(RR_BOB_HET, t_cross)) <= 1e-12
         lo, hi = 0.60, 0.70  # both curves exist here (dr hom-hom needs T > e/(e+2))
 
         def gap(t):
@@ -544,66 +455,37 @@ class TestNumpyScalarInputs:
         assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def mpmath_law(protocol):
-    """(c, k) of the law w <= c T^k in 60-digit mpmath, or None, from the protocol's measurements.
-
-    The conditioning party (Bob for DR, Alice for RR) must homodyne; c is
-    2/e where the other party homodynes too and 4/e - 1 where it
-    heterodynes; k = 1 for DR and 0 for RR.
-    """
-    dr = protocol.reconciliation is Reconciliation.DR
-    het = (protocol.alice_measurement is Measurement.HET, protocol.bob_measurement is Measurement.HET)
-    conditioner_het, other_het = (het[1], het[0]) if dr else het
-    if conditioner_het:
-        return None
-    with mpmath.workdps(60):
-        return (4 / mpmath.e - 1 if other_het else 2 / mpmath.e), int(dr)
-
-
 class TestClosedFormLaws:
-    """Thresholds and xi_max against 60-digit laws, and the laws against key_rate_at."""
+    """Thresholds and xi_max against the oracle's 60-digit laws, and the laws against key_rate_at."""
 
-    XIS = (0.0, 0.002, 0.0237, 0.05, 0.1, 0.3)
+    XIS = (0.0, 0.002, 0.0237, 0.05, 0.1, 0.2, 0.3)
 
     @staticmethod
     def assert_close(got, want):
         assert abs(got - want) <= 1e-14 * abs(want) + 1e-15, (got, want)
 
-    def test_threshold_transmission_matches_mpmath(self):
+    def test_threshold_transmission_matches_the_oracle(self):
         for protocol in ProtocolSpec.all():
-            law = mpmath_law(protocol)
             for xi in self.XIS:
-                got = threshold_transmission(protocol, xi)
-                if law is None:
-                    assert got is None
-                    continue
-                with mpmath.workdps(60):
-                    c, k = law
-                    x = mpmath.mpf(xi)
-                    want = 1 / (1 + c - x) if k else (1 - c) / (1 - x)
-                    if want > 1:
-                        assert got is None, (protocol.id, xi)
-                    else:
-                        self.assert_close(got, want)
+                got, want = threshold_transmission(protocol, xi), oracle.threshold_transmission(protocol, xi)
+                if want is None:
+                    assert got is None, (protocol.id, xi)
+                else:
+                    self.assert_close(got, want)
 
     @pytest.mark.parametrize(
-        "config", [SweepConfig(0.01, 1.0, 200), SweepConfig(0.2, 0.9999, 157)], ids=["default", "fine"]
+        "config",
+        [SweepConfig(0.01, 1.0, 200), SweepConfig(0.2, 0.9999, 157), SweepConfig(0.05, 1.0, 40)],
+        ids=["default", "fine", "coarse"],
     )
-    def test_xi_max_matches_mpmath(self, config):
+    def test_xi_max_matches_the_oracle(self, config):
         for protocol in ProtocolSpec.all():
-            law = mpmath_law(protocol)
             for t, got in security_region(protocol, config):
-                if law is None:
-                    assert got is None
-                    continue
-                with mpmath.workdps(60):
-                    c, k = law
-                    x = mpmath.mpf(t)
-                    want = (c * x**k - (1 - x)) / x
-                    if want < 0:
-                        assert got is None, (protocol.id, t)
-                    else:
-                        self.assert_close(got, want)
+                want = oracle.xi_max(protocol, t)
+                if want is None:
+                    assert got is None, (protocol.id, t)
+                else:
+                    self.assert_close(got, want)
 
     def test_laws_are_the_private_table(self):
         # the four laws of the module docstring, by id without the flavor; None elsewhere
@@ -612,7 +494,7 @@ class TestClosedFormLaws:
             "rr-homA-hetB": (4.0 / E - 1.0, 0), "dr-hetA-homB": (4.0 / E - 1.0, 1),
         }
         for protocol, copy_of in itertools.product(ProtocolSpec.all(), SPEC_COPIES.values()):
-            law, want = _law(copy_of(protocol)), mpmath_law(protocol)
+            law, want = _law(copy_of(protocol)), oracle.law(protocol)
             assert law == docstring.get(protocol.id[:-3]), protocol.id
             assert (law is None) is (want is None)
             if law is not None:
