@@ -21,10 +21,10 @@ import math
 from enum import Enum
 
 from .errors import DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _real, _record
-from .gaussian import CovarianceMatrix, entropy_g
+from .gaussian import _LN2, CovarianceMatrix, entropy_g
 
-LOG2_4PI = math.log2(4.0 * math.pi)
 _LOG2_TWO_PI_E = math.log2(2.0 * math.pi * math.e)
+_LOG2_E_HALF = math.log2(math.e / 2.0)
 
 
 class Reconciliation(Enum):
@@ -232,13 +232,16 @@ def infer_full_mode_variance(measured_half_conditional: float) -> float:
     """Full-mode conditional variance 2v - 1 inferred from a heterodyne half.
 
     Inverse of the heterodyne-half law V_half = (V_full + 1)/2, licensed by the
-    trusted party's beamsplitter. A half below 1/2 or NaN raises; one of inf,
-    or above about 9e307 where 2v - 1 overflows, gives inf.
+    trusted party's beamsplitter. A half below 1/2 raises
+    UnphysicalInferenceError, and NaN DomainError; one of inf, or above
+    about 9e307 where 2v - 1 overflows, gives inf.
     """
     v = measured_half_conditional
     if v.__class__ is not float:  # on this hot path only other types pay for the check
         v = _real(v, "half-mode conditional variance")
-    if not v >= 0.5:
+    if not v >= 0.5:  # NaN is told apart only here, off the hot path
+        if v != v:
+            raise DomainError("half-mode conditional variance is NaN")
         raise UnphysicalInferenceError(f"inferred variance 2*{v} - 1 would be nonpositive")
     return 2.0 * v - 1.0
 
@@ -319,32 +322,40 @@ def verify_ur_bipartite(cm: CovarianceMatrix) -> float:
     return verify_ur_tripartite(cm)
 
 
+def _r(nu: float) -> float:
+    # g(nu) - log2(e nu/2) <= 0 without log2(nu)-sized terms: (ln(1 + 1/nu) + dn ln(1 + 1/dn) - 1)/ln 2
+    # with dn = (nu - 1)/2, and from nu = 100 on -(x/6 + x^2/20 + x^3/42)/ln 2 with x = 1/nu^2
+    if nu >= 100.0:  # where the series holds 13 digits
+        x = 1.0 / (nu * nu)
+        return -x * (1.0 / 6.0 + x * (0.05 + x / 42.0)) / _LN2
+    if not nu > 1.0:  # g(1) = 0
+        return -_LOG2_E_HALF
+    dn = (nu - 1.0) / 2.0
+    return (math.log1p(1.0 / nu) + dn * math.log1p(1.0 / dn) - 1.0) / _LN2
+
+
 def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     """Slack of S(x_A|B) + S(p_A|E) >= log2(4 pi), E purifying the state.
 
-    Purity of the global state gives S(E) = S(AB), and after the p_A
-    measurement the conditional BE state is pure, so S(rho_E^{p_A}) =
-    S(rho_B^{p_A}); no explicit purification is ever constructed. With
-    O_q = H(q_A) + S(B|q_A) the slack is (O_x - S_B) + (O_p - S_AB) - log2(4 pi),
-    and the bipartite one (O_x - S_B) + (O_p - S_B) - log2(4 pi) - (S_AB - S_B)
-    is the same sum: the duality of Berta et al., Nat. Phys. 6, 659 (2010).
-
-    H(q_A) = log2(2 pi e a)/2 is the Shannon entropy of the Gaussian
-    outcome, and S(B|q_A) the entropy of B's conditioned state, outcome
-    independent: B given x_A is diag(det/a, b), whose nu = sqrt(b det/a),
-    and given p_A its swap, so O_x = O_p bit for bit. S_B = g(b), and
-    S_AB is stored with the state's spectrum. Roots are taken before
-    products, so b det/a never overflows. Against the 60-digit slack of
-    (V, T, xi) (``tests/oracle.py``) on 6,000 random states with T from
-    1e-4 to 1 and xi from 0 to 1, the largest error in the decades of V
-    [1, 10), [10, 100), ..., [1e11, 1e12] was 1.1, 1.3, 1.4, 1.2, 1.2,
-    1.2, 1.6, 1.6, 1.6, 1.6, 1.9 and 2.0 e-14 bits: absolute, so where the
-    slack is near 0 (T = 1, xi = 0, large V) it is the slack's whole size.
+    Purity gives S(E) = S(AB) and S(E|p_A) = S(B|p_A), so no purification
+    is built; with O_q = H(q_A) + S(B|q_A) the slack is (O_x - S_B) + (O_p -
+    S_AB) - log2(4 pi), the bipartite slack's sum (Berta et al., Nat. Phys.
+    6, 659, 2010). H(q_A) = log2(2 pi e a)/2, and B given q_A has nu_c =
+    sqrt(b det/a). With r(nu) = g(nu) - log2(e nu/2) <= 0 the slack is
+    2 r(nu_c) - r(nu-) - r(nu+) - r(b), whose log2-sized terms cancel, as
+    a nu_c^2 = b nu- nu+. At T = 1, nu_c = sqrt(det) e^eps with eps >= 0 and
+    nu-+ = sqrt(det) e^-+h, and R(s) = r(e^s) rises and is concave, so the
+    first three terms are >= 0 and, as -r(b) is, no slack reads below 0.
+    Against ``tests/oracle.py`` on 6,000 random states (V from 1 to 1e12,
+    T from 1e-4 to 1, xi from 0 to 1) the largest error was 2.7e-15 bits,
+    and 1.0e-14 on 9,000 at T = 1, xi down to 1e-320.
     """
-    a, b = cm.a, cm.b
-    h = 0.5 * (math.log2(a) + _LOG2_TWO_PI_E)  # log2 of a product that overflows past 1e307
-    o = h + entropy_g(math.sqrt(b) * math.sqrt(cm._det / a))
-    return (o - entropy_g(b)) + (o - cm._s_ab) - LOG2_4PI
+    (v, t, _), b = cm, cm.b  # a = V
+    nu_minus, nu_plus = cm._nus
+    bracket = 2.0 * _r(math.sqrt(b / v) * math.sqrt(cm._det)) - _r(nu_minus) - _r(nu_plus)
+    if t == 1.0:  # >= 0 by R's rise and concavity: a value below is rounding
+        bracket = max(bracket, 0.0)
+    return bracket - _r(b)
 
 
 def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> float:

@@ -10,7 +10,9 @@ outside an operation's domain (a NaN, a bool, None or a str where a
 number is due) raises ``DomainError``, or ``PrecisionError`` where it lies
 beyond what floats resolve. An argument of the wrong object type, such
 as None for a protocol, a channel or a covariance matrix, is a
-programming error outside the contract.
+programming error outside the contract. ``tests/test_contract.py`` is its
+test, one table: each value every argument takes, and the error class
+and message, or the return, it gives.
 
 Numbers enter once: ``_real`` checks each real argument, which is then
 used and stored as a Python float, and ``_integer`` each count, used and

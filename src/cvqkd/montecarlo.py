@@ -394,12 +394,16 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
 
     Bins of the given width span +-8 standard deviations; the estimate
     is -sum p log2 p + log2(bin_width). DomainError where that takes more
-    than MAX_ENTROPY_BINS bins.
+    than MAX_ENTROPY_BINS bins; PrecisionError for an int sample beyond the
+    float range.
     """
     bin_width = _real(bin_width, "bin width")
     if not 0.0 < bin_width < math.inf:
         raise DomainError(f"bin width must be positive and finite, got {bin_width}")
-    samples = np.asarray(samples, dtype=float)
+    try:
+        samples = np.asarray(samples, dtype=float)
+    except OverflowError:  # an int, as _real refuses one
+        raise PrecisionError("samples hold an integer beyond the float range") from None
     if samples.size < 1000:
         raise InsufficientDataError(f"entropy estimate needs >= 1000 samples, got {samples.size}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are raised below

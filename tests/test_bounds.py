@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -30,7 +30,6 @@ from cvqkd import (
     Quadrature,
     Reconciliation,
     TagMismatchError,
-    UnphysicalInferenceError,
     VarianceKind,
     apply_channel,
     classify_1sdi,
@@ -112,10 +111,6 @@ class TestShannonEntropy:
             1.0, abs=1e-12
         )
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            gaussian_shannon_entropy(0.0)
-
     @pytest.mark.parametrize("v", [1e-300, 0.5, 3.0, 1e300, 1e308, 1.7e308])
     def test_matches_the_oracle_up_to_the_float_max(self, v):
         # 2 pi e v overflowed from about 1.05e307, and the entropy read inf for 514 bits
@@ -162,17 +157,6 @@ class TestProtocolSpec:
         assert all(ProtocolSpec.parse(p.id) is p for p in specs)
         assert specs is not ProtocolSpec.all()  # a new list each call
 
-    def test_fields_must_be_enum_members(self):
-        with pytest.raises(DomainError, match="reconciliation must be a Reconciliation member"):
-            ProtocolSpec("dr", Measurement.HOM, Measurement.HOM)
-        with pytest.raises(DomainError, match="flavor must be a Flavor member"):
-            ProtocolSpec(Reconciliation.DR, Measurement.HOM, Measurement.HOM, Measurement.HOM)
-
-    def test_parse_rejects_unknown(self):
-        for bad in ("bogus", "rr-homA-homB", "xx-homA-homB-eb", "rr-homB-homA-eb"):
-            with pytest.raises(DomainError):
-                ProtocolSpec.parse(bad)
-
     @settings(max_examples=300, deadline=None)
     @given(
         text=st.one_of(
@@ -185,6 +169,10 @@ class TestProtocolSpec:
             st.sampled_from(IDS).map(lambda i: f" {i}"),
         )
     )
+    @example(text="bogus")
+    @example(text="rr-homA-homB")
+    @example(text="xx-homA-homB-eb")
+    @example(text="rr-homB-homA-eb")
     def test_a_string_parses_iff_it_is_one_of_the_16_ids(self, text):
         try:
             spec = ProtocolSpec.parse(text)
@@ -271,15 +259,6 @@ class TestKeyRate:
     def test_tag_mismatch_rejected(self):
         with pytest.raises(TagMismatchError):
             key_rate(DR_COHERENT, hom_hom_cv(0.5, 0.5))
-
-    @pytest.mark.parametrize("bad", [-0.5, math.nan])
-    def test_negative_or_nan_variance_rejected(self, bad):
-        # 0 is the identity-channel limit and passes; below it, or NaN, nothing does
-        for i in range(4):
-            values = [0.5] * 4
-            values[i] = bad
-            with pytest.raises(DomainError, match="must be nonnegative"):
-                ConditionalVariances(*values)
 
     @pytest.mark.parametrize("pid", [p.id for p in HOM_HOM])
     def test_identity_channel_is_key_rate_on_zero_variances(self, pid):
@@ -392,11 +371,6 @@ class TestInference:
             conditional_variance(tmsv(2.0), X_A, ModeQuadrature(1, Quadrature.X)), abs=1e-12
         )
 
-    def test_rejects_below_half(self):
-        with pytest.raises(UnphysicalInferenceError):
-            infer_full_mode_variance(0.49)
-
-
 class TestMeasuredConditionalEntropy:
     """S(x_A|B) = H(x_A) + S(B|x_A) - S(B), the oracle's term of the bipartite UR slack."""
 
@@ -444,8 +418,9 @@ class TestUncertaintyRelations:
             assert abs(got - float(bipartite)) <= ENTROPY_BITS, cm
 
     def test_each_state_sums_its_joint_entropy_once(self, monkeypatch):
-        # S(AB) is summed when the state is validated: reading it calls no kernel, and the
-        # slack and both DW ceilings call it only for their one-mode states (10 calls once)
+        # S(AB) is summed when the state is validated: reading it calls no kernel, the slack
+        # works in r = g - log2(e nu/2) and calls none, and both DW ceilings call it only for
+        # their one-mode states (10 calls once)
         cm = channelled_state(20.0, 0.5, 0.05)
         kernel, calls = gaussian.entropy_g, []
         for module in (gaussian, bounds):
@@ -453,9 +428,21 @@ class TestUncertaintyRelations:
         assert von_neumann_entropy(cm) == joint_entropy(cm) > 0.0
         assert calls == []
         verify_ur_tripartite(cm)
+        assert calls == []
         for direction in Reconciliation:
             devetak_winter_oracle(cm, direction)
-        assert len(calls) == 4, calls
+        assert len(calls) == 2, calls
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=st.floats(0.0, 12.0).map(lambda u: 10.0**u), xi=st.floats(0.0, 1.0))
+    @example(v=7e7, xi=0.0)  # the oracle reads 4.9e-17
+    @example(v=2.47e11, xi=0.53)  # the oracle reads 1.6e-23
+    @example(v=1e12, xi=1e-6)
+    @example(v=9.504e11, xi=1.1e-24)
+    @example(v=1e12, xi=5e-324)
+    def test_slack_at_full_transmission_is_nonnegative(self, v, xi):
+        # where T = 1 the slack is O(1/V^2) beside entropies of about log2(V) bits
+        assert verify_ur_tripartite(channelled_state(v, 1.0, xi)) >= 0.0
 
     def test_slack_continuous_on_grid(self):
         # neighbouring grid points never jump: no discontinuities observed

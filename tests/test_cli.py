@@ -344,11 +344,11 @@ class TestSimulate:
         assert (code, out, err) == (3, "", "error: only 2 sifted pairs for x_b|x_a\n")
 
     @pytest.mark.parametrize(
-        "t, v", [("0.9", "3e7"), ("1", "66502965.66699864")], ids=["past-tmsv", "past-pivot"]
+        "t, v", [("0.9", "3e7"), ("1", "66502965.66699864")], ids=["T-0.9", "T-1"]
     )
-    def test_modulation_past_the_matrix_limits_samples(self, capsys, t, v):
-        # both exited 3 while the sampler built a covariance matrix: tmsv refused
-        # 3e7, and the factor's pivot b - c^2/a = 1/V rounded below zero at the other
+    def test_large_modulation_estimates_the_analytic_rate(self, capsys, t, v):
+        # V_{B|A} is about 1/V, which a factor of the formed covariance matrix rounds
+        # below zero at the second point
         code, out, err = run(
             capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", t, "--xi", "0",
             "--V", v, "--samples", "20000", "--seed", "1", "--json",

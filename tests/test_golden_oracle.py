@@ -11,11 +11,11 @@ oracle has no value for (no secure xi, no secure T) must be empty, null or
 ``no-security``.
 
 A slack below ``NEAR_ZERO`` in magnitude is held to ``SLACK_FLOOR`` bits
-instead. The slack is a difference of entropies of up to about 40 bits on
-these grids, each rounded to a few eps, so its absolute error is about
-1e-14 bits whatever its size (``test_gaussian``'s oracle property); 9
-digits of a slack below 1e-4 would resolve finer than that. At (7e7, 1, 0)
-the float slack prints -1.77635684e-15 where the oracle reads 4.9e-17.
+instead: its absolute error is about 1e-14 bits whatever its size
+(``test_gaussian``'s oracle property), and 9 digits of a slack below 1e-4
+would resolve finer than that. Every printed slack is >= 0, as the
+relation is: at (7e7, 1, 0) it prints 4.90712599e-17, the oracle's
+4.9e-17.
 """
 
 import json
@@ -88,6 +88,7 @@ def test_verify_ur_slacks_are_the_oracle_slacks(argv, stdout):
         want = float(oracle.ur_slack(*point))
         for name in ("slack_bipartite", "slack_tripartite"):
             assert_cell(row[name], want, floor=SLACK_FLOOR)
+            assert float(row[name]) >= 0.0, (point, row[name])
 
 
 @pytest.mark.parametrize("argv, stdout", KEYRATE, ids=[shlex.join(a) for a, _ in KEYRATE])

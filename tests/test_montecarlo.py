@@ -20,7 +20,6 @@ from cvqkd import (
     DomainError,
     InsufficientDataError,
     Measurement,
-    PrecisionError,
     ProtocolSpec,
     UnphysicalInferenceError,
     empirical_entropy,
@@ -153,13 +152,9 @@ class TestSampling:
             rec = sample_quadratures(RR_HOM_HOM, ChannelParams(1.0, xi), float(v), 4, seed=0)
             assert rec.n == 4 and np.isfinite(rec.x_b).sum() + np.isfinite(rec.p_b).sum() == 4
 
-    def test_modulation_cap(self):
-        rec = sample_quadratures(RR_HOM_HOM, PERFECT, MAX_SAMPLED_V, 4, seed=0)
-        assert rec.modulation == MAX_SAMPLED_V == 1e12
-        above = math.nextafter(MAX_SAMPLED_V, math.inf)
-        message = r"^modulation variance 1000000000000\.0001 is above the sampling limit 1e\+12, "
-        with pytest.raises(PrecisionError, match=message):
-            sample_quadratures(RR_HOM_HOM, PERFECT, above, 4, seed=0)
+    def test_a_record_at_the_modulation_cap_stores_it(self):
+        # the value above the cap raises PrecisionError (tests/test_contract.py)
+        assert sample_quadratures(RR_HOM_HOM, PERFECT, MAX_SAMPLED_V, 4, seed=0).modulation == 1e12
 
     def test_row_budget_is_checked_before_allocating(self):
         # in a child process whose address space is capped, so that a missing
@@ -174,15 +169,13 @@ class TestSampling:
             tracemalloc.start()
             try:
                 cvqkd.sample_quadratures(*args, {MAX_SAMPLE_ROWS + 1}, 0)
-            except MemoryError as exc:
-                print(exc, tracemalloc.get_traced_memory()[1])
+            except MemoryError:
+                print(tracemalloc.get_traced_memory()[1])
         """)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, done.stderr
-        message, _, peak = done.stdout.rpartition(" ")
-        assert message == f"{MAX_SAMPLE_ROWS + 1} samples exceed the budget of {MAX_SAMPLE_ROWS} rows"
-        assert int(peak) < 10_000
+        assert int(done.stdout) < 10_000
 
     @pytest.mark.parametrize("protocol", ["rr-hetA-homB-eb", "rr-homA-hetB-eb", "rr-hetA-hetB-eb"])
     def test_second_moments_match_the_split_state(self, protocol):
@@ -224,38 +217,6 @@ class TestSampling:
             assert np.array_equal(long.column(name)[:k], short.column(name)[:k], equal_nan=True)
         assert np.array_equal(long.basis_a[:k], short.basis_a[:k])
         assert np.array_equal(long.basis_b[:k], short.basis_b[:k])
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
-            sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 0, seed=1)
-        with pytest.raises(DomainError):
-            sample_quadratures(RR_HOM_HOM, PERFECT, math.inf, 10, seed=1)
-        with pytest.raises(DomainError, match="^modulation variance must be >= 1, got 0.5$"):
-            sample_quadratures(RR_HOM_HOM, PERFECT, 0.5, 10, seed=1)
-
-    @pytest.mark.parametrize("n", [1e3, 10.5, 2.0, "10", None])
-    def test_sample_count_must_be_an_integer(self, n):
-        # numpy raised TypeError on 1e3 and 10.5
-        with pytest.raises(DomainError, match="sample count must be an integer"):
-            sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, n, seed=1)
-
-    def test_numpy_integer_count_is_the_int_count(self):
-        r1 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=11)
-        r2 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, np.int64(50), seed=11)
-        assert record_equal(r1, r2)
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
-    def test_seed_must_be_a_non_negative_integer(self, seed):
-        # numpy raised ValueError on -1 and TypeError on 1.5
-        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
-            sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 10, seed=seed)
-
-    def test_numpy_integer_seed_is_the_int_seed(self):
-        r1 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=11)
-        r2 = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 50, seed=np.uint32(11))
-        assert record_equal(r1, r2)
-        assert type(r2.seed) is int and r2.seed == 11  # it was stored as numpy.uint32
-
 
 class TestFactor:
     @settings(max_examples=300, deadline=None)
@@ -329,19 +290,6 @@ class TestConditionalVarianceEstimate:
         se_small = estimate_conditional_variance(rec_small, "x_b", "x_a").std_error
         se_large = estimate_conditional_variance(rec_large, "x_b", "x_a").std_error
         assert se_large < se_small / 5.0  # 100x samples -> ~10x smaller
-
-    def test_unknown_column(self):
-        rec = sample_quadratures(RR_HOM_HOM, PERFECT, 2.0, 10, seed=1)
-        with pytest.raises(DomainError):
-            estimate_conditional_variance(rec, "x_c", "x_a")
-
-    @pytest.mark.parametrize("column", ["x_a", "p_a", "x_b", "p_b"])
-    def test_column_given_itself_is_rejected(self, column):
-        # a column fits itself exactly: the residual was rounding noise (8.9e-16 for x_a here)
-        rec = sample_quadratures(RR_HOM_HOM, ChannelParams(0.9, 0.01), 5.0, 100, seed=0)
-        with pytest.raises(DomainError, match="target and given columns must differ"):
-            estimate_conditional_variance(rec, column, column)
-
 
 class TestCalibration:
     def test_large_v_conditional_variances_are_unbiased(self):
@@ -417,27 +365,6 @@ class TestEmpiricalEntropy:
         h_g = empirical_entropy(gauss, 0.01)
         assert h_g > empirical_entropy(unif, 0.01)
         assert h_g > empirical_entropy(laplace, 0.01)
-
-    def test_input_validation(self):
-        rng = np.random.Generator(np.random.Philox(104))
-        with pytest.raises(DomainError):
-            empirical_entropy(rng.standard_normal(2000), 0.0)
-        with pytest.raises(InsufficientDataError):
-            empirical_entropy(rng.standard_normal(10), 0.01)
-
-    @pytest.mark.parametrize("bin_width", [5e-324, 1e-300, 1e-20])
-    def test_too_many_bins_raise_domain_error(self, bin_width):
-        # np.arange raised an untyped "Maximum allowed size exceeded" for these
-        message = rf"^bin width {bin_width} needs .* bins, over 10000000$"
-        with pytest.raises(DomainError, match=message):
-            empirical_entropy(np.linspace(-1.0, 1.0, 2000), bin_width)
-
-    @pytest.mark.parametrize("scale", [1e300, math.inf])
-    def test_samples_too_large_to_bin_raise_domain_error(self, scale):
-        # np.var's "overflow encountered in square" RuntimeWarning once escaped for 1e300
-        with pytest.raises(DomainError, match="too large to bin"):
-            empirical_entropy(np.linspace(-1.0, 1.0, 2000) * scale, 0.1)
-
 
 class TestSimulateProtocolRun:
     def test_rr_hom_hom_converges_to_analytic(self):
