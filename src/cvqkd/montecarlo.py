@@ -4,13 +4,13 @@
 exports it, and ``estimate_key_rate(record)`` estimates its protocol's
 key rate from it; a record too short to estimate from can still be written.
 
-Gaussian states admit exact classical sampling: one linear map of
-standard normals draws all four columns. The map is the Cholesky factor
-of the EPR state sent through the channel, written in closed form from
-(V, T, xi) without forming the covariance matrix, and a heterodyning
-party's beamsplitter halves mix in vacuum normals of their own. Its
-entries are accurate to an ulp or two; above ``MAX_SAMPLED_V`` = 1e12
-the rounding of the sampled columns themselves would bias the
+Gaussian states admit exact classical sampling: one linear map of four
+standard normals a row draws the four record columns. The map is the
+lower Cholesky factor of the measured columns' covariance, a
+heterodyning party's two beamsplitter halves included, written in
+closed form from (V, T, xi) with no vacuum port and no covariance
+matrix formed. Its entries are correctly rounded; above ``MAX_SAMPLED_V``
+= 1e12 the rounding of the sampled columns themselves would bias the
 estimates, so ``sample_quadratures`` refuses it. The estimator fits
 each column on the other and sums the squared residuals, never
 subtracting two large variances. Records are drawn block by block, in
@@ -75,19 +75,17 @@ _EMPTY_CELL = 216
 
 
 # the formatter's arrays: pow10, 10.0 ** k for k = 0..13; letters, the basis
-# letters "x" and "p" as bytes; lead, the uint64 lead word per leading digit;
-# groups, the uint64 ".a.b.c.d" per 4-digit group; trailing, the trailing zeros
-# per 4-digit group, 4 for 0000; masks, the (217, 3) uint64 keep masks
-_Tables = namedtuple("_Tables", "pow10 letters lead groups trailing masks")
+# letters "x" and "p" as bytes; numerals, the uint32 "abcd" per 4-digit group;
+# lead, the uint64 lead word per leading digit; groups, the uint64 ".a.b.c.d"
+# per 4-digit group; trailing, the trailing zeros per 4-digit group, 4 for
+# 0000; masks, the (217, 3) uint64 keep masks
+_Tables = namedtuple("_Tables", "pow10 letters numerals lead groups trailing masks")
 
 
 def _tables() -> _Tables:
-    """The formatter's tables: 0.2 MB, built in about 0.2 ms.
-
-    They are built once per export and dropped after it: kept for the
-    process's life, they raised the peak RSS of repeated in-process exports
-    by about 3 MB through heap fragmentation.
-    """
+    """The formatter's tables, 0.2 MB built in about 0.2 ms once per export and dropped after
+    it: kept for the process's life, they raised the peak RSS of repeated in-process exports
+    by about 3 MB through heap fragmentation."""
     lead = np.tile(np.frombuffer(b",-0.0000", np.uint8), (10, 1))
     lead[:, 7] += np.arange(10, dtype=np.uint8)
     # the four digits of the groups 0000..9999, one broadcast axis each
@@ -114,6 +112,7 @@ def _tables() -> _Tables:
     return _Tables(
         pow10=10.0 ** np.arange(14),
         letters=np.frombuffer(b"xp", np.uint8),
+        numerals=numerals.view(np.uint32).ravel(),
         lead=lead.view(np.uint64).ravel(),
         groups=groups.view(np.uint64).ravel(),
         trailing=(d * (1 + c * (1 + b * (1 + a)))).ravel(),
@@ -182,11 +181,12 @@ class MeasurementRecord(
         byte for byte Python's "%.9g", and unmeasured (non-finite) cells
         are empty. Lines end in LF.
 
-        Rows are built as numpy byte arrays and written in chunks of
-        _CSV_CHUNK_ROWS = 2,048 rows, so memory does not grow with the
-        record length. The index i takes one byte per digit of the widest
-        index, i // 10^k % 10 for digit k, kept from its leading digit on
-        (the units digit always). A quadrature with
+        Rows are built as numpy byte arrays in buffers of _CSV_CHUNK_ROWS =
+        2,048 rows, allocated once per export, so memory does not grow with
+        the record length. A row's head holds its LF, the index as 4-digit
+        groups from a numeral table (one divmod by 10,000 a group), and the
+        commas and basis letters; the LF and commas are written once, and an
+        index digit of place 10^k is kept from index 10^k on. A quadrature with
         1e-4 <= |x| < 1e8 takes its nine digits from the exactly rounded
         integer round(|x| 10^(8-e)), e its decimal exponent, and its layout
         from a table of keep masks.
@@ -196,35 +196,35 @@ class MeasurementRecord(
         """
         stream.write(",".join(CSV_HEADER))  # each row follows its own line break
         tables = _tables()
-        bases = (self.basis_a, self.basis_b)
         width = len(str(self.n - 1))  # digits of the widest index
-        place = 10 ** np.arange(width - 1, -1, -1)[:, None]  # a column: rows on the fast axis
-        # a row's head: LF, the index digits, then a comma and any basis
-        # letter per party, padded to whole 8-byte words
-        bases_at = 1 + width
-        head = -(-(bases_at + 2 + sum(b is not None for b in bases)) // 8)
-        for start in range(0, self.n, _CSV_CHUNK_ROWS):
-            stop = min(start + _CSV_CHUNK_ROWS, self.n)
-            text = np.empty((stop - start, head + 12), np.uint64)
-            keep = np.zeros((stop - start, head + 12), np.uint64)
-            text8, keep8 = text.view(np.uint8), keep.view(bool)
-            text8[:, 0] = ord("\n")
-            keep8[:, 0] = True
-            i = np.arange(start, stop)
-            text8[:, 1:bases_at] = (48 + i // place % 10).T
-            keep8[:, 1:bases_at] = ((i >= place) | (place == 1)).T  # no leading zeros
-            col = bases_at
-            for b in bases:
-                text8[:, col] = ord(",")
-                col += 1
-                if b is not None:
-                    text8[:, col] = tables.letters[b[start:stop]]
-                    col += 1
-            keep8[:, bases_at:col] = True
-            values = np.stack([getattr(self, name)[start:stop] for name in COLUMNS], axis=1)
-            cells = (stop - start, len(COLUMNS), 3)
-            _format_cells(values, tables, text[:, head:].reshape(cells), keep[:, head:].reshape(cells))
-            stream.write(np.compress(keep8.ravel(), text8.ravel()).tobytes().decode("ascii"))
+        groups = -(-width // 4)
+        # a row's head: three unkept bytes and the LF, the index in the uint32 words
+        # 1..groups, then a comma and any basis letter per party, in whole 8-byte words
+        units = 3 + 4 * groups  # the byte of the units digit
+        commas = [units + 1, units + 2 + (self.basis_a is not None)]
+        letters = [(at + 1, b) for at, b in zip(commas, (self.basis_a, self.basis_b)) if b is not None]
+        rows = min(self.n, _CSV_CHUNK_ROWS)
+        text = np.empty((rows, -(-(units + 3 + len(letters)) // 8) + 12), np.uint64)
+        keep = np.zeros_like(text)
+        text8, keep8, text32 = text.view(np.uint8), keep.view(bool), text.view(np.uint32)
+        text8[:, [3, *commas]] = np.frombuffer(b"\n,,", np.uint8)
+        keep8[:, [3, units, *commas, *(at for at, _ in letters)]] = True
+        cell_text, cell_keep = (a[:, -12:].reshape(rows, len(COLUMNS), 3) for a in (text, keep))
+        for start in range(0, self.n, rows):
+            m = min(rows, self.n - start)
+            q = i = np.arange(start, start + m)
+            for word in range(groups, 1, -1):
+                q, r = np.divmod(q, 10_000)
+                text32[:m, word] = tables.numerals[r]
+            text32[:m, 1] = tables.numerals[q]
+            if start < 10 ** (width - 1) + rows:  # this chunk or the last holds a shorter index
+                for k in range(1, width):
+                    keep8[:m, units - k] = i >= 10**k
+            for at, b in letters:
+                text8[:m, at] = tables.letters[b[start : start + m]]
+            values = np.stack([getattr(self, name)[start : start + m] for name in COLUMNS], axis=1)
+            _format_cells(values, tables, cell_text[:m], cell_keep[:m])
+            stream.write(np.compress(keep8[:m].ravel(), text8[:m].ravel()).tobytes().decode("ascii"))
         stream.write("\n")
 
 
@@ -236,12 +236,28 @@ def _block_seed(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def _factor(ch: ChannelParams, v: float) -> np.ndarray:
-    """The state's lower Cholesky factor from (V, T, xi), as ``sample_quadratures`` states it."""
-    t = ch.transmission
-    s = math.sqrt(v)
-    ell = math.sqrt(t * (v - 1.0) * ((v + 1.0) / v))
-    d = math.sqrt(1.0 - t + t * ch.excess_noise + t / v)
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num/den), correctly rounded: an integer root of 58 or more bits, rounded to
+    odd (its last bit set where the root is inexact), then one int true division."""
+    shift = max(0, 116 + den.bit_length() - num.bit_length()) // 2
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    root |= root * root * den != scaled
+    return root / (1 << shift)
+
+
+def _factor(ch: ChannelParams, v: float, a_het: bool, b_het: bool) -> np.ndarray:
+    """The record columns' lower Cholesky factor, as ``sample_quadratures`` states it."""
+    # V = p/q, T = a/b and xi = c/e exactly; each entry is sqrt(num/den) of sums of products
+    (p, q), (a, b), (c, e) = (x.as_integer_ratio() for x in (v, ch.transmission, ch.excess_noise))
+    if a_het:  # (V + 1)/2, T (V - 1) and 1 + T xi
+        squares = [(p + q, 2 * q), (a * (p - q), b * q), (b * e + a * c, b * e)]
+    else:  # V, T (V - 1)(V + 1)/V and w + T/V, w = 1 - T + T xi
+        squares = [(p, q), (a * (p - q) * (p + q), b * q * p), (((b - a) * e + a * c) * p + a * q * e, b * e * p)]
+    if b_het:  # l / sqrt(2) and (d^2 + 1)/2
+        (ln, ld), (dn, dd) = squares[1:]
+        squares[1:] = [(ln, 2 * ld), (dn + dd, 2 * dd)]
+    s, ell, d = (_sqrt_ratio(*square) for square in squares)
     return np.array([[s, 0, 0, 0], [0, s, 0, 0], [ell, 0, d, 0], [0, -ell, 0, d]], dtype=float)
 
 
@@ -252,25 +268,23 @@ def sample_quadratures(
 
     Homodyning parties flip a fair, seeded basis coin per symbol and the
     unmeasured quadrature is blanked; heterodyning parties record both
-    halves every symbol: heterodyne is a balanced beamsplitter with
-    vacuum and a homodyne on each port (Weedbrook et al., Rev. Mod. Phys.
-    84, 621, 2012). A block of m rows is ``standard_normal((m, 4 + 2h)) @
-    mix.T``, h the number of heterodyning parties. ``mix`` starts as the
-    lower Cholesky factor of the EPR state of modulation V sent through
-    the channel on Bob's arm, in the ordering (x_a, p_a, x_b, p_b),
-    written from (V, T, xi) with w = 1 - T + T xi: its rows are
-    [sqrt(V), 0, 0, 0], [0, sqrt(V), 0, 0], [l, 0, d, 0] and
-    [0, -l, 0, d], with l = sqrt(T (V - 1) ((V + 1)/V)) and
-    d = sqrt(w + T/V) = sqrt(V_{B|A}). No entry is a difference of large
-    terms: over 20,000 seeded states with V up to the cap and T in
-    [1e-6, 1], a quarter of them at T = 1, xi = 0, the worst was 2.2e-16
-    (relative) off its 60-digit value. A heterodyning party's rows are
-    then scaled by 1/sqrt(2) and given +1/sqrt(2) (x port,
-    (in + vac)/sqrt(2)) and -1/sqrt(2) (p port, (in - vac)/sqrt(2)) on
-    its own two vacuum normals.
-    Identical (parameters, seed) reproduce the record bit for bit. The
-    seed is a non-negative integer, as ``numpy.random.SeedSequence`` takes
-    it, and v a finite real >= 1 (DomainError otherwise).
+    halves every symbol, the outcomes of a balanced beamsplitter with
+    vacuum and a homodyne on each port: Gaussian with covariance
+    (Gamma + I)/2, Gamma the party's mode (Weedbrook et al., Rev. Mod.
+    Phys. 84, 621, 2012), so no vacuum normal is drawn. A block of m rows
+    is ``standard_normal((m, 4)) @ mix.T``, ``mix`` the lower Cholesky
+    factor of the record columns' covariance, (x_a, p_a, x_b, p_b), for the
+    EPR state of modulation V sent through the channel on Bob's arm. Its
+    rows are [s, 0, 0, 0], [0, s, 0, 0], [l, 0, d, 0] and [0, -l, 0, d];
+    with w = 1 - T + T xi, s^2 is V, or (V + 1)/2 where Alice heterodynes;
+    l is sqrt(T (V - 1)(V + 1)/V), or sqrt(T (V - 1)) where Alice
+    heterodynes, over sqrt(2) where Bob does; d^2 = V_{B|A} is w + T/V,
+    (w + T/V + 1)/2, 1 + T xi or (2 + T xi)/2 (hom-hom, hom-het, het-hom,
+    het-het). Each square is a sum of nonnegative terms, taken as an exact
+    rational of the float inputs, and each entry is its correctly rounded
+    square root. Identical (parameters, seed) reproduce the record bit for
+    bit. The seed is a non-negative integer, as ``numpy.random.SeedSequence``
+    takes it, and v a finite real >= 1 (DomainError otherwise).
 
     V above ``MAX_SAMPLED_V`` = 1e12 raises PrecisionError. The columns
     are of size sqrt(V), so their float64 rounding adds a variance of
@@ -280,8 +294,8 @@ def sample_quadratures(
     -48 at 1e16.
     n above ``MAX_SAMPLE_ROWS`` = 2e7 raises MemoryError before anything
     is allocated: traced with tracemalloc, sampling, estimating and
-    exporting 1e6 rows peaked at 64-73 bytes a row, so the budget is
-    about 1.5 GB.
+    exporting 1e6 rows peaked at 66-73 bytes a row (hom-hom sampling 68,
+    het-het estimating 73), so the budget is about 1.5 GB.
     """
     n = _integer(n, "sample count")
     if n < 1:
@@ -302,31 +316,20 @@ def sample_quadratures(
             " where rounding biases the estimates"
         )
     alice_hom, bob_hom = not protocol._a_het, not protocol._b_het
-    mix = _factor(ch, v)  # normals to x_a, p_a, x_b, p_b
-    r = 1.0 / math.sqrt(2.0)
-    for party, hom in enumerate((alice_hom, bob_hom)):
-        if not hom:  # (q + v_x)/sqrt(2) on the x port, (q - v_p)/sqrt(2) on the p port
-            ports = np.zeros((4, 2))
-            ports[2 * party : 2 * party + 2] = [[r, 0.0], [0.0, -r]]
-            mix = np.hstack([mix, ports])
-            mix[2 * party : 2 * party + 2, :4] *= r
+    mix = _factor(ch, v, protocol._a_het, protocol._b_het)  # normals to x_a, p_a, x_b, p_b
 
     def one_block(block: int) -> tuple:
-        start = block * BLOCK_SIZE
-        m = min(BLOCK_SIZE, n - start)
+        m = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
         rng = _block_seed(seed, block)
         # draw order is fixed: normals, then Alice's coins, then Bob's
-        y = rng.standard_normal((m, mix.shape[1])) @ mix.T
+        y = rng.standard_normal((m, 4)) @ mix.T
         out = {name: y[:, i].copy() for i, name in enumerate(COLUMNS)}
-        ba = rng.integers(0, 2, size=m, dtype=np.uint8) if alice_hom else None
-        bb = rng.integers(0, 2, size=m, dtype=np.uint8) if bob_hom else None
-        if ba is not None:
-            out["x_a"][ba == 1] = np.nan
-            out["p_a"][ba == 0] = np.nan
-        if bb is not None:
-            out["x_b"][bb == 1] = np.nan
-            out["p_b"][bb == 0] = np.nan
-        return out, ba, bb
+        coins = [rng.integers(0, 2, size=m, dtype=np.uint8) if hom else None for hom in (alice_hom, bob_hom)]
+        for party, c in enumerate(coins):
+            if c is not None:  # blank the quadrature the coin did not pick
+                out[COLUMNS[2 * party]][c == 1] = np.nan
+                out[COLUMNS[2 * party + 1]][c == 0] = np.nan
+        return out, *coins
 
     pieces = [one_block(b) for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)]
 
@@ -335,12 +338,7 @@ def sample_quadratures(
 
     columns = {name: cat([p[0][name] for p in pieces]) for name in COLUMNS}
     return MeasurementRecord(
-        protocol=protocol,
-        channel=ch,
-        modulation=v,
-        n=n,
-        seed=seed,
-        rng_stream=_rng_stream(),
+        protocol=protocol, channel=ch, modulation=v, n=n, seed=seed, rng_stream=_rng_stream(),
         basis_a=cat([p[1] for p in pieces]) if alice_hom else None,
         basis_b=cat([p[2] for p in pieces]) if bob_hom else None,
         **columns,
@@ -370,8 +368,7 @@ def _residual_pair(
     record: MeasurementRecord, target: str, given: str
 ) -> tuple[EstimateWithError, EstimateWithError]:
     # (target|given, given|target): each centred column's residual off its fit on the other
-    t = record.column(target)
-    g = record.column(given)
+    t, g = record.column(target), record.column(given)
     if target == given:
         raise DomainError("target and given columns must differ")
     mask = np.isfinite(t) & np.isfinite(g)
@@ -394,18 +391,21 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
 
     Bins of the given width span +-8 standard deviations; the estimate
     is -sum p log2 p + log2(bin_width). DomainError where that takes more
-    than MAX_ENTROPY_BINS bins; PrecisionError for an int sample beyond the
-    float range.
+    than MAX_ENTROPY_BINS bins, or for 1000 or more samples of a bool, str
+    or object array; PrecisionError for an int sample beyond the float range.
     """
     bin_width = _real(bin_width, "bin width")
     if not 0.0 < bin_width < math.inf:
         raise DomainError(f"bin width must be positive and finite, got {bin_width}")
+    data = np.asarray(samples)
     try:
-        samples = np.asarray(samples, dtype=float)
+        samples = data.astype(float, copy=False)
     except OverflowError:  # an int, as _real refuses one
         raise PrecisionError("samples hold an integer beyond the float range") from None
     if samples.size < 1000:
         raise InsufficientDataError(f"entropy estimate needs >= 1000 samples, got {samples.size}")
+    if data.dtype.kind not in "iuf":  # a bool, a str or an object is no number, as for _real
+        raise DomainError(f"samples must be real numbers, got dtype {data.dtype}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are raised below
         spread = 8.0 * math.sqrt(float(np.var(samples)))
     if not 0.0 < spread < math.inf:  # NaN too: a NaN sample falls in no histogram bin

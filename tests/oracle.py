@@ -15,7 +15,7 @@ forms (``test_acceptance``) and the CSV row reference of
   and the key rate;
 * the V -> inf solvers: the law w <= c T^k, T*, xi_max and the fibre
   distance;
-* the sampler's Cholesky factor (sqrt(V), l, d).
+* the sampler's factor, the Cholesky factor of the measured columns' covariance.
 
 Each function takes floats, converts them to mpmath exactly, and
 evaluates the textbook form of its quantity: the symplectic invariants
@@ -255,12 +255,8 @@ def distance(protocol, xi, attenuation_db_per_km=0.2):
         return t_star, 100 * (1 - t_star), -10 * mpmath.log10(t_star) / mpmath.mpf(attenuation_db_per_km)
 
 
-def factor(v, t, xi):
-    """(sqrt(a), l, d) of the state's lower Cholesky factor in the ordering (x_a, p_a, x_b, p_b).
-
-    The textbook Cholesky of the blocks: sqrt(a) on A's diagonal, l = c / sqrt(a)
-    below it, and d = sqrt(b - c^2/a) on B's.
-    """
+def factor(protocol, t, xi, v):
+    """The lower Cholesky factor of ``measured_moments``, as 4 x 4 mpmath: the textbook
+    Cholesky of the record columns' covariance, every heterodyne port a mode of its own."""
     with mpmath.workdps(_work(v, xi)):
-        a, b, c2 = blocks(v, t, xi)
-        return mpmath.sqrt(a), mpmath.sqrt(c2 / a), mpmath.sqrt(b - c2 / a)
+        return mpmath.cholesky(measured_moments(protocol, t, xi, v))

@@ -297,7 +297,7 @@ class TestSimulate:
         "protocol, digest",
         [
             ("rr-homA-homB-eb", "f730d5bd0c4848a662da57039060337908164d828b1eb16a0f385e9e0ce5648a"),
-            ("rr-hetA-hetB-eb", "3321a2882d77381b48c32c054c673330f09138e2ca72f79fb183ff375985356a"),
+            ("rr-hetA-hetB-eb", "7e666099077151509502e0347e2bd714963d0106b5f2d096893aabe4bda4a05f"),
         ],
     )
     def test_record_csv_bytes_are_pinned(self, capsys, tmp_path, protocol, digest):

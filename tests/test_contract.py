@@ -302,6 +302,9 @@ ARGUMENTS = {
         **{label: (value, TOO_FEW) for label, value in ODD.items()},
         "10**400": (10**400, BEYOND_FLOATS),
         "array-10**400": ([10**400] * 2000, BEYOND_FLOATS),
+        "array-bool": ([True, False] * 1000, exactly(DomainError, "samples must be real numbers, got dtype bool")),
+        "array-str": (["0.5", "1.5", "2"] * 700, exactly(DomainError, "samples must be real numbers, got dtype <U3")),
+        "array-object": (SAMPLES.astype(object), exactly(DomainError, "samples must be real numbers, got dtype object")),
         "999": (SAMPLES[:999], exactly(InsufficientDataError, "entropy estimate needs >= 1000 samples, got 999")),
         "1000": (SAMPLES[:1000], RETURNS),
         "array-nan": (np.full(2000, math.nan), UNBINNABLE),

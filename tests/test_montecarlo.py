@@ -11,7 +11,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -28,7 +28,15 @@ from cvqkd import (
     key_rate_at,
     sample_quadratures,
 )
-from cvqkd.montecarlo import _CSV_CHUNK_ROWS, COLUMNS, MAX_SAMPLE_ROWS, MAX_SAMPLED_V, _factor
+from cvqkd.montecarlo import (
+    _CSV_CHUNK_ROWS,
+    BLOCK_SIZE,
+    COLUMNS,
+    MAX_SAMPLE_ROWS,
+    MAX_SAMPLED_V,
+    _block_seed,
+    _factor,
+)
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
@@ -132,8 +140,8 @@ class TestSampling:
         assert abs(frac - 0.5) < 5.0 * math.sqrt(0.25 / n)
 
     def test_samples_every_protocol_without_lapack(self, monkeypatch):
-        # the factor is written from (V, T, xi), and heterodyne halves come from
-        # vacuum normals, so no protocol reaches a numerical factorisation
+        # every layout's factor, heterodyne halves included, is written in closed form
+        # from (V, T, xi), so no protocol reaches a numerical factorisation
         def refuse(*args, **kwargs):
             raise AssertionError("np.linalg.cholesky was called")
 
@@ -218,23 +226,52 @@ class TestSampling:
         assert np.array_equal(long.basis_a[:k], short.basis_a[:k])
         assert np.array_equal(long.basis_b[:k], short.basis_b[:k])
 
+def layout_factor(protocol, ch, v):
+    het = Measurement.HET
+    return _factor(ch, v, protocol.alice_measurement is het, protocol.bob_measurement is het)
+
+
 class TestFactor:
+    @pytest.mark.parametrize("protocol", CSV_LAYOUTS.values(), ids=lambda p: p.id)
     @settings(max_examples=300, deadline=None)
     @given(
         st.floats(0.0, math.log10(MAX_SAMPLED_V)),
         st.floats(1e-6, 1.0) | st.just(1.0),
         st.floats(0.0, 0.5) | st.just(0.0),
     )
-    def test_factor_reproduces_the_state(self, log_v, t, xi):
-        # sqrt(V), l = sqrt(T (V^2 - 1)/V) and d = sqrt(1 - T + T xi + T/V), each
-        # against the oracle's Cholesky factor; over 20,000 seeded states, a quarter of
-        # them at T = 1, xi = 0, the worst were 1.1e-16, 2.22e-16 and 1.92e-16 (relative)
+    @example(0.504584767875555, 0.515625, 0.0)  # l = sqrt(T (V - 1)((V + 1)/V)) in floats
+    @example(0.0001, 0.6491076009728182, 0.0)  # rounded 1 ulp off these two
+    def test_factor_reproduces_the_state(self, protocol, log_v, t, xi):
+        # every entry against the oracle's Cholesky factor of the measured columns'
+        # covariance: correctly rounded, so within half an ulp, 2^-53 of its value
         v = 10.0**log_v
-        factor = _factor(ChannelParams(t, xi), v)
+        factor = layout_factor(protocol, ChannelParams(t, xi), v)
         s, ell, d = (float(factor[i, j]) for i, j in ((0, 0), (2, 0), (2, 2)))
         assert factor.tolist() == [[s, 0, 0, 0], [0, s, 0, 0], [ell, 0, d, 0], [0, -ell, 0, d]]
-        for got, want in zip((s, ell, d), oracle.factor(v, t, xi)):
-            assert abs(got - want) <= 2.0**-52 * want, (got, want)
+        want = oracle.factor(protocol, t, xi, v)
+        for i, j in np.ndindex(4, 4):
+            assert abs(factor[i, j] - want[i, j]) <= 2.0**-52 * abs(want[i, j]), (i, j, factor[i, j], want[i, j])
+
+    @pytest.mark.parametrize("protocol", CSV_LAYOUTS.values(), ids=lambda p: p.id)
+    def test_a_block_is_one_map_of_four_normals_then_the_coins(self, protocol):
+        # the sampler's whole map, rebuilt from its parts: four normals a row, no
+        # vacuum port, and the basis coins drawn after them, Alice's first
+        ch, v, seed = ChannelParams(0.7, 0.05), 3.0, 17
+        rec = sample_quadratures(protocol, ch, v, BLOCK_SIZE + 3, seed)
+        rng = _block_seed(seed, 0)
+        y = rng.standard_normal((BLOCK_SIZE, 4)) @ layout_factor(protocol, ch, v).T
+        measurements = (protocol.alice_measurement, protocol.bob_measurement)
+        for party, (measurement, basis) in enumerate(zip(measurements, (rec.basis_a, rec.basis_b))):
+            x, p = y[:, 2 * party], y[:, 2 * party + 1]
+            if measurement is Measurement.HOM:
+                coins = rng.integers(0, 2, size=BLOCK_SIZE, dtype=np.uint8)
+                assert np.array_equal(basis[:BLOCK_SIZE], coins)
+                x[coins == 1] = math.nan
+                p[coins == 0] = math.nan
+            else:
+                assert basis is None
+        for k, name in enumerate(COLUMNS):
+            assert np.array_equal(rec.column(name)[:BLOCK_SIZE], y[:, k], equal_nan=True), name
 
 
 class TestConditionalVarianceEstimate:
@@ -520,7 +557,7 @@ class TestCsvExport:
         "protocol, digest",
         [
             ("rr-homA-homB-eb", "aed3cdd9a759eb74e657086607937fbd1a1229b44c664a30cbccbec96e28ae12"),
-            ("rr-hetA-hetB-eb", "148cc27f7bdf322937c69764d90f5302947489ea9986f2344d30fbd9c2f79e83"),
+            ("rr-hetA-hetB-eb", "e8ef1066f396408b97af7ba517e47a16d2f37a0aa6ba91b0e99de8f3ed93136c"),
         ],
     )
     def test_bytes_are_pinned(self, protocol, digest):
