@@ -18,13 +18,16 @@ read the facts the spec stores, not its enum members.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .errors import DomainError, PrecisionError, TagMismatchError, UnphysicalInferenceError, _real, _record
 from .gaussian import _LN2, CovarianceMatrix, entropy_g
 
-_LOG2_TWO_PI_E = math.log2(2.0 * math.pi * math.e)
 _LOG2_E_HALF = math.log2(math.e / 2.0)
+# the smallest normal float, 2.2250738585072014e-308: a product below it is subnormal and
+# keeps too few significant bits to print to nine digits or to take one log of
+_MIN_NORMAL = sys.float_info.min
 
 
 class Reconciliation(Enum):
@@ -213,19 +216,13 @@ class KeyRateResult(_record("KeyRateResult", "protocol key_rate steering_ab stee
     arithmetic. ``variances`` are the inputs the rate was computed from,
     never None: in the identity-channel V -> inf limit of the
     homodyne-homodyne protocols all four are 0 and the rate is +inf.
+    A steering product below the smallest normal float,
+    2.2250738585072014e-308, is held as 0.0: a subnormal keeps as few as
+    one significant bit, so it could not be printed to nine digits. The
+    rate is then taken from the logs of the two factors, so a finite
+    rate beside a steering product of 0 marks that underflow, and only a
+    zero factor gives the rate +inf.
     """
-
-
-def gaussian_shannon_entropy(v: float) -> float:
-    """Differential entropy of a Gaussian of variance v: 0.5*log2(2*pi*e*v), inf at v = inf.
-
-    The logs are summed, log2(v) + log2(2 pi e), so the product never
-    overflows: about 514 bits at v = 1e308.
-    """
-    v = _real(v, "variance")
-    if not v > 0.0:
-        raise DomainError(f"variance must be positive, got {v}")
-    return 0.5 * (math.log2(v) + _LOG2_TWO_PI_E)
 
 
 def infer_full_mode_variance(measured_half_conditional: float) -> float:
@@ -291,16 +288,20 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
         v_x, v_p, product = cv.v_x_a_given_b, v_p_ab, steering_ba
     else:
         v_x, v_p, product = cv.v_x_b_given_a, v_p_ba, steering_ab
-    if 0.0 < product < math.inf:
+    if _MIN_NORMAL <= product < math.inf:
         rate = math.log2(2.0 / (math.e * math.sqrt(product)))
     elif v_x == 0.0 or v_p == 0.0:  # the V -> inf identity channel, or a half of 1/2 lifted
         if v_x == math.inf or v_p == math.inf:
             raise DomainError(f"key rate of {protocol.id} is undefined for variances inf and 0")
         rate = math.inf
-    else:  # the product under- or overflows (variances near 1e-160 or 1e160)
+    else:  # the product is subnormal or under- or overflows (variances near 1e-160 or 1e160)
         if v_x == math.inf or v_p == math.inf:
             raise PrecisionError(f"key rate of {protocol.id} overflows at variances ({v_x}, {v_p})")
         rate = math.log2(2.0 / math.e) - (math.log2(v_x) + math.log2(v_p)) / 2.0
+    if steering_ab < _MIN_NORMAL:  # a NaN product, of inf and 0, is kept
+        steering_ab = 0.0
+    if steering_ba < _MIN_NORMAL:
+        steering_ba = 0.0
     # positional, in field order, as a keyword call costs about twice as much
     return KeyRateResult(
         protocol, rate, steering_ab, steering_ba, rate > 0.0, protocol._one_sided_di, cv
@@ -345,17 +346,20 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     2 r(nu_c) - r(nu-) - r(nu+) - r(b), whose log2-sized terms cancel, as
     a nu_c^2 = b nu- nu+. At T = 1, nu_c = sqrt(det) e^eps with eps >= 0 and
     nu-+ = sqrt(det) e^-+h, and R(s) = r(e^s) rises and is concave, so the
-    first three terms are >= 0 and, as -r(b) is, no slack reads below 0.
-    Against ``tests/oracle.py`` on 6,000 random states (V from 1 to 1e12,
-    T from 1e-4 to 1, xi from 0 to 1) the largest error was 2.7e-15 bits,
-    and 1.0e-14 on 9,000 at T = 1, xi down to 1e-320.
+    first three terms are >= 0: clamping them keeps a tiny slack's digits
+    there (4.88913e-12, not 4.88552e-12, at (221766, 1, 1.26e-15)). Below
+    T = 1 they may be negative, but the relation holds on every state, so
+    a slack that rounds below 0 is rounding, and is clamped at 0, which
+    never moves it further from the truth. Against ``tests/oracle.py`` on
+    6,000 random states (V from 1 to 1e12, T from 1e-4 to 1, xi from 0
+    to 1) the largest error was 2.7e-15 bits, and 1.0e-14 on 9,000 at
+    T = 1, xi down to 1e-320.
     """
-    (v, t, _), b = cm, cm.b  # a = V
     nu_minus, nu_plus = cm._nus
-    bracket = 2.0 * _r(math.sqrt(b / v) * math.sqrt(cm._det)) - _r(nu_minus) - _r(nu_plus)
-    if t == 1.0:  # >= 0 by R's rise and concavity: a value below is rounding
+    bracket = 2.0 * _r(math.sqrt(cm.b / cm.a) * math.sqrt(cm._det)) - _r(nu_minus) - _r(nu_plus)
+    if cm.transmission == 1.0:
         bracket = max(bracket, 0.0)
-    return bracket - _r(b)
+    return max(bracket - _r(cm.b), 0.0)
 
 
 def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> float:
@@ -364,17 +368,20 @@ def devetak_winter_oracle(cm: CovarianceMatrix, direction: Reconciliation) -> fl
     The reference party is Bob (mode 1) for RR and Alice (mode 0) for
     DR. I = 0.5*log2(V_ref / V_ref|other) = 0.5*log2(ab/det) in both
     directions; the Holevo term is chi = S(E) - S(E|ref) with S(E) =
-    S(AB) and S(E|ref) equal to the entropy of the *other* party's
-    conditioned state, again through purification purity: nu =
-    sqrt(other det/ref). Serves as the independent ceiling the entropic
-    bound must stay below. Both parties read x: the states are phase
-    symmetric. Against the 60-digit ceilings (``tests/oracle.py``) on the
-    states of ``verify_ur_tripartite``, the largest error of either
-    direction in the decades of V from [1, 10) to [1e11, 1e12] was 6.5,
-    11, 6.4, 7.8, 7.1, 9.5, 9.1, 12, 11, 10, 12 and 13 e-15 bits.
+    S(AB) = g(nu-) + g(nu+), summed here over the stored spectrum, and
+    S(E|ref) equal to the entropy of the *other* party's conditioned
+    state, again through purification purity: nu = sqrt(other det/ref).
+    Serves as the independent ceiling the entropic bound must stay
+    below. Both parties read x: the states are phase symmetric. Against
+    the 60-digit ceilings (``tests/oracle.py``) on the states of
+    ``verify_ur_tripartite``, the largest error of either direction in
+    the decades of V from [1, 10) to [1e11, 1e12] was 6.5, 11, 6.4, 7.8,
+    7.1, 9.5, 9.1, 12, 11, 10, 12 and 13 e-15 bits.
     """
     if not isinstance(direction, Reconciliation):
         raise DomainError(f"reconciliation direction must be a Reconciliation, got {direction!r}")
     ref, other = (cm.b, cm.a) if direction is Reconciliation.RR else (cm.a, cm.b)
     mutual_info = 0.5 * (math.log2(cm.a / cm._det) + math.log2(cm.b))
-    return mutual_info - cm._s_ab + entropy_g(math.sqrt(other) * math.sqrt(cm._det / ref))
+    nu_minus, nu_plus = cm._nus
+    s_ab = entropy_g(nu_minus) + entropy_g(nu_plus)
+    return mutual_info - s_ab + entropy_g(math.sqrt(other) * math.sqrt(cm._det / ref))

@@ -85,11 +85,10 @@ class CovarianceMatrix(_record("CovarianceMatrix", "modulation transmission exce
     b, ab - c^2 or larger symplectic eigenvalue overflows raises
     PrecisionError.
 
-    Validation stores the derived facts beside the fields, as attributes
-    that are not fields: the blocks ``a``, ``b`` and ``c`` (see the module
-    docstring), ``_det`` = ab - c^2 = V w + T, the spectrum ``_nus`` =
-    (nu-, nu+), which ``symplectic_eigenvalues`` returns, and the joint
-    entropy ``_s_ab`` = g(nu-) + g(nu+), which ``von_neumann_entropy``
+    Validation stores the derived facts that the bounds read beside the
+    fields, as attributes that are not fields: the variances ``a`` and
+    ``b`` (see the module docstring), ``_det`` = ab - c^2 = V w + T and the
+    spectrum ``_nus`` = (nu-, nu+), which ``symplectic_eigenvalues``
     returns. Every route that copies a state validates it again, so none
     of them is ever carried over.
     """
@@ -117,10 +116,7 @@ class CovarianceMatrix(_record("CovarianceMatrix", "modulation transmission exce
         nu_plus = math.hypot(half_gap, math.sqrt(det)) + half_gap
         if not (b < math.inf and nu_plus < math.inf):  # nu+ is inf where det is
             raise PrecisionError(f"state (V, T, xi) = ({v}, {t}, {xi}) overflows: b = {b}, det = {det}")
-        nu_minus = det / nu_plus
-        c = math.sqrt(v - 1.0) * math.sqrt(v + 1.0) * math.sqrt(t)
-        facts = {"a": v, "b": b, "c": c, "_det": det, "_nus": (nu_minus, nu_plus),
-                 "_s_ab": entropy_g(nu_minus) + entropy_g(nu_plus)}
+        facts = {"a": v, "b": b, "_det": det, "_nus": (det / nu_plus, nu_plus)}
         for name, value in facts.items():
             object.__setattr__(self, name, value)  # the record is immutable
 
@@ -213,13 +209,3 @@ def entropy_g(nu: float) -> float:
     up, dn = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
     return math.log2(up) + dn * math.log1p(1.0 / dn) / _LN2
 
-
-def von_neumann_entropy(cm: CovarianceMatrix) -> float:
-    """von Neumann entropy in bits, g(nu-) + g(nu+) over the symplectic spectrum.
-
-    The sum is taken once, when the state is validated, and stored with its
-    spectrum (``CovarianceMatrix``); this returns the stored value. On the
-    states of ``symplectic_eigenvalues``, the largest error per decade of
-    V against the oracle ran from 5.3e-15 to 1.4e-14 bits.
-    """
-    return cm._s_ab

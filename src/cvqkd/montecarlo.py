@@ -392,30 +392,35 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     Bins of the given width span +-8 standard deviations; the estimate
     is -sum p log2 p + log2(bin_width). DomainError where that takes more
     than MAX_ENTROPY_BINS bins, or for 1000 or more samples of a bool, str
-    or object array; PrecisionError for an int sample beyond the float range.
+    or object array, or of a sequence that holds a bool; PrecisionError for
+    an int sample beyond the float range.
     """
     bin_width = _real(bin_width, "bin width")
     if not 0.0 < bin_width < math.inf:
         raise DomainError(f"bin width must be positive and finite, got {bin_width}")
     data = np.asarray(samples)
     try:
-        samples = data.astype(float, copy=False)
+        values = data.astype(float, copy=False)
     except OverflowError:  # an int, as _real refuses one
         raise PrecisionError("samples hold an integer beyond the float range") from None
-    if samples.size < 1000:
-        raise InsufficientDataError(f"entropy estimate needs >= 1000 samples, got {samples.size}")
+    if values.size < 1000:
+        raise InsufficientDataError(f"entropy estimate needs >= 1000 samples, got {values.size}")
     if data.dtype.kind not in "iuf":  # a bool, a str or an object is no number, as for _real
         raise DomainError(f"samples must be real numbers, got dtype {data.dtype}")
+    if data is not samples:  # numpy promotes a bool among numbers to a number: read the items
+        for item in np.asarray(samples, dtype=object).flat:
+            if isinstance(item, (bool, np.bool_)):
+                raise DomainError(f"samples must be real numbers, got {item!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are raised below
-        spread = 8.0 * math.sqrt(float(np.var(samples)))
+        spread = 8.0 * math.sqrt(float(np.var(values)))
     if not 0.0 < spread < math.inf:  # NaN too: a NaN sample falls in no histogram bin
         raise DomainError("samples are constant, non-finite or too large to bin")
     bins = 2.0 * spread / bin_width  # inf where the quotient overflows
     if not bins <= MAX_ENTROPY_BINS:
         raise DomainError(f"bin width {bin_width} needs {bins:.3g} bins, over {MAX_ENTROPY_BINS}")
     edges = np.arange(-spread, spread + bin_width, bin_width)
-    counts, _ = np.histogram(samples, bins=edges)
-    p = counts[counts > 0] / samples.size
+    counts, _ = np.histogram(values, bins=edges)
+    p = counts[counts > 0] / values.size
     return float(-(p * np.log2(p)).sum() + math.log2(bin_width))
 
 

@@ -207,25 +207,6 @@ def key_rate_at(protocol: ProtocolSpec, ch: ChannelParams, v: float = math.inf) 
     return key_rate(protocol, _tagged(protocol, (b_given_a, b_given_a), (a_given_b, a_given_b)))
 
 
-def optimize_modulation(
-    protocol: ProtocolSpec, ch: ChannelParams, v_max: float
-) -> tuple[float, float]:
-    """Maximise the key rate over modulation variance v in [1, v_max].
-
-    The rate is monotone in v for every protocol: with u = 1/v, dV_{A|B}/du
-    has the sign of T^2 - w^2, V_{B|A} = w + T u falls as v grows, and the
-    (x + 1)/2 and 2x - 1 lifts keep the order. So the better of v = 1 and
-    v = v_max is the maximum; a tie goes to v = 1, and v_max = inf means
-    the large-modulation limit. Returns (v_star, k_star); k_star may be
-    negative.
-    """
-    v_max = _real(v_max, "v_max")
-    if not v_max >= 1.0:
-        raise DomainError(f"v_max must be >= 1, got {v_max}")
-    candidates = [(v, key_rate_at(protocol, ch, v).key_rate) for v in (1.0, v_max)]
-    return max(candidates, key=lambda pair: pair[1])
-
-
 def _law(protocol: ProtocolSpec) -> tuple[float, int] | None:
     # (c, k) of the secure law w <= c T^k, or None where nothing is ever secure
     return _LAWS.get((protocol._dr, protocol._a_het, protocol._b_het))

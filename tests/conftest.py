@@ -52,8 +52,20 @@ def channelled_state(v, t, xi):
     return apply_channel(tmsv(v), ChannelParams(t, xi), mode=1)
 
 
+def stream_note(pinned):
+    """What a failed pin of record bits says: the RNG stream it was taken at, and this run's.
+
+    numpy may change a Generator method's stream between feature releases
+    (NEP 19), so a digest that moves with the stream alone is told apart
+    from one that moves with the code.
+    """
+    from cvqkd.montecarlo import RNG_STREAM
+
+    return f"pinned at RNG stream {pinned!r}; this run draws from {RNG_STREAM!r}"
+
+
 def joint_entropy(cm):
-    """S(AB) summed here over the spectrum, not read from the value the state stores."""
+    """S(AB) = g(nu-) + g(nu+), summed over the spectrum the state stores."""
     return sum(entropy_g(nu) for nu in symplectic_eigenvalues(cm))
 
 

@@ -14,12 +14,12 @@ from conftest import (
     X_A,
     channelled_state,
     full_mode_cv,
-    joint_entropy,
     random_channelled_states,
 )
 from cvqkd import (
     ChannelParams,
     ConditionalVariances,
+    CovarianceMatrix,
     DomainError,
     Flavor,
     Measurement,
@@ -35,7 +35,6 @@ from cvqkd import (
     classify_1sdi,
     conditional_variance,
     devetak_winter_oracle,
-    gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate,
     key_rate_at,
@@ -43,12 +42,13 @@ from cvqkd import (
     vacuum,
     verify_ur_bipartite,
     verify_ur_tripartite,
-    von_neumann_entropy,
 )
 from cvqkd import bounds, gaussian
 
 # the bound within which the UR slack and DW ceilings meet the 60-digit oracle (test_gaussian)
 ENTROPY_BITS = 1e-13
+# the bound within which a key rate meets it, across the float range
+RATE_BITS = 1e-12
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 IDS = sorted(p.id for p in ProtocolSpec.all())
@@ -93,28 +93,6 @@ def reference_1sdi(p):
     ):
         return OneSidedDI.INDEPENDENT_OF_ALICE
     return OneSidedDI.NOT_1SDI
-
-
-class TestShannonEntropy:
-    def test_unit_variance(self):
-        assert gaussian_shannon_entropy(1.0) == pytest.approx(
-            0.5 * math.log2(2.0 * math.pi * math.e), abs=1e-15
-        )
-
-    def test_zero_at_unit_argument(self):
-        assert gaussian_shannon_entropy(1.0 / (2.0 * math.pi * math.e)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_scaling_adds_one_bit(self):
-        assert gaussian_shannon_entropy(4.0) - gaussian_shannon_entropy(1.0) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    @pytest.mark.parametrize("v", [1e-300, 0.5, 3.0, 1e300, 1e308, 1.7e308])
-    def test_matches_the_oracle_up_to_the_float_max(self, v):
-        # 2 pi e v overflowed from about 1.05e307, and the entropy read inf for 514 bits
-        assert abs(gaussian_shannon_entropy(v) - float(oracle.shannon_entropy(v))) <= 1e-13
 
 
 class TestProtocolSpec:
@@ -417,21 +395,18 @@ class TestUncertaintyRelations:
             assert got == verify_ur_tripartite(cm)
             assert abs(got - float(bipartite)) <= ENTROPY_BITS, cm
 
-    def test_each_state_sums_its_joint_entropy_once(self, monkeypatch):
-        # S(AB) is summed when the state is validated: reading it calls no kernel, the slack
-        # works in r = g - log2(e nu/2) and calls none, and both DW ceilings call it only for
-        # their one-mode states (10 calls once)
-        cm = channelled_state(20.0, 0.5, 0.05)
+    def test_joint_entropy_is_summed_where_it_is_read(self, monkeypatch):
+        # building a state calls no kernel and the slack, in r = g - log2(e nu/2), calls none;
+        # each DW ceiling sums S(AB) over the spectrum and adds its one-mode state's entropy
         kernel, calls = gaussian.entropy_g, []
         for module in (gaussian, bounds):
             monkeypatch.setattr(module, "entropy_g", lambda nu: calls.append(nu) or kernel(nu))
-        assert von_neumann_entropy(cm) == joint_entropy(cm) > 0.0
-        assert calls == []
+        cm = channelled_state(20.0, 0.5, 0.05)
         verify_ur_tripartite(cm)
         assert calls == []
         for direction in Reconciliation:
             devetak_winter_oracle(cm, direction)
-        assert len(calls) == 2, calls
+        assert calls[:2] == calls[3:5] == list(cm._nus) and len(calls) == 6, calls
 
     @settings(max_examples=500, deadline=None)
     @given(v=st.floats(0.0, 12.0).map(lambda u: 10.0**u), xi=st.floats(0.0, 1.0))
@@ -513,9 +488,9 @@ class TestSqueezingThresholdConventions:
 
     def test_unit_gain_threshold_matches_quoted_number(self):
         def v_diff(s):
-            cm = tmsv(math.cosh(2.0 * s))
             # var((x_A - x_B)/sqrt(2)) from raw second moments
-            return (cm.a + cm.b - 2.0 * cm.c) / 2.0
+            a, b, c2 = map(float, oracle.blocks(math.cosh(2.0 * s), 1.0, 0.0))
+            return (a + b - 2.0 * math.sqrt(c2)) / 2.0
 
         s_star = self._crossing(v_diff, 0.05, 1.0)
         assert s_star == pytest.approx((1.0 - math.log(2.0)) / 2.0, abs=1e-9)
@@ -527,3 +502,53 @@ class TestSqueezingThresholdConventions:
         below = full_mode_cv(tmsv(math.cosh(2.0 * (s_star - 1e-3))))
         assert key_rate(RR_HOM_HOM, above).positive
         assert not key_rate(RR_HOM_HOM, below).positive
+
+
+# T = 1, one ulp below it, 1 - T log-uniform in [1e-16, 1e-10], or T log-uniform in [1e-3, 1]
+EDGE_T = st.one_of(
+    st.just(1.0), st.just(math.nextafter(1.0, 0.0)),
+    st.floats(-16.0, -10.0).map(lambda u: 1.0 - 10.0**u), st.floats(-3.0, 0.0).map(lambda u: 10.0**u),
+)
+# xi = 0, the least denormal, or log-uniform from it to 1
+EDGE_XI = st.one_of(
+    st.just(0.0), st.just(5e-324), st.floats(-323.3, 0.0).map(lambda u: max(10.0**u, 5e-324)),
+)
+EDGE_V = st.floats(0.0, 300.0).map(lambda u: 10.0**u)
+
+
+class TestFloatEdges:
+    """Rates, slacks and ceilings at the edges of the float range, against the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        protocol=st.sampled_from(ProtocolSpec.all()), t=EDGE_T, xi=EDGE_XI,
+        v=st.one_of(st.just(math.inf), EDGE_V),
+    )
+    @example(protocol=RR_HOM_HOM, t=1.0, xi=2.6e-162, v=math.inf)  # one log of a subnormal: 0.23 bits high
+    def test_key_rate_at_is_the_oracle_rate(self, protocol, t, xi, v):
+        rate = key_rate_at(protocol, ChannelParams(t, xi), v).key_rate
+        if math.isfinite(rate):
+            assert abs(rate - float(oracle.key_rate(protocol, t, xi, v))) <= RATE_BITS
+
+    @settings(max_examples=150, deadline=None)
+    @given(v=EDGE_V, t=EDGE_T, xi=EDGE_XI)
+    @example(v=21071141.348511543, t=0.9999999999999999, xi=4.530111594695589e-10)  # slack -1.07e-15
+    @example(v=9.5e256, t=1.0, xi=3.0e-159)  # a subnormal product: both gaps read -1.1e-7
+    def test_slack_and_ceiling_gaps(self, v, t, xi):
+        # the slack is >= 0 and the oracle's; each DW ceiling is at least the rate of the hom-hom
+        # protocol it bounds. Above V = 1e12 their true gap can fall below the rate's rounding
+        # (4e-70 bits at (9.5e256, 1, 3e-159), where the rate is 526 bits), so there the two
+        # may cross by as much as the rate's bound
+        cm = CovarianceMatrix(v, t, xi)
+        slack = verify_ur_tripartite(cm)
+        assert 0.0 <= slack and abs(slack - float(oracle.ur_slack(v, t, xi))) <= ENTROPY_BITS, slack
+        floor = 0.0 if v <= 1e12 else -RATE_BITS
+        for direction, protocol in ((Reconciliation.RR, RR_HOM_HOM), (Reconciliation.DR, DR_HOM_HOM)):
+            rate = key_rate_at(protocol, ChannelParams(t, xi), v).key_rate
+            assert devetak_winter_oracle(cm, direction) - rate >= floor, direction
+
+    def test_a_subnormal_product_is_held_as_zero(self):
+        # 2.6e-162 squared is 6.76e-324, which a float holds as 4.94e-324
+        result = key_rate_at(RR_HOM_HOM, ChannelParams(1.0, 2.6e-162))
+        assert (result.steering_ab, result.steering_ba) == (0.0, 0.0)
+        assert result.key_rate == pytest.approx(536.331145, abs=1e-6) and result.positive

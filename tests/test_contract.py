@@ -56,13 +56,11 @@ from cvqkd import (
     entropy_g,
     estimate_conditional_variance,
     estimate_key_rate,
-    gaussian_shannon_entropy,
     infer_full_mode_variance,
     key_rate,
     key_rate_at,
     max_distance,
     max_excess_noise,
-    optimize_modulation,
     sample_quadratures,
     threshold_transmission,
     tmsv,
@@ -120,14 +118,10 @@ CALLS = {
         lambda target, given: estimate_conditional_variance(RECORD, target, given),
         {"target": "x_b", "given": "x_a"},
     ),
-    "gaussian_shannon_entropy": (gaussian_shannon_entropy, {"v": 2.0}),
     "infer_full_mode_variance": (infer_full_mode_variance, {"measured_half_conditional": 0.75}),
     "key_rate_at": (lambda v: key_rate_at(RR_HOM_HOM, ChannelParams(0.9, 0.01), v), {"v": 5.0}),
     "max_distance": (lambda xi: max_distance(RR_HOM_HOM, xi), {"xi": 0.002}),
     "max_excess_noise": (lambda t: max_excess_noise(RR_HOM_HOM, t), {"t": 0.9}),
-    "optimize_modulation": (
-        lambda v_max: optimize_modulation(RR_HOM_HOM, ChannelParams(0.9, 0.01), v_max), {"v_max": 10.0}
-    ),
     "sample_quadratures": (
         lambda v, n, seed: sample_quadratures(RR_HOM_HOM, ChannelParams(0.9), v, n, seed),
         {"v": 3.0, "n": 10, "seed": 1},
@@ -140,13 +134,10 @@ CALLS = {
 OBJECT_ARGUMENTS_ONLY = {
     "KeyRateResult", "EstimateWithError", "MeasurementRecord", "SimulatedKeyRate",
     "classify_1sdi", "key_rate", "verify_ur_bipartite", "verify_ur_tripartite", "conditional_variance",
-    "symplectic_eigenvalues", "von_neumann_entropy", "estimate_key_rate", "security_region",
+    "symplectic_eigenvalues", "estimate_key_rate", "security_region",
 }
 # callables that document an infinite result for some argument
-DOCUMENTED_INF = {
-    "ConditionalVariances", "entropy_g", "gaussian_shannon_entropy", "infer_full_mode_variance",
-    "optimize_modulation",
-}
+DOCUMENTED_INF = {"ConditionalVariances", "entropy_g", "infer_full_mode_variance"}
 
 
 def exactly(error, message):
@@ -305,6 +296,12 @@ ARGUMENTS = {
         "array-bool": ([True, False] * 1000, exactly(DomainError, "samples must be real numbers, got dtype bool")),
         "array-str": (["0.5", "1.5", "2"] * 700, exactly(DomainError, "samples must be real numbers, got dtype <U3")),
         "array-object": (SAMPLES.astype(object), exactly(DomainError, "samples must be real numbers, got dtype object")),
+        # numpy turns these lists into float64 and <U32 arrays before the dtype check
+        "list-with-bool": ([True, 1.5] * 1000, exactly(DomainError, "samples must be real numbers, got True")),
+        "list-with-numpy-bool": ([2.0, np.True_] * 1000,
+                                 exactly(DomainError, "samples must be real numbers, got np.True_")),
+        "list-with-str": (["0.5", 1.5] * 1000, exactly(DomainError, "samples must be real numbers, got dtype <U32")),
+        "list-of-floats": (SAMPLES.tolist(), RETURNS),
         "999": (SAMPLES[:999], exactly(InsufficientDataError, "entropy estimate needs >= 1000 samples, got 999")),
         "1000": (SAMPLES[:1000], RETURNS),
         "array-nan": (np.full(2000, math.nan), UNBINNABLE),
@@ -323,10 +320,6 @@ ARGUMENTS = {
     ),
     ("estimate_conditional_variance", "target"): column(),
     ("estimate_conditional_variance", "given"): column(),
-    ("gaussian_shannon_entropy", "v"): real(
-        "variance", "variance must be positive, got {}", ("nan", "-inf", "zero", "minus-one", -5e-324),
-        ("inf", "denormal", "1e308", "float32"),
-    ),
     ("infer_full_mode_variance", "measured_half_conditional"): real(
         "half-mode conditional variance", "inferred variance 2*{} - 1 would be nonpositive",
         ("-inf", "zero", "minus-one", "denormal", 0.49, math.nextafter(0.5, 0.0)),
@@ -337,7 +330,6 @@ ARGUMENTS = {
     ("key_rate_at", "v"): at_least_one("modulation variance"),
     ("max_distance", "xi"): excess_noise(),
     ("max_excess_noise", "t"): transmission(),
-    ("optimize_modulation", "v_max"): at_least_one("v_max"),
     ("sample_quadratures", "v"): at_least_one("modulation variance", (MAX_SAMPLED_V,), {
         **{label: (ODD[label], exactly(DomainError, "state construction needs a finite modulation variance"))
            for label in ("inf", "-inf")},
@@ -479,7 +471,6 @@ def _outcome(call):
 THROUGH = {
     "ChannelParams": lambda ch: (
         ch, apply_channel(tmsv(5.0), ch, 1), key_rate_at(RR_HOM_HET, ch, 5.0),
-        optimize_modulation(RR_HOM_HET, ch, 10.0),
     ),
     "ConditionalVariances": lambda cv: (cv, key_rate(RR_HOM_HOM, cv)),
     "ModeQuadrature": lambda mq: (mq, CovarianceMatrix(5.0, 0.7, 0.1).variance(mq)),
@@ -555,8 +546,8 @@ def test_records_are_tuples():
 
 @pytest.mark.parametrize(
     "record, name", [(ChannelParams(0.5), "transmission"), (ChannelParams(0.5), "extra"),
-                     (tmsv(2.0), "_nus"), (tmsv(2.0), "_s_ab"), (RR_HOM_HOM, "_kinds")],
-    ids=["field", "new", "spectrum", "entropy", "fact"],
+                     (tmsv(2.0), "_nus"), (RR_HOM_HOM, "_kinds")],
+    ids=["field", "new", "spectrum", "fact"],
 )
 def test_records_are_immutable(record, name):
     # as the frozen records were: no field, derived fact or new attribute is set or deleted
@@ -584,7 +575,7 @@ def test_copy_routes_rerun_the_checks(name, route):
 def test_copy_routes_recompute_the_derived_facts(route):
     # each route derives a copy's facts from its fields, and never carries over the original's
     facts = [
-        *((cm, ["a", "b", "c", "_det", "_nus", "_s_ab"]) for cm in (tmsv(2.0), CovarianceMatrix(2.0, 0.5, 1.0))),
+        *((cm, ["a", "b", "_det", "_nus"]) for cm in (tmsv(2.0), CovarianceMatrix(2.0, 0.5, 1.0))),
         (RR_HOM_HOM, ["_a_het", "_b_het", "_dr", "_kinds", "_one_sided_di"]),
     ]
     for record, names in facts:
@@ -602,7 +593,7 @@ def test_replace_derives_the_facts_of_the_new_fields():
     assert pm._one_sided_di is OneSidedDI.NOT_1SDI
     cm = tmsv(2.0)._replace(transmission=0.5)
     assert cm._nus == CovarianceMatrix(2.0, 0.5)._nus and cm._nus != tmsv(2.0)._nus
-    assert cm._s_ab == CovarianceMatrix(2.0, 0.5)._s_ab and cm._s_ab > tmsv(2.0)._s_ab == 0.0
+    assert cm._det == CovarianceMatrix(2.0, 0.5)._det and cm._det > tmsv(2.0)._det == 1.0
 
 
 @pytest.mark.parametrize("route", COPY_ROUTES.values(), ids=list(COPY_ROUTES))

@@ -36,7 +36,6 @@ from cvqkd import (
     vacuum,
     verify_ur_bipartite,
     verify_ur_tripartite,
-    von_neumann_entropy,
 )
 from cvqkd.errors import CVQKDError, PrecisionError
 
@@ -51,13 +50,16 @@ RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 class TestConstruction:
     def test_tmsv_zero_squeezing_is_two_vacua(self):
         cm = tmsv(1.0)
-        assert (cm.a, cm.b, cm.c) == (1.0, 1.0, 0.0)
+        assert (cm.a, cm.b) == (1.0, 1.0)
+        assert conditional_variance(cm, X_B, X_A) == cm.b  # uncorrelated
 
     def test_tmsv_off_diagonal_is_sqrt_v2_minus_1(self):
         cm = tmsv(2.0)
         c = math.sqrt(2.0**2 - 1.0)  # sqrt(3)
         assert cm == (2.0, 1.0, 0.0)
-        assert (cm.a, cm.b, cm.c) == (2.0, 2.0, c)
+        assert (cm.a, cm.b) == (2.0, 2.0)
+        # the Schur complement b - c^2/a that the correlation block leaves
+        assert conditional_variance(cm, X_B, X_A) == pytest.approx(cm.b - c * c / cm.a, abs=1e-15)
 
     def test_tmsv_squeezing_parameter_round_trip(self):
         # V = cosh(2s) with s = 0.15 recovers s through arccosh(V)/2
@@ -69,7 +71,7 @@ class TestConstruction:
         # ab - c^2 = V w + T = 1 exactly at T = 1, xi = 0, at every float V
         for v in (1.0, 1.5, 7.0, 50.0, 1e8, 1e300, sys.float_info.max):
             assert symplectic_eigenvalues(tmsv(v)) == [1.0, 1.0]
-            assert von_neumann_entropy(tmsv(v)) == 0.0
+            assert joint_entropy(tmsv(v)) == 0.0
 
     def test_tmsv_below_the_rounding_limit_is_pure_or_raises(self):
         # from about 8.5e6 the stored c = sqrt(v^2 - 1) of the entry route was off by
@@ -82,24 +84,23 @@ class TestConstruction:
 
     def test_entries_are_stored_as_floats(self):
         cm = CovarianceMatrix(np.float32(1.5), 1, np.float64(0.5))
-        assert [type(x) for x in (*cm, cm.a, cm.b, cm.c)] == [float] * 6
+        assert [type(x) for x in (*cm, cm.a, cm.b, cm._det, *cm._nus)] == [float] * 8
         assert cm == (1.5, 1.0, 0.5) and (cm.a, cm.b) == (1.5, 2.0)
 
 class TestChannel:
     def test_identity_channel_leaves_state_unchanged(self):
         cm = tmsv(3.0)
         out = apply_channel(cm, ChannelParams(1.0, 0.0), mode=1)
-        assert (out, out.a, out.b, out.c) == (cm, cm.a, cm.b, cm.c)
+        assert (out, out.a, out.b, out._det) == (cm, cm.a, cm.b, cm._det)
 
     def test_vacuum_picks_up_t_xi(self):
         out = apply_channel(vacuum(), ChannelParams(0.3, 0.05), mode=1)
         assert out.b == pytest.approx(1.0 + 0.3 * 0.05, abs=1e-15)  # 1.015
-        assert (out.a, out.c) == (1.0, 0.0)
+        assert out.a == 1.0 and conditional_variance(out, X_B, X_A) == out.b  # uncorrelated
 
     def test_tmsv_through_channel(self):
         out = apply_channel(tmsv(2.0), ChannelParams(0.5, 0.1), mode=1)
         assert out.b == pytest.approx(0.5 * 2.0 + 0.5 + 0.05, abs=1e-15)  # 1.55
-        assert out.c == pytest.approx(math.sqrt(0.5) * math.sqrt(3.0), abs=1e-15)
         assert out.a == 2.0  # Alice's arm untouched
 
     def test_channel_composition(self):
@@ -117,7 +118,7 @@ class TestChannel:
                     apply_channel(tmsv(v), ChannelParams(t1, a), 1), ChannelParams(t2, b), 1
                 )
                 direct = apply_channel(tmsv(v), combined, 1)
-                for got, want in zip((once.a, once.b, once.c), (direct.a, direct.b, direct.c)):
+                for got, want in zip((once.a, once.b, once._det), (direct.a, direct.b, direct._det)):
                     assert abs(got - want) < 1e-10
 
 class TestConditioning:
@@ -189,19 +190,12 @@ class TestSpectraAndEntropy:
         assert symplectic_eigenvalues(CovarianceMatrix(1.0, 0.5, 7.0)) == pytest.approx([1.0, 4.5], abs=1e-12)
 
     def test_pure_states_have_zero_entropy(self):
-        assert von_neumann_entropy(tmsv(5.0)) == 0.0
-        assert von_neumann_entropy(vacuum(2)) == 0.0
-
-    def test_stored_entropy_is_the_sum_over_the_spectrum(self):
-        # S(AB), stored at validation, bit for bit the sum the reference takes on each read
-        states = [cm for *_, cm in random_channelled_states(200, seed=67)]
-        states += [apply_channel(cm, ChannelParams(0.3, 0.2), mode=1) for cm in states[:100]]
-        for cm in states + [tmsv(5.0), vacuum(), CovarianceMatrix(1.0, 1.0, 2.0)]:
-            assert von_neumann_entropy(cm) == joint_entropy(cm), cm
+        assert joint_entropy(tmsv(5.0)) == 0.0
+        assert joint_entropy(vacuum(2)) == 0.0
 
     def test_thermal_entropy_nu_3(self):
         # a thermal mode beside a vacuum: g(3) + g(1) = 2*log2(2) - 1*log2(1) = 2 bits
-        assert von_neumann_entropy(CovarianceMatrix(1.0, 1.0, 2.0)) == pytest.approx(2.0, abs=1e-12)
+        assert joint_entropy(CovarianceMatrix(1.0, 1.0, 2.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_reduced_tmsv_entropy(self):
         # g(2) = 1.5*log2(1.5) + 0.5
@@ -273,7 +267,7 @@ class TestFloatRange:
                     cm = apply_channel(cm, ChannelParams(fraction or 1.0, z), mode=1)
         except CVQKDError:
             return
-        calls = [lambda: symplectic_eigenvalues(cm), lambda: [von_neumann_entropy(cm)]]
+        calls = [lambda: symplectic_eigenvalues(cm), lambda: [joint_entropy(cm)]]
         calls += [lambda: [verify_ur_bipartite(cm)], lambda: [verify_ur_tripartite(cm)]]
         calls += [lambda d=d: [devetak_winter_oracle(cm, d)] for d in Reconciliation]
         for call in calls:
@@ -299,7 +293,7 @@ def _relative_spectrum_error(v, t, xi):
 
 class TestClosedFormSpectrum:
     def test_routes(self):
-        # one route: every way to a state stores the same spectrum and entropy, bit for bit
+        # one route: every way to a state stores the same spectrum, bit for bit
         for v, t, xi in ((30.0, 0.4, 0.1), (3.0, 0.2, 0.0), (1.0, 1.0, 0.0), (7e7, 1.0, 0.0)):
             cm = CovarianceMatrix(v, t, xi)
             routes = [apply_channel(tmsv(v), ChannelParams(t, xi), 1), cm._replace()]
@@ -307,7 +301,7 @@ class TestClosedFormSpectrum:
             if (t, xi) == (1.0, 0.0):
                 routes += [tmsv(v), CovarianceMatrix(v)] + ([vacuum()] if v == 1.0 else [])
             for other in routes:
-                assert (other, other._nus, other._s_ab) == (cm, cm._nus, cm._s_ab)
+                assert (other, other._det, other._nus) == (cm, cm._det, cm._nus)
 
     def test_against_the_oracle(self):
         # the largest relative error in each decade 10^d <= V < 10^(d+1) (V = 1e12 joins d = 11)
@@ -339,7 +333,7 @@ def _assert_entropies_match_the_oracle(cm):
     for direction in Reconciliation:
         want = float(oracle.dw_ceiling(v, t, xi, direction is Reconciliation.RR))
         assert abs(devetak_winter_oracle(cm, direction) - want) <= ENTROPY_BITS, (direction, cm)
-    assert abs(von_neumann_entropy(cm) - float(oracle.joint_entropy(v, t, xi))) <= ENTROPY_BITS, cm
+    assert abs(joint_entropy(cm) - float(oracle.joint_entropy(v, t, xi))) <= ENTROPY_BITS, cm
 
 
 # channel states on which the stored-entry route was off: its purity gate snapped
@@ -394,7 +388,7 @@ class TestScalarEntropies:
             cm = CovarianceMatrix(*entries)
         except CVQKDError:
             return
-        for got in (von_neumann_entropy(cm), *(entropy_g(nu) for nu in symplectic_eigenvalues(cm))):
+        for got in (joint_entropy(cm), *(entropy_g(nu) for nu in symplectic_eigenvalues(cm))):
             assert isinstance(got, float) and 0.0 <= got < math.inf, (entries, got)
 
 

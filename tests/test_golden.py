@@ -10,8 +10,12 @@ through ``cvqkd.cli.main`` and writes each case as
     <stderr, verbatim>
 
 with ``\\ no newline at end`` after a stream that does not end in LF.
-``test_golden`` compares the rendering with ``tests/golden/<command>.txt``
-and fails with a unified diff whose hunk headers name the case.
+The file of a command in ``DRAWN``, whose bytes come from the record
+generator, starts with one more line, ``# rng stream <RNG_STREAM>``, the
+stream its cases were taken at. ``test_golden`` compares the rendering
+with ``tests/golden/<command>.txt`` and fails with a unified diff whose
+hunk headers name the case, after the pinned and the replayed stream
+where the command draws records.
 
 Regenerate the files with
 
@@ -37,12 +41,15 @@ from unittest import mock
 
 import pytest
 
+from conftest import stream_note
 from cvqkd import ProtocolSpec
 from cvqkd.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 PROMPT = "$ cvqkd "
 NO_EOL = "\\ no newline at end\n"
+STREAM = "# rng stream "
+DRAWN = {"simulate"}  # the commands that draw records
 
 _IDS = [p.id for p in ProtocolSpec.all()]
 
@@ -79,6 +86,9 @@ CASES = {
         # printed -inf with exit 0, where it is finite (about -1074 and -1024 bits)
         ["keyrate", "--protocol", "dr-homA-homB-eb", "--T", "5e-324"],
         ["keyrate", "--protocol", "rr-hetA-homB-eb", "--T", "1", "--xi", "1e308"],
+        # a subnormal product, 6.76e-324 held as 4.94e-324: its one log read 536.557305
+        # bits, where the logs of its factors give the oracle's 536.331145
+        ["keyrate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--xi", "2.6e-162"],
     ],
     "region": _with_json(["region", "--protocol", p] for p in _IDS) + [
         ["region", "--protocol", "rr-homA-homB-eb", "--steps", "3"],
@@ -122,6 +132,9 @@ CASES = {
         # a stored-entry route snapped nu- = 1 + 4.5e-6 to 1 here and printed 0.44105271
         ["verify-ur", "--v-list", "7495", "--t-min", "0.0404", "--t-max", "0.0404", "--steps",
          "1", "--xi-list", "1.08e-4"],
+        # one ulp below T = 1, where the slack (4.1e-16 at 60 digits) rounded to -1.07e-15
+        ["verify-ur", "--v-list", "21071141.348511543", "--t-min", "0.9999999999999999",
+         "--t-max", "0.9999999999999999", "--steps", "1", "--xi-list", "4.530111594695589e-10"],
         *BUDGET_CASES["verify-ur"],
     ],
     "table": _with_json([["table"]]),
@@ -171,9 +184,12 @@ def _diff(want: str, got: str, name: str) -> str:
 @pytest.mark.parametrize("command", CASES)
 def test_golden(command):
     want = golden_path(command).read_bytes().decode()
-    got = render(CASES[command])
+    got, note = render(CASES[command]), ""
+    if command in DRAWN:  # the first line, the stream the file was taken at, is not replayed
+        header = want.split("\n", 1)[0]
+        got, note = f"{header}\n{got}", stream_note(header.removeprefix(STREAM)) + "\n"
     if got != want:
-        pytest.fail(_diff(want, got, f"tests/golden/{command}.txt"), pytrace=False)
+        pytest.fail(note + _diff(want, got, f"tests/golden/{command}.txt"), pytrace=False)
 
 
 def test_usage_is_wrapped_at_80_columns_whatever_the_terminal(monkeypatch):
@@ -217,6 +233,9 @@ def test_no_two_outputs_render_alike():
 
 
 if __name__ == "__main__":
+    from cvqkd.montecarlo import RNG_STREAM
+
     GOLDEN.mkdir(exist_ok=True)
     for command in CASES:
-        golden_path(command).write_bytes(render(CASES[command]).encode())
+        header = f"{STREAM}{RNG_STREAM}\n" if command in DRAWN else ""
+        golden_path(command).write_bytes((header + render(CASES[command])).encode())

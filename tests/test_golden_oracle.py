@@ -136,9 +136,9 @@ def test_simulate_analytic_rate_is_the_oracle_rate(argv, stdout):
 
 
 def test_the_walk_covers_every_printed_cell():
-    # 4 x 10 x 4 + 4 x 2 x 4 rows, each in text and JSON, and four one-row cases
-    assert sum(len(records(out, "--json" in argv)) for argv, out in VERIFY_UR) == 2 * (160 + 32) + 4
-    assert len(KEYRATE) == 16 * 4 * 2 + 2
+    # 4 x 10 x 4 + 4 x 2 x 4 rows, each in text and JSON, and five one-row cases
+    assert sum(len(records(out, "--json" in argv)) for argv, out in VERIFY_UR) == 2 * (160 + 32) + 5
+    assert len(KEYRATE) == 16 * 4 * 2 + 3
     # 16 protocols' default 100-point grids in text and JSON, and one 3-point grid
     assert sum(len(records(out, "--json" in argv)) for argv, out in REGION) == 16 * 2 * 100 + 3
     assert len(DISTANCE) == 16 * 3 * 2

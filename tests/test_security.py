@@ -25,7 +25,6 @@ from cvqkd import (
     key_rate_at,
     max_distance,
     max_excess_noise,
-    optimize_modulation,
     security_region,
     threshold_transmission,
     tmsv,
@@ -165,53 +164,6 @@ class TestClosedForm:
                 assert math.isfinite(key_rate_at(protocol, ch, v).key_rate)
         with pytest.raises(AssertionError, match="covariance matrix was built"):
             tmsv(2.0)
-
-
-class TestOptimizeModulation:
-    def test_rate_increases_with_v_max(self):
-        ch = ChannelParams(0.5, 0.0)
-        _, k10 = optimize_modulation(RR_HOM_HOM, ch, 10.0)
-        _, k100 = optimize_modulation(RR_HOM_HOM, ch, 100.0)
-        _, k_big = optimize_modulation(RR_HOM_HOM, ch, 1e5)
-        assert k10 < k100 < k_big < math.log2(4.0 / E)
-        assert k_big == pytest.approx(math.log2(4.0 / E), abs=1e-3)
-
-    def test_monotone_case_hits_boundary(self):
-        v_star, k_star = optimize_modulation(RR_HOM_HOM, ChannelParams(1.0, 0.0), 2.0)
-        assert v_star == 2.0
-        assert k_star == pytest.approx(math.log2(4.0 / E), abs=1e-12)
-
-    def test_no_positive_key_still_returns_argmax(self):
-        v_star, k_star = optimize_modulation(RR_HOM_HOM, ChannelParams(0.1, 0.5), 50.0)
-        assert k_star <= 0.0
-        assert 1.0 <= v_star <= 50.0
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        protocol=st.sampled_from(ProtocolSpec.all()),
-        t=st.floats(1e-3, 1.0),
-        xi=st.floats(0.0, 0.5),
-        log_v_max=st.floats(0.0, 6.0),
-    )
-    def test_endpoint_beats_every_grid_point(self, protocol, t, xi, log_v_max):
-        # the rate is monotone in V, so an endpoint is at least every interior value
-        ch, v_max = ChannelParams(t, xi), 10.0**log_v_max
-        v_star, k_star = optimize_modulation(protocol, ch, v_max)
-        assert v_star in (1.0, v_max)
-        assert k_star == key_rate_at(protocol, ch, v_star).key_rate
-        for v in np.geomspace(1.0, v_max, 64):
-            assert k_star >= key_rate_at(protocol, ch, float(v)).key_rate - 1e-12, v
-
-    def test_tie_goes_to_v_one(self):
-        # at T = 0.5, xi = 0, w = 1 - T = T, so V_{A|B} = (w + T u)/(T + w u) = 1 at every V
-        ch = ChannelParams(0.5, 0.0)
-        k = [key_rate_at(DR_HOM_HOM, ch, v).key_rate for v in (1.0, 7.0)]
-        assert k[0] == k[1]
-        assert optimize_modulation(DR_HOM_HOM, ch, 7.0) == (1.0, k[0])
-
-    def test_infinite_v_max_is_the_limit(self):
-        ch = ChannelParams(0.5, 0.0)
-        assert optimize_modulation(RR_HOM_HOM, ch, math.inf) == (math.inf, key_rate_at(RR_HOM_HOM, ch).key_rate)
 
 
 class TestThresholdTransmission:
