@@ -37,6 +37,7 @@ RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
 RR_BOB_HET = ProtocolSpec.parse("rr-homA-hetB-eb")
 DR_HOM_HOM = ProtocolSpec.parse("dr-homA-homB-eb")
 DR_COHERENT = ProtocolSpec.parse("dr-hetA-homB-pm")
+IDS = sorted(p.id for p in ProtocolSpec.all())
 # T log-uniform on [5e-324, 1]
 LOG_UNIFORM_T = st.floats(-323.3, 0.0).map(lambda e: max(10.0**e, 5e-324))
 
@@ -164,6 +165,43 @@ class TestClosedForm:
                 assert math.isfinite(key_rate_at(protocol, ch, v).key_rate)
         with pytest.raises(AssertionError, match="covariance matrix was built"):
             tmsv(2.0)
+
+
+class TestModulation:
+    """The rate against the modulation V, through key_rate_at."""
+
+    def test_rate_increases_with_v(self):
+        ch = ChannelParams(0.5, 0.0)
+        k10, k100, k_big = (key_rate_at(RR_HOM_HOM, ch, v).key_rate for v in (10.0, 100.0, 1e5))
+        k_inf = key_rate_at(RR_HOM_HOM, ch).key_rate
+        assert k10 < k100 < k_big < k_inf == pytest.approx(math.log2(4.0 / E), abs=1e-12)
+        assert k_big == pytest.approx(math.log2(4.0 / E), abs=1e-3)
+
+    def test_lossless_channel_at_v_two(self):
+        assert key_rate_at(RR_HOM_HOM, ChannelParams(1.0, 0.0), 2.0).key_rate == pytest.approx(
+            math.log2(4.0 / E), abs=1e-12
+        )
+
+    def test_no_positive_key_at_any_v(self):
+        ch = ChannelParams(0.1, 0.5)
+        for v in np.geomspace(1.0, 50.0, 16).tolist() + [math.inf]:
+            assert key_rate_at(RR_HOM_HOM, ch, v).key_rate <= 0.0, v
+
+    def test_dr_hom_hom_is_flat_where_w_is_t(self):
+        # at T = 0.5, xi = 0, w = 1 - T = T, so V_{A|B} = (w + T u)/(T + w u) = 1 at every V
+        ch = ChannelParams(0.5, 0.0)
+        rates = [key_rate_at(DR_HOM_HOM, ch, v).key_rate for v in (1.0, 7.0, 1e6, math.inf)]
+        assert rates == [rates[0]] * 4
+
+    @pytest.mark.parametrize("pid", IDS)
+    @settings(max_examples=12, deadline=None)
+    @given(t=st.floats(1e-3, 1.0), xi=st.floats(0.0, 0.5), log_v_max=st.floats(0.0, 6.0))
+    def test_an_end_of_the_range_is_the_best_v(self, pid, t, xi, log_v_max):
+        # the rate is monotone in V, so one end of [1, v_max] is at least every interior value
+        protocol, ch, v_max = ProtocolSpec.parse(pid), ChannelParams(t, xi), 10.0**log_v_max
+        best = max(key_rate_at(protocol, ch, v).key_rate for v in (1.0, v_max))
+        for v in np.geomspace(1.0, v_max, 64).tolist():
+            assert best >= key_rate_at(protocol, ch, v).key_rate - 1e-12, v
 
 
 class TestThresholdTransmission:
@@ -307,10 +345,13 @@ class TestLastSecurePoint:
 
     TOL = 1e-9
 
-    @settings(max_examples=80, deadline=None)
-    @given(protocol=st.sampled_from(ProtocolSpec.all()), xi=st.floats(0.0, 0.5))
-    @example(protocol=RR_HOM_HOM, xi=1e-200)  # k(1) squares xi: the product underflows
-    def test_threshold_transmission_is_last_secure(self, protocol, xi):
+    @pytest.mark.parametrize("pid", IDS)
+    @settings(max_examples=10, deadline=None)
+    @given(xi=st.floats(0.0, 0.5))
+    @example(xi=1e-200)  # k(1) squares xi: rr-homA-homB-eb's product underflowed
+    def test_threshold_transmission_is_last_secure(self, pid, xi):
+        protocol = ProtocolSpec.parse(pid)
+
         def k(t):
             return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
 
@@ -321,9 +362,12 @@ class TestLastSecurePoint:
         assert k(t) >= 0.0
         assert k(t - 2.0 * self.TOL) < 0.0
 
-    @settings(max_examples=80, deadline=None)
-    @given(protocol=st.sampled_from(ProtocolSpec.all()), t=st.floats(1e-6, 1.0))
-    def test_max_excess_noise_is_last_secure(self, protocol, t):
+    @pytest.mark.parametrize("pid", IDS)
+    @settings(max_examples=10, deadline=None)
+    @given(t=st.floats(1e-6, 1.0))
+    def test_max_excess_noise_is_last_secure(self, pid, t):
+        protocol = ProtocolSpec.parse(pid)
+
         def k(xi):
             return key_rate_at(protocol, ChannelParams(t, xi)).key_rate
 
