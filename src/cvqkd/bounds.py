@@ -344,21 +344,15 @@ def verify_ur_tripartite(cm: CovarianceMatrix) -> float:
     6, 659, 2010). H(q_A) = log2(2 pi e a)/2, and B given q_A has nu_c =
     sqrt(b det/a). With r(nu) = g(nu) - log2(e nu/2) <= 0 the slack is
     2 r(nu_c) - r(nu-) - r(nu+) - r(b), whose log2-sized terms cancel, as
-    a nu_c^2 = b nu- nu+. At T = 1, nu_c = sqrt(det) e^eps with eps >= 0 and
-    nu-+ = sqrt(det) e^-+h, and R(s) = r(e^s) rises and is concave, so the
-    first three terms are >= 0: clamping them keeps a tiny slack's digits
-    there (4.88913e-12, not 4.88552e-12, at (221766, 1, 1.26e-15)). Below
-    T = 1 they may be negative, but the relation holds on every state, so
-    a slack that rounds below 0 is rounding, and is clamped at 0, which
-    never moves it further from the truth. Against ``tests/oracle.py`` on
+    a nu_c^2 = b nu- nu+. The relation holds on every state, so a slack
+    that rounds below 0 is rounding, and is clamped at 0, which never
+    moves it further from the truth. Against ``tests/oracle.py`` on
     6,000 random states (V from 1 to 1e12, T from 1e-4 to 1, xi from 0
     to 1) the largest error was 2.7e-15 bits, and 1.0e-14 on 9,000 at
     T = 1, xi down to 1e-320.
     """
     nu_minus, nu_plus = cm._nus
     bracket = 2.0 * _r(math.sqrt(cm.b / cm.a) * math.sqrt(cm._det)) - _r(nu_minus) - _r(nu_plus)
-    if cm.transmission == 1.0:
-        bracket = max(bracket, 0.0)
     return max(bracket - _r(cm.b), 0.0)
 
 

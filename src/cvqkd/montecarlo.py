@@ -410,7 +410,7 @@ def empirical_entropy(samples: np.ndarray, bin_width: float) -> float:
     if data is not samples:  # numpy promotes a bool among numbers to a number: read the items
         for item in np.asarray(samples, dtype=object).flat:
             if isinstance(item, (bool, np.bool_)):
-                raise DomainError(f"samples must be real numbers, got {item!r}")
+                raise DomainError(f"samples must be real numbers, got {item}")
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are raised below
         spread = 8.0 * math.sqrt(float(np.var(values)))
     if not 0.0 < spread < math.inf:  # NaN too: a NaN sample falls in no histogram bin

