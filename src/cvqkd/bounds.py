@@ -266,10 +266,12 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     key_rate > 0. A zero factor, x or p, gives the rate +inf: a homodyne
     variance of 0 (the identity channel at V -> inf, as ``key_rate_at``
     passes it) or a conditioner's half of exactly 1/2, which lifts to 0.
-    Beside an infinite factor the rate is undefined (DomainError); an inf
-    factor beside a nonzero one (given, or a half of 9e307 or more lifted)
-    raises PrecisionError, as the rate would read -inf. The only builder
-    of a ``KeyRateResult``.
+    A 0 beside an inf in either pair, the one the rate reads or the
+    other, leaves its product undefined (DomainError), so no steering
+    product is NaN; an inf factor beside a nonzero one (given, or a half
+    of 9e307 or more lifted) raises PrecisionError where the rate reads
+    it, as the rate would read -inf. No other function makes a
+    ``KeyRateResult``.
     """
     exp_ab, exp_ba = protocol._kinds
     if cv.kind_a_given_b is not exp_ab or cv.kind_b_given_a is not exp_ba:
@@ -291,16 +293,18 @@ def key_rate(protocol: ProtocolSpec, cv: ConditionalVariances) -> KeyRateResult:
     if _MIN_NORMAL <= product < math.inf:
         rate = math.log2(2.0 / (math.e * math.sqrt(product)))
     elif v_x == 0.0 or v_p == 0.0:  # the V -> inf identity channel, or a half of 1/2 lifted
-        if v_x == math.inf or v_p == math.inf:
-            raise DomainError(f"key rate of {protocol.id} is undefined for variances inf and 0")
-        rate = math.inf
+        rate = math.inf  # or a 0 beside an inf, a NaN product refused below
     else:  # the product is subnormal or under- or overflows (variances near 1e-160 or 1e160)
         if v_x == math.inf or v_p == math.inf:
             raise PrecisionError(f"key rate of {protocol.id} overflows at variances ({v_x}, {v_p})")
         rate = math.log2(2.0 / math.e) - (math.log2(v_x) + math.log2(v_p)) / 2.0
-    if steering_ab < _MIN_NORMAL:  # a NaN product, of inf and 0, is kept
+    if not steering_ab >= _MIN_NORMAL:  # subnormal or 0, or NaN: inf times 0
+        if steering_ab != steering_ab:
+            raise DomainError(f"key rate of {protocol.id} is undefined for variances inf and 0")
         steering_ab = 0.0
-    if steering_ba < _MIN_NORMAL:
+    if not steering_ba >= _MIN_NORMAL:
+        if steering_ba != steering_ba:
+            raise DomainError(f"key rate of {protocol.id} is undefined for variances inf and 0")
         steering_ba = 0.0
     # positional, in field order, as a keyword call costs about twice as much
     return KeyRateResult(

@@ -1,4 +1,12 @@
-"""CLI contract: values, formats, exit codes, determinism."""
+"""CLI behaviour that a golden replay cannot check.
+
+``tests/test_golden.py`` is the one home of the exit code, stdout and stderr of
+every argv in its ``CASES``, and ``tests/test_golden_oracle.py`` of the truth of
+every number those argvs print; no case here re-runs only such argvs. What stays:
+argvs that are not golden cases, files written with ``--out``, fresh
+interpreters and ``python -m cvqkd``, the numpy-free imports and the thread race,
+the parser cache, the MemoryError stand-in and the argv fuzz.
+"""
 
 import hashlib
 import io
@@ -13,7 +21,7 @@ from hypothesis import strategies as st
 import cvqkd
 import oracle
 from conftest import fresh_python, stream_note
-from cvqkd import ProtocolSpec, SweepConfig, security_region
+from cvqkd import ProtocolSpec
 from cvqkd.cli import _COMMANDS, _json, build_parser, main
 from cvqkd.montecarlo import MAX_SAMPLE_ROWS
 from cvqkd.security import MAX_GRID_POINTS
@@ -57,13 +65,6 @@ class TestKeyrate:
         assert float(report_value(out, "key_rate_bits")) < 0.0
         assert report_value(out, "positive") == "false"
 
-    def test_unknown_protocol_lists_valid_ids(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["keyrate", "--protocol", "bogus", "--T", "1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "rr-homA-homB-eb" in err and "dr-hetA-hetB-pm" in err
-
     def test_domain_error_exits_three(self, capsys):
         code, _, err = run(
             capsys, "keyrate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--V", "0.5"
@@ -95,16 +96,6 @@ class TestKeyrate:
             "kind_b_given_a": "full",
             "kind_a_given_b": "full",
         }
-
-
-    def test_large_modulation_exits_zero(self, capsys):
-        # the covariance-matrix path raised a spurious UnphysicalStateError here
-        code, out, err = run(
-            capsys, "keyrate", "--protocol", "rr-homA-homB-eb", "--T", "0.5", "--xi", "0.01",
-            "--V", "3e7",
-        )
-        assert (code, err) == (0, "")
-        assert float(report_value(out, "key_rate_bits")) > 0.0
 
     def test_large_modulation_rate_matches_the_oracle(self, capsys):
         code, out, _ = run(
@@ -203,17 +194,6 @@ class TestRegion:
         assert (code, out) == (3, "")
         assert err == f"error: transmission must lie in (0, 1], got {bad}\n"
 
-    @pytest.mark.parametrize("protocol", ProtocolSpec.all(), ids=lambda p: p.id)
-    def test_json_rows_are_the_library_region(self, capsys, protocol):
-        # the default grid, where t_min + i (t_max - t_min) / 99 and linspace
-        # disagree in the last bit at 32 of the 100 points
-        _, out, _ = run(capsys, "region", "--protocol", protocol.id, "--json")
-        want = [
-            {"T": float(f"{t:.9g}"), "xi_max": None if xi is None else float(f"{xi:.9g}")}
-            for t, xi in security_region(protocol, SweepConfig(0.01, 1.0, 100))
-        ]
-        assert json.loads(out) == want
-
 
 @pytest.mark.parametrize("command", [["region", "--protocol", "rr-homA-homB-eb"], ["verify-ur"]])
 @pytest.mark.parametrize(
@@ -232,33 +212,6 @@ def test_bad_grid_exits_three_with_one_line(capsys, command, grid, message):
     assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
 
 
-class TestDistance:
-    def test_reported_noise_distance(self, capsys):
-        code, out, _ = run(capsys, "distance", "--protocol", "rr-homA-homB-eb", "--xi", "0.002")
-        assert code == 0
-        assert float(report_value(out, "max_distance_km")) == pytest.approx(28.8565, abs=0.01)
-
-    def test_zero_noise_distance(self, capsys):
-        _, out, _ = run(capsys, "distance", "--protocol", "rr-homA-homB-eb", "--xi", "0")
-        assert float(report_value(out, "max_distance_km")) == pytest.approx(28.900, abs=0.01)
-
-    def test_coherent_distance(self, capsys):
-        _, out, _ = run(capsys, "distance", "--protocol", "dr-hetA-homB-pm", "--xi", "0")
-        assert float(report_value(out, "max_distance_km")) == pytest.approx(8.388, abs=0.01)
-
-    def test_no_security_report(self, capsys):
-        code, out, _ = run(capsys, "distance", "--protocol", "rr-hetA-homB-eb", "--xi", "0")
-        assert code == 0
-        assert report_value(out, "max_distance_km") == "no-security"
-
-    def test_json_mirror(self, capsys):
-        _, out, _ = run(
-            capsys, "distance", "--protocol", "rr-homA-homB-eb", "--xi", "0.002", "--json"
-        )
-        payload = json.loads(out)
-        assert payload["max_distance_km"] == pytest.approx(28.8565, abs=0.01)
-        assert payload["loss_percent"] == pytest.approx(73.52, abs=0.01)
-
 class TestSimulate:
     def test_reports_empirical_and_analytic(self, capsys):
         code, out, _ = run(
@@ -270,14 +223,6 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["analytic_key_rate_bits"] == pytest.approx(0.557304959, abs=1e-9)
         assert abs(payload["key_rate_bits"] - 0.557305) < 5.0 * payload["key_rate_std_error"]
-
-    def test_negative_seed_exits_three(self, capsys):
-        code, out, err = run(
-            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "0.9", "--V", "5",
-            "--seed", "-1",
-        )
-        assert (code, out) == (3, "")
-        assert err == "error: seed must be a non-negative integer, got -1\n"
 
     def test_record_csv_written(self, capsys, tmp_path):
         path = tmp_path / "record.csv"
@@ -361,14 +306,6 @@ class TestSimulate:
         off = payload["key_rate_bits"] - payload["analytic_key_rate_bits"]
         assert abs(off) < 5.0 * payload["key_rate_std_error"]
 
-    def test_modulation_above_the_cap_exits_three(self, capsys):
-        code, out, err = run(
-            capsys, "simulate", "--protocol", "rr-homA-homB-eb", "--T", "1", "--xi", "0",
-            "--V", "1.0000000000001e12", "--samples", "10",
-        )
-        assert (code, out) == (3, "")
-        assert err.startswith("error: modulation variance ") and err.count("\n") == 1, err
-
     def test_infinite_v_rejected(self, capsys):
         # no record can be sampled in the V -> inf limit; the library's DomainError says so
         code, out, err = run(
@@ -406,10 +343,9 @@ class TestRejectedInputs:
         assert exc.value.code == 2
         assert "argument --v-list: expected comma-separated reals, got '1,abc'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["keyrate", "simulate"])
-    def test_missing_transmission_is_a_usage_error(self, capsys, command):
+    def test_missing_transmission_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--protocol", "rr-homA-homB-eb"])
+            main(["simulate", "--protocol", "rr-homA-homB-eb"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -510,13 +446,6 @@ class TestVerifyUr:
         row = out.strip().split("\n")[1].split(",")
         assert float(row[3]) == pytest.approx(0.442695041, abs=1e-9)
 
-    def test_default_grid_slack_nonnegative(self, capsys):
-        code, out, _ = run(capsys, "verify-ur")
-        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
-        assert len(rows) == 4 * 10 * 4
-        assert min(float(r[3]) for r in rows) >= -1e-9
-        assert min(float(r[4]) for r in rows) >= -1e-9
-
     def test_json_array(self, capsys):
         _, out, _ = run(
             capsys,
@@ -529,25 +458,6 @@ class TestVerifyUr:
 
 
 class TestTable:
-    def test_six_marks(self, capsys):
-        code, out, _ = run(capsys, "table")
-        assert code == 0
-        assert out.count("yes_B") == 4
-        assert out.count("yes_A") == 2
-        assert "6 of 16" in out
-
-    def test_json_classification(self, capsys):
-        _, out, _ = run(capsys, "table", "--json")
-        payload = json.loads(out)
-        by_id = {p["protocol"]: p["classification"] for p in payload}
-        assert len(by_id) == 16
-        assert by_id["rr-homA-hetB-eb"] == "independent-of-alice"
-        assert by_id["dr-hetA-homB-pm"] == "independent-of-bob"
-        assert by_id["rr-homA-homB-pm"] == "not-1sdi"
-        # P&M and EB agree on every DR Bob-homodyne column
-        for alice in ("hom", "het"):
-            assert by_id[f"dr-{alice}A-homB-pm"] == by_id[f"dr-{alice}A-homB-eb"]
-
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "table.txt"
         run(capsys, "table", "--out", str(path))

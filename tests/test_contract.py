@@ -80,6 +80,7 @@ NOT_INTEGERS = [*NOT_NUMBERS, "nan", "inf", "-inf", "denormal", "1e308", "float3
 RETURNS = None  # the outcome of a row whose call returns
 
 RR_HOM_HOM = ProtocolSpec.parse("rr-homA-homB-eb")
+DR_HOM_HOM = ProtocolSpec.parse("dr-homA-homB-eb")
 RR_HET_HET = ProtocolSpec.parse("rr-hetA-hetB-eb")
 RR_HOM_HET = ProtocolSpec.parse("rr-homA-hetB-eb")
 RECORD = sample_quadratures(RR_HET_HET, ChannelParams(0.9, 0.01), 3.0, 200, seed=1)
@@ -119,6 +120,15 @@ CALLS = {
         {"target": "x_b", "given": "x_a"},
     ),
     "infer_full_mode_variance": (infer_full_mode_variance, {"measured_half_conditional": 0.75}),
+    # a variance of the pair the rate does not read, beside a 0
+    "key_rate(rr-homA-homB-eb, v_p_a_given_b=0)": (
+        lambda v_x_a_given_b: key_rate(RR_HOM_HOM, ConditionalVariances(0.5, 0.5, v_x_a_given_b, 0.0)),
+        {"v_x_a_given_b": 0.5},
+    ),
+    "key_rate(dr-homA-homB-eb, v_p_b_given_a=0)": (
+        lambda v_x_b_given_a: key_rate(DR_HOM_HOM, ConditionalVariances(v_x_b_given_a, 0.0, 0.5, 0.5)),
+        {"v_x_b_given_a": 0.5},
+    ),
     "key_rate_at": (lambda v: key_rate_at(RR_HOM_HOM, ChannelParams(0.9, 0.01), v), {"v": 5.0}),
     "max_distance": (lambda xi: max_distance(RR_HOM_HOM, xi), {"xi": 0.002}),
     "max_excess_noise": (lambda t: max_excess_noise(RR_HOM_HOM, t), {"t": 0.9}),
@@ -327,6 +337,11 @@ ARGUMENTS = {
         {"nan": (math.nan, exactly(DomainError, "half-mode conditional variance is NaN"))},
         UnphysicalInferenceError,
     ),
+    **{(f"key_rate({protocol.id}, {zero}=0)", field): {
+        **nonnegative(field),
+        "inf": (math.inf, exactly(DomainError, f"key rate of {protocol.id} is undefined for variances inf and 0")),
+    } for protocol, field, zero in ((RR_HOM_HOM, "v_x_a_given_b", "v_p_a_given_b"),
+                                    (DR_HOM_HOM, "v_x_b_given_a", "v_p_b_given_a"))},
     ("key_rate_at", "v"): at_least_one("modulation variance"),
     ("max_distance", "xi"): excess_noise(),
     ("max_excess_noise", "t"): transmission(),

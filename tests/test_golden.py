@@ -1,5 +1,9 @@
 """Golden replay of the CLI: every pinned argv with its exit code, stdout and stderr.
 
+This is the one test home of every pinned argv: the exit code, stdout and
+stderr of each argv in ``CASES`` are checked here and nowhere else, and
+``tests/test_golden_oracle.py`` checks every number they print against the
+60-digit oracle. ``tests/test_cli.py`` keeps what a replay cannot check.
 ``CASES`` lists each command's argv lists. ``render`` runs argv lists in process
 through ``cvqkd.cli.main`` and writes each case as
 
